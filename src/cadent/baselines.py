@@ -1,21 +1,20 @@
 """Named training variants: the full method, its ablations, and controls.
 
 A preset rewrites a base StudentConfig into one variant's exact
-configuration in a single step. Resolution is idempotent and enforces each
-variant's invariants (e.g. the strategic-only ablation zeroes the tactical
-weight, the gate-ablated control pins its fixed weight to 0.5).
+configuration in a single step, as `student.VARIANTS` defines it. Resolution
+is idempotent and enforces each variant's invariants (e.g. the
+strategic-only ablation zeroes the tactical weight, the gate-ablated control
+pins its fixed weight to 0.5).
 """
 
 from __future__ import annotations
 
-from .student import VARIANT_ALIASES, GuidanceParams, StudentConfig
-
-_FIXED_FAMILY = ("fixed_trust", "no_trust_gate")
+from .student import (VARIANT_ALIASES, VARIANTS, GuidanceParams,
+                      StudentConfig, uses_teacher)
 
 
 def preset_names():
-    return ("cadent", "ad", "pd", "no_transfer", "no_trust_gate",
-            "fixed_trust")
+    return tuple(VARIANTS)
 
 
 def canonical_variant(name):
@@ -37,25 +36,17 @@ def resolve_preset(name, base=None, omega0=None):
     """
     name = canonical_variant(name)
     base = base if base is not None else StudentConfig()
-    if omega0 is not None and name not in _FIXED_FAMILY:
-        raise ValueError(f"omega0 is only meaningful for the fixed-trust "
-                         f"family, not {name!r}")
-    guide = base.guide
-    if name == "cadent":
-        return base.with_(variant="cadent")
-    if name == "ad":
-        return base.with_(variant="ad", guide=GuidanceParams(
-            lambda_ad=guide.lambda_ad, lambda_pd=0.0))
-    if name == "pd":
-        return base.with_(variant="pd", guide=GuidanceParams(
-            lambda_ad=0.0, lambda_pd=guide.lambda_pd))
-    if name == "no_transfer":
-        return base.with_(variant="no_transfer", guide=GuidanceParams(
-            lambda_ad=0.0, lambda_pd=0.0))
-    if name == "no_trust_gate":
-        if omega0 is not None and omega0 != 0.5:
-            raise ValueError("no_trust_gate pins omega0 = 0.5; use "
-                             "fixed_trust for other values")
-        return base.with_(variant="no_trust_gate", omega0=0.5)
-    omega = float(omega0) if omega0 is not None else base.omega0
-    return base.with_(variant="fixed_trust", omega0=omega)
+    gated, strategic, tactical, pinned = VARIANTS[name]
+    if omega0 is not None:
+        if gated or not uses_teacher(name):
+            raise ValueError(f"omega0 is only meaningful for the fixed-trust "
+                             f"family, not {name!r}")
+        if pinned is not None and omega0 != pinned:
+            raise ValueError(f"{name} pins omega0 = {pinned}; use "
+                             f"fixed_trust for other values")
+    omega = pinned if pinned is not None else (
+        base.omega0 if omega0 is None else float(omega0))
+    guide = GuidanceParams(
+        lambda_ad=base.guide.lambda_ad if strategic else 0.0,
+        lambda_pd=base.guide.lambda_pd if tactical else 0.0)
+    return base.with_(variant=name, guide=guide, omega0=omega)

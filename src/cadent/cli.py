@@ -19,8 +19,8 @@ from .envs import (ALIASES, DEFAULT_EPISODES, ENV_NAMES, EnvSpec,
                    canonical_name, make_env)
 from .harness import (ExperimentConfig, records_from_result, run_experiment,
                       write_run_csv)
-from .student import (GuidanceParams, StudentConfig, TrustParams,
-                      train_student)
+from .student import (VARIANT_ALIASES, GuidanceParams, StudentConfig,
+                      TrustParams, train_student, uses_teacher)
 from .tabular import LearningParams, save_qtable
 from .teacher import (AGGREGATION_MODES, build_knowledge, load_knowledge,
                       save_knowledge, train_teacher)
@@ -70,7 +70,8 @@ def _student_config(args):
         trust=TrustParams(eta=args.eta, k=args.gate_k, theta=args.theta,
                           v_init=args.v_init),
         guide=GuidanceParams(lambda_ad=args.lambda_ad,
-                             lambda_pd=args.lambda_pd))
+                             lambda_pd=args.lambda_pd),
+        omega0=args.omega0)
 
 
 def _env_from_args(args):
@@ -99,18 +100,16 @@ def cmd_train_teacher(args):
 def cmd_train_student(args):
     env = _env_from_args(args)
     variant = canonical_variant(args.variant)
-    config = resolve_preset(
-        variant, _student_config(args),
-        omega0=(args.omega0 if variant in ("fixed_trust",) else None))
+    config = resolve_preset(variant, _student_config(args))
     knowledge = None
-    if variant != "no_transfer":
+    if uses_teacher(variant):
         if not args.knowledge:
             print(f"error: variant {variant!r} needs --knowledge",
                   file=sys.stderr)
             return 2
         knowledge = load_knowledge(args.knowledge)
     elif args.knowledge:
-        print("error: no_transfer does not take --knowledge",
+        print(f"error: {variant} does not take --knowledge",
               file=sys.stderr)
         return 2
     episodes = args.episodes or DEFAULT_EPISODES[env.name]
@@ -208,6 +207,7 @@ def cmd_info(args):
         "environments": list(ENV_NAMES),
         "env_aliases": dict(ALIASES),
         "variants": list(preset_names()),
+        "variant_aliases": dict(VARIANT_ALIASES),
         "default_episodes": dict(DEFAULT_EPISODES),
     }, indent=2, sort_keys=True))
     return 0
@@ -238,7 +238,7 @@ def build_parser():
     _add_hyper_args(p)
     p.add_argument("--variant", default="cadent",
                    help=f"one of {', '.join(preset_names())} "
-                        f"(aliases: none, ad_only, pd_only, fixed-trust)")
+                        f"(aliases: {', '.join(sorted(VARIANT_ALIASES))})")
     p.add_argument("--knowledge", help="distilled knowledge file")
     p.add_argument("--omega0", type=float, default=0.5,
                    help="fixed gate weight for the fixed_trust variant")

@@ -22,7 +22,8 @@ import numpy as np
 from .baselines import canonical_variant, preset_names, resolve_preset
 from .envs import (DEFAULT_EPISODES, ENV_NAMES, EnvSpec, canonical_name,
                    make_env)
-from .student import StudentConfig, train_student
+from .student import StudentConfig, train_student, uses_teacher
+from .tabular import from_fields
 from .teacher import (AGGREGATION_MODES, build_knowledge, load_knowledge,
                       save_knowledge, train_teacher)
 
@@ -79,6 +80,8 @@ class ExperimentConfig:
                              "in the grid")
         if self.threshold_window < 1:
             raise ValueError("threshold_window must be positive")
+        if not (0.0 <= self.omega0 <= 1.0):
+            raise ValueError("omega0 must be in [0, 1]")
         unknown = set(self.episodes) - set(self.environments)
         if unknown:
             raise ValueError(f"episode overrides for unknown environments "
@@ -115,7 +118,7 @@ class ExperimentConfig:
         for key in ("environments", "variants", "seeds"):
             if key in payload:
                 payload[key] = tuple(payload[key])
-        return cls(**payload)
+        return from_fields(cls, payload)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -295,11 +298,10 @@ def _train_cell(args):
     spec = EnvSpec(name=env_name, variant="target",
                    layout_seed=config.layout_seed)
     env = make_env(spec)
-    student_cfg = resolve_preset(variant, config.base,
-                                 omega0=(config.omega0 if variant ==
-                                         "fixed_trust" else None))
+    student_cfg = resolve_preset(variant,
+                                 config.base.with_(omega0=config.omega0))
     knowledge = (load_knowledge(knowledge_path)
-                 if variant != "no_transfer" else None)
+                 if uses_teacher(variant) else None)
     result = train_student(env, knowledge, student_cfg,
                            episodes=config.episodes_for(env_name),
                            seed=seed, stream=_run_stream(env_name, variant))
@@ -339,7 +341,7 @@ def run_experiment(config, out_dir, only=None, parallel=1, progress=None):
     # stage 1: teachers and distilled knowledge, one per environment
     knowledge_paths = {}
     for env_name in sorted({e for (e, _v, _s) in grid}):
-        needs_teacher = any(v != "no_transfer" for (e, v, _s) in grid
+        needs_teacher = any(uses_teacher(v) for (e, v, _s) in grid
                             if e == env_name)
         path = os.path.join(out_dir, "knowledge", f"{env_name}.json")
         knowledge_paths[env_name] = path

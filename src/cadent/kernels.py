@@ -50,6 +50,89 @@ def backend_info():
 xs128_next = _compile(_xs128_next_py)
 
 
+# The update's formulas, defined once: the public API calls them as plain
+# Python and the kernel calls compiled copies.
+
+
+def argmax(row):
+    """Index of the largest entry of `row`; ties go to the lowest index."""
+    a = 0
+    best = row[0]
+    for b in range(1, len(row)):
+        if row[b] > best:
+            best = row[b]
+            a = b
+    return a
+
+
+def softmax_prob(row, a):
+    """Probability of action `a` under the temperature-1 softmax of `row`.
+
+    Max-subtracted, accumulated in action-index order, so every caller gets
+    the same bits.
+    """
+    m = row[argmax(row)]
+    tot = 0.0
+    pa = 0.0
+    for b in range(len(row)):
+        eb = math.exp(row[b] - m)
+        tot += eb
+        if b == a:
+            pa = eb
+    return pa / tot
+
+
+def trust_gate(v, k, theta):
+    """Sigmoid weight on the student's own signal: 1 / (1 + exp(k(v-theta))).
+
+    Low volatility, high self-trust. Evaluated through the exp of a
+    non-positive argument so arbitrarily large |v - theta| cannot overflow;
+    v == theta gives exactly 0.5.
+    """
+    x = k * (v - theta)
+    if x > 0.0:
+        z = math.exp(-x)
+        return z / (1.0 + z)
+    return 1.0 / (1.0 + math.exp(x))
+
+
+def volatility_update(v, delta, eta):
+    """EWMA of |delta|; the volatility trace after an update of size delta."""
+    return (1.0 - eta) * v + eta * abs(delta)
+
+
+def tactical_applies(state, q, state_next, q_next):
+    """Whether the step (state, q) -> (state_next, q_next) earns g_PD.
+
+    The policy gradient pays moves within an automaton state. An edge
+    crossing is judged by the strategic term instead, and a step that leaves
+    the product state unchanged (walking into a wall) is a self-loop: paying
+    it would pay the student for standing still.
+    """
+    return q_next == q and state_next != state
+
+
+def fused_update(omega, delta_student, r_ad, g_pd):
+    """Gate-weighted blend of the student's and the teacher's TD errors.
+
+    The student arm is delta_student; the teacher arm is the same TD error
+    with the teacher terms added to the reward, delta_student + r_ad + g_pd
+    (shaping inside the TD target, as in Ng, Harada & Russell, ICML 1999).
+    omega * student + (1 - omega) * teacher simplifies to the expression
+    below: without teacher terms the update is plain Q-learning, and at a
+    fixed omega every pair's update has a fixed point.
+    """
+    return delta_student + (1.0 - omega) * (r_ad + g_pd)
+
+
+_argmax = _compile(argmax)
+_softmax_prob = _compile(softmax_prob)
+_trust_gate = _compile(trust_gate)
+_volatility_update = _compile(volatility_update)
+_tactical_applies = _compile(tactical_applies)
+_fused_update = _compile(fused_update)
+
+
 def _train_run(next_state, reward, event, terminal, dead, start,
                delta, accepting, q_start,
                q_ad, q_ad_known, pi_teacher, pi_known,
@@ -61,12 +144,9 @@ def _train_run(next_state, reward, event, terminal, dead, start,
 
     Per step: epsilon-greedy action, student TD error, trust gate read from
     the pair's volatility as it stood before this step, teacher terms
-    (automaton edge value + policy gradient on the taken action), fused
-    update, then Q += alpha * update and the volatility absorbs |update|.
-    The policy gradient applies only to a step that moves the student
-    within its automaton state: an edge crossing is judged by the edge
-    value, and a step that leaves the product state unchanged is no move
-    the abstract policy can vouch for. With use_guidance False this reduces
+    (automaton edge value, and the policy gradient on the taken action
+    where `tactical_applies`), fused update, then Q += alpha * update and
+    the volatility absorbs |update|. With use_guidance False this reduces
     exactly to Q-learning. Update magnitudes above `bound` are recorded
     (first soft_cap global step indices); non-finite updates abort.
     """
@@ -94,44 +174,26 @@ def _train_run(next_state, reward, event, terminal, dead, start,
         acc = False
         for t in range(max_steps):
             pid = s * n_q + qq
+            row = q[pid]
             # action choice: one draw to branch, one more when exploring
-            explore = False
-            if e > 0.0:
-                u = xs128_next(rng_state) * _INV32
-                if u < e:
-                    explore = True
-            if explore:
+            if e > 0.0 and xs128_next(rng_state) * _INV32 < e:
                 a = int((xs128_next(rng_state) * _INV32) * n_actions)
             else:
-                a = 0
-                best = q[pid, 0]
-                for b in range(1, n_actions):
-                    if q[pid, b] > best:
-                        best = q[pid, b]
-                        a = b
+                a = _argmax(row)
             s2 = int(next_state[s, a])
             r = reward[s, a]
             ev = int(event[s, a])
             q2 = int(delta[qq, ev])
-            pid2 = s2 * n_q + q2
             done = terminal[s2] or dead[s2] or t == max_steps - 1
             if done:
                 boot = 0.0
             else:
-                m = q[pid2, 0]
-                for b in range(1, n_actions):
-                    if q[pid2, b] > m:
-                        m = q[pid2, b]
-                boot = gamma * m
-            d_student = r + boot - q[pid, a]
+                row2 = q[s2 * n_q + q2]
+                boot = gamma * row2[_argmax(row2)]
+            d_student = r + boot - row[a]
             if use_guidance:
                 if use_gate:
-                    x = gate_k * (vol[pid, a] - theta)
-                    if x > 0.0:
-                        z = math.exp(-x)
-                        om = z / (1.0 + z)
-                    else:
-                        om = 1.0 / (1.0 + math.exp(x))
+                    om = _trust_gate(vol[pid, a], gate_k, theta)
                 else:
                     om = omega_fixed
                 r_ad = 0.0
@@ -141,27 +203,15 @@ def _train_run(next_state, reward, event, terminal, dead, start,
                     else:
                         novel += 1
                 g = 0.0
-                # student.tactical_applies: moves within an automaton state
-                if pi_known[qq] and q2 == qq and s2 != s:
-                    m2 = q[pid, 0]
-                    for b in range(1, n_actions):
-                        if q[pid, b] > m2:
-                            m2 = q[pid, b]
-                    tot = 0.0
-                    pa = 0.0
-                    for b in range(n_actions):
-                        eb = math.exp(q[pid, b] - m2)
-                        tot += eb
-                        if b == a:
-                            pa = eb
-                    g = lam_pd * (pi_teacher[qq, a] - pa / tot)
-                dq = d_student + (1.0 - om) * (r_ad + g)
+                if pi_known[qq] and _tactical_applies(s, qq, s2, q2):
+                    g = lam_pd * (pi_teacher[qq, a] - _softmax_prob(row, a))
+                dq = _fused_update(om, d_student, r_ad, g)
             else:
                 dq = d_student
             if not math.isfinite(dq):
                 raise ValueError("non-finite update; diverged")
             if use_gate:
-                vol[pid, a] = (1.0 - eta) * vol[pid, a] + eta * abs(dq)
+                vol[pid, a] = _volatility_update(vol[pid, a], dq, eta)
             adq = abs(dq)
             if adq > max_abs_dq:
                 max_abs_dq = adq
@@ -169,7 +219,7 @@ def _train_run(next_state, reward, event, terminal, dead, start,
                 if n_soft < soft_cap:
                     soft_steps[n_soft] = global_step
                 n_soft += 1
-            q[pid, a] = q[pid, a] + alpha * dq
+            row[a] = row[a] + alpha * dq
             counts[pid, a] += 1
             total += r
             global_step += 1
@@ -188,19 +238,25 @@ def _train_run(next_state, reward, event, terminal, dead, start,
 
 
 train_run = _compile(_train_run)
-train_run_py = _train_run  # uncompiled loop, for parity checks and benchmarks
 
 
 class RunResult:
     """Named view over the raw kernel output tuple."""
 
-    def __init__(self, raw, soft_cap):
+    def __init__(self, raw, soft_cap, n_q):
         (self.q, self.vol, self.counts, self.ep_reward, self.ep_steps,
          self.ep_accept, novel, self.max_abs_update, n_soft,
          soft_steps) = raw
         self.novel_transitions = int(novel)
         self.n_soft_violations = int(n_soft)
         self.soft_violation_steps = soft_steps[:min(int(n_soft), soft_cap)]
+        self.n_q = n_q
+
+    def visited(self):
+        """(dense row, env state, automaton state, action) per updated pair."""
+        for pid, a in np.argwhere(self.counts > 0):
+            s, q = divmod(int(pid), self.n_q)
+            yield int(pid), s, q, int(a)
 
 
 def run_training(tables, cdfa, dense, *, alpha, gamma, eps_start, eps_end,
@@ -220,7 +276,7 @@ def run_training(tables, cdfa, dense, *, alpha, gamma, eps_start, eps_end,
     if backend is None:
         fn = train_run
     elif backend == "python":
-        fn = train_run_py
+        fn = _train_run
     elif backend == "numba":
         if not NUMBA_ENABLED:
             raise RuntimeError("numba backend requested but not enabled")
@@ -244,7 +300,7 @@ def run_training(tables, cdfa, dense, *, alpha, gamma, eps_start, eps_end,
              float(v_init), float(lam_ad), float(lam_pd), bool(use_gate),
              float(omega_fixed), bool(use_guidance), int(episodes),
              int(max_steps), rng_state, float(bound), int(soft_cap))
-    return RunResult(raw, int(soft_cap))
+    return RunResult(raw, int(soft_cap), n_q)
 
 
 def greedy_rollout(tables, cdfa, q, max_steps):
@@ -260,13 +316,7 @@ def greedy_rollout(tables, cdfa, q, max_steps):
     seen = {(s, qq)}
     total = 0.0
     for t in range(max_steps):
-        pid = s * n_q + qq
-        a = 0
-        best = q[pid, 0]
-        for b in range(1, tables.n_actions):
-            if q[pid, b] > best:
-                best = q[pid, b]
-                a = b
+        a = argmax(q[s * n_q + qq])
         s2 = int(tables.next_state[s, a])
         total += float(tables.reward[s, a])
         ev = int(tables.event[s, a])

@@ -6,9 +6,8 @@ crossed and a policy-matching gradient on the taken action. A per-pair
 volatility trace (EWMA of the applied update's magnitude, starting high)
 drives a sigmoid gate deciding how much weight the teacher gets: pairs
 without experience and volatile regions lean on the teacher, settled
-regions on the student's own signal. Scalar helpers here are the reference
-definitions; the kernels run the same expressions and are pinned to them by
-tests.
+regions on the student's own signal. The update's formulas are defined
+once in `kernels`, which runs them, and are re-exported here.
 """
 
 from __future__ import annotations
@@ -20,19 +19,37 @@ import numpy as np
 
 from .automaton import ProductState
 from .envs.tables import compile_env
-from .kernels import run_training
-from .tabular import LearningParams, QTable, softmax_policy
+from .kernels import (fused_update, run_training, softmax_prob,
+                      tactical_applies, trust_gate, volatility_update)
+from .tabular import LearningParams, QTable, from_fields
 from .teacher import dense_knowledge
 
-VARIANTS = ("cadent", "ad", "pd", "no_transfer", "no_trust_gate",
-            "fixed_trust")
+# name -> (gated, strategic, tactical, omega0). gated: the trust gate sets
+# omega from the pair's volatility, otherwise omega is fixed. strategic,
+# tactical: the variant keeps lambda_ad, lambda_pd (without it the weight is
+# 0). omega0: the fixed omega the variant pins, or None to read it from
+# StudentConfig.omega0. The order is part of the results: the harness
+# derives each variant's random stream from it.
+VARIANTS = {
+    "cadent": (True, True, True, None),
+    "ad": (True, True, False, None),
+    "pd": (True, False, True, None),
+    "no_transfer": (False, False, False, None),
+    "no_trust_gate": (False, True, True, 0.5),
+    "fixed_trust": (False, True, True, None),
+}
 
 VARIANT_ALIASES = {
     "none": "no_transfer",
     "ad_only": "ad",
     "pd_only": "pd",
-    "fixed-trust": "fixed_trust",
 }
+
+
+def uses_teacher(variant):
+    """Whether `variant` learns from teacher knowledge."""
+    _gated, strategic, tactical, _omega0 = VARIANTS[variant]
+    return strategic or tactical
 
 
 @dataclass(frozen=True)
@@ -62,7 +79,7 @@ class TrustParams:
 
     @classmethod
     def from_json(cls, payload):
-        return cls(**payload)
+        return from_fields(cls, payload)
 
 
 @dataclass(frozen=True)
@@ -79,7 +96,7 @@ class GuidanceParams:
 
     @classmethod
     def from_json(cls, payload):
-        return cls(**payload)
+        return from_fields(cls, payload)
 
 
 @dataclass(frozen=True)
@@ -94,30 +111,20 @@ class StudentConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
+            raise ValueError(f"variant must be one of {tuple(VARIANTS)}")
         if not (0.0 <= self.omega0 <= 1.0):
             raise ValueError("omega0 must be in [0, 1]")
-        if self.variant == "ad" and self.guide.lambda_pd != 0.0:
-            raise ValueError("ad variant requires lambda_pd == 0")
-        if self.variant == "pd" and self.guide.lambda_ad != 0.0:
-            raise ValueError("pd variant requires lambda_ad == 0")
-        if self.variant == "no_transfer" and (
-                self.guide.lambda_ad != 0.0 or self.guide.lambda_pd != 0.0):
-            raise ValueError("no_transfer variant requires zero guidance "
-                             "weights")
-        if self.variant == "no_trust_gate" and self.omega0 != 0.5:
-            raise ValueError("no_trust_gate variant pins omega0 to 0.5")
+        _gated, strategic, tactical, omega0 = VARIANTS[self.variant]
+        if not strategic and self.guide.lambda_ad != 0.0:
+            raise ValueError(f"{self.variant} variant requires lambda_ad == 0")
+        if not tactical and self.guide.lambda_pd != 0.0:
+            raise ValueError(f"{self.variant} variant requires lambda_pd == 0")
+        if omega0 is not None and self.omega0 != omega0:
+            raise ValueError(f"{self.variant} variant pins omega0 to "
+                             f"{omega0}")
 
     def with_(self, **kw):
         return replace(self, **kw)
-
-    def kernel_flags(self):
-        """(use_gate, omega_fixed, use_guidance) for this variant."""
-        if self.variant in ("cadent", "ad", "pd"):
-            return True, 0.0, True
-        if self.variant == "no_transfer":
-            return False, 1.0, False
-        return False, self.omega0, True  # no_trust_gate / fixed_trust
 
     def to_json(self):
         return {
@@ -130,13 +137,12 @@ class StudentConfig:
 
     @classmethod
     def from_json(cls, payload):
-        return cls(
-            learn=LearningParams.from_json(payload["learn"]),
-            trust=TrustParams.from_json(payload["trust"]),
-            guide=GuidanceParams.from_json(payload["guide"]),
-            variant=payload.get("variant", "cadent"),
-            omega0=payload.get("omega0", 0.5),
-        )
+        payload = dict(payload)
+        for key, params in (("learn", LearningParams), ("trust", TrustParams),
+                            ("guide", GuidanceParams)):
+            if key in payload:
+                payload[key] = params.from_json(payload[key])
+        return from_fields(cls, payload)
 
 
 @dataclass
@@ -147,11 +153,6 @@ class Diagnostics:
     max_abs_update: float = 0.0
     soft_violations: int = 0
     soft_violation_steps: list = field(default_factory=list)
-
-
-def volatility_update(v, delta, eta):
-    """EWMA of |delta|; the volatility trace after an update of size delta."""
-    return (1.0 - eta) * v + eta * abs(delta)
 
 
 class VolatilityTracker:
@@ -175,20 +176,6 @@ class VolatilityTracker:
 
     def __len__(self):
         return len(self._data)
-
-
-def trust_gate(v, k, theta):
-    """Sigmoid weight on the student's own signal: 1 / (1 + exp(k(v-theta))).
-
-    Low volatility, high self-trust. Evaluated through the exp of a
-    non-positive argument so arbitrarily large |v - theta| cannot overflow;
-    v == theta gives exactly 0.5.
-    """
-    x = k * (v - theta)
-    if x > 0.0:
-        z = math.exp(-x)
-        return z / (1.0 + z)
-    return 1.0 / (1.0 + math.exp(x))
 
 
 def strategic_reward(knowledge, q, q_next, lambda_ad, diagnostics=None):
@@ -218,32 +205,7 @@ def tactical_gradient(knowledge, q, q_row, action, lambda_pd):
     probs = knowledge.pi.get(q)
     if probs is None:
         return 0.0
-    student = softmax_policy(q_row, 1.0)
-    return lambda_pd * (probs[action] - student[action])
-
-
-def tactical_applies(state, q, state_next, q_next):
-    """Whether the step (state, q) -> (state_next, q_next) earns g_PD.
-
-    The policy gradient pays moves within an automaton state. An edge
-    crossing is judged by the strategic term instead, and a step that leaves
-    the product state unchanged (walking into a wall) is a self-loop: paying
-    it would pay the student for standing still.
-    """
-    return q_next == q and state_next != state
-
-
-def fused_update(omega, delta_student, r_ad, g_pd):
-    """Gate-weighted blend of the student's and the teacher's TD errors.
-
-    The student arm is delta_student; the teacher arm is the same TD error
-    with the teacher terms added to the reward, delta_student + r_ad + g_pd
-    (shaping inside the TD target, as in Ng, Harada & Russell, ICML 1999).
-    omega * student + (1 - omega) * teacher simplifies to the expression
-    below: without teacher terms the update is plain Q-learning, and at a
-    fixed omega every pair's update has a fixed point.
-    """
-    return delta_student + (1.0 - omega) * (r_ad + g_pd)
+    return lambda_pd * (probs[action] - softmax_prob(q_row, action))
 
 
 def update_bound(gamma, r_max, lambda_ad, q_ad_max, lambda_pd):
@@ -290,12 +252,13 @@ def train_student(env, knowledge, config, episodes, seed, stream=0,
     """
     if episodes <= 0:
         raise ValueError("episodes must be positive")
-    use_gate, omega_fixed, use_guidance = config.kernel_flags()
-    if use_guidance and knowledge is None:
+    guided = uses_teacher(config.variant)
+    if guided and knowledge is None:
         raise ValueError(f"variant {config.variant!r} requires teacher "
                          f"knowledge")
-    if not use_guidance and knowledge is not None:
-        raise ValueError("no_transfer must not receive teacher knowledge")
+    if not guided and knowledge is not None:
+        raise ValueError(f"{config.variant} must not receive teacher "
+                         f"knowledge")
     tables = compile_env(env)
     cdfa = env.dfa.compiled()
     dense = None
@@ -304,10 +267,8 @@ def train_student(env, knowledge, config, episodes, seed, stream=0,
         dense = dense_knowledge(knowledge, env.dfa, tables.n_actions)
         q_ad_max = knowledge.q_ad_max()
     r_max = float(np.abs(tables.reward).max())
-    bound = update_bound(config.learn.gamma, r_max,
-                         config.guide.lambda_ad if use_guidance else 0.0,
-                         q_ad_max,
-                         config.guide.lambda_pd if use_guidance else 0.0)
+    bound = update_bound(config.learn.gamma, r_max, config.guide.lambda_ad,
+                         q_ad_max, config.guide.lambda_pd)
     res = run_training(
         tables, cdfa, dense,
         alpha=config.learn.alpha, gamma=config.learn.gamma,
@@ -317,12 +278,12 @@ def train_student(env, knowledge, config, episodes, seed, stream=0,
         eta=config.trust.eta, gate_k=config.trust.k,
         theta=config.trust.theta, v_init=config.trust.v_init,
         lam_ad=config.guide.lambda_ad, lam_pd=config.guide.lambda_pd,
-        use_gate=use_gate, omega_fixed=omega_fixed,
-        use_guidance=use_guidance,
+        use_gate=VARIANTS[config.variant][0], omega_fixed=config.omega0,
+        use_guidance=guided,
         episodes=episodes, max_steps=env.max_steps,
         seed=seed, stream=stream, bound=bound, soft_cap=soft_cap,
         backend=backend)
-    qtable, vol = _sparse_student(env, tables, cdfa, res, config)
+    qtable, vol = _sparse_student(env, tables, res, config)
     diag = Diagnostics(
         novel_transitions=res.novel_transitions,
         max_abs_update=float(res.max_abs_update),
@@ -336,19 +297,15 @@ def train_student(env, knowledge, config, episodes, seed, stream=0,
                          seed=seed)
 
 
-def _sparse_student(env, tables, cdfa, res, config):
+def _sparse_student(env, tables, res, config):
     """Exact sparse tables from dense kernel output via the visit mask."""
-    n_q = cdfa.delta.shape[0]
     q_names = list(env.dfa.states)
     qtable = QTable(tables.n_actions)
     vol = VolatilityTracker(v_init=config.trust.v_init, eta=config.trust.eta)
-    use_gate = config.kernel_flags()[0]
-    touched = np.argwhere(res.counts > 0)
-    for pid, a in touched:
-        pid, a = int(pid), int(a)
-        s_idx, q_idx = divmod(pid, n_q)
+    gated = VARIANTS[config.variant][0]
+    for pid, s_idx, q_idx, a in res.visited():
         key = ProductState(tables.states[s_idx], q_names[q_idx])
         qtable.set(key, a, res.q[pid, a])
-        if use_gate:
+        if gated:
             vol._data[(key, a)] = float(res.vol[pid, a])
     return qtable, vol

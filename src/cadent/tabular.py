@@ -10,12 +10,22 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .kernels import argmax
+
 QTABLE_FORMAT = "cadent-qtable"
 QTABLE_VERSION = 1
+
+
+def from_fields(cls, payload):
+    """`cls(**payload)` for a dataclass; a ValueError names unknown keys."""
+    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    return cls(**payload)
 
 
 @dataclass(frozen=True)
@@ -52,7 +62,7 @@ class LearningParams:
 
     @classmethod
     def from_json(cls, payload):
-        return cls(**payload)
+        return from_fields(cls, payload)
 
 
 class QTable:
@@ -101,12 +111,7 @@ class QTable:
 
     def argmax(self, state):
         """Greedy action; ties break to the lowest action index."""
-        best_a, best_v = 0, self.get(state, 0)
-        for a in range(1, self.n_actions):
-            v = self.get(state, a)
-            if v > best_v:
-                best_a, best_v = a, v
-        return best_a
+        return argmax(self.row(state))
 
     def __len__(self):
         return len(self._data)
@@ -188,10 +193,7 @@ def softmax_policy(q_row, tau):
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     n = len(q_row)
-    m = q_row[0]
-    for a in range(1, n):
-        if q_row[a] > m:
-            m = q_row[a]
+    m = q_row[argmax(q_row)]
     out = np.empty(n, dtype=np.float64)
     total = 0.0
     for a in range(n):

@@ -106,15 +106,11 @@ def train_teacher(env, params=None, episodes=5000, seed=7, stream=0,
 
 def _sparse_results(env, tables, cdfa, res):
     """Rebuild exact sparse views from dense kernel output."""
-    n_q = cdfa.delta.shape[0]
     q_names = list(env.dfa.states)
     qtable = QTable(tables.n_actions)
     visits = {}
     transition_log = set()
-    touched = np.argwhere(res.counts > 0)
-    for pid, a in touched:
-        pid, a = int(pid), int(a)
-        s_idx, q_idx = divmod(pid, n_q)
+    for pid, s_idx, q_idx, a in res.visited():
         key = ProductState(tables.states[s_idx], q_names[q_idx])
         qtable.set(key, a, res.q[pid, a])
         visits[(key, a)] = int(res.counts[pid, a])

@@ -21,6 +21,7 @@ def test_info_prints_registry(capsys):
     assert "cadent" in payload["variants"]
     assert payload["default_episodes"]["dungeon_quest"] == 1500
     assert payload["env_aliases"]["dungeon"] == "dungeon_quest"
+    assert payload["variant_aliases"]["none"] == "no_transfer"
 
 
 def test_layout_prints_grid(capsys):
@@ -41,6 +42,14 @@ def test_write_default_config(tmp_path, capsys):
     assert main(["experiment", "--write-default-config", str(path)]) == 0
     cfg = ExperimentConfig.load(path)
     assert cfg == ExperimentConfig()
+
+
+def test_experiment_config_with_unknown_key(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": [1]}))
+    assert main(["experiment", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 1
+    assert "unknown ExperimentConfig keys: seed" in capsys.readouterr().err
 
 
 def test_hyperparameter_defaults_match_python_api():

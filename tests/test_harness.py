@@ -50,6 +50,17 @@ def test_config_validation_errors():
         ExperimentConfig(threshold_window=0)
     with pytest.raises(ValueError):
         ExperimentConfig(episodes={"atari": 100})
+    with pytest.raises(ValueError):
+        ExperimentConfig(omega0=1.5)
+
+
+def test_config_from_json_names_unknown_keys():
+    payload = ExperimentConfig().to_json()
+    payload["seed"] = [1]
+    payload["variantz"] = ["cadent"]
+    with pytest.raises(ValueError,
+                       match="unknown ExperimentConfig keys: seed, variantz"):
+        ExperimentConfig.from_json(payload)
 
 
 def test_config_explicit_threshold_frees_variant_choice():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cadent.baselines import resolve_preset
+from cadent import student
+from cadent.baselines import preset_names, resolve_preset
 from cadent.envs import DEFAULT_EPISODES
 from cadent.envs.tables import compile_env
 from cadent.harness import _run_stream
@@ -200,16 +201,37 @@ def test_student_config_variant_rules():
     StudentConfig(variant="no_trust_gate", omega0=0.5)
 
 
-def test_kernel_flags_mapping():
-    assert StudentConfig().kernel_flags() == (True, 0.0, True)
-    ad = resolve_preset("ad")
-    assert ad.kernel_flags() == (True, 0.0, True)
-    none = resolve_preset("no_transfer")
-    assert none.kernel_flags() == (False, 1.0, False)
-    ntg = resolve_preset("no_trust_gate")
-    assert ntg.kernel_flags() == (False, 0.5, True)
-    fixed = resolve_preset("fixed_trust", omega0=0.25)
-    assert fixed.kernel_flags() == (False, 0.25, True)
+def test_preset_kernel_arguments(monkeypatch, dungeon_target,
+                                 source_knowledge):
+    # (use_gate, use_guidance, omega): omega is the fixed weight the kernel
+    # applies, None where the gate sets it or no teacher term is weighed
+    expected = {
+        "cadent": (True, True, None),
+        "ad": (True, True, None),
+        "pd": (True, True, None),
+        "no_transfer": (False, False, None),
+        "no_trust_gate": (False, True, 0.5),
+        "fixed_trust": (False, True, 0.25),
+    }
+    assert tuple(expected) == preset_names()
+    seen = {}
+
+    def capture(*args, **kwargs):
+        seen.update(kwargs)
+        return run_training(*args, **kwargs)
+
+    monkeypatch.setattr(student, "run_training", capture)
+    base = StudentConfig(omega0=0.8)   # no_trust_gate keeps its 0.5
+    for name, (use_gate, use_guidance, omega) in expected.items():
+        config = resolve_preset(name, base, omega0=(
+            0.25 if name == "fixed_trust" else None))
+        train_student(dungeon_target,
+                      source_knowledge if use_guidance else None, config,
+                      episodes=1, seed=1)
+        assert (seen["use_gate"], seen["use_guidance"]) == (
+            use_gate, use_guidance), name
+        if omega is not None:
+            assert seen["omega_fixed"] == omega, name
 
 
 def test_student_config_round_trip():
@@ -217,6 +239,15 @@ def test_student_config_round_trip():
                         trust=TrustParams(theta=0.7),
                         guide=GuidanceParams(lambda_pd=0.25))
     assert StudentConfig.from_json(cfg.to_json()) == cfg
+
+
+@pytest.mark.parametrize("section,key", [
+    (None, "omega"), ("learn", "alpah"), ("trust", "v0"), ("guide", "lam")])
+def test_student_config_from_json_names_unknown_keys(section, key):
+    payload = StudentConfig().to_json()
+    (payload[section] if section else payload)[key] = 1.0
+    with pytest.raises(ValueError, match=f"unknown .*keys: {key}$"):
+        StudentConfig.from_json(payload)
 
 
 def test_volatility_tracker():
