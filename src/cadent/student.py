@@ -252,6 +252,7 @@ def train_student(env, knowledge, config, episodes, seed, stream=0,
     """
     if episodes <= 0:
         raise ValueError("episodes must be positive")
+    gated, _strategic, _tactical, _omega0 = VARIANTS[config.variant]
     guided = uses_teacher(config.variant)
     if guided and knowledge is None:
         raise ValueError(f"variant {config.variant!r} requires teacher "
@@ -278,8 +279,7 @@ def train_student(env, knowledge, config, episodes, seed, stream=0,
         eta=config.trust.eta, gate_k=config.trust.k,
         theta=config.trust.theta, v_init=config.trust.v_init,
         lam_ad=config.guide.lambda_ad, lam_pd=config.guide.lambda_pd,
-        use_gate=VARIANTS[config.variant][0], omega_fixed=config.omega0,
-        use_guidance=guided,
+        use_gate=gated, omega_fixed=config.omega0, use_guidance=guided,
         episodes=episodes, max_steps=env.max_steps,
         seed=seed, stream=stream, bound=bound, soft_cap=soft_cap,
         backend=backend)
@@ -302,7 +302,7 @@ def _sparse_student(env, tables, res, config):
     q_names = list(env.dfa.states)
     qtable = QTable(tables.n_actions)
     vol = VolatilityTracker(v_init=config.trust.v_init, eta=config.trust.eta)
-    gated = VARIANTS[config.variant][0]
+    gated, _strategic, _tactical, _omega0 = VARIANTS[config.variant]
     for pid, s_idx, q_idx, a in res.visited():
         key = ProductState(tables.states[s_idx], q_names[q_idx])
         qtable.set(key, a, res.q[pid, a])
