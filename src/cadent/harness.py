@@ -298,8 +298,9 @@ def _train_cell(args):
     spec = EnvSpec(name=env_name, variant="target",
                    layout_seed=config.layout_seed)
     env = make_env(spec)
-    student_cfg = resolve_preset(variant,
-                                 config.base.with_(omega0=config.omega0))
+    # cadent pins nothing, so any base takes the experiment's omega0
+    student_cfg = resolve_preset(variant, config.base.with_(
+        variant="cadent", omega0=config.omega0))
     knowledge = (load_knowledge(knowledge_path)
                  if uses_teacher(variant) else None)
     result = train_student(env, knowledge, student_cfg,

@@ -50,8 +50,8 @@ def backend_info():
 xs128_next = _compile(_xs128_next_py)
 
 
-# The update's formulas, defined once: the public API calls them as plain
-# Python and the kernel calls compiled copies.
+# The update's formulas, defined once. The public API calls them; compiled
+# code calls only their compiled copies, as numba requires.
 
 
 def argmax(row):
@@ -71,7 +71,7 @@ def softmax_prob(row, a):
     Max-subtracted, accumulated in action-index order, so every caller gets
     the same bits.
     """
-    m = row[argmax(row)]
+    m = row[_argmax(row)]
     tot = 0.0
     pa = 0.0
     for b in range(len(row)):

@@ -258,8 +258,7 @@ def train_student(env, knowledge, config, episodes, seed, stream=0,
         raise ValueError(f"variant {config.variant!r} requires teacher "
                          f"knowledge")
     if not guided and knowledge is not None:
-        raise ValueError(f"{config.variant} must not receive teacher "
-                         f"knowledge")
+        raise ValueError(f"variant {config.variant!r} takes no knowledge")
     tables = compile_env(env)
     cdfa = env.dfa.compiled()
     dense = None

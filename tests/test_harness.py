@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cadent import harness
 from cadent.harness import (CURVE_CSV_HEADER, RUN_CSV_HEADER, EpisodeRecord,
                             ExperimentConfig, _mean_stderr, _run_stream,
                             aggregate_per_episode,
@@ -125,6 +126,31 @@ def _records(rewards, steps=None, variant="cadent", env="dungeon_quest",
                                  cumulative_steps=cum,
                                  reached_accept=bool(a)))
     return out
+
+
+def test_train_cell_omega0_on_a_pinned_base(monkeypatch):
+    # a base read from JSON may name a variant that pins omega0; each cell
+    # still gets the experiment's omega0 unless its own variant pins it
+    seen = {}
+
+    class Stop(Exception):
+        pass
+
+    def capture(env, knowledge, config, **kwargs):
+        seen[config.variant] = config.omega0
+        raise Stop
+
+    monkeypatch.setattr(harness, "load_knowledge", lambda path: None)
+    monkeypatch.setattr(harness, "train_student", capture)
+    config = ExperimentConfig(
+        variants=("no_transfer", "no_trust_gate", "fixed_trust"), omega0=0.8,
+        base=StudentConfig(variant="no_trust_gate"))
+    for variant in config.variants:
+        with pytest.raises(Stop):
+            harness._train_cell((config.to_json(), "dungeon_quest", variant,
+                                 1, "unused"))
+    assert seen == {"no_transfer": 0.8, "no_trust_gate": 0.5,
+                    "fixed_trust": 0.8}
 
 
 def test_records_from_result():

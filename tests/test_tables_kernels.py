@@ -1,6 +1,9 @@
 """Dense table compilation and the training kernel backends."""
 
+import ast
+import inspect
 import math
+import types
 
 import numpy as np
 import pytest
@@ -124,10 +127,38 @@ def _run(tables, cdfa, dense, mode, backend, episodes=30, seed=11, **overrides):
                         seed=seed, backend=backend, **kw)
 
 
+def test_compiled_code_calls_only_compiled_functions():
+    # numba cannot call a plain Python function from compiled code, and the
+    # interpreted backend cannot show the slip, as there a function and its
+    # compiled copy are one object. So check by name: every function passed
+    # to _compile reaches other functions only through their compiled names.
+    tree = ast.parse(inspect.getsource(kernels))
+    compiled = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) == "_compile"):
+            compiled[node.targets[0].id] = node.value.args[0].id
+    assert {"xs128_next", "_argmax", "train_run"} <= set(compiled)
+    for source in compiled.values():
+        fn = getattr(kernels, source)
+        for name in fn.__code__.co_names:
+            target = fn.__globals__.get(name)
+            if (isinstance(target, types.FunctionType)
+                    or hasattr(target, "py_func")):
+                assert name in compiled, f"{source} calls plain {name}"
+
+
 @pytest.mark.skipif(not NUMBA_ENABLED, reason="numba backend not enabled")
 @pytest.mark.parametrize("mode", [TEACHER_MODE, GUIDED_MODE],
                          ids=["teacher", "guided"])
 def test_backends_bit_identical(dungeon_source_tables, mode):
+    """The compiled and the interpreted episode loop give the same bits.
+
+    Under numba both loops call the same compiled formulas (trust gate,
+    fused update, ...), so this compares the loop bodies only; the formulas
+    are pinned by tests/test_digests.py on every backend.
+    """
     tables, cdfa = dungeon_source_tables
     dense = (None if not mode["use_guidance"]
              else _dense_bundle(cdfa, tables.n_actions))
