@@ -10,6 +10,8 @@ written is a pure function of the config, so reruns are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -23,7 +25,7 @@ from .baselines import canonical_variant, preset_names, resolve_preset
 from .envs import (DEFAULT_EPISODES, ENV_NAMES, EnvSpec, canonical_name,
                    make_env)
 from .student import StudentConfig, train_student, uses_teacher
-from .tabular import from_fields
+from .tabular import from_fields, json_object
 from .teacher import (AGGREGATION_MODES, build_knowledge, load_knowledge,
                       save_knowledge, train_teacher)
 
@@ -112,9 +114,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, payload):
-        payload = dict(payload)
+        payload = json_object(payload, "experiment config")
         if "base" in payload:
-            payload["base"] = StudentConfig.from_json(payload["base"])
+            payload["base"] = StudentConfig.from_json(
+                json_object(payload["base"], "base"))
         for key in ("environments", "variants", "seeds"):
             if key in payload:
                 payload[key] = tuple(payload[key])
@@ -291,13 +294,25 @@ def _run_stream(env_name, variant):
     return ENV_NAMES.index(env_name) * 16 + preset_names().index(variant)
 
 
+# one Environment per EnvSpec per process, keyed by the spec's sorted JSON;
+# compile_env memoizes each env's tables, so a spec compiles once
+_ENVS = {}
+
+
+def _env(name, variant, config):
+    """This process's environment for (name, variant) at the config's layout."""
+    spec = EnvSpec(name=name, variant=variant, layout_seed=config.layout_seed)
+    key = json.dumps(spec.to_json(), sort_keys=True)
+    if key not in _ENVS:
+        _ENVS[key] = make_env(spec)
+    return _ENVS[key]
+
+
 def _train_cell(args):
     """One (env, variant, seed) student run; used by worker processes too."""
     (config_json, env_name, variant, seed, knowledge_path) = args
     config = ExperimentConfig.from_json(config_json)
-    spec = EnvSpec(name=env_name, variant="target",
-                   layout_seed=config.layout_seed)
-    env = make_env(spec)
+    env = _env(env_name, "target", config)
     # cadent pins nothing, so any base takes the experiment's omega0
     student_cfg = resolve_preset(variant, config.base.with_(
         variant="cadent", omega0=config.omega0))
@@ -314,6 +329,10 @@ def _train_cell(args):
         "bound": result.bound,
     }
     return (env_name, variant, seed), records, diag
+
+
+class CellError(RuntimeError):
+    """A grid cell's run failed; the message names its (env, variant, seed)."""
 
 
 def run_experiment(config, out_dir, only=None, parallel=1, progress=None):
@@ -349,9 +368,7 @@ def run_experiment(config, out_dir, only=None, parallel=1, progress=None):
         if not needs_teacher:
             continue
         say(f"teacher: {env_name}")
-        spec = EnvSpec(name=env_name, variant="source",
-                       layout_seed=config.layout_seed)
-        env = make_env(spec)
+        env = _env(env_name, "source", config)
         result = train_teacher(env, params=config.base.learn,
                                episodes=config.teacher_episodes,
                                seed=config.teacher_seed,
@@ -365,15 +382,21 @@ def run_experiment(config, out_dir, only=None, parallel=1, progress=None):
     tasks = [(config_json, e, v, s, knowledge_paths[e]) for (e, v, s) in grid]
     results = {}
     diags = {}
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            for key, records, diag in pool.map(_train_cell, tasks):
-                say(f"run: {key}")
-                results[key] = records
-                diags[key] = diag
-    else:
-        for task in tasks:
-            key, records, diag = _train_cell(task)
+    with (ProcessPoolExecutor(max_workers=parallel) if parallel > 1
+          else contextlib.nullcontext()) as pool:
+        # per cell, a call giving its result: the worker's, or a serial run
+        outcomes = [pool.submit(_train_cell, task).result if pool
+                    else functools.partial(_train_cell, task)
+                    for task in tasks]
+        for task, outcome in zip(tasks, outcomes):
+            try:
+                key, records, diag = outcome()
+            except Exception as exc:
+                if pool:
+                    pool.shutdown(cancel_futures=True)
+                _config, e, v, s, _path = task
+                raise CellError(f"cell ({e}, {v}, seed {s}) failed: "
+                                f"{type(exc).__name__}: {exc}") from exc
             say(f"run: {key}")
             results[key] = records
             diags[key] = diag
@@ -460,9 +483,7 @@ def build_summary(config, results, diags):
         }
     norm = {}
     for env_name in table:
-        spec = EnvSpec(name=env_name, variant="target",
-                       layout_seed=config.layout_seed)
-        env = make_env(spec)
+        env = _env(env_name, "target", config)
         n_progress = sum(1 for (q, _s), t in env.dfa.transitions.items()
                          if t != q)
         norm[env_name] = {

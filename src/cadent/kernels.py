@@ -1,15 +1,21 @@
 """Training kernels with optional JIT compilation.
 
-The episode loop is written once as plain Python over dense arrays and run
-either as-is or compiled (numba), selected at import by the CADENT_NUMBA
-environment variable ("0"/"false" forces the interpreted path). Both
-backends execute the same source with the same scalar operations, and the
-random generator uses masked 32-bit integer arithmetic, so results are
-bit-identical across backends; tests assert this rather than assume it.
+The episode loop is written once as plain Python over flat 1-D sequences
+and run either as-is or compiled (numba), selected at import by the
+CADENT_NUMBA environment variable ("0"/"false" forces the interpreted path).
+`run_training` allocates the numpy outputs and hands the compiled loop the
+flat arrays; the interpreted loop gets memoryviews of the same buffers, with
+no copy, whose items read as Python scalars, which CPython indexes far
+faster than numpy arrays. Both backends execute the same source with the
+same scalar operations, and the random generator uses masked 32-bit integer
+arithmetic, so results are bit-identical across backends; tests assert this
+rather than assume it.
 
 All states here are flat indices. The product index of environment state s
-and automaton state q is `s * n_q + q`. Kernel outputs use dense arrays plus
-a visit-count mask from which exact sparse tables are reconstructed.
+and automaton state q is `s * n_q + q`, and a table over (row, action) is
+indexed `row * n_actions + a`. Kernel outputs are dense (product index,
+action) arrays plus a visit-count mask from which exact sparse tables are
+reconstructed.
 """
 
 from __future__ import annotations
@@ -54,28 +60,35 @@ xs128_next = _compile(_xs128_next_py)
 # code calls only their compiled copies, as numba requires.
 
 
-def argmax(row):
-    """Index of the largest entry of `row`; ties go to the lowest index."""
+def argmax(values, lo=0, n=None):
+    """Offset from `lo` of the largest of values[lo:lo+n] (n defaults to
+    all of `values`); ties go to the lowest offset."""
+    if n is None:
+        n = len(values)
     a = 0
-    best = row[0]
-    for b in range(1, len(row)):
-        if row[b] > best:
-            best = row[b]
+    best = values[lo]
+    for b in range(1, n):
+        v = values[lo + b]
+        if v > best:
+            best = v
             a = b
     return a
 
 
-def softmax_prob(row, a):
-    """Probability of action `a` under the temperature-1 softmax of `row`.
+def softmax_prob(values, a, lo=0, n=None):
+    """Probability of offset `a` under the temperature-1 softmax of
+    values[lo:lo+n] (n defaults to all of `values`).
 
     Max-subtracted, accumulated in action-index order, so every caller gets
     the same bits.
     """
-    m = row[_argmax(row)]
+    if n is None:
+        n = len(values)
+    m = values[lo + _argmax(values, lo, n)]
     tot = 0.0
     pa = 0.0
-    for b in range(len(row)):
-        eb = math.exp(row[b] - m)
+    for b in range(n):
+        eb = math.exp(values[lo + b] - m)
         tot += eb
         if b == a:
             pa = eb
@@ -133,14 +146,19 @@ _tactical_applies = _compile(tactical_applies)
 _fused_update = _compile(fused_update)
 
 
-def _train_run(next_state, reward, event, terminal, dead, start,
-               delta, accepting, q_start,
-               q_ad, q_ad_known, pi_teacher, pi_known,
-               alpha, gamma, eps_start, eps_end, eps_decay,
-               eta, gate_k, theta, v_init, lam_ad, lam_pd,
-               use_gate, omega_fixed, use_guidance,
-               episodes, max_steps, rng_state, bound, soft_cap):
+def _train_run(next_state, reward, event, terminal, dead, delta, accepting,
+               q_ad, q_ad_known, pi_teacher, pi_known, rng_state,
+               q, vol, counts, ep_reward, ep_steps, ep_accept, soft_steps,
+               start, q_start, alpha, gamma, eps_start, eps_end, eps_decay,
+               eta, gate_k, theta, lam_ad, lam_pd,
+               use_gate, omega_fixed, use_guidance, max_steps, bound):
     """Run one full training job; see student.train_student for semantics.
+
+    Every array is flat. The env tables are indexed s*A + a, the automaton
+    q*n_events + ev, the knowledge q*n_q + q2 and q*A + a, and the outputs
+    q, vol and counts (s*n_q + q)*A + a. The outputs arrive allocated (vol
+    filled with v_init) and are written in place; the episode count is
+    len(ep_reward) and the soft-violation cap len(soft_steps).
 
     Per step: epsilon-greedy action, student TD error, trust gate read from
     the pair's volatility as it stood before this step, teacher terms
@@ -148,24 +166,19 @@ def _train_run(next_state, reward, event, terminal, dead, start,
     where `tactical_applies`), fused update, then Q += alpha * update and
     the volatility absorbs |update|. With use_guidance False this reduces
     exactly to Q-learning. Update magnitudes above `bound` are recorded
-    (first soft_cap global step indices); non-finite updates abort.
+    (first len(soft_steps) global step indices); non-finite updates abort.
+    Returns (novel edge crossings, max |update|, soft violations).
     """
-    n_env, n_actions = next_state.shape
-    n_q = delta.shape[0]
-    n_prod = n_env * n_q
-    q = np.zeros((n_prod, n_actions), dtype=np.float64)
-    vol = np.full((n_prod, n_actions), v_init, dtype=np.float64)
-    counts = np.zeros((n_prod, n_actions), dtype=np.int64)
-    ep_reward = np.zeros(episodes, dtype=np.float64)
-    ep_steps = np.zeros(episodes, dtype=np.int64)
-    ep_accept = np.zeros(episodes, dtype=np.bool_)
-    soft_steps = np.full(soft_cap, -1, dtype=np.int64)
+    n_actions = len(next_state) // len(terminal)
+    n_q = len(accepting)
+    n_events = len(delta) // n_q
+    soft_cap = len(soft_steps)
     n_soft = 0
     novel = 0
     max_abs_dq = 0.0
     global_step = 0
     eps = eps_start
-    for ep in range(episodes):
+    for ep in range(len(ep_reward)):
         e = eps if eps > eps_end else eps_end
         s = start
         qq = q_start
@@ -173,45 +186,46 @@ def _train_run(next_state, reward, event, terminal, dead, start,
         steps = 0
         acc = False
         for t in range(max_steps):
-            pid = s * n_q + qq
-            row = q[pid]
+            row = (s * n_q + qq) * n_actions
             # action choice: one draw to branch, one more when exploring
             if e > 0.0 and xs128_next(rng_state) * _INV32 < e:
                 a = int((xs128_next(rng_state) * _INV32) * n_actions)
             else:
-                a = _argmax(row)
-            s2 = int(next_state[s, a])
-            r = reward[s, a]
-            ev = int(event[s, a])
-            q2 = int(delta[qq, ev])
+                a = _argmax(q, row, n_actions)
+            sa = s * n_actions + a
+            s2 = int(next_state[sa])
+            r = reward[sa]
+            q2 = int(delta[qq * n_events + int(event[sa])])
             done = terminal[s2] or dead[s2] or t == max_steps - 1
             if done:
                 boot = 0.0
             else:
-                row2 = q[s2 * n_q + q2]
-                boot = gamma * row2[_argmax(row2)]
-            d_student = r + boot - row[a]
+                row2 = (s2 * n_q + q2) * n_actions
+                boot = gamma * q[row2 + _argmax(q, row2, n_actions)]
+            pa = row + a
+            d_student = r + boot - q[pa]
             if use_guidance:
                 if use_gate:
-                    om = _trust_gate(vol[pid, a], gate_k, theta)
+                    om = _trust_gate(vol[pa], gate_k, theta)
                 else:
                     om = omega_fixed
                 r_ad = 0.0
                 if q2 != qq:
-                    if q_ad_known[qq, q2]:
-                        r_ad = lam_ad * q_ad[qq, q2]
+                    if q_ad_known[qq * n_q + q2]:
+                        r_ad = lam_ad * q_ad[qq * n_q + q2]
                     else:
                         novel += 1
                 g = 0.0
                 if pi_known[qq] and _tactical_applies(s, qq, s2, q2):
-                    g = lam_pd * (pi_teacher[qq, a] - _softmax_prob(row, a))
+                    g = lam_pd * (pi_teacher[qq * n_actions + a]
+                                  - _softmax_prob(q, a, row, n_actions))
                 dq = _fused_update(om, d_student, r_ad, g)
             else:
                 dq = d_student
             if not math.isfinite(dq):
                 raise ValueError("non-finite update; diverged")
             if use_gate:
-                vol[pid, a] = _volatility_update(vol[pid, a], dq, eta)
+                vol[pa] = _volatility_update(vol[pa], dq, eta)
             adq = abs(dq)
             if adq > max_abs_dq:
                 max_abs_dq = adq
@@ -219,8 +233,8 @@ def _train_run(next_state, reward, event, terminal, dead, start,
                 if n_soft < soft_cap:
                     soft_steps[n_soft] = global_step
                 n_soft += 1
-            row[a] = row[a] + alpha * dq
-            counts[pid, a] += 1
+            q[pa] = q[pa] + alpha * dq
+            counts[pa] += 1
             total += r
             global_step += 1
             steps = t + 1
@@ -233,23 +247,29 @@ def _train_run(next_state, reward, event, terminal, dead, start,
         ep_steps[ep] = steps
         ep_accept[ep] = acc
         eps = eps * eps_decay
-    return (q, vol, counts, ep_reward, ep_steps, ep_accept,
-            novel, max_abs_dq, n_soft, soft_steps)
+    return novel, max_abs_dq, n_soft
 
 
 train_run = _compile(_train_run)
 
 
 class RunResult:
-    """Named view over the raw kernel output tuple."""
+    """One training job's outputs: the dense (s*n_q + q, a) tables, the
+    episode arrays and the update diagnostics."""
 
-    def __init__(self, raw, soft_cap, n_q):
-        (self.q, self.vol, self.counts, self.ep_reward, self.ep_steps,
-         self.ep_accept, novel, self.max_abs_update, n_soft,
-         soft_steps) = raw
+    def __init__(self, q, vol, counts, ep_reward, ep_steps, ep_accept,
+                 soft_steps, novel, max_abs_update, n_soft, n_q):
+        self.q = q
+        self.vol = vol
+        self.counts = counts
+        self.ep_reward = ep_reward
+        self.ep_steps = ep_steps
+        self.ep_accept = ep_accept
         self.novel_transitions = int(novel)
+        self.max_abs_update = max_abs_update
         self.n_soft_violations = int(n_soft)
-        self.soft_violation_steps = soft_steps[:min(int(n_soft), soft_cap)]
+        self.soft_violation_steps = soft_steps[:min(int(n_soft),
+                                                    len(soft_steps))]
         self.n_q = n_q
 
     def visited(self):
@@ -263,11 +283,13 @@ def run_training(tables, cdfa, dense, *, alpha, gamma, eps_start, eps_end,
                  eps_decay, eta, gate_k, theta, v_init, lam_ad, lam_pd,
                  use_gate, omega_fixed, use_guidance, episodes, max_steps,
                  seed, stream=0, bound=math.inf, soft_cap=1024, backend=None):
-    """Marshal arrays and scalars into the selected kernel backend.
+    """Allocate the outputs and run the selected kernel backend over them.
 
     `dense` is the (q_ad, q_ad_known, pi_teacher, pi_known) array bundle;
     pass None when use_guidance is False. backend: None for the active one,
     "python" for the interpreted loop, "numba" to insist on the compiled one.
+    The compiled kernel gets flat numpy arrays; the interpreted one gets
+    memoryviews of the same buffers, whose items read as Python scalars.
     """
     if episodes <= 0:
         raise ValueError("episodes must be positive")
@@ -284,23 +306,37 @@ def run_training(tables, cdfa, dense, *, alpha, gamma, eps_start, eps_end,
     else:
         raise ValueError(f"unknown backend {backend!r}")
     n_q = cdfa.delta.shape[0]
+    n_actions = tables.n_actions
     if dense is None:
         q_ad = np.zeros((n_q, n_q), dtype=np.float64)
         q_ad_known = np.zeros((n_q, n_q), dtype=np.bool_)
-        pi_teacher = np.zeros((n_q, tables.n_actions), dtype=np.float64)
+        pi_teacher = np.zeros((n_q, n_actions), dtype=np.float64)
         pi_known = np.zeros(n_q, dtype=np.bool_)
     else:
         q_ad, q_ad_known, pi_teacher, pi_known = dense
-    rng_state = state_from(seed, stream)
-    raw = fn(tables.next_state, tables.reward, tables.event, tables.terminal,
-             tables.dead, tables.start, cdfa.delta, cdfa.accepting,
-             cdfa.start, q_ad, q_ad_known, pi_teacher, pi_known,
-             float(alpha), float(gamma), float(eps_start), float(eps_end),
-             float(eps_decay), float(eta), float(gate_k), float(theta),
-             float(v_init), float(lam_ad), float(lam_pd), bool(use_gate),
-             float(omega_fixed), bool(use_guidance), int(episodes),
-             int(max_steps), rng_state, float(bound), int(soft_cap))
-    return RunResult(raw, int(soft_cap), n_q)
+    shape = (tables.next_state.shape[0] * n_q, n_actions)
+    q = np.zeros(shape, dtype=np.float64)
+    vol = np.full(shape, v_init, dtype=np.float64)
+    counts = np.zeros(shape, dtype=np.int64)
+    ep_reward = np.zeros(episodes, dtype=np.float64)
+    ep_steps = np.zeros(episodes, dtype=np.int64)
+    ep_accept = np.zeros(episodes, dtype=np.bool_)
+    soft_steps = np.full(soft_cap, -1, dtype=np.int64)
+    arrays = (tables.next_state, tables.reward, tables.event, tables.terminal,
+              tables.dead, cdfa.delta, cdfa.accepting, q_ad, q_ad_known,
+              pi_teacher, pi_known, state_from(seed, stream),
+              q, vol, counts, ep_reward, ep_steps, ep_accept, soft_steps)
+    flat = [x.reshape(-1) for x in arrays]
+    if fn is _train_run:
+        flat = [memoryview(x) for x in flat]
+    novel, max_abs_update, n_soft = fn(
+        *flat, int(tables.start), int(cdfa.start), float(alpha),
+        float(gamma), float(eps_start), float(eps_end), float(eps_decay),
+        float(eta), float(gate_k), float(theta), float(lam_ad),
+        float(lam_pd), bool(use_gate), float(omega_fixed),
+        bool(use_guidance), int(max_steps), float(bound))
+    return RunResult(q, vol, counts, ep_reward, ep_steps, ep_accept,
+                     soft_steps, novel, max_abs_update, n_soft, n_q)
 
 
 def greedy_rollout(tables, cdfa, q, max_steps):

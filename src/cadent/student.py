@@ -21,7 +21,7 @@ from .automaton import ProductState
 from .envs.tables import compile_env
 from .kernels import (fused_update, run_training, softmax_prob,
                       tactical_applies, trust_gate, volatility_update)
-from .tabular import LearningParams, QTable, from_fields
+from .tabular import LearningParams, QTable, from_fields, json_object
 from .teacher import dense_knowledge
 
 # name -> (gated, strategic, tactical, omega0). gated: the trust gate sets
@@ -137,11 +137,11 @@ class StudentConfig:
 
     @classmethod
     def from_json(cls, payload):
-        payload = dict(payload)
+        payload = json_object(payload, "student config")
         for key, params in (("learn", LearningParams), ("trust", TrustParams),
                             ("guide", GuidanceParams)):
             if key in payload:
-                payload[key] = params.from_json(payload[key])
+                payload[key] = params.from_json(json_object(payload[key], key))
         return from_fields(cls, payload)
 
 

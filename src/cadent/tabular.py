@@ -20,6 +20,15 @@ QTABLE_FORMAT = "cadent-qtable"
 QTABLE_VERSION = 1
 
 
+def json_object(payload, section):
+    """A copy of `payload`, a config section read from JSON; a ValueError
+    names `section` when it is not a JSON object."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{section} must be a JSON object, not "
+                         f"{type(payload).__name__}")
+    return dict(payload)
+
+
 def from_fields(cls, payload):
     """`cls(**payload)` for a dataclass; a ValueError names unknown keys."""
     unknown = sorted(set(payload) - {f.name for f in fields(cls)})

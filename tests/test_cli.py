@@ -52,6 +52,21 @@ def test_experiment_config_with_unknown_key(tmp_path, capsys):
     assert "unknown ExperimentConfig keys: seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload,section", [
+    ([1, 2], "experiment config"),
+    ({"base": 5}, "base"),
+    ({"base": {"learn": 3}}, "learn"),
+], ids=["top-level", "base", "learn"])
+def test_experiment_config_section_not_an_object(tmp_path, capsys, payload,
+                                                 section):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    assert main(["experiment", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {section} must be a JSON object")
+
+
 def test_hyperparameter_defaults_match_python_api():
     # the gate must start where StudentConfig starts it (v_init included)
     args = build_parser().parse_args(["train-student", "--env", "dungeon"])

@@ -1,6 +1,7 @@
 """Experiment configuration, CSV artifacts, aggregation, and the runner."""
 
 import json
+import multiprocessing
 import os
 from types import SimpleNamespace
 
@@ -421,3 +422,49 @@ def test_run_experiment_parallel_matches_serial(tmp_path):
     run_experiment(config, tmp_path / "serial", parallel=1)
     run_experiment(config, tmp_path / "pool", parallel=2)
     assert _tree(tmp_path / "serial") == _tree(tmp_path / "pool")
+
+
+@pytest.mark.parametrize("parallel", [
+    1,
+    pytest.param(2, marks=pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers see the patched train_student only when forked")),
+])
+def test_run_experiment_names_a_failing_cell(tmp_path, monkeypatch,
+                                             parallel):
+    real = harness.train_student
+
+    def fail_seed_2(env, knowledge, config, *, seed, **kwargs):
+        if seed == 2:
+            raise RuntimeError("boom")
+        return real(env, knowledge, config, seed=seed, **kwargs)
+
+    monkeypatch.setattr(harness, "train_student", fail_seed_2)
+    with pytest.raises(harness.CellError, match=(
+            r"^cell \(dungeon_quest, no_transfer, seed 2\) failed: "
+            r"RuntimeError: boom$")):
+        run_experiment(ExperimentConfig(**MINI), tmp_path / "out",
+                       parallel=parallel)
+
+
+def test_run_experiment_builds_each_env_once(tmp_path, monkeypatch):
+    made = []
+    real = harness.make_env
+
+    def counting(spec):
+        made.append((spec.name, spec.variant))
+        return real(spec)
+
+    monkeypatch.setattr(harness, "make_env", counting)
+    monkeypatch.setattr(harness, "_ENVS", {})
+    config = ExperimentConfig(**{**MINI, "variants": ("cadent", "no_transfer"),
+                                 "teacher_episodes": 400})
+    run_experiment(config, tmp_path / "a")
+    run_experiment(config, tmp_path / "b")
+    assert sorted(made) == [("dungeon_quest", "source"),
+                            ("dungeon_quest", "target")]
+    monkeypatch.setattr(harness, "_ENVS", {})
+    run_experiment(config, tmp_path / "fresh")
+    assert len(made) == 4
+    assert _tree(tmp_path / "a") == _tree(tmp_path / "b")
+    assert _tree(tmp_path / "a") == _tree(tmp_path / "fresh")

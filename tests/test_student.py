@@ -250,6 +250,18 @@ def test_student_config_from_json_names_unknown_keys(section, key):
         StudentConfig.from_json(payload)
 
 
+@pytest.mark.parametrize("section", [None, "learn", "trust", "guide"])
+def test_student_config_from_json_names_a_section_not_an_object(section):
+    payload = StudentConfig().to_json()
+    if section:
+        payload[section] = [1, 2]
+    else:
+        payload = [1, 2]
+    with pytest.raises(ValueError, match=f"^{section or 'student config'} "
+                                         f"must be a JSON object, not list$"):
+        StudentConfig.from_json(payload)
+
+
 def test_volatility_tracker():
     tr = VolatilityTracker(v_init=0.5, eta=0.5)
     assert tr.get("s", 1) == 0.5

@@ -24,6 +24,7 @@ HYPERS = dict(alpha=0.1, gamma=0.99, eps_start=1.0, eps_end=0.05,
 
 TEACHER_MODE = dict(use_gate=False, omega_fixed=1.0, use_guidance=False)
 GUIDED_MODE = dict(use_gate=True, omega_fixed=0.0, use_guidance=True)
+FIXED_MODE = dict(use_gate=False, omega_fixed=0.25, use_guidance=True)
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +163,49 @@ def test_backends_bit_identical(dungeon_source_tables, mode):
     tables, cdfa = dungeon_source_tables
     dense = (None if not mode["use_guidance"]
              else _dense_bundle(cdfa, tables.n_actions))
-    py = _run(tables, cdfa, dense, mode, "python")
-    nb = _run(tables, cdfa, dense, mode, "numba")
-    assert np.array_equal(py.q, nb.q)
-    assert np.array_equal(py.vol, nb.vol)
-    assert np.array_equal(py.counts, nb.counts)
-    assert np.array_equal(py.ep_reward, nb.ep_reward)
-    assert np.array_equal(py.ep_steps, nb.ep_steps)
-    assert np.array_equal(py.ep_accept, nb.ep_accept)
-    assert py.novel_transitions == nb.novel_transitions
-    assert py.max_abs_update == nb.max_abs_update
-    assert py.n_soft_violations == nb.n_soft_violations
+    _assert_same_run(_run(tables, cdfa, dense, mode, "python"),
+                     _run(tables, cdfa, dense, mode, "numba"))
+
+
+@pytest.mark.parametrize("mode", [TEACHER_MODE, GUIDED_MODE, FIXED_MODE],
+                         ids=["teacher", "gated", "fixed"])
+def test_interpreted_loop_on_compiled_loop_inputs(dungeon_source_tables,
+                                                  monkeypatch, mode):
+    """The loop gives the same bits on the flat numpy arrays the compiled
+    kernel receives as on the memoryviews the interpreted one does.
+
+    This pins what numba is handed (1-D arrays, Python scalars) on machines
+    where the parity test above skips.
+    """
+    tables, cdfa = dungeon_source_tables
+    dense = (None if not mode["use_guidance"]
+             else _dense_bundle(cdfa, tables.n_actions))
+    views = _run(tables, cdfa, dense, mode, "python")
+    calls = []
+
+    def on_arrays(*args):
+        calls.append(args)
+        return kernels._train_run(*args)
+
+    monkeypatch.setattr(kernels, "train_run", on_arrays)
+    arrays = _run(tables, cdfa, dense, mode, None)
+    buffers = [x for x in calls[0] if not isinstance(x, (bool, int, float))]
+    assert len(buffers) == 19
+    assert all(isinstance(x, np.ndarray) and x.ndim == 1 for x in buffers)
+    _assert_same_run(views, arrays)
+
+
+def _assert_same_run(a, b):
+    assert np.array_equal(a.q, b.q)
+    assert np.array_equal(a.vol, b.vol)
+    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(a.ep_reward, b.ep_reward)
+    assert np.array_equal(a.ep_steps, b.ep_steps)
+    assert np.array_equal(a.ep_accept, b.ep_accept)
+    assert a.novel_transitions == b.novel_transitions
+    assert a.max_abs_update == b.max_abs_update
+    assert a.n_soft_violations == b.n_soft_violations
+    assert np.array_equal(a.soft_violation_steps, b.soft_violation_steps)
 
 
 def test_training_output_shapes(dungeon_source_tables):
