@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import kernels
 from .baselines import canonical_variant, preset_names, resolve_preset
@@ -38,40 +39,30 @@ def _add_env_args(p, variant_default):
                    help="per-episode step budget (0 = environment default)")
 
 
+# StudentConfig's sections, whose fields are the hyperparameter flags: each
+# is named after its field (k is --gate-k) and defaults to the field's
+# default, so the CLI and the Python API start from the same configuration
+_HYPER_SECTIONS = {"learn": LearningParams, "trust": TrustParams,
+                   "guide": GuidanceParams}
+
+
 def _add_hyper_args(p):
-    # defaults come from the parameter bundles, so the CLI and the Python
-    # API start from the same configuration
-    learn, trust, guide = LearningParams(), TrustParams(), GuidanceParams()
     g = p.add_argument_group("hyperparameters")
-    g.add_argument("--alpha", type=float, default=learn.alpha)
-    g.add_argument("--gamma", type=float, default=learn.gamma)
-    g.add_argument("--epsilon-start", type=float, default=learn.epsilon_start)
-    g.add_argument("--epsilon-end", type=float, default=learn.epsilon_end)
-    g.add_argument("--epsilon-decay", type=float, default=learn.epsilon_decay)
-    g.add_argument("--tau", type=float, default=learn.tau)
-    g.add_argument("--eta", type=float, default=trust.eta)
-    g.add_argument("--gate-k", type=float, default=trust.k)
-    g.add_argument("--theta", type=float, default=trust.theta)
-    g.add_argument("--v-init", type=float, default=trust.v_init)
-    g.add_argument("--lambda-ad", type=float, default=guide.lambda_ad)
-    g.add_argument("--lambda-pd", type=float, default=guide.lambda_pd)
+    for params in _HYPER_SECTIONS.values():
+        for f in fields(params):
+            flag = "gate-k" if f.name == "k" else f.name.replace("_", "-")
+            g.add_argument("--" + flag, dest=f.name, type=float,
+                           default=f.default)
 
 
-def _learning_params(args):
-    return LearningParams(
-        alpha=args.alpha, gamma=args.gamma,
-        epsilon_start=args.epsilon_start, epsilon_end=args.epsilon_end,
-        epsilon_decay=args.epsilon_decay, tau=args.tau)
+def _params(params, args):
+    return params(**{f.name: getattr(args, f.name) for f in fields(params)})
 
 
 def _student_config(args):
-    return StudentConfig(
-        learn=_learning_params(args),
-        trust=TrustParams(eta=args.eta, k=args.gate_k, theta=args.theta,
-                          v_init=args.v_init),
-        guide=GuidanceParams(lambda_ad=args.lambda_ad,
-                             lambda_pd=args.lambda_pd),
-        omega0=args.omega0)
+    return StudentConfig(omega0=args.omega0, **{
+        section: _params(params, args)
+        for section, params in _HYPER_SECTIONS.items()})
 
 
 def _env_from_args(args):
@@ -82,7 +73,7 @@ def _env_from_args(args):
 
 def cmd_train_teacher(args):
     env = _env_from_args(args)
-    result = train_teacher(env, params=_learning_params(args),
+    result = train_teacher(env, params=_params(LearningParams, args),
                            episodes=args.episodes, seed=args.seed)
     knowledge = build_knowledge(result, env.dfa, tau=args.tau,
                                 aggregation=args.aggregation)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from importlib import resources
+import sys
 
 from .base import (ACCEPT_BONUS, PROGRESS_BONUS, STEP_PENALTY, EnvError,
                    Environment, EnvSpec, StepOutcome)
@@ -10,7 +10,6 @@ from .craftsman import BlindCraftsman
 from .dungeon import DungeonQuest
 from .mountain_car import MountainCarCollection
 from .warehouse import WarehouseRobotics
-from ..automaton import load_dfa
 
 _CLASSES = {
     "blind_craftsman": BlindCraftsman,
@@ -57,11 +56,10 @@ def default_spec(name, variant="target", layout_seed=12):
 
 
 def bundled_dfa(name):
-    """Load the packaged task automaton for a benchmark environment."""
-    name = canonical_name(name)
-    ref = resources.files("cadent.data") / f"{name}.json"
-    with resources.as_file(ref) as path:
-        return load_dfa(path)
+    """The task automaton of a benchmark environment, as its module's
+    `build_dfa()` defines it."""
+    module = sys.modules[_CLASSES[canonical_name(name)].__module__]
+    return module.build_dfa()
 
 
 __all__ = [

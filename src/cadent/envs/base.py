@@ -10,10 +10,10 @@ acceptance (the bonuses stack on the accepting step).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..rng import RandomState
+from ..tabular import Config
 
 STEP_PENALTY = -0.01
 PROGRESS_BONUS = 1.0
@@ -30,7 +30,7 @@ class EnvError(ValueError):
 
 
 @dataclass(frozen=True)
-class EnvSpec:
+class EnvSpec(Config):
     """Declarative description of one environment instance.
 
     `parameters` holds per-environment overrides (grid size, item counts,
@@ -52,38 +52,6 @@ class EnvSpec:
             raise EnvError("layout_seed must be non-negative")
         if self.max_steps < 0:
             raise EnvError("max_steps must be non-negative")
-
-    def with_(self, **kw):
-        return replace(self, **kw)
-
-    def to_json(self):
-        return {
-            "name": self.name,
-            "variant": self.variant,
-            "layout_seed": self.layout_seed,
-            "max_steps": self.max_steps,
-            "parameters": dict(self.parameters),
-        }
-
-    @classmethod
-    def from_json(cls, payload):
-        return cls(
-            name=payload["name"],
-            variant=payload.get("variant", "target"),
-            layout_seed=payload.get("layout_seed", 12),
-            max_steps=payload.get("max_steps", 0),
-            parameters=dict(payload.get("parameters", {})),
-        )
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .baselines import canonical_variant, preset_names, resolve_preset
 from .envs import (DEFAULT_EPISODES, ENV_NAMES, EnvSpec, canonical_name,
                    make_env)
 from .student import StudentConfig, train_student, uses_teacher
-from .tabular import from_fields, json_object
+from .tabular import Config
 from .teacher import (AGGREGATION_MODES, build_knowledge, load_knowledge,
                       save_knowledge, train_teacher)
 
@@ -37,7 +37,7 @@ DEFAULT_SEEDS = (1, 2, 3, 4, 5)
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Config):
     environments: tuple = ENV_NAMES
     variants: tuple = ("cadent", "ad", "pd", "no_transfer", "no_trust_gate")
     seeds: tuple = DEFAULT_SEEDS
@@ -91,47 +91,6 @@ class ExperimentConfig:
 
     def episodes_for(self, env_name):
         return int(self.episodes.get(env_name, DEFAULT_EPISODES[env_name]))
-
-    def with_(self, **kw):
-        return replace(self, **kw)
-
-    def to_json(self):
-        return {
-            "environments": list(self.environments),
-            "variants": list(self.variants),
-            "seeds": list(self.seeds),
-            "episodes": dict(self.episodes),
-            "layout_seed": self.layout_seed,
-            "teacher_episodes": self.teacher_episodes,
-            "teacher_seed": self.teacher_seed,
-            "base": self.base.to_json(),
-            "aggregation": self.aggregation,
-            "threshold": (self.threshold if self.threshold == "auto"
-                          else dict(self.threshold)),
-            "threshold_window": self.threshold_window,
-            "omega0": self.omega0,
-        }
-
-    @classmethod
-    def from_json(cls, payload):
-        payload = json_object(payload, "experiment config")
-        if "base" in payload:
-            payload["base"] = StudentConfig.from_json(
-                json_object(payload["base"], "base"))
-        for key in ("environments", "variants", "seeds"):
-            if key in payload:
-                payload[key] = tuple(payload[key])
-        return from_fields(cls, payload)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
     def config_hash(self):
         blob = json.dumps(self.to_json(), sort_keys=True).encode()

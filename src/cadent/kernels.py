@@ -29,6 +29,10 @@ from .rng import state_from, xs128_next as _xs128_next_py
 
 _INV32 = 2.0 ** -32
 
+# a run records the global step indices of its first SOFT_CAP updates above
+# the bound, and counts the rest
+SOFT_CAP = 1024
+
 _flag = os.environ.get("CADENT_NUMBA", "1").strip().lower()
 NUMBA_REQUESTED = _flag not in ("0", "false", "off", "no")
 NUMBA_AVAILABLE = False
@@ -282,7 +286,7 @@ class RunResult:
 def run_training(tables, cdfa, dense, *, alpha, gamma, eps_start, eps_end,
                  eps_decay, eta, gate_k, theta, v_init, lam_ad, lam_pd,
                  use_gate, omega_fixed, use_guidance, episodes, max_steps,
-                 seed, stream=0, bound=math.inf, soft_cap=1024, backend=None):
+                 seed, stream=0, bound=math.inf, backend=None):
     """Allocate the outputs and run the selected kernel backend over them.
 
     `dense` is the (q_ad, q_ad_known, pi_teacher, pi_known) array bundle;
@@ -321,7 +325,7 @@ def run_training(tables, cdfa, dense, *, alpha, gamma, eps_start, eps_end,
     ep_reward = np.zeros(episodes, dtype=np.float64)
     ep_steps = np.zeros(episodes, dtype=np.int64)
     ep_accept = np.zeros(episodes, dtype=np.bool_)
-    soft_steps = np.full(soft_cap, -1, dtype=np.int64)
+    soft_steps = np.full(SOFT_CAP, -1, dtype=np.int64)
     arrays = (tables.next_state, tables.reward, tables.event, tables.terminal,
               tables.dead, cdfa.delta, cdfa.accepting, q_ad, q_ad_known,
               pi_teacher, pi_known, state_from(seed, stream),

@@ -13,7 +13,7 @@ once in `kernels`, which runs them, and are re-exported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .automaton import ProductState
 from .envs.tables import compile_env
 from .kernels import (fused_update, run_training, softmax_prob,
                       tactical_applies, trust_gate, volatility_update)
-from .tabular import LearningParams, QTable, from_fields, json_object
+from .tabular import Config, LearningParams, QTable
 from .teacher import dense_knowledge
 
 # name -> (gated, strategic, tactical, omega0). gated: the trust gate sets
@@ -53,7 +53,7 @@ def uses_teacher(variant):
 
 
 @dataclass(frozen=True)
-class TrustParams:
+class TrustParams(Config):
     # volatility EWMA rate, 2 * LearningParams.alpha. A pair's updates
     # shrink by (1 - alpha) per visit; a trace with eta > alpha follows them
     # (V -> eta (1 - alpha) / (eta - alpha) * |update|), one with
@@ -73,17 +73,9 @@ class TrustParams:
         if self.v_init < 0.0:
             raise ValueError("v_init must be non-negative")
 
-    def to_json(self):
-        return {"eta": self.eta, "k": self.k, "theta": self.theta,
-                "v_init": self.v_init}
-
-    @classmethod
-    def from_json(cls, payload):
-        return from_fields(cls, payload)
-
 
 @dataclass(frozen=True)
-class GuidanceParams:
+class GuidanceParams(Config):
     lambda_ad: float = 1.0
     lambda_pd: float = 0.5
 
@@ -91,16 +83,9 @@ class GuidanceParams:
         if self.lambda_ad < 0.0 or self.lambda_pd < 0.0:
             raise ValueError("guidance weights must be non-negative")
 
-    def to_json(self):
-        return {"lambda_ad": self.lambda_ad, "lambda_pd": self.lambda_pd}
-
-    @classmethod
-    def from_json(cls, payload):
-        return from_fields(cls, payload)
-
 
 @dataclass(frozen=True)
-class StudentConfig:
+class StudentConfig(Config):
     """Full hyperparameter bundle for one training variant."""
 
     learn: LearningParams = field(default_factory=LearningParams)
@@ -122,27 +107,6 @@ class StudentConfig:
         if omega0 is not None and self.omega0 != omega0:
             raise ValueError(f"{self.variant} variant pins omega0 to "
                              f"{omega0}")
-
-    def with_(self, **kw):
-        return replace(self, **kw)
-
-    def to_json(self):
-        return {
-            "learn": self.learn.to_json(),
-            "trust": self.trust.to_json(),
-            "guide": self.guide.to_json(),
-            "variant": self.variant,
-            "omega0": self.omega0,
-        }
-
-    @classmethod
-    def from_json(cls, payload):
-        payload = json_object(payload, "student config")
-        for key, params in (("learn", LearningParams), ("trust", TrustParams),
-                            ("guide", GuidanceParams)):
-            if key in payload:
-                payload[key] = params.from_json(json_object(payload[key], key))
-        return from_fields(cls, payload)
 
 
 @dataclass
@@ -242,7 +206,7 @@ class StudentResult:
 
 
 def train_student(env, knowledge, config, episodes, seed, stream=0,
-                  backend=None, soft_cap=1024):
+                  backend=None):
     """Train one student on `env` under the given variant configuration.
 
     `knowledge` may (and must) be None only for the no_transfer variant.
@@ -280,8 +244,7 @@ def train_student(env, knowledge, config, episodes, seed, stream=0,
         lam_ad=config.guide.lambda_ad, lam_pd=config.guide.lambda_pd,
         use_gate=gated, omega_fixed=config.omega0, use_guidance=guided,
         episodes=episodes, max_steps=env.max_steps,
-        seed=seed, stream=stream, bound=bound, soft_cap=soft_cap,
-        backend=backend)
+        seed=seed, stream=stream, bound=bound, backend=backend)
     qtable, vol = _sparse_student(env, tables, res, config)
     diag = Diagnostics(
         novel_transitions=res.novel_transitions,

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+import re
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -20,25 +21,71 @@ QTABLE_FORMAT = "cadent-qtable"
 QTABLE_VERSION = 1
 
 
-def json_object(payload, section):
-    """A copy of `payload`, a config section read from JSON; a ValueError
-    names `section` when it is not a JSON object."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"{section} must be a JSON object, not "
-                         f"{type(payload).__name__}")
-    return dict(payload)
+# annotation -> (the JSON values a field of it takes, their name); fields
+# annotated otherwise take any value and leave the check to the class
+_JSON_TYPES = {"int": ((int,), "integer"), "float": ((int, float), "number"),
+               "str": ((str,), "string"), "tuple": ((list, tuple), "array"),
+               "dict": ((dict,), "object")}
 
 
-def from_fields(cls, payload):
-    """`cls(**payload)` for a dataclass; a ValueError names unknown keys."""
-    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
-    return cls(**payload)
+class Config:
+    """Base of the frozen config dataclasses. Their JSON form, files and
+    overrides all come from the fields: a field whose default is built by
+    a Config class is a nested section."""
+
+    def to_json(self):
+        """The fields as JSON reads them back: dicts, tuples as lists."""
+        return json.loads(json.dumps(asdict(self)))
+
+    @classmethod
+    def from_json(cls, payload, section=None):
+        """Build from parsed JSON. A ValueError names a section that is not
+        an object, unknown or missing keys and a field of the wrong JSON
+        type; `section` defaults to the class name in words."""
+        if not isinstance(payload, dict):
+            section = section or re.sub(r"(?<!^)(?=[A-Z])", " ",
+                                        cls.__name__).lower()
+            raise ValueError(f"{section} must be a JSON object, not "
+                             f"{type(payload).__name__}")
+        payload = dict(payload)
+        known = {f.name: f for f in fields(cls)}
+        unknown = sorted(set(payload) - set(known))
+        missing = [name for name, f in known.items() if name not in payload
+                   and f.default is MISSING and f.default_factory is MISSING]
+        for problem, names in (("unknown", unknown), ("missing", missing)):
+            if names:
+                raise ValueError(f"{problem} {cls.__name__} keys: "
+                                 f"{', '.join(names)}")
+        for name, value in list(payload.items()):
+            nested = known[name].default_factory
+            if isinstance(nested, type) and issubclass(nested, Config):
+                payload[name] = nested.from_json(value, name)
+                continue
+            annotation = known[name].type   # a string, or a type if evaluated
+            types, kind = _JSON_TYPES.get(
+                getattr(annotation, "__name__", annotation), ((), None))
+            if kind and (isinstance(value, bool)
+                         or not isinstance(value, types)):
+                raise ValueError(f"{cls.__name__}.{name} must be a JSON "
+                                 f"{kind}, not {type(value).__name__}")
+        return cls(**payload)
+
+    def save(self, path):
+        with open(path, "w") as fh:
+            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    @classmethod
+    def load(cls, path):
+        with open(path) as fh:
+            return cls.from_json(json.load(fh))
+
+    def with_(self, **kw):
+        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
-class LearningParams:
+class LearningParams(Config):
     alpha: float = 0.1
     gamma: float = 0.99
     epsilon_start: float = 1.0
@@ -57,21 +104,6 @@ class LearningParams:
             raise ValueError("epsilon_decay must be in (0, 1]")
         if self.tau <= 0.0:
             raise ValueError("tau must be positive")
-
-    def with_(self, **kw):
-        return replace(self, **kw)
-
-    def to_json(self):
-        return {
-            "alpha": self.alpha, "gamma": self.gamma,
-            "epsilon_start": self.epsilon_start,
-            "epsilon_end": self.epsilon_end,
-            "epsilon_decay": self.epsilon_decay, "tau": self.tau,
-        }
-
-    @classmethod
-    def from_json(cls, payload):
-        return from_fields(cls, payload)
 
 
 class QTable:

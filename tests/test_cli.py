@@ -67,6 +67,20 @@ def test_experiment_config_section_not_an_object(tmp_path, capsys, payload,
     assert err.startswith(f"error: {section} must be a JSON object")
 
 
+@pytest.mark.parametrize("payload,message", [
+    ({"seeds": 5}, "ExperimentConfig.seeds must be a JSON array, not int"),
+    ({"threshold_window": "x"},
+     "ExperimentConfig.threshold_window must be a JSON integer, not str"),
+], ids=["seeds", "threshold_window"])
+def test_experiment_config_field_of_wrong_type(tmp_path, capsys, payload,
+                                               message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    assert main(["experiment", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_hyperparameter_defaults_match_python_api():
     # the gate must start where StudentConfig starts it (v_init included)
     args = build_parser().parse_args(["train-student", "--env", "dungeon"])

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from cadent.automaton import is_accepting, step_automaton
-from cadent.envs import (DEFAULT_EPISODES, ENV_NAMES, EnvError, bundled_dfa,
+from cadent.envs import (DEFAULT_EPISODES, ENV_NAMES, EnvError,
                          canonical_name, default_spec, make_env)
 from cadent.envs.base import (ACCEPT_BONUS, GRID_MOVES, PROGRESS_BONUS,
                               STEP_PENALTY, EnvSpec, anchor_cell, clamp_cell,
@@ -68,6 +68,21 @@ def test_env_spec_json_round_trip(tmp_path):
     path = tmp_path / "spec.json"
     spec.save(path)
     assert EnvSpec.load(path) == spec
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({"name": "dungeon_quest", "bogus": 1}, "unknown EnvSpec keys: bogus"),
+    ({"variant": "source"}, "missing EnvSpec keys: name"),
+], ids=["unknown", "missing"])
+def test_env_spec_from_json_names_unknown_and_missing_keys(payload, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        EnvSpec.from_json(payload)
+
+
+def test_env_spec_from_json_rejects_a_non_object():
+    with pytest.raises(ValueError,
+                       match="^env spec must be a JSON object, not list$"):
+        EnvSpec.from_json([1, 2])
 
 
 def test_env_spec_with_override():
@@ -504,17 +519,6 @@ def test_product_reach_has_no_violations(env_cache, name, variant):
     q_of, violations = product_reach(tables, env.dfa.compiled())
     assert violations == []
     assert q_of[tables.start] == env.dfa.compiled().start
-
-
-def test_bundled_dfa_matches_env_dfa(env_cache):
-    for name in ENV_NAMES:
-        bundled = bundled_dfa(name)
-        live = env_cache(name).dfa
-        assert bundled.states == live.states
-        assert bundled.alphabet == live.alphabet
-        assert bundled.start == live.start
-        assert bundled.accepting == live.accepting
-        assert bundled.transitions == live.transitions
 
 
 def test_golden_error_on_hopeless_budget():

@@ -13,8 +13,8 @@ from cadent.envs import EnvSpec, default_spec, make_env
 from cadent.envs.dungeon import DungeonQuest
 from cadent.envs.golden import golden_actions, run_actions
 from cadent.envs.tables import compile_env
-from cadent.kernels import (NUMBA_ENABLED, backend_info, greedy_rollout,
-                            run_training)
+from cadent.kernels import (NUMBA_ENABLED, SOFT_CAP, backend_info,
+                            greedy_rollout, run_training)
 
 from oracles import value_iteration
 
@@ -242,12 +242,12 @@ def test_different_stream_diverges(dungeon_source_tables):
 
 def test_soft_bound_recording(dungeon_source_tables):
     tables, cdfa = dungeon_source_tables
-    res = run_training(tables, cdfa, None, episodes=5, max_steps=120, seed=11,
-                       bound=0.0, soft_cap=8, backend="python",
+    res = run_training(tables, cdfa, None, episodes=20, max_steps=120,
+                       seed=11, bound=0.0, backend="python",
                        **{**HYPERS, **TEACHER_MODE})
-    assert res.n_soft_violations > 8
+    assert res.n_soft_violations > SOFT_CAP
     steps = res.soft_violation_steps
-    assert steps.shape == (8,)
+    assert steps.shape == (SOFT_CAP,)
     assert np.all(np.diff(steps) > 0)
     assert steps[0] == 0
     assert res.max_abs_update > 0.0
