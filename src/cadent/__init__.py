@@ -15,7 +15,6 @@ from .automaton import (Dfa, DfaError, ProductState, NULL_EVENT,
 from .baselines import canonical_variant, preset_names, resolve_preset
 from .envs import (ENV_NAMES, EnvSpec, bundled_dfa, default_spec, make_env)
 from .harness import ExperimentConfig, run_experiment
-from .kernels import BACKEND, backend_info
 from .student import (GuidanceParams, StudentConfig, TrustParams,
                       VolatilityTracker, fused_update, strategic_reward,
                       tactical_applies, tactical_gradient, train_student,
@@ -29,11 +28,11 @@ from .teacher import (TeacherKnowledge, build_knowledge, load_knowledge,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "Dfa", "DfaError", "ENV_NAMES", "EnvSpec",
+    "Dfa", "DfaError", "ENV_NAMES", "EnvSpec",
     "ExperimentConfig", "GuidanceParams", "LearningParams", "NULL_EVENT",
     "ProductState", "QTable", "StudentConfig", "TeacherKnowledge",
     "TrustParams", "VolatilityTracker",
-    "backend_info", "build_knowledge", "bundled_dfa", "canonical_variant",
+    "build_knowledge", "bundled_dfa", "canonical_variant",
     "default_spec", "epsilon_greedy", "fused_update", "greedy_policy",
     "is_accepting", "load_dfa", "load_knowledge", "load_qtable", "make_dfa",
     "make_env", "preset_names", "q_update", "resolve_preset",

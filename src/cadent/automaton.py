@@ -14,6 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .files import json_text, write_atomic
+
 NULL_EVENT = None
 
 FILE_FORMAT = "cadent-dfa"
@@ -236,9 +238,7 @@ def save_dfa(dfa, path):
             if q2 != q
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, json_text(payload))
 
 
 def load_dfa(path):

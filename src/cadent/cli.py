@@ -14,7 +14,6 @@ import os
 import sys
 from dataclasses import fields
 
-from . import kernels
 from .baselines import canonical_variant, preset_names, resolve_preset
 from .envs import (ALIASES, DEFAULT_EPISODES, ENV_NAMES, EnvSpec,
                    canonical_name, make_env)
@@ -192,9 +191,7 @@ def cmd_layout(args):
 
 
 def cmd_info(args):
-    info = kernels.backend_info()
     print(json.dumps({
-        "backend": info,
         "environments": list(ENV_NAMES),
         "env_aliases": dict(ALIASES),
         "variants": list(preset_names()),
@@ -261,7 +258,7 @@ def build_parser():
     _add_env_args(p, "target")
     p.set_defaults(func=cmd_layout)
 
-    p = sub.add_parser("info", help="backend and registry information")
+    p = sub.add_parser("info", help="environment and variant registry")
     p.set_defaults(func=cmd_info)
     return parser
 

@@ -15,6 +15,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ import numpy as np
 from .baselines import canonical_variant, preset_names, resolve_preset
 from .envs import (DEFAULT_EPISODES, ENV_NAMES, EnvSpec, canonical_name,
                    make_env)
+from .files import json_text, write_atomic
 from .student import StudentConfig, train_student, uses_teacher
 from .tabular import Config
 from .teacher import (AGGREGATION_MODES, build_knowledge, load_knowledge,
@@ -34,6 +36,22 @@ RUN_CSV_HEADER = "variant,env,seed,episode,reward,steps,cumulative_steps,reached
 CURVE_CSV_HEADER = "x,mean,stderr,n"
 
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
+
+
+def _config_item(value, where, integer, lowest, what):
+    """An item of an ExperimentConfig array or mapping, as an int if
+    `integer` else a float; a ValueError naming `where` unless it is such a
+    JSON number (bools are not) of at least `lowest`."""
+    kind = numbers.Integral if integer else numbers.Real
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or value < lowest):
+        try:
+            shown = json.dumps(value)
+        except TypeError:
+            shown = repr(value)
+        raise ValueError(f"ExperimentConfig.{where} must be {what}, "
+                         f"not {shown}")
+    return int(value) if integer else float(value)
 
 
 @dataclass(frozen=True)
@@ -58,7 +76,14 @@ class ExperimentConfig(Config):
                            tuple(canonical_name(e) for e in self.environments))
         object.__setattr__(self, "variants",
                            tuple(canonical_variant(v) for v in self.variants))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(
+            _config_item(s, f"seeds[{i}]", True, 0,
+                         "a non-negative JSON integer")
+            for i, s in enumerate(self.seeds)))
+        object.__setattr__(self, "episodes", {
+            k: _config_item(v, f"episodes[{k}]", True, 1,
+                            "a positive JSON integer")
+            for k, v in self.episodes.items()})
         if not self.environments:
             raise ValueError("need at least one environment")
         if not self.variants:
@@ -75,7 +100,8 @@ class ExperimentConfig(Config):
                                  "mapping")
             object.__setattr__(
                 self, "threshold",
-                {canonical_name(k): float(v)
+                {canonical_name(k): _config_item(v, f"threshold[{k}]", False,
+                                                 -math.inf, "a JSON number")
                  for k, v in self.threshold.items()})
         if self.threshold == "auto" and "no_transfer" not in self.variants:
             raise ValueError("auto thresholds need the no_transfer variant "
@@ -90,7 +116,7 @@ class ExperimentConfig(Config):
                              f"{sorted(unknown)}")
 
     def episodes_for(self, env_name):
-        return int(self.episodes.get(env_name, DEFAULT_EPISODES[env_name]))
+        return self.episodes.get(env_name, DEFAULT_EPISODES[env_name])
 
     def config_hash(self):
         blob = json.dumps(self.to_json(), sort_keys=True).encode()
@@ -132,8 +158,7 @@ def records_from_result(env_name, variant, seed, result):
 def write_run_csv(path, records):
     lines = [RUN_CSV_HEADER]
     lines.extend(r.csv_row() for r in records)
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_run_csv(path):
@@ -217,8 +242,7 @@ def write_curve_csv(path, rows):
     lines = [CURVE_CSV_HEADER]
     for x, mean, err, n in rows:
         lines.append(f"{x},{mean!r},{err!r},{n}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def steps_to_threshold(records, threshold, window):
@@ -376,9 +400,7 @@ def run_experiment(config, out_dir, only=None, parallel=1, progress=None):
         write_curve_csv(base + "reward_vs_cumulative_steps.csv",
                         aggregate_vs_cumulative_steps(runs))
     summary = build_summary(config, results, diags)
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(os.path.join(out_dir, "summary.json"), json_text(summary))
     return summary
 
 

@@ -1,15 +1,12 @@
-"""Training kernels with optional JIT compilation.
+"""The training kernel.
 
-The episode loop is written once as plain Python over flat 1-D sequences
-and run either as-is or compiled (numba), selected at import by the
-CADENT_NUMBA environment variable ("0"/"false" forces the interpreted path).
-`run_training` allocates the numpy outputs and hands the compiled loop the
-flat arrays; the interpreted loop gets memoryviews of the same buffers, with
-no copy, whose items read as Python scalars, which CPython indexes far
-faster than numpy arrays. Both backends execute the same source with the
-same scalar operations, and the random generator uses masked 32-bit integer
-arithmetic, so results are bit-identical across backends; tests assert this
-rather than assume it.
+The episode loop is plain Python over flat 1-D sequences. `run_training`
+allocates the numpy outputs and hands the loop memoryviews of them and of
+the env, automaton and knowledge tables, with no copy: their items read as
+Python scalars, which CPython indexes far faster than numpy arrays. The
+update's formulas (the trust gate, the volatility trace, the fused update,
+the policy-gradient rule, argmax and the softmax pull) are defined once
+below; the loop and the public API call the same functions.
 
 All states here are flat indices. The product index of environment state s
 and automaton state q is `s * n_q + q`, and a table over (row, action) is
@@ -21,11 +18,10 @@ reconstructed.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-from .rng import state_from, xs128_next as _xs128_next_py
+from .rng import state_from, xs128_next
 
 _INV32 = 2.0 ** -32
 
@@ -33,35 +29,12 @@ _INV32 = 2.0 ** -32
 # the bound, and counts the rest
 SOFT_CAP = 1024
 
-_flag = os.environ.get("CADENT_NUMBA", "1").strip().lower()
-NUMBA_REQUESTED = _flag not in ("0", "false", "off", "no")
-NUMBA_AVAILABLE = False
-if NUMBA_REQUESTED:
-    try:
-        from numba import njit as _njit
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        pass
-NUMBA_ENABLED = NUMBA_REQUESTED and NUMBA_AVAILABLE
-BACKEND = "numba" if NUMBA_ENABLED else "python"
+# read by perfbench/run.py (machine_info and backend_parity)
+BACKEND = "python"
+NUMBA_ENABLED = False
 
 
-def _compile(fn):
-    if NUMBA_ENABLED:
-        return _njit(cache=True)(fn)
-    return fn
-
-
-def backend_info():
-    return {"backend": BACKEND, "numba_requested": NUMBA_REQUESTED,
-            "numba_available": NUMBA_AVAILABLE}
-
-
-xs128_next = _compile(_xs128_next_py)
-
-
-# The update's formulas, defined once. The public API calls them; compiled
-# code calls only their compiled copies, as numba requires.
+# The update's formulas, defined once.
 
 
 def argmax(values, lo=0, n=None):
@@ -88,7 +61,7 @@ def softmax_prob(values, a, lo=0, n=None):
     """
     if n is None:
         n = len(values)
-    m = values[lo + _argmax(values, lo, n)]
+    m = values[lo + argmax(values, lo, n)]
     tot = 0.0
     pa = 0.0
     for b in range(n):
@@ -142,20 +115,12 @@ def fused_update(omega, delta_student, r_ad, g_pd):
     return delta_student + (1.0 - omega) * (r_ad + g_pd)
 
 
-_argmax = _compile(argmax)
-_softmax_prob = _compile(softmax_prob)
-_trust_gate = _compile(trust_gate)
-_volatility_update = _compile(volatility_update)
-_tactical_applies = _compile(tactical_applies)
-_fused_update = _compile(fused_update)
-
-
-def _train_run(next_state, reward, event, terminal, dead, delta, accepting,
-               q_ad, q_ad_known, pi_teacher, pi_known, rng_state,
-               q, vol, counts, ep_reward, ep_steps, ep_accept, soft_steps,
-               start, q_start, alpha, gamma, eps_start, eps_end, eps_decay,
-               eta, gate_k, theta, lam_ad, lam_pd,
-               use_gate, omega_fixed, use_guidance, max_steps, bound):
+def train_run(next_state, reward, event, terminal, dead, delta, accepting,
+              q_ad, q_ad_known, pi_teacher, pi_known, rng_state,
+              q, vol, counts, ep_reward, ep_steps, ep_accept, soft_steps,
+              start, q_start, alpha, gamma, eps_start, eps_end, eps_decay,
+              eta, gate_k, theta, lam_ad, lam_pd,
+              use_gate, omega_fixed, use_guidance, max_steps, bound):
     """Run one full training job; see student.train_student for semantics.
 
     Every array is flat. The env tables are indexed s*A + a, the automaton
@@ -195,7 +160,7 @@ def _train_run(next_state, reward, event, terminal, dead, delta, accepting,
             if e > 0.0 and xs128_next(rng_state) * _INV32 < e:
                 a = int((xs128_next(rng_state) * _INV32) * n_actions)
             else:
-                a = _argmax(q, row, n_actions)
+                a = argmax(q, row, n_actions)
             sa = s * n_actions + a
             s2 = int(next_state[sa])
             r = reward[sa]
@@ -205,12 +170,12 @@ def _train_run(next_state, reward, event, terminal, dead, delta, accepting,
                 boot = 0.0
             else:
                 row2 = (s2 * n_q + q2) * n_actions
-                boot = gamma * q[row2 + _argmax(q, row2, n_actions)]
+                boot = gamma * q[row2 + argmax(q, row2, n_actions)]
             pa = row + a
             d_student = r + boot - q[pa]
             if use_guidance:
                 if use_gate:
-                    om = _trust_gate(vol[pa], gate_k, theta)
+                    om = trust_gate(vol[pa], gate_k, theta)
                 else:
                     om = omega_fixed
                 r_ad = 0.0
@@ -220,16 +185,16 @@ def _train_run(next_state, reward, event, terminal, dead, delta, accepting,
                     else:
                         novel += 1
                 g = 0.0
-                if pi_known[qq] and _tactical_applies(s, qq, s2, q2):
+                if pi_known[qq] and tactical_applies(s, qq, s2, q2):
                     g = lam_pd * (pi_teacher[qq * n_actions + a]
-                                  - _softmax_prob(q, a, row, n_actions))
-                dq = _fused_update(om, d_student, r_ad, g)
+                                  - softmax_prob(q, a, row, n_actions))
+                dq = fused_update(om, d_student, r_ad, g)
             else:
                 dq = d_student
             if not math.isfinite(dq):
                 raise ValueError("non-finite update; diverged")
             if use_gate:
-                vol[pa] = _volatility_update(vol[pa], dq, eta)
+                vol[pa] = volatility_update(vol[pa], dq, eta)
             adq = abs(dq)
             if adq > max_abs_dq:
                 max_abs_dq = adq
@@ -252,9 +217,6 @@ def _train_run(next_state, reward, event, terminal, dead, delta, accepting,
         ep_accept[ep] = acc
         eps = eps * eps_decay
     return novel, max_abs_dq, n_soft
-
-
-train_run = _compile(_train_run)
 
 
 class RunResult:
@@ -286,29 +248,17 @@ class RunResult:
 def run_training(tables, cdfa, dense, *, alpha, gamma, eps_start, eps_end,
                  eps_decay, eta, gate_k, theta, v_init, lam_ad, lam_pd,
                  use_gate, omega_fixed, use_guidance, episodes, max_steps,
-                 seed, stream=0, bound=math.inf, backend=None):
-    """Allocate the outputs and run the selected kernel backend over them.
+                 seed, stream=0, bound=math.inf):
+    """Allocate the outputs and run the kernel over them.
 
     `dense` is the (q_ad, q_ad_known, pi_teacher, pi_known) array bundle;
-    pass None when use_guidance is False. backend: None for the active one,
-    "python" for the interpreted loop, "numba" to insist on the compiled one.
-    The compiled kernel gets flat numpy arrays; the interpreted one gets
-    memoryviews of the same buffers, whose items read as Python scalars.
+    pass None when use_guidance is False. The kernel gets memoryviews of
+    the flat buffers, whose items read as Python scalars.
     """
     if episodes <= 0:
         raise ValueError("episodes must be positive")
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    if backend is None:
-        fn = train_run
-    elif backend == "python":
-        fn = _train_run
-    elif backend == "numba":
-        if not NUMBA_ENABLED:
-            raise RuntimeError("numba backend requested but not enabled")
-        fn = train_run
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
     n_q = cdfa.delta.shape[0]
     n_actions = tables.n_actions
     if dense is None:
@@ -330,12 +280,9 @@ def run_training(tables, cdfa, dense, *, alpha, gamma, eps_start, eps_end,
               tables.dead, cdfa.delta, cdfa.accepting, q_ad, q_ad_known,
               pi_teacher, pi_known, state_from(seed, stream),
               q, vol, counts, ep_reward, ep_steps, ep_accept, soft_steps)
-    flat = [x.reshape(-1) for x in arrays]
-    if fn is _train_run:
-        flat = [memoryview(x) for x in flat]
-    novel, max_abs_update, n_soft = fn(
-        *flat, int(tables.start), int(cdfa.start), float(alpha),
-        float(gamma), float(eps_start), float(eps_end), float(eps_decay),
+    novel, max_abs_update, n_soft = train_run(
+        *(memoryview(x.reshape(-1)) for x in arrays), int(tables.start),
+        int(cdfa.start), float(alpha), float(gamma), float(eps_start), float(eps_end), float(eps_decay),
         float(eta), float(gate_k), float(theta), float(lam_ad),
         float(lam_pd), bool(use_gate), float(omega_fixed),
         bool(use_guidance), int(max_steps), float(bound))

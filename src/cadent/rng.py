@@ -1,9 +1,8 @@
-"""Deterministic pseudo-random streams shared by every training backend.
+"""Deterministic pseudo-random streams for the training kernel and the API.
 
 The generator is xorshift128 (Marsaglia 2003) over four 32-bit words. Words
 are kept in an int64 array and every operation masks back to 32 bits, so the
-arithmetic is exact and identical whether the functions run under CPython or
-compiled. Streams are derived from a (seed, stream) pair with a murmur-style
+arithmetic is exact and the same on every platform. Streams are derived from a (seed, stream) pair with a murmur-style
 finalizer, which keeps runs independent without any global state.
 """
 

@@ -205,8 +205,7 @@ class StudentResult:
     seed: int
 
 
-def train_student(env, knowledge, config, episodes, seed, stream=0,
-                  backend=None):
+def train_student(env, knowledge, config, episodes, seed, stream=0):
     """Train one student on `env` under the given variant configuration.
 
     `knowledge` may (and must) be None only for the no_transfer variant.
@@ -244,7 +243,7 @@ def train_student(env, knowledge, config, episodes, seed, stream=0,
         lam_ad=config.guide.lambda_ad, lam_pd=config.guide.lambda_pd,
         use_gate=gated, omega_fixed=config.omega0, use_guidance=guided,
         episodes=episodes, max_steps=env.max_steps,
-        seed=seed, stream=stream, bound=bound, backend=backend)
+        seed=seed, stream=stream, bound=bound)
     qtable, vol = _sparse_student(env, tables, res, config)
     diag = Diagnostics(
         novel_transitions=res.novel_transitions,

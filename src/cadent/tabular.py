@@ -15,6 +15,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
+from .files import json_text, write_atomic
 from .kernels import argmax
 
 QTABLE_FORMAT = "cadent-qtable"
@@ -71,9 +72,7 @@ class Config:
         return cls(**payload)
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_atomic(path, json_text(self.to_json()))
 
     @classmethod
     def load(cls, path):
@@ -193,9 +192,7 @@ def save_qtable(qt, path):
         "n_entries": len(entries),
         "entries": entries,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_atomic(path, json.dumps(payload) + "\n")
 
 
 def load_qtable(path):
@@ -229,7 +226,7 @@ def softmax_policy(q_row, tau):
     """Boltzmann distribution over one value row.
 
     Max-subtracted for stability; accumulation runs in action-index order so
-    results are reproducible bit for bit across backends.
+    results are reproducible bit for bit.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")

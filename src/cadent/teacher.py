@@ -22,6 +22,7 @@ import numpy as np
 
 from .automaton import ProductState, accepting_path_edges
 from .envs.tables import compile_env
+from .files import json_text, write_atomic
 from .kernels import run_training
 from .tabular import LearningParams, QTable, softmax_policy
 
@@ -69,8 +70,7 @@ class TeacherKnowledge:
         return max(abs(v) for v in self.q_ad.values())
 
 
-def train_teacher(env, params=None, episodes=5000, seed=7, stream=0,
-                  backend=None):
+def train_teacher(env, params=None, episodes=5000, seed=7, stream=0):
     """Q-learning on `env` until the episode budget is spent.
 
     Raises TeacherError if not a single episode reached acceptance: such a
@@ -89,8 +89,7 @@ def train_teacher(env, params=None, episodes=5000, seed=7, stream=0,
         eps_decay=params.epsilon_decay,
         eta=0.0, gate_k=0.0, theta=0.0, v_init=0.0, lam_ad=0.0, lam_pd=0.0,
         use_gate=False, omega_fixed=1.0, use_guidance=False,
-        episodes=episodes, max_steps=env.max_steps, seed=seed, stream=stream,
-        backend=backend)
+        episodes=episodes, max_steps=env.max_steps, seed=seed, stream=stream)
     n_successes = int(res.ep_accept.sum())
     if n_successes == 0:
         raise TeacherError(
@@ -212,9 +211,7 @@ def save_knowledge(knowledge, path):
                for q, probs in sorted(knowledge.pi.items())],
         "provenance": dict(knowledge.provenance),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, json_text(payload))
 
 
 def load_knowledge(path):

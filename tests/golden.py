@@ -10,8 +10,7 @@ recipes; exotic custom parameters may need their own scripts.
 
 from __future__ import annotations
 
-from . import mountain_car as mc
-from .base import GRID_ACTIONS
+from cadent.envs import mountain_car as mc
 
 
 class GoldenError(RuntimeError):

@@ -25,7 +25,6 @@ from cadent.automaton import (Dfa, ProductState, accepting_path_edges,
 from cadent.baselines import resolve_preset
 from cadent.envs import ENV_NAMES
 from cadent.envs.base import ACCEPT_BONUS, PROGRESS_BONUS, STEP_PENALTY
-from cadent.envs.golden import golden_actions, run_actions
 from cadent.envs.mountain_car import VALLEY, band_layout
 from cadent.envs.tables import compile_env
 from cadent.harness import (RUN_CSV_HEADER, EpisodeRecord, ExperimentConfig,
@@ -43,6 +42,7 @@ from cadent.tabular import (QTable, epsilon_greedy, greedy_policy, q_update,
 from cadent.teacher import (build_knowledge, distill_automaton_values,
                             load_knowledge, save_knowledge, train_teacher)
 
+from golden import golden_actions, run_actions
 from oracles import (dense_q_from_table, dict_value_iteration,
                      ewma_closed_form, naive_softmax, reference_q_learning,
                      sigmoid, value_iteration)

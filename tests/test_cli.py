@@ -14,7 +14,6 @@ from cadent.teacher import load_knowledge
 def test_info_prints_registry(capsys):
     assert main(["info"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["backend"]["backend"] in ("python", "numba")
     assert payload["environments"] == [
         "blind_craftsman", "dungeon_quest", "mountain_car_collection",
         "warehouse_robotics"]
@@ -79,6 +78,38 @@ def test_experiment_config_field_of_wrong_type(tmp_path, capsys, payload,
     assert main(["experiment", "--config", str(path), "--out",
                  str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({"seeds": [[1]]},
+     "ExperimentConfig.seeds[0] must be a non-negative JSON integer, not [1]"),
+    ({"seeds": [1, 1.5]}, "ExperimentConfig.seeds[1] must be a non-negative "
+                          "JSON integer, not 1.5"),
+    ({"seeds": [True]},
+     "ExperimentConfig.seeds[0] must be a non-negative JSON integer, not true"),
+    ({"seeds": [-1]},
+     "ExperimentConfig.seeds[0] must be a non-negative JSON integer, not -1"),
+    ({"threshold": {"dungeon_quest": [1]}},
+     "ExperimentConfig.threshold[dungeon_quest] must be a JSON number, "
+     "not [1]"),
+    ({"episodes": {"dungeon_quest": [1]}},
+     "ExperimentConfig.episodes[dungeon_quest] must be a positive JSON "
+     "integer, not [1]"),
+    ({"episodes": {"dungeon_quest": 0}},
+     "ExperimentConfig.episodes[dungeon_quest] must be a positive JSON "
+     "integer, not 0"),
+], ids=["seed-array", "seed-float", "seed-bool", "seed-negative",
+        "threshold-array", "episodes-array", "episodes-zero"])
+def test_experiment_config_item_of_wrong_type(tmp_path, capsys, payload,
+                                              message):
+    # rejected when the config is read, before the teacher stage runs
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out",
+                 str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_hyperparameter_defaults_match_python_api():

@@ -4,8 +4,8 @@ Each (environment, variant) cell trains a short run and hashes everything
 it produces: the kernel's dense Q, volatility and visit counts, the episode
 arrays, the update diagnostics, and the sparse tables rebuilt from them. The
 "teacher" cell hashes the source-task run whose knowledge the variants use.
-The digests are independent of the kernel backend, so a refactor that flips
-a single bit fails here and names the cell it changed. A deliberate change
+A refactor of the kernel or of a formula that flips a single bit fails here
+and names the cell it changed. A deliberate change
 of behaviour records the table again: `PYTHONPATH=src python
 tests/test_digests.py` prints it.
 """

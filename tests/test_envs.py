@@ -10,11 +10,12 @@ from cadent.envs import (DEFAULT_EPISODES, ENV_NAMES, EnvError,
 from cadent.envs.base import (ACCEPT_BONUS, GRID_MOVES, PROGRESS_BONUS,
                               STEP_PENALTY, EnvSpec, anchor_cell, clamp_cell,
                               fractional_cells, move)
-from cadent.envs.golden import GoldenError, golden_actions, run_actions
 from cadent.envs.mountain_car import (LEFT, STEEP, SUMMIT, VALLEY,
                                       band_layout)
 from cadent.envs.tables import compile_env, product_reach
 from cadent.envs.warehouse import DEAD_STATE
+
+from golden import GoldenError, golden_actions, run_actions
 
 ALL_INSTANCES = [(name, variant)
                  for name in ENV_NAMES for variant in ("source", "target")]

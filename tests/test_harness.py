@@ -8,7 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cadent import harness
+from cadent import files, harness
+from cadent.automaton import save_dfa
+from cadent.envs import bundled_dfa
 from cadent.harness import (CURVE_CSV_HEADER, RUN_CSV_HEADER, EpisodeRecord,
                             ExperimentConfig, _mean_stderr, _run_stream,
                             aggregate_per_episode,
@@ -18,6 +20,8 @@ from cadent.harness import (CURVE_CSV_HEADER, RUN_CSV_HEADER, EpisodeRecord,
                             steps_to_threshold, write_curve_csv,
                             write_run_csv)
 from cadent.student import StudentConfig, TrustParams
+from cadent.tabular import QTable, save_qtable
+from cadent.teacher import TeacherKnowledge, save_knowledge
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +199,72 @@ def test_curve_csv_format(tmp_path):
     assert lines[0] == CURVE_CSV_HEADER
     assert lines[1] == "1,0.5,0.0,2"
     assert lines[2] == "2,1.5,0.25,2"
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+
+# each writer writes version i (0 or 1) of its file to a path
+WRITERS = {
+    "config": lambda path, i: ExperimentConfig(seeds=(i + 1,)).save(path),
+    "qtable": lambda path, i: save_qtable(QTable(2, {(0, 1): float(i)}),
+                                          path),
+    "knowledge": lambda path, i: save_knowledge(TeacherKnowledge(
+        q_ad={(0, 1): float(i)}, pi={0: np.array([0.5, 0.5])}, tau=2.0,
+        n_actions=2, alphabet=("a",), aggregation="visitation_weighted"),
+        path),
+    "dfa": lambda path, i: save_dfa(
+        bundled_dfa(("dungeon_quest", "blind_craftsman")[i]), path),
+    "run_csv": lambda path, i: write_run_csv(path, _records([float(i)])),
+    "curve_csv": lambda path, i: write_curve_csv(path, [(1, float(i), 0.0,
+                                                         1)]),
+}
+
+
+class _DiskFull:
+    """A file that takes half of what is written to it, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+def _fail_rename(src, dst):
+    assert os.path.getsize(src) > 0
+    raise OSError(18, "Invalid cross-device link")
+
+
+@pytest.mark.parametrize("failure", ["disk_full", "rename"])
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_write_leaves_the_old_file(tmp_path, monkeypatch, writer,
+                                          failure):
+    path = tmp_path / "artifact"
+    WRITERS[writer](path, 0)
+    old = path.read_bytes()
+    if failure == "disk_full":
+        monkeypatch.setattr(files, "open",
+                            lambda *a, **kw: _DiskFull(open(*a, **kw)),
+                            raising=False)
+    else:
+        monkeypatch.setattr(files.os, "replace", _fail_rename)
+    with pytest.raises(OSError):
+        WRITERS[writer](path, 1)
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["artifact"]
+    WRITERS[writer](path, 1)
+    assert path.read_bytes() != old
+    assert os.listdir(tmp_path) == ["artifact"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from cadent import kernels
 from cadent.rng import (RandomState, fmix32, mulmod32, randint, state_from,
                         uniform, xs128_next)
 
@@ -98,14 +97,6 @@ def test_zero_state_guard():
     for seed in range(200):
         state = state_from(seed)
         assert any(int(x) != 0 for x in state)
-
-
-def test_kernel_generator_matches_python():
-    a = state_from(99, 4)
-    b = state_from(99, 4)
-    for _ in range(2000):
-        assert int(kernels.xs128_next(a)) == int(xs128_next(b))
-    assert list(a) == list(b)
 
 
 def test_module_level_uniform_randint_consistent_with_wrapper():

@@ -1,21 +1,14 @@
-"""Dense table compilation and the training kernel backends."""
-
-import ast
-import inspect
-import math
-import types
+"""Dense table compilation and the training kernel."""
 
 import numpy as np
 import pytest
 
-from cadent import kernels
 from cadent.envs import EnvSpec, default_spec, make_env
 from cadent.envs.dungeon import DungeonQuest
-from cadent.envs.golden import golden_actions, run_actions
 from cadent.envs.tables import compile_env
-from cadent.kernels import (NUMBA_ENABLED, SOFT_CAP, backend_info,
-                            greedy_rollout, run_training)
+from cadent.kernels import SOFT_CAP, greedy_rollout, run_training
 
+from golden import golden_actions, run_actions
 from oracles import value_iteration
 
 HYPERS = dict(alpha=0.1, gamma=0.99, eps_start=1.0, eps_end=0.05,
@@ -23,8 +16,6 @@ HYPERS = dict(alpha=0.1, gamma=0.99, eps_start=1.0, eps_end=0.05,
               lam_ad=1.0, lam_pd=0.5)
 
 TEACHER_MODE = dict(use_gate=False, omega_fixed=1.0, use_guidance=False)
-GUIDED_MODE = dict(use_gate=True, omega_fixed=0.0, use_guidance=True)
-FIXED_MODE = dict(use_gate=False, omega_fixed=0.25, use_guidance=True)
 
 
 # ---------------------------------------------------------------------------
@@ -99,118 +90,20 @@ def test_compile_rejects_inconsistent_done_flag():
 
 
 # ---------------------------------------------------------------------------
-# kernel backends
+# training kernel
 
 
-def test_backend_info_shape():
-    info = backend_info()
-    assert info["backend"] in ("python", "numba")
-    assert isinstance(info["numba_requested"], bool)
-    assert isinstance(info["numba_available"], bool)
-
-
-def _dense_bundle(cdfa, n_actions, seed=3):
-    rng = np.random.default_rng(seed)
-    n_q = cdfa.delta.shape[0]
-    q_ad = rng.uniform(0.0, 5.0, size=(n_q, n_q))
-    q_ad_known = np.ones((n_q, n_q), dtype=np.bool_)
-    pi = rng.uniform(0.1, 1.0, size=(n_q, n_actions))
-    pi /= pi.sum(axis=1, keepdims=True)
-    pi_known = np.ones(n_q, dtype=np.bool_)
-    return q_ad, q_ad_known, pi, pi_known
-
-
-def _run(tables, cdfa, dense, mode, backend, episodes=30, seed=11, **overrides):
+def _run(tables, cdfa, dense, mode, episodes=30, seed=11, **overrides):
     kw = dict(HYPERS)
     kw.update(mode)
     kw.update(overrides)
     return run_training(tables, cdfa, dense, episodes=episodes, max_steps=120,
-                        seed=seed, backend=backend, **kw)
-
-
-def test_compiled_code_calls_only_compiled_functions():
-    # numba cannot call a plain Python function from compiled code, and the
-    # interpreted backend cannot show the slip, as there a function and its
-    # compiled copy are one object. So check by name: every function passed
-    # to _compile reaches other functions only through their compiled names.
-    tree = ast.parse(inspect.getsource(kernels))
-    compiled = {}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Call)
-                and getattr(node.value.func, "id", None) == "_compile"):
-            compiled[node.targets[0].id] = node.value.args[0].id
-    assert {"xs128_next", "_argmax", "train_run"} <= set(compiled)
-    for source in compiled.values():
-        fn = getattr(kernels, source)
-        for name in fn.__code__.co_names:
-            target = fn.__globals__.get(name)
-            if (isinstance(target, types.FunctionType)
-                    or hasattr(target, "py_func")):
-                assert name in compiled, f"{source} calls plain {name}"
-
-
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="numba backend not enabled")
-@pytest.mark.parametrize("mode", [TEACHER_MODE, GUIDED_MODE],
-                         ids=["teacher", "guided"])
-def test_backends_bit_identical(dungeon_source_tables, mode):
-    """The compiled and the interpreted episode loop give the same bits.
-
-    Under numba both loops call the same compiled formulas (trust gate,
-    fused update, ...), so this compares the loop bodies only; the formulas
-    are pinned by tests/test_digests.py on every backend.
-    """
-    tables, cdfa = dungeon_source_tables
-    dense = (None if not mode["use_guidance"]
-             else _dense_bundle(cdfa, tables.n_actions))
-    _assert_same_run(_run(tables, cdfa, dense, mode, "python"),
-                     _run(tables, cdfa, dense, mode, "numba"))
-
-
-@pytest.mark.parametrize("mode", [TEACHER_MODE, GUIDED_MODE, FIXED_MODE],
-                         ids=["teacher", "gated", "fixed"])
-def test_interpreted_loop_on_compiled_loop_inputs(dungeon_source_tables,
-                                                  monkeypatch, mode):
-    """The loop gives the same bits on the flat numpy arrays the compiled
-    kernel receives as on the memoryviews the interpreted one does.
-
-    This pins what numba is handed (1-D arrays, Python scalars) on machines
-    where the parity test above skips.
-    """
-    tables, cdfa = dungeon_source_tables
-    dense = (None if not mode["use_guidance"]
-             else _dense_bundle(cdfa, tables.n_actions))
-    views = _run(tables, cdfa, dense, mode, "python")
-    calls = []
-
-    def on_arrays(*args):
-        calls.append(args)
-        return kernels._train_run(*args)
-
-    monkeypatch.setattr(kernels, "train_run", on_arrays)
-    arrays = _run(tables, cdfa, dense, mode, None)
-    buffers = [x for x in calls[0] if not isinstance(x, (bool, int, float))]
-    assert len(buffers) == 19
-    assert all(isinstance(x, np.ndarray) and x.ndim == 1 for x in buffers)
-    _assert_same_run(views, arrays)
-
-
-def _assert_same_run(a, b):
-    assert np.array_equal(a.q, b.q)
-    assert np.array_equal(a.vol, b.vol)
-    assert np.array_equal(a.counts, b.counts)
-    assert np.array_equal(a.ep_reward, b.ep_reward)
-    assert np.array_equal(a.ep_steps, b.ep_steps)
-    assert np.array_equal(a.ep_accept, b.ep_accept)
-    assert a.novel_transitions == b.novel_transitions
-    assert a.max_abs_update == b.max_abs_update
-    assert a.n_soft_violations == b.n_soft_violations
-    assert np.array_equal(a.soft_violation_steps, b.soft_violation_steps)
+                        seed=seed, **kw)
 
 
 def test_training_output_shapes(dungeon_source_tables):
     tables, cdfa = dungeon_source_tables
-    res = _run(tables, cdfa, None, TEACHER_MODE, "python", episodes=5)
+    res = _run(tables, cdfa, None, TEACHER_MODE, episodes=5)
     n_pids = tables.n_states * cdfa.delta.shape[0]
     assert res.q.shape == (n_pids, tables.n_actions)
     assert res.vol.shape == (n_pids, tables.n_actions)
@@ -226,25 +119,24 @@ def test_training_output_shapes(dungeon_source_tables):
 
 def test_same_seed_bit_identical(dungeon_source_tables):
     tables, cdfa = dungeon_source_tables
-    a = _run(tables, cdfa, None, TEACHER_MODE, "python")
-    b = _run(tables, cdfa, None, TEACHER_MODE, "python")
+    a = _run(tables, cdfa, None, TEACHER_MODE)
+    b = _run(tables, cdfa, None, TEACHER_MODE)
     assert np.array_equal(a.q, b.q)
     assert np.array_equal(a.ep_reward, b.ep_reward)
 
 
 def test_different_stream_diverges(dungeon_source_tables):
     tables, cdfa = dungeon_source_tables
-    a = _run(tables, cdfa, None, TEACHER_MODE, "python")
+    a = _run(tables, cdfa, None, TEACHER_MODE)
     b = run_training(tables, cdfa, None, episodes=30, max_steps=120, seed=11,
-                     stream=1, backend="python", **{**HYPERS, **TEACHER_MODE})
+                     stream=1, **{**HYPERS, **TEACHER_MODE})
     assert not np.array_equal(a.q, b.q)
 
 
 def test_soft_bound_recording(dungeon_source_tables):
     tables, cdfa = dungeon_source_tables
     res = run_training(tables, cdfa, None, episodes=20, max_steps=120,
-                       seed=11, bound=0.0, backend="python",
-                       **{**HYPERS, **TEACHER_MODE})
+                       seed=11, bound=0.0, **{**HYPERS, **TEACHER_MODE})
     assert res.n_soft_violations > SOFT_CAP
     steps = res.soft_violation_steps
     assert steps.shape == (SOFT_CAP,)
@@ -258,7 +150,6 @@ def test_nonfinite_update_raises(dungeon_source_tables):
     tables, cdfa = dungeon_source_tables
     with pytest.raises(ValueError, match="diverged"):
         run_training(tables, cdfa, None, episodes=200, max_steps=120, seed=11,
-                     backend="python",
                      **{**HYPERS, **TEACHER_MODE,
                         "alpha": 1e308, "gamma": 0.99})
 
@@ -272,18 +163,6 @@ def test_run_training_validation(dungeon_source_tables):
     with pytest.raises(ValueError):
         run_training(tables, cdfa, None, episodes=1, max_steps=0, seed=1,
                      **kw)
-    with pytest.raises(ValueError):
-        run_training(tables, cdfa, None, episodes=1, max_steps=10, seed=1,
-                     backend="jax", **kw)
-
-
-def test_numba_backend_refused_when_disabled(dungeon_source_tables,
-                                             monkeypatch):
-    monkeypatch.setattr(kernels, "NUMBA_ENABLED", False)
-    tables, cdfa = dungeon_source_tables
-    with pytest.raises(RuntimeError):
-        run_training(tables, cdfa, None, episodes=1, max_steps=10, seed=1,
-                     backend="numba", **{**HYPERS, **TEACHER_MODE})
 
 
 # ---------------------------------------------------------------------------

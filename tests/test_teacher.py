@@ -5,7 +5,7 @@ import pytest
 
 from cadent.automaton import ProductState, make_dfa
 from cadent.envs import EnvSpec, default_spec, make_env
-from cadent.tabular import LearningParams, QTable, softmax_policy
+from cadent.tabular import QTable, softmax_policy
 from cadent.teacher import (AGGREGATION_MODES, TeacherError,
                             build_knowledge, dense_knowledge,
                             distill_automaton_values, distill_teacher_policy,
@@ -168,10 +168,6 @@ def test_teacher_is_deterministic(dungeon_source, dungeon_teacher):
 def test_teacher_validation_errors(dungeon_source):
     with pytest.raises(ValueError):
         train_teacher(dungeon_source, episodes=0)
-    with pytest.raises(ValueError):
-        train_teacher(dungeon_source,
-                      params=LearningParams(alpha=0.1), episodes=10,
-                      backend="jax")
 
 
 def test_teacher_with_no_successes_is_rejected():
