@@ -16,9 +16,9 @@ from .baselines import canonical_variant, preset_names, resolve_preset
 from .envs import (ENV_NAMES, EnvSpec, bundled_dfa, default_spec, make_env)
 from .harness import ExperimentConfig, run_experiment
 from .student import (GuidanceParams, StudentConfig, TrustParams,
-                      VolatilityTracker, fused_update, strategic_reward,
-                      tactical_applies, tactical_gradient, train_student,
-                      trust_gate, update_bound, volatility_update)
+                      fused_update, strategic_reward, tactical_applies,
+                      tactical_gradient, train_student, trust_gate,
+                      update_bound, volatility_update)
 from .tabular import (LearningParams, QTable, epsilon_greedy, greedy_policy,
                       load_qtable, q_update, save_qtable, softmax_policy,
                       td_error)
@@ -31,7 +31,7 @@ __all__ = [
     "Dfa", "DfaError", "ENV_NAMES", "EnvSpec",
     "ExperimentConfig", "GuidanceParams", "LearningParams", "NULL_EVENT",
     "ProductState", "QTable", "StudentConfig", "TeacherKnowledge",
-    "TrustParams", "VolatilityTracker",
+    "TrustParams",
     "build_knowledge", "bundled_dfa", "canonical_variant",
     "default_spec", "epsilon_greedy", "fused_update", "greedy_policy",
     "is_accepting", "load_dfa", "load_knowledge", "load_qtable", "make_dfa",

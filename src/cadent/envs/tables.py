@@ -10,6 +10,7 @@ pure-Python `step` the single definition of the dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,15 @@ class EnvTables:
     @property
     def n_states(self):
         return len(self.states)
+
+    @cached_property
+    def rank(self):
+        """(S,) position of each state index in the sorted order of the
+        state tuples, the order in which state-keyed results are summed."""
+        order = sorted(range(self.n_states), key=self.states.__getitem__)
+        rank = np.empty(self.n_states, dtype=np.int64)
+        rank[order] = np.arange(self.n_states)
+        return rank
 
 
 def compile_env(env):

@@ -54,6 +54,19 @@ def _config_item(value, where, integer, lowest, what):
     return int(value) if integer else float(value)
 
 
+def _env_mapping(mapping, where, integer, lowest, what):
+    """An ExperimentConfig {env: number} mapping with canonical env names
+    and checked items; a ValueError when two keys name one environment."""
+    out = {}
+    for key, value in mapping.items():
+        name = canonical_name(key)
+        if name in out:
+            raise ValueError(f"ExperimentConfig.{where} names {name} twice")
+        out[name] = _config_item(value, f"{where}[{key}]", integer, lowest,
+                                 what)
+    return out
+
+
 @dataclass(frozen=True)
 class ExperimentConfig(Config):
     environments: tuple = ENV_NAMES
@@ -80,29 +93,28 @@ class ExperimentConfig(Config):
             _config_item(s, f"seeds[{i}]", True, 0,
                          "a non-negative JSON integer")
             for i, s in enumerate(self.seeds)))
-        object.__setattr__(self, "episodes", {
-            k: _config_item(v, f"episodes[{k}]", True, 1,
-                            "a positive JSON integer")
-            for k, v in self.episodes.items()})
+        object.__setattr__(self, "episodes", _env_mapping(
+            self.episodes, "episodes", True, 1, "a positive JSON integer"))
         if not self.environments:
             raise ValueError("need at least one environment")
         if not self.variants:
             raise ValueError("need at least one variant")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be distinct")
+        for where in ("environments", "variants", "seeds"):
+            items = getattr(self, where)   # aliases canonicalized
+            if len(set(items)) != len(items):
+                raise ValueError(f"ExperimentConfig.{where} must be distinct, "
+                                 f"not {list(items)}")
         if self.aggregation not in AGGREGATION_MODES:
             raise ValueError(f"aggregation must be one of {AGGREGATION_MODES}")
         if self.threshold != "auto":
             if not isinstance(self.threshold, dict):
                 raise ValueError("threshold must be 'auto' or an {env: float} "
                                  "mapping")
-            object.__setattr__(
-                self, "threshold",
-                {canonical_name(k): _config_item(v, f"threshold[{k}]", False,
-                                                 -math.inf, "a JSON number")
-                 for k, v in self.threshold.items()})
+            object.__setattr__(self, "threshold", _env_mapping(
+                self.threshold, "threshold", False, -math.inf,
+                "a JSON number"))
         if self.threshold == "auto" and "no_transfer" not in self.variants:
             raise ValueError("auto thresholds need the no_transfer variant "
                              "in the grid")

@@ -11,8 +11,9 @@ below; the loop and the public API call the same functions.
 All states here are flat indices. The product index of environment state s
 and automaton state q is `s * n_q + q`, and a table over (row, action) is
 indexed `row * n_actions + a`. Kernel outputs are dense (product index,
-action) arrays plus a visit-count mask from which exact sparse tables are
-reconstructed.
+action) arrays of Q, volatility and visit counts. Training returns them as
+they are and distillation reads them; a sparse table is decoded from them
+only on request (`--qtable-out`).
 """
 
 from __future__ import annotations
@@ -237,12 +238,6 @@ class RunResult:
         self.soft_violation_steps = soft_steps[:min(int(n_soft),
                                                     len(soft_steps))]
         self.n_q = n_q
-
-    def visited(self):
-        """(dense row, env state, automaton state, action) per updated pair."""
-        for pid, a in np.argwhere(self.counts > 0):
-            s, q = divmod(int(pid), self.n_q)
-            yield int(pid), s, q, int(a)
 
 
 def run_training(tables, cdfa, dense, *, alpha, gamma, eps_start, eps_end,

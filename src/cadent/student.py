@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automaton import ProductState
 from .envs.tables import compile_env
-from .kernels import (fused_update, run_training, softmax_prob,
+from .kernels import (RunResult, fused_update, run_training, softmax_prob,
                       tactical_applies, trust_gate, volatility_update)
-from .tabular import Config, LearningParams, QTable
-from .teacher import dense_knowledge
+from .tabular import Config, LearningParams
+from .teacher import TrainedRun, dense_knowledge
 
 # name -> (gated, strategic, tactical, omega0). gated: the trust gate sets
 # omega from the pair's volatility, otherwise omega is fixed. strategic,
@@ -119,29 +118,6 @@ class Diagnostics:
     soft_violation_steps: list = field(default_factory=list)
 
 
-class VolatilityTracker:
-    """Sparse per-(state, action) volatility with a uniform initial value."""
-
-    def __init__(self, v_init=TrustParams.v_init, eta=TrustParams.eta):
-        self.v_init = float(v_init)
-        self.eta = float(eta)
-        self._data = {}
-
-    def get(self, state, action):
-        return self._data.get((state, action), self.v_init)
-
-    def update(self, state, action, delta):
-        v = volatility_update(self.get(state, action), delta, self.eta)
-        self._data[(state, action)] = v
-        return v
-
-    def items(self):
-        return self._data.items()
-
-    def __len__(self):
-        return len(self._data)
-
-
 def strategic_reward(knowledge, q, q_next, lambda_ad, diagnostics=None):
     """Scaled distilled value of the automaton edge just crossed.
 
@@ -190,14 +166,11 @@ def update_bound(gamma, r_max, lambda_ad, q_ad_max, lambda_pd):
 
 
 @dataclass
-class StudentResult:
+class StudentResult(TrainedRun):
     """Everything a finished training run exposes."""
 
-    qtable: QTable
-    volatility: VolatilityTracker
-    ep_reward: np.ndarray
-    ep_steps: np.ndarray
-    ep_accept: np.ndarray
+    run: RunResult
+    env: object
     diagnostics: Diagnostics
     bound: float
     config: StudentConfig
@@ -244,29 +217,11 @@ def train_student(env, knowledge, config, episodes, seed, stream=0):
         use_gate=gated, omega_fixed=config.omega0, use_guidance=guided,
         episodes=episodes, max_steps=env.max_steps,
         seed=seed, stream=stream, bound=bound)
-    qtable, vol = _sparse_student(env, tables, res, config)
     diag = Diagnostics(
         novel_transitions=res.novel_transitions,
         max_abs_update=float(res.max_abs_update),
         soft_violations=res.n_soft_violations,
         soft_violation_steps=[int(x) for x in res.soft_violation_steps],
     )
-    return StudentResult(qtable=qtable, volatility=vol,
-                         ep_reward=res.ep_reward, ep_steps=res.ep_steps,
-                         ep_accept=res.ep_accept, diagnostics=diag,
-                         bound=bound, config=config, episodes=episodes,
-                         seed=seed)
-
-
-def _sparse_student(env, tables, res, config):
-    """Exact sparse tables from dense kernel output via the visit mask."""
-    q_names = list(env.dfa.states)
-    qtable = QTable(tables.n_actions)
-    vol = VolatilityTracker(v_init=config.trust.v_init, eta=config.trust.eta)
-    gated, _strategic, _tactical, _omega0 = VARIANTS[config.variant]
-    for pid, s_idx, q_idx, a in res.visited():
-        key = ProductState(tables.states[s_idx], q_names[q_idx])
-        qtable.set(key, a, res.q[pid, a])
-        if gated:
-            vol._data[(key, a)] = float(res.vol[pid, a])
-    return qtable, vol
+    return StudentResult(run=res, env=env, diagnostics=diag, bound=bound,
+                         config=config, episodes=episodes, seed=seed)

@@ -196,19 +196,25 @@ def save_qtable(qt, path):
 
 
 def load_qtable(path):
+    """Load a saved table; malformed content is rejected with a ValueError
+    that names the file."""
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("format") != QTABLE_FORMAT:
-        raise ValueError(f"{path}: not a {QTABLE_FORMAT} file")
-    if payload.get("version") != QTABLE_VERSION:
-        raise ValueError(f"{path}: unsupported version")
-    entries = payload["entries"]
-    if payload["n_entries"] != len(entries):
-        raise ValueError(f"{path}: entry count mismatch")
-    qt = QTable(payload["n_actions"])
-    for e in entries:
-        qt.set(_key_from_json(e["state"]), e["action"], e["value"])
-    return qt
+    try:
+        if payload.get("format") != QTABLE_FORMAT:
+            raise ValueError(f"{path}: not a {QTABLE_FORMAT} file")
+        if payload.get("version") != QTABLE_VERSION:
+            raise ValueError(f"{path}: unsupported version")
+        entries = payload["entries"]
+        if payload["n_entries"] != len(entries):
+            raise ValueError(f"{path}: entry count mismatch")
+        qt = QTable(payload["n_actions"])
+        for e in entries:
+            qt.set(_key_from_json(e["state"]), e["action"], e["value"])
+        return qt
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed qtable payload: "
+                         f"{exc!r}") from exc
 
 
 def td_error(qt, state, action, reward, next_state, done, gamma):

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .automaton import ProductState, accepting_path_edges
 from .envs.tables import compile_env
 from .files import json_text, write_atomic
-from .kernels import run_training
+from .kernels import RunResult, run_training
 from .tabular import LearningParams, QTable, softmax_policy
 
 KNOWLEDGE_FORMAT = "cadent-knowledge"
@@ -36,19 +37,42 @@ class TeacherError(RuntimeError):
     """Teacher training or distillation could not produce usable knowledge."""
 
 
+def decode_qtable(run, env):
+    """The sparse table of a dense run: one ProductState-keyed entry per
+    updated pair, inserted in np.argwhere order."""
+    tables = compile_env(env)
+    qtable = QTable(tables.n_actions)
+    for pid, a in np.argwhere(run.counts > 0):
+        s, q = divmod(int(pid), run.n_q)
+        qtable.set(ProductState(tables.states[s], env.dfa.states[q]), int(a),
+                   run.q[pid, a])
+    return qtable
+
+
+class TrainedRun:
+    """A training job's kernel output `run` (a RunResult) on env `env`.
+
+    Results stay dense; the sparse `qtable` is decoded on first read.
+    """
+
+    ep_reward = property(lambda self: self.run.ep_reward)
+    ep_steps = property(lambda self: self.run.ep_steps)
+    ep_accept = property(lambda self: self.run.ep_accept)
+
+    @cached_property
+    def qtable(self):
+        return decode_qtable(self.run, self.env)
+
+
 @dataclass
-class TeacherResult:
+class TeacherResult(TrainedRun):
     """Raw outcome of source-task training, before distillation."""
 
-    qtable: QTable
-    visits: dict            # (ProductState, action) -> visit count
-    transition_log: set     # ((ProductState, action), (q, q')) triggers
+    run: RunResult
+    env: object
     n_successes: int
     episodes: int
     seed: int
-    env: object
-    ep_reward: np.ndarray
-    ep_steps: np.ndarray
 
 
 @dataclass
@@ -74,16 +98,14 @@ def train_teacher(env, params=None, episodes=5000, seed=7, stream=0):
     """Q-learning on `env` until the episode budget is spent.
 
     Raises TeacherError if not a single episode reached acceptance: such a
-    run has nothing worth distilling. Returns the sparse table, visit
-    counts, and the log of observed automaton triggers.
+    run has nothing worth distilling. Returns a TeacherResult holding the
+    kernel's dense RunResult, whose arrays distillation reads as they are.
     """
     params = params or LearningParams()
     if episodes <= 0:
         raise ValueError("episodes must be positive")
-    tables = compile_env(env)
-    cdfa = env.dfa.compiled()
     res = run_training(
-        tables, cdfa, None,
+        compile_env(env), env.dfa.compiled(), None,
         alpha=params.alpha, gamma=params.gamma,
         eps_start=params.epsilon_start, eps_end=params.epsilon_end,
         eps_decay=params.epsilon_decay,
@@ -95,41 +117,30 @@ def train_teacher(env, params=None, episodes=5000, seed=7, stream=0):
         raise TeacherError(
             f"teacher never reached acceptance on {env.name} in "
             f"{episodes} episodes; refusing to distill")
-    qtable, visits, transition_log = _sparse_results(env, tables, cdfa, res)
-    return TeacherResult(qtable=qtable, visits=visits,
-                         transition_log=transition_log,
-                         n_successes=n_successes, episodes=episodes,
-                         seed=seed, env=env, ep_reward=res.ep_reward,
-                         ep_steps=res.ep_steps)
+    return TeacherResult(run=res, env=env, n_successes=n_successes,
+                         episodes=episodes, seed=seed)
 
 
-def _sparse_results(env, tables, cdfa, res):
-    """Rebuild exact sparse views from dense kernel output."""
-    q_names = list(env.dfa.states)
-    qtable = QTable(tables.n_actions)
-    visits = {}
-    transition_log = set()
-    for pid, s_idx, q_idx, a in res.visited():
-        key = ProductState(tables.states[s_idx], q_names[q_idx])
-        qtable.set(key, a, res.q[pid, a])
-        visits[(key, a)] = int(res.counts[pid, a])
-        ev = int(tables.event[s_idx, a])
-        q2_idx = int(cdfa.delta[q_idx, ev])
-        if q2_idx != q_idx:
-            transition_log.add(
-                ((key, a), (q_names[q_idx], q_names[q2_idx])))
-    return qtable, visits, transition_log
-
-
-def distill_automaton_values(qtable, dfa, transition_log):
+def distill_automaton_values(result, dfa):
     """Mean final Q over the distinct triggers of each automaton edge.
 
-    Every edge on some accepting path must be covered by the log; a partial
-    teacher is rejected with the uncovered edges listed.
+    A trigger is an updated (state, action) pair whose event moves `dfa`
+    to another state. Each mean is a left-to-right sum over the triggers
+    in sorted state order, then action order. Every edge on some accepting
+    path must have a trigger; a partial teacher is rejected with the
+    uncovered edges listed.
     """
+    run = result.run
+    tables = compile_env(result.env)
+    pid, a = np.nonzero(run.counts)
+    s, q = np.divmod(pid, run.n_q)
+    q2 = dfa.compiled().delta[q, tables.event[s, a]]
+    moved = np.flatnonzero(q2 != q)
+    moved = moved[np.lexsort((a[moved], tables.rank[s[moved]]))]
     by_edge = {}
-    for (key, a), edge in sorted(transition_log):
-        by_edge.setdefault(edge, []).append(qtable.get(key, a))
+    for i, j, v in zip(q[moved].tolist(), q2[moved].tolist(),
+                       run.q[pid[moved], a[moved]].tolist()):
+        by_edge.setdefault((dfa.states[i], dfa.states[j]), []).append(v)
     required = accepting_path_edges(dfa)
     missing = sorted(required - set(by_edge))
     if missing:
@@ -140,34 +151,36 @@ def distill_automaton_values(qtable, dfa, transition_log):
             sorted(by_edge.items())}
 
 
-def distill_teacher_policy(qtable, visits, dfa, tau, n_actions,
+def distill_teacher_policy(result, dfa, tau,
                            aggregation="visitation_weighted"):
-    """Abstract per-automaton-state policy from the teacher table.
+    """Abstract per-automaton-state policy from the teacher's Q rows.
 
-    Q rows of all environment states observed under automaton state q are
-    averaged (weighted by state visitation by default) and pushed through a
-    softmax at temperature tau. Automaton states that head an accepting-path
-    edge must have visitation; others are simply omitted.
+    The rows of all environment states visited under automaton state q are
+    averaged (weighted by state visitation by default), added one by one in
+    sorted state order, and pushed through a softmax at temperature tau.
+    Automaton states that head an accepting-path edge must have visitation;
+    others are simply omitted.
     """
     if aggregation not in AGGREGATION_MODES:
         raise ValueError(f"aggregation must be one of {AGGREGATION_MODES}")
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    state_visits = {}
-    for (key, a), n in visits.items():
-        state_visits[key] = state_visits.get(key, 0) + n
-    by_q = {}
-    for key in sorted(state_visits):
-        by_q.setdefault(key.q, []).append(key)
+    run = result.run
+    rank = compile_env(result.env).rank
+    visits = run.counts.sum(axis=1)
+    rows = np.flatnonzero(visits)
+    rows = rows[np.argsort(rank[rows // run.n_q], kind="stable")]
+    q_of = rows % run.n_q
     pi = {}
-    for q in sorted(by_q):
-        acc = np.zeros(n_actions, dtype=np.float64)
+    for qi in sorted(set(q_of.tolist()), key=dfa.states.__getitem__):
+        acc = np.zeros(run.q.shape[1], dtype=np.float64)
         weight_total = 0.0
-        for key in by_q[q]:
-            w = float(state_visits[key]) if aggregation == "visitation_weighted" else 1.0
-            acc += w * qtable.row(key)
+        for row in rows[q_of == qi]:
+            w = (float(visits[row]) if aggregation == "visitation_weighted"
+                 else 1.0)
+            acc += w * run.q[row]
             weight_total += w
-        pi[q] = softmax_policy(acc / weight_total, tau)
+        pi[dfa.states[qi]] = softmax_policy(acc / weight_total, tau)
     required = sorted({q for (q, _q2) in accepting_path_edges(dfa)})
     missing = [q for q in required if q not in pi]
     if missing:
@@ -179,9 +192,8 @@ def distill_teacher_policy(qtable, visits, dfa, tau, n_actions,
 
 def build_knowledge(result, dfa, tau, aggregation="visitation_weighted"):
     """Run both distillations and bundle them with provenance."""
-    q_ad = distill_automaton_values(result.qtable, dfa, result.transition_log)
-    pi = distill_teacher_policy(result.qtable, result.visits, dfa, tau,
-                                result.qtable.n_actions, aggregation)
+    q_ad = distill_automaton_values(result, dfa)
+    pi = distill_teacher_policy(result, dfa, tau, aggregation)
     env = result.env
     provenance = {
         "env": env.name,
@@ -192,7 +204,7 @@ def build_knowledge(result, dfa, tau, aggregation="visitation_weighted"):
         "n_successes": result.n_successes,
     }
     return TeacherKnowledge(
-        q_ad=q_ad, pi=pi, tau=tau, n_actions=result.qtable.n_actions,
+        q_ad=q_ad, pi=pi, tau=tau, n_actions=result.run.q.shape[1],
         alphabet=tuple(dfa.alphabet), aggregation=aggregation,
         provenance=provenance)
 
@@ -215,44 +227,50 @@ def save_knowledge(knowledge, path):
 
 
 def load_knowledge(path):
-    """Load and validate a knowledge file; malformed content is rejected."""
+    """Load and validate a knowledge file; malformed content is rejected
+    with a ValueError that names the file."""
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("format") != KNOWLEDGE_FORMAT:
-        raise ValueError(f"{path}: not a {KNOWLEDGE_FORMAT} file")
-    if payload.get("version") != KNOWLEDGE_VERSION:
-        raise ValueError(f"{path}: unsupported version")
-    n_actions = int(payload["n_actions"])
-    if n_actions < 1:
-        raise ValueError(f"{path}: bad action count")
-    if payload["aggregation"] not in AGGREGATION_MODES:
-        raise ValueError(f"{path}: unknown aggregation mode")
-    tau = float(payload["tau"])
-    if tau <= 0.0:
-        raise ValueError(f"{path}: tau must be positive")
-    alphabet = tuple(payload["alphabet"])
-    if not alphabet:
-        raise ValueError(f"{path}: empty alphabet")
-    q_ad = {}
-    for e in payload["q_ad"]:
-        v = float(e["value"])
-        if not np.isfinite(v):
-            raise ValueError(f"{path}: non-finite edge value")
-        q_ad[(e["from"], e["to"])] = v
-    pi = {}
-    for e in payload["pi"]:
-        probs = np.array(e["probs"], dtype=np.float64)
-        if len(probs) != n_actions:
-            raise ValueError(f"{path}: policy row length mismatch")
-        if (probs < 0).any() or abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"{path}: policy row is not a distribution")
-        pi[e["q"]] = probs
-    if not payload.get("provenance"):
-        raise ValueError(f"{path}: missing provenance")
-    return TeacherKnowledge(q_ad=q_ad, pi=pi, tau=tau, n_actions=n_actions,
-                            alphabet=alphabet,
-                            aggregation=payload["aggregation"],
-                            provenance=payload["provenance"])
+    try:
+        if payload.get("format") != KNOWLEDGE_FORMAT:
+            raise ValueError(f"{path}: not a {KNOWLEDGE_FORMAT} file")
+        if payload.get("version") != KNOWLEDGE_VERSION:
+            raise ValueError(f"{path}: unsupported version")
+        n_actions = int(payload["n_actions"])
+        if n_actions < 1:
+            raise ValueError(f"{path}: bad action count")
+        if payload["aggregation"] not in AGGREGATION_MODES:
+            raise ValueError(f"{path}: unknown aggregation mode")
+        tau = float(payload["tau"])
+        if tau <= 0.0:
+            raise ValueError(f"{path}: tau must be positive")
+        alphabet = tuple(payload["alphabet"])
+        if not alphabet:
+            raise ValueError(f"{path}: empty alphabet")
+        q_ad = {}
+        for e in payload["q_ad"]:
+            v = float(e["value"])
+            if not np.isfinite(v):
+                raise ValueError(f"{path}: non-finite edge value")
+            q_ad[(e["from"], e["to"])] = v
+        pi = {}
+        for e in payload["pi"]:
+            probs = np.array(e["probs"], dtype=np.float64)
+            if len(probs) != n_actions:
+                raise ValueError(f"{path}: policy row length mismatch")
+            if (probs < 0).any() or abs(float(probs.sum()) - 1.0) > 1e-9:
+                raise ValueError(f"{path}: policy row is not a "
+                                 f"distribution")
+            pi[e["q"]] = probs
+        if not payload.get("provenance"):
+            raise ValueError(f"{path}: missing provenance")
+        return TeacherKnowledge(q_ad=q_ad, pi=pi, tau=tau,
+                                n_actions=n_actions, alphabet=alphabet,
+                                aggregation=payload["aggregation"],
+                                provenance=payload["provenance"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed knowledge payload: "
+                         f"{exc!r}") from exc
 
 
 def dense_knowledge(knowledge, dfa, n_actions):

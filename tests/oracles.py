@@ -6,16 +6,27 @@ over the product MDP, the Q-learning reference walks the raw environment
 objects with plain dicts, and the scalar helpers are one-line formula
 transcriptions. Agreement between these and the library is the evidence;
 sharing code with the implementation would make the tests circular.
+
+The sparse reference (`sparse_results` and the two `reference_*`
+distillations) is the dict-backed form that training results and
+distillation once took: the dense library distillation must match it bit
+for bit. `toy_teacher` goes the other way, from hand-written sparse inputs
+to the dense form the library reads.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from cadent.automaton import is_accepting, step_automaton
+from cadent.automaton import (ProductState, accepting_path_edges,
+                              is_accepting, step_automaton)
+from cadent.envs.tables import EnvTables, compile_env
 from cadent.rng import RandomState
+from cadent.tabular import QTable, softmax_policy
+from cadent.teacher import TeacherError
 
 
 def sigmoid(x):
@@ -151,3 +162,133 @@ def reference_q_learning(env, episodes, seed, stream=0, alpha=0.1,
         ep_accept[ep] = acc
         eps = eps * eps_decay
     return q, ep_reward, ep_steps, ep_accept
+
+
+# ---------------------------------------------------------------------------
+# the sparse reference for results and distillation
+
+
+def sparse_results(env, run, gated=False):
+    """Sparse views of a dense run, one entry per updated pair in
+    np.argwhere order: the Q table, visit counts, the log of automaton
+    triggers ((ProductState, action), (q, q')), and, for a gated run, the
+    volatility of each pair."""
+    tables = compile_env(env)
+    cdfa = env.dfa.compiled()
+    names = list(env.dfa.states)
+    out = SimpleNamespace(qtable=QTable(tables.n_actions), visits={},
+                          transition_log=set(), volatility={})
+    for pid, a in np.argwhere(run.counts > 0):
+        s, q = divmod(int(pid), run.n_q)
+        a = int(a)
+        key = ProductState(tables.states[s], names[q])
+        out.qtable.set(key, a, run.q[pid, a])
+        out.visits[(key, a)] = int(run.counts[pid, a])
+        if gated:
+            out.volatility[(key, a)] = float(run.vol[pid, a])
+        q2 = int(cdfa.delta[q, int(tables.event[s, a])])
+        if q2 != q:
+            out.transition_log.add(((key, a), (names[q], names[q2])))
+    return out
+
+
+def reference_automaton_values(qtable, dfa, transition_log):
+    """Mean Q over the distinct triggers of each edge, summed in sorted
+    order; TeacherError when an accepting-path edge has no trigger."""
+    by_edge = {}
+    for (key, a), edge in sorted(transition_log):
+        by_edge.setdefault(edge, []).append(qtable.get(key, a))
+    missing = sorted(accepting_path_edges(dfa) - set(by_edge))
+    if missing:
+        raise TeacherError(
+            f"teacher never triggered accepting-path edges {missing}; "
+            f"cannot distill strategic values")
+    return {edge: sum(vals) / len(vals) for edge, vals in
+            sorted(by_edge.items())}
+
+
+def reference_teacher_policy(qtable, visits, dfa, tau, n_actions,
+                             aggregation="visitation_weighted"):
+    """Softmax of the (visit-weighted) mean Q row per automaton state, rows
+    added in sorted ProductState order; TeacherError when the head of an
+    accepting-path edge has no visits."""
+    state_visits = {}
+    for (key, _a), n in visits.items():
+        state_visits[key] = state_visits.get(key, 0) + n
+    by_q = {}
+    for key in sorted(state_visits):
+        by_q.setdefault(key.q, []).append(key)
+    pi = {}
+    for q in sorted(by_q):
+        acc = np.zeros(n_actions, dtype=np.float64)
+        weight_total = 0.0
+        for key in by_q[q]:
+            w = (float(state_visits[key])
+                 if aggregation == "visitation_weighted" else 1.0)
+            acc += w * qtable.row(key)
+            weight_total += w
+        pi[q] = softmax_policy(acc / weight_total, tau)
+    required = sorted({q for (q, _q2) in accepting_path_edges(dfa)})
+    missing = [q for q in required if q not in pi]
+    if missing:
+        raise TeacherError(
+            f"teacher has no visitation under automaton states {missing}; "
+            f"cannot distill an abstract policy")
+    return pi
+
+
+def reference_knowledge(result, dfa, tau, aggregation="visitation_weighted"):
+    """(q_ad, pi) of a teacher result through the sparse reference."""
+    ref = sparse_results(result.env, result.run)
+    q_ad = reference_automaton_values(ref.qtable, dfa, ref.transition_log)
+    pi = reference_teacher_policy(ref.qtable, ref.visits, dfa, tau,
+                                  ref.qtable.n_actions, aggregation)
+    return q_ad, pi
+
+
+def toy_teacher(dfa, qtable, log=(), visits=None):
+    """A teacher result whose dense run and env tables encode sparse inputs.
+
+    `qtable` gives Q, `visits` ({(ProductState, action): count}) the visit
+    counts, and `log` the automaton triggers ((key, action), (q, q')); a
+    logged pair counts as visited once unless `visits` says otherwise. Env
+    states are indexed in order of first appearance, so the dense index
+    order need not be the sorted one. Each (state, action) gets the first
+    event id that moves every automaton state it was visited under as the
+    log says (or leaves it in place).
+    """
+    counts = dict(visits or {})
+    for key_a, _edge in log:
+        counts.setdefault(key_a, 1)
+    states = list(dict.fromkeys(
+        key.env for (key, _a), _v in list(qtable.items()) + sorted(log)
+        + list(counts.items())))
+    index = {st: i for i, st in enumerate(states)}
+    cdfa = dfa.compiled()
+    n_q = len(dfa.states)
+    shape = (len(states) * n_q, qtable.n_actions)
+    q = np.zeros(shape, dtype=np.float64)
+    n = np.zeros(shape, dtype=np.int64)
+    for (key, a), v in qtable.items():
+        q[index[key.env] * n_q + cdfa.state_index[key.q], a] = v
+    targets = {}
+    for (key, a), c in counts.items():
+        s, qi = index[key.env], cdfa.state_index[key.q]
+        n[s * n_q + qi, a] = c
+        targets.setdefault((s, a), {})[qi] = qi
+    for ((key, a), (_q, q2)) in log:
+        s, qi = index[key.env], cdfa.state_index[key.q]
+        targets[(s, a)][qi] = cdfa.state_index[q2]
+    event = np.zeros((len(states), qtable.n_actions), dtype=np.int16)
+    for (s, a), want in targets.items():
+        event[s, a] = next(e for e in range(cdfa.delta.shape[1])
+                           if all(cdfa.delta[qi, e] == q2
+                                  for qi, q2 in want.items()))
+    none = np.zeros(len(states), dtype=np.bool_)
+    tables = EnvTables(states=states, index=index,
+                       next_state=np.zeros(event.shape, dtype=np.int32),
+                       reward=np.zeros(event.shape), event=event,
+                       terminal=none, dead=none, start=0,
+                       n_actions=qtable.n_actions)
+    return SimpleNamespace(run=SimpleNamespace(q=q, counts=n, n_q=n_q),
+                           env=SimpleNamespace(_tables=tables, dfa=dfa))

@@ -45,7 +45,7 @@ from cadent.teacher import (build_knowledge, distill_automaton_values,
 from golden import golden_actions, run_actions
 from oracles import (dense_q_from_table, dict_value_iteration,
                      ewma_closed_form, naive_softmax, reference_q_learning,
-                     sigmoid, value_iteration)
+                     sigmoid, sparse_results, toy_teacher, value_iteration)
 
 _BUDGETS = {1: 10.0, 2: 30.0, 3: 120.0, 4: 600.0, 5: 1800.0, 6: 1800.0,
             7: 60.0}
@@ -209,7 +209,7 @@ def test_criterion_1_worked_examples(env_cache, tmp_path):
     log = {((ProductState("s0", "q0"), 1), ("q0", "q1")),
            ((ProductState("t0", "q1"), 0), ("q1", "acc")),
            ((ProductState("t1", "q1"), 0), ("q1", "acc"))}
-    q_ad = distill_automaton_values(dt, chain, log)
+    q_ad = distill_automaton_values(toy_teacher(chain, dt, log), chain)
     assert q_ad[("q0", "q1")] == 3.0
     assert q_ad[("q1", "acc")] == (2.0 + 4.0) / 2.0
 
@@ -234,7 +234,8 @@ def test_criterion_1_worked_examples(env_cache, tmp_path):
                 q2 = int(cdfa.delta[qi, int(tables.event[s, a])])
                 if q2 != qi:
                     full_log.add(((key, a), (names[qi], names[q2])))
-    vi_ad = distill_automaton_values(full, source.dfa, full_log)
+    vi_ad = distill_automaton_values(toy_teacher(source.dfa, full, full_log),
+                                     source.dfa)
     chain_syms, chain_states = _chain_path(source.dfa)
     chain_edges = list(zip(chain_states, chain_states[1:]))
     chain_vals = [vi_ad[e] for e in chain_edges]
@@ -252,7 +253,7 @@ def test_criterion_1_worked_examples(env_cache, tmp_path):
     assert np.array_equal(run_a.ep_reward, run_b.ep_reward)
     know = build_knowledge(run_a, source.dfa, tau=2.0)
     state_weight = defaultdict(float)
-    for (key, _a), n in run_a.visits.items():
+    for (key, _a), n in sparse_results(source, run_a.run).visits.items():
         state_weight[key] += n
     vote = defaultdict(float)
     for key, w in state_weight.items():
@@ -455,16 +456,16 @@ def test_criterion_2_property_groups():
             key = (ProductState(f"t{i}", "q1"), int(rng.integers(2)))
             entries.append((key, float(rng.uniform(-5.0, 5.0))))
             log.append((key, ("q1", "acc")))
-        fwd = distill_automaton_values(QTable(2, entries=dict(entries)),
-                                       chain, set(log))
-        rev = distill_automaton_values(
-            QTable(2, entries=dict(reversed(entries))), chain,
-            set(reversed(log)))
+        fwd = distill_automaton_values(toy_teacher(
+            chain, QTable(2, entries=dict(entries)), set(log)), chain)
+        rev = distill_automaton_values(toy_teacher(
+            chain, QTable(2, entries=dict(reversed(entries))),
+            set(reversed(log))), chain)
         assert fwd == rev
         c = float(rng.uniform(0.1, 10.0))
-        scaled = distill_automaton_values(
-            QTable(2, entries={k: c * v for k, v in entries}), chain,
-            set(log))
+        scaled = distill_automaton_values(toy_teacher(
+            chain, QTable(2, entries={k: c * v for k, v in entries}),
+            set(log)), chain)
         for edge, val in fwd.items():
             assert scaled[edge] == pytest.approx(c * val, rel=1e-9, abs=1e-12)
 

@@ -206,3 +206,22 @@ def test_experiment_out_env_var(tmp_path, monkeypatch, capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda p: p.pop("n_actions"),
+    lambda p: p["q_ad"][0].pop("value"),
+    lambda p: p.update(q_ad=5),
+], ids=["no-n-actions", "edge-without-value", "q-ad-not-array"])
+def test_train_student_rejects_malformed_knowledge(knowledge_file, tmp_path,
+                                                   capsys, mutate):
+    know, _qt = knowledge_file
+    payload = json.loads(know.read_text())
+    mutate(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["train-student", "--env", "dungeon", "--episodes", "5",
+                 "--knowledge", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: malformed knowledge payload: ")
+    assert err.count("\n") == 1

@@ -2,8 +2,9 @@
 
 Each (environment, variant) cell trains a short run and hashes everything
 it produces: the kernel's dense Q, volatility and visit counts, the episode
-arrays, the update diagnostics, and the sparse tables rebuilt from them. The
-"teacher" cell hashes the source-task run whose knowledge the variants use.
+arrays, the update diagnostics, and the sparse tables that
+`oracles.sparse_results` rebuilds from them. The "teacher" cell hashes the
+source-task run whose knowledge the variants use.
 A refactor of the kernel or of a formula that flips a single bit fails here
 and names the cell it changed. A deliberate change
 of behaviour records the table again: `PYTHONPATH=src python
@@ -20,6 +21,8 @@ from cadent import student, teacher
 from cadent.baselines import preset_names, resolve_preset
 from cadent.envs import ENV_NAMES, default_spec, make_env
 from cadent.harness import _run_stream
+
+from oracles import sparse_results
 
 TEACHER_EPISODES = 400   # enough for every environment's teacher to distill
 STUDENT_EPISODES = 40
@@ -126,9 +129,10 @@ def _teacher_cell(name):
                                        seed=SEED,
                                        stream=ENV_NAMES.index(name))
     knowledge = teacher.build_knowledge(result, env.dfa, tau=2.0)
+    ref = sparse_results(env, result.run)
     digest = _digest(_kernel_parts(seen[0]) + (
-        sorted(result.qtable.items()), sorted(result.visits.items()),
-        sorted(result.transition_log)))
+        sorted(ref.qtable.items()), sorted(ref.visits.items()),
+        sorted(ref.transition_log)))
     return digest, knowledge
 
 
@@ -142,8 +146,10 @@ def _student_cell(name, variant, knowledge):
             episodes=STUDENT_EPISODES, seed=SEED,
             stream=_run_stream(name, variant))
     d = result.diagnostics
+    ref = sparse_results(env, result.run,
+                         gated=student.VARIANTS[config.variant][0])
     return _digest(_kernel_parts(seen[0]) + (
-        sorted(result.qtable.items()), sorted(result.volatility.items()),
+        sorted(ref.qtable.items()), sorted(ref.volatility.items()),
         d.novel_transitions, d.max_abs_update, d.soft_violations,
         d.soft_violation_steps, result.bound))
 

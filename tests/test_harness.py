@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cadent import files, harness
+from cadent import files, harness, teacher
 from cadent.automaton import save_dfa
 from cadent.envs import bundled_dfa
 from cadent.harness import (CURVE_CSV_HEADER, RUN_CSV_HEADER, EpisodeRecord,
@@ -31,10 +31,12 @@ from cadent.teacher import TeacherKnowledge, save_knowledge
 def test_config_canonicalizes_names():
     cfg = ExperimentConfig(environments=("dungeon", "craftsman"),
                            variants=("none", "AD-Only"),
-                           threshold={"dungeon": 1.0, "craftsman": 2.0})
+                           threshold={"dungeon": 1.0, "craftsman": 2.0},
+                           episodes={"dungeon": 30})
     assert cfg.environments == ("dungeon_quest", "blind_craftsman")
     assert cfg.variants == ("no_transfer", "ad")
     assert cfg.threshold == {"dungeon_quest": 1.0, "blind_craftsman": 2.0}
+    assert cfg.episodes == {"dungeon_quest": 30}
 
 
 def test_config_validation_errors():
@@ -58,6 +60,27 @@ def test_config_validation_errors():
         ExperimentConfig(episodes={"atari": 100})
     with pytest.raises(ValueError):
         ExperimentConfig(omega0=1.5)
+
+
+def test_config_rejects_names_repeated_after_canonicalization():
+    # each would train the (dungeon_quest, no_transfer, 1) cell four times
+    with pytest.raises(ValueError, match=(
+            r"^ExperimentConfig.environments must be distinct, not "
+            r"\['dungeon_quest', 'dungeon_quest'\]$")):
+        ExperimentConfig(environments=("dungeon", "dungeon_quest"),
+                         variants=("none", "no_transfer"), seeds=(1,))
+    with pytest.raises(ValueError, match=(
+            r"^ExperimentConfig.variants must be distinct, not "
+            r"\['no_transfer', 'no_transfer'\]$")):
+        ExperimentConfig(environments=("dungeon",),
+                         variants=("none", "no_transfer"), seeds=(1,))
+
+
+@pytest.mark.parametrize("field", ["episodes", "threshold"])
+def test_config_rejects_two_keys_for_one_env(field):
+    with pytest.raises(ValueError, match=(
+            f"^ExperimentConfig.{field} names dungeon_quest twice$")):
+        ExperimentConfig(**{field: {"dungeon": 10, "dungeon_quest": 20}})
 
 
 def test_config_from_json_names_unknown_keys():
@@ -538,3 +561,17 @@ def test_run_experiment_builds_each_env_once(tmp_path, monkeypatch):
     assert len(made) == 4
     assert _tree(tmp_path / "a") == _tree(tmp_path / "b")
     assert _tree(tmp_path / "a") == _tree(tmp_path / "fresh")
+
+
+def test_grid_never_decodes_a_sparse_table(tmp_path, monkeypatch):
+    # results stay dense from the kernel to the knowledge file and the run
+    # CSVs; only --qtable-out builds a sparse table
+    def refuse(run, env):
+        raise AssertionError("the grid decoded a sparse table")
+
+    monkeypatch.setattr(teacher, "decode_qtable", refuse)
+    config = ExperimentConfig(**{**MINI, "variants": ("cadent", "no_transfer"),
+                                 "seeds": (1,), "teacher_episodes": 400})
+    summary = run_experiment(config, tmp_path / "out")
+    assert sorted(summary["results"]["dungeon_quest"]) == ["cadent",
+                                                           "no_transfer"]

@@ -15,10 +15,10 @@ from cadent.envs.tables import compile_env
 from cadent.harness import _run_stream
 from cadent.kernels import greedy_rollout, run_training
 from cadent.student import (Diagnostics, GuidanceParams, StudentConfig,
-                            TrustParams, VolatilityTracker, fused_update,
-                            strategic_reward, tactical_applies,
-                            tactical_gradient, train_student, trust_gate,
-                            update_bound, volatility_update)
+                            TrustParams, fused_update, strategic_reward,
+                            tactical_applies, tactical_gradient,
+                            train_student, trust_gate, update_bound,
+                            volatility_update)
 from cadent.tabular import LearningParams, softmax_policy
 from cadent.teacher import build_knowledge, train_teacher
 
@@ -262,16 +262,6 @@ def test_student_config_from_json_names_a_section_not_an_object(section):
         StudentConfig.from_json(payload)
 
 
-def test_volatility_tracker():
-    tr = VolatilityTracker(v_init=0.5, eta=0.5)
-    assert tr.get("s", 1) == 0.5
-    assert len(tr) == 0
-    tr.update("s", 1, 1.5)
-    assert tr.get("s", 1) == pytest.approx(1.0, abs=1e-12)
-    assert len(tr) == 1
-    assert dict(tr.items()) == {("s", 1): pytest.approx(1.0, abs=1e-12)}
-
-
 def test_tactical_applies():
     assert tactical_applies(3, "q0", 4, "q0")          # a move within q0
     assert not tactical_applies(3, "q0", 3, "q0")      # a wall bump
@@ -362,7 +352,8 @@ def test_train_student_no_transfer_shape(dungeon_target):
     assert res.ep_steps.shape == (20,)
     assert res.ep_accept.shape == (20,)
     assert len(res.qtable) > 0
-    assert len(res.volatility) == 0  # gate unused for this variant
+    # gate unused for this variant: no volatility moves from its start
+    assert np.all(res.run.vol == res.config.trust.v_init)
     assert res.bound == pytest.approx(10.99 / (1 - 0.99), abs=1e-9)
     assert res.diagnostics.soft_violations == 0
     assert res.diagnostics.max_abs_update <= res.bound
@@ -372,12 +363,12 @@ def test_train_student_cadent_populates_volatility(dungeon_target,
                                                    source_knowledge):
     res = train_student(dungeon_target, source_knowledge, StudentConfig(),
                         episodes=20, seed=3)
-    assert len(res.volatility) > 0
-    for key, v in res.volatility.items():
-        assert v >= 0.0
-    # every tracked pair was visited, so it has a Q entry too
-    for (key, a), _v in res.volatility.items():
-        assert (key, a) in res.qtable._data or res.qtable.get(key, a) == 0.0
+    visited = res.run.counts > 0
+    assert np.any(res.run.vol[visited] != res.config.trust.v_init)
+    assert np.all(res.run.vol[visited] >= 0.0)
+    # only visited pairs moved, and each has a Q entry too
+    assert np.all(res.run.vol[~visited] == res.config.trust.v_init)
+    assert len(res.qtable) == int(visited.sum())
 
 
 def test_train_student_deterministic(dungeon_target, source_knowledge):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -306,6 +307,26 @@ def test_qtable_load_rejects_count_mismatch(tmp_path):
     payload["n_entries"] = 5
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
+        load_qtable(path)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda p: p.pop("n_actions"),
+    lambda p: p["entries"][0].pop("value"),
+    lambda p: p.update(entries=5, n_entries=5),
+    lambda p: p["entries"][0].update(state=3),
+], ids=["no-n-actions", "entry-without-value", "entries-not-array",
+        "state-not-object"])
+def test_qtable_load_names_the_file_of_a_malformed_payload(tmp_path, mutate):
+    qt = QTable(2)
+    qt.set("s", 0, 1.0)
+    path = tmp_path / "m.json"
+    save_qtable(qt, path)
+    payload = json.loads(path.read_text())
+    mutate(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=(
+            f"^{re.escape(str(path))}: malformed qtable payload: ")):
         load_qtable(path)
 
 

@@ -1,17 +1,22 @@
 """Teacher training and the two distillation routines."""
 
+import dataclasses
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from cadent.automaton import ProductState, make_dfa
-from cadent.envs import EnvSpec, default_spec, make_env
+from cadent.envs import ENV_NAMES, EnvSpec, default_spec, make_env
 from cadent.tabular import QTable, softmax_policy
 from cadent.teacher import (AGGREGATION_MODES, TeacherError,
                             build_knowledge, dense_knowledge,
                             distill_automaton_values, distill_teacher_policy,
                             load_knowledge, save_knowledge, train_teacher)
 
-from oracles import naive_softmax
+from oracles import (naive_softmax, reference_knowledge,
+                     reference_teacher_policy, sparse_results, toy_teacher)
 
 CHAIN = make_dfa(
     states=("q0", "q1", "acc"),
@@ -41,7 +46,7 @@ def test_distill_single_trigger():
     key = _k((0, 0), "q0")
     qt = _table({(key, 1): 3.0})
     log = {((key, 1), ("q0", "q1")), ((_k((1, 1), "q1"), 0), ("q1", "acc"))}
-    out = distill_automaton_values(qt, CHAIN, log)
+    out = distill_automaton_values(toy_teacher(CHAIN, qt, log), CHAIN)
     assert out[("q0", "q1")] == 3.0
     assert out[("q1", "acc")] == 0.0
 
@@ -51,7 +56,7 @@ def test_distill_means_distinct_triggers():
     qt = _table({(k1, 0): 2.0, (k2, 1): 4.0})
     log = {((k1, 0), ("q0", "q1")), ((k2, 1), ("q0", "q1")),
            ((_k((1, 1), "q1"), 0), ("q1", "acc"))}
-    out = distill_automaton_values(qt, CHAIN, log)
+    out = distill_automaton_values(toy_teacher(CHAIN, qt, log), CHAIN)
     assert out[("q0", "q1")] == pytest.approx(3.0, abs=1e-12)
 
 
@@ -60,7 +65,7 @@ def test_distill_rejects_uncovered_edge():
     qt = _table({(key, 1): 3.0})
     log = {((key, 1), ("q0", "q1"))}
     with pytest.raises(TeacherError, match="q1"):
-        distill_automaton_values(qt, CHAIN, log)
+        distill_automaton_values(toy_teacher(CHAIN, qt, log), CHAIN)
 
 
 def test_distill_order_invariant():
@@ -69,17 +74,19 @@ def test_distill_order_invariant():
     tail = ((_k((9, 9), "q1"), 0), ("q1", "acc"))
     log_fwd = set([(ka, ("q0", "q1")) for ka in keys] + [tail])
     log_rev = set([(ka, ("q0", "q1")) for ka in reversed(keys)] + [tail])
-    assert (distill_automaton_values(qt, CHAIN, log_fwd)
-            == distill_automaton_values(qt, CHAIN, log_rev))
+    assert (distill_automaton_values(toy_teacher(CHAIN, qt, log_fwd), CHAIN)
+            == distill_automaton_values(toy_teacher(CHAIN, qt, log_rev),
+                                        CHAIN))
 
 
 def test_distill_positive_scaling_equivariance():
     k1, k2 = _k((0, 0), "q0"), _k((1, 1), "q1")
     base = {(k1, 0): 2.5, (k2, 1): -1.5}
     log = {((k1, 0), ("q0", "q1")), ((k2, 1), ("q1", "acc"))}
-    plain = distill_automaton_values(_table(base), CHAIN, log)
-    scaled = distill_automaton_values(
-        _table({ka: 3.0 * v for ka, v in base.items()}), CHAIN, log)
+    plain = distill_automaton_values(toy_teacher(CHAIN, _table(base), log),
+                                     CHAIN)
+    scaled = distill_automaton_values(toy_teacher(
+        CHAIN, _table({ka: 3.0 * v for ka, v in base.items()}), log), CHAIN)
     for edge, v in plain.items():
         assert scaled[edge] == pytest.approx(3.0 * v, abs=1e-12)
 
@@ -92,7 +99,8 @@ def test_policy_single_state_is_softmax_of_row():
     key, tail = _k((0, 0), "q0"), _k((1, 1), "q1")
     qt = _table({(key, 0): 1.0, (key, 1): 0.0, (tail, 1): 2.0})
     vis = {(key, 0): 4, (key, 1): 2, (tail, 1): 1}
-    pi = distill_teacher_policy(qt, vis, CHAIN, tau=1.0, n_actions=2)
+    pi = distill_teacher_policy(toy_teacher(CHAIN, qt, visits=vis), CHAIN,
+                                tau=1.0)
     assert np.allclose(pi["q0"], naive_softmax([1.0, 0.0], 1.0), atol=1e-12)
     assert np.allclose(pi["q1"], naive_softmax([0.0, 2.0], 1.0), atol=1e-12)
 
@@ -101,11 +109,12 @@ def test_policy_visitation_weighting():
     k1, k2, tail = _k((0, 0), "q0"), _k((1, 1), "q0"), _k((2, 2), "q1")
     qt = _table({(k1, 0): 1.0, (k2, 1): 1.0})
     vis = {(k1, 0): 3, (k2, 0): 1, (tail, 0): 1}
-    pi = distill_teacher_policy(qt, vis, CHAIN, tau=1.0, n_actions=2)
+    pi = distill_teacher_policy(toy_teacher(CHAIN, qt, visits=vis), CHAIN,
+                                tau=1.0)
     # weighted mean row is (0.75, 0.25)
     assert np.allclose(pi["q0"], naive_softmax([0.75, 0.25], 1.0), atol=1e-12)
-    flat = distill_teacher_policy(qt, vis, CHAIN, tau=1.0, n_actions=2,
-                                  aggregation="unweighted")
+    flat = distill_teacher_policy(toy_teacher(CHAIN, qt, visits=vis), CHAIN,
+                                  tau=1.0, aggregation="unweighted")
     assert np.allclose(flat["q0"], naive_softmax([0.5, 0.5], 1.0), atol=1e-12)
 
 
@@ -113,7 +122,8 @@ def test_policy_rows_only_for_visited_states():
     key = _k((0, 0), "q0")
     qt = _table({(key, 0): 1.0})
     vis = {(key, 0): 1, (_k((2, 2), "q1"), 1): 2}
-    pi = distill_teacher_policy(qt, vis, CHAIN, tau=2.0, n_actions=2)
+    pi = distill_teacher_policy(toy_teacher(CHAIN, qt, visits=vis), CHAIN,
+                                tau=2.0)
     assert set(pi) == {"q0", "q1"}
 
 
@@ -121,18 +131,18 @@ def test_policy_requires_accepting_path_heads():
     key = _k((0, 0), "q0")
     qt = _table({(key, 0): 1.0})
     with pytest.raises(TeacherError, match="q1"):
-        distill_teacher_policy(qt, {(key, 0): 1}, CHAIN, tau=1.0, n_actions=2)
+        distill_teacher_policy(toy_teacher(CHAIN, qt, visits={(key, 0): 1}),
+                               CHAIN, tau=1.0)
 
 
 def test_policy_validation_errors():
     key = _k((0, 0), "q0")
     qt = _table({(key, 0): 1.0})
-    vis = {(key, 0): 1}
+    toy = toy_teacher(CHAIN, qt, visits={(key, 0): 1})
     with pytest.raises(ValueError):
-        distill_teacher_policy(qt, vis, CHAIN, tau=0.0, n_actions=2)
+        distill_teacher_policy(toy, CHAIN, tau=0.0)
     with pytest.raises(ValueError):
-        distill_teacher_policy(qt, vis, CHAIN, tau=1.0, n_actions=2,
-                               aggregation="mode")
+        distill_teacher_policy(toy, CHAIN, tau=1.0, aggregation="mode")
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +165,7 @@ def test_teacher_reaches_acceptance(dungeon_teacher):
     assert res.ep_reward.shape == (1200,)
     assert res.ep_steps.shape == (1200,)
     assert len(res.qtable) > 0
-    assert res.transition_log
+    assert sparse_results(res.env, res.run).transition_log
 
 
 def test_teacher_is_deterministic(dungeon_source, dungeon_teacher):
@@ -299,13 +309,63 @@ def test_dense_knowledge_rejects_unknown_state(dungeon_source):
 def test_build_knowledge_matches_manual_distillation(dungeon_teacher,
                                                      dungeon_source):
     know = build_knowledge(dungeon_teacher, dungeon_source.dfa, tau=2.0)
-    manual_q = distill_automaton_values(
-        dungeon_teacher.qtable, dungeon_source.dfa,
-        dungeon_teacher.transition_log)
+    manual_q, manual_pi = reference_knowledge(dungeon_teacher,
+                                              dungeon_source.dfa, 2.0)
     assert know.q_ad == manual_q
-    manual_pi = distill_teacher_policy(
-        dungeon_teacher.qtable, dungeon_teacher.visits, dungeon_source.dfa,
-        2.0, 4)
     assert set(know.pi) == set(manual_pi)
     for q in manual_pi:
         assert np.array_equal(know.pi[q], manual_pi[q])
+
+
+# ---------------------------------------------------------------------------
+# the dense distillation against the sparse reference, bit for bit
+
+# two teacher budgets per environment, each long enough to reach acceptance
+_BUDGETS = {"blind_craftsman": (60, 400), "dungeon_quest": (60, 400),
+            "mountain_car_collection": (60, 400),
+            "warehouse_robotics": (400, 800)}
+
+
+def _bits(fn):
+    """What fn returns, with policy rows as bytes, or its TeacherError."""
+    try:
+        out = fn()
+    except TeacherError as exc:
+        return f"TeacherError: {exc}"
+    if isinstance(out, tuple):
+        q_ad, pi = out
+        return list(q_ad.items()), [(q, p.tobytes()) for q, p in pi.items()]
+    return [(q, p.tobytes()) for q, p in out.items()]
+
+
+def _knowledge(result, dfa, aggregation):
+    know = build_knowledge(result, dfa, 2.0, aggregation)
+    return know.q_ad, know.pi
+
+
+@pytest.mark.parametrize("name", ENV_NAMES)
+def test_build_knowledge_matches_sparse_reference(name):
+    # each teacher also runs with its visits under the start automaton
+    # state erased, so both distillations must refuse it the same way
+    env = make_env(default_spec(name, "source"))
+    dfa = env.dfa
+    start = dfa.compiled().start
+    outcomes = []
+    for seed, episodes in itertools.product((3, 7, 11), _BUDGETS[name]):
+        result = train_teacher(env, episodes=episodes, seed=seed)
+        counts = result.run.counts.copy()
+        counts[start::result.run.n_q] = 0
+        erased = dataclasses.replace(result, run=SimpleNamespace(
+            q=result.run.q, counts=counts, n_q=result.run.n_q))
+        for res, agg in itertools.product((result, erased),
+                                          AGGREGATION_MODES):
+            ref = sparse_results(env, res.run)
+            got = _bits(lambda: _knowledge(res, dfa, agg))
+            assert got == _bits(
+                lambda: reference_knowledge(res, dfa, 2.0, agg))
+            assert _bits(lambda: distill_teacher_policy(
+                res, dfa, 2.0, agg)) == _bits(
+                lambda: reference_teacher_policy(
+                    ref.qtable, ref.visits, dfa, 2.0, env.n_actions, agg))
+            outcomes.append(isinstance(got, str))
+    assert outcomes.count(True) == outcomes.count(False) == 12
