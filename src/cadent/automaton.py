@@ -8,13 +8,12 @@ flat arrays; the string-facing API stays the source of truth.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .files import json_text, write_atomic
+from .files import json_text, read_json, write_atomic
 
 NULL_EVENT = None
 
@@ -243,8 +242,10 @@ def save_dfa(dfa, path):
 
 def load_dfa(path):
     """Load and validate an automaton file; any violation is rejected here."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    try:
+        payload = read_json(path)
+    except ValueError as exc:
+        raise DfaError(str(exc)) from exc
     if payload.get("format") != FILE_FORMAT:
         raise DfaError(f"{path}: not a {FILE_FORMAT} file")
     if payload.get("version") != FILE_VERSION:

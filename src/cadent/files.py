@@ -1,4 +1,5 @@
-"""Atomic file writes, shared by every writer in the package.
+"""File reads and atomic writes, shared by every reader and writer in the
+package.
 
 A file is written in full to a new temporary file in its directory and then
 renamed over the target with `os.replace`, so an interrupted run or a
@@ -12,6 +13,16 @@ from __future__ import annotations
 import json
 import os
 import uuid
+
+
+def read_json(path):
+    """The JSON value in the file at `path`; a file that does not parse
+    (cut off, say) raises a ValueError that names it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def json_text(payload):

@@ -303,6 +303,23 @@ def _env(name, variant, config):
     return _ENVS[key]
 
 
+def _knowledge(path):
+    """This process's parse of the knowledge file at `path`.
+
+    Every guided cell of an env reads the same file, so it is parsed once.
+    The key holds the file's inode, mtime and size as well as its path: a
+    later grid that rewrites the file (`write_atomic` renames a new inode
+    over it) gets it read again.
+    """
+    st = os.stat(path)
+    return _load_knowledge_at(path, st.st_ino, st.st_mtime_ns, st.st_size)
+
+
+@functools.lru_cache(maxsize=8)
+def _load_knowledge_at(path, _ino, _mtime_ns, _size):
+    return load_knowledge(path)
+
+
 def _train_cell(args):
     """One (env, variant, seed) student run; used by worker processes too."""
     (config_json, env_name, variant, seed, knowledge_path) = args
@@ -311,8 +328,7 @@ def _train_cell(args):
     # cadent pins nothing, so any base takes the experiment's omega0
     student_cfg = resolve_preset(variant, config.base.with_(
         variant="cadent", omega0=config.omega0))
-    knowledge = (load_knowledge(knowledge_path)
-                 if uses_teacher(variant) else None)
+    knowledge = _knowledge(knowledge_path) if uses_teacher(variant) else None
     result = train_student(env, knowledge, student_cfg,
                            episodes=config.episodes_for(env_name),
                            seed=seed, stream=_run_stream(env_name, variant))

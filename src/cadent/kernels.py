@@ -14,6 +14,17 @@ indexed `row * n_actions + a`. Kernel outputs are dense (product index,
 action) arrays of Q, volatility and visit counts. Training returns them as
 they are and distillation reads them; a sparse table is decoded from them
 only on request (`--qtable-out`).
+
+A step's cost does not grow with the row width. The loop keeps each
+product row's greedy action in a list: `greedy[p] == argmax(q, p * A, A)`
+at all times, ties going to the lowest action as `argmax` breaks them. Q
+starts at zero, so every entry starts at 0. A step writes one entry,
+q[p * A + a]. If a is the greedy action and its value fell, the row is
+rescanned; otherwise a becomes greedy when its new value is above the
+greedy one's, or equal to it with a lower index. The action choice, the
+bootstrap and the softmax pull read the list. The four xorshift128 words
+are held in locals for the whole run, stepped with `rng.xs128_word`, and
+written back on return.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ import math
 
 import numpy as np
 
-from .rng import state_from, xs128_next
+from .rng import state_from, xs128_word
 
 _INV32 = 2.0 ** -32
 
@@ -53,16 +64,19 @@ def argmax(values, lo=0, n=None):
     return a
 
 
-def softmax_prob(values, a, lo=0, n=None):
+def softmax_prob(values, a, lo=0, n=None, amax=None):
     """Probability of offset `a` under the temperature-1 softmax of
     values[lo:lo+n] (n defaults to all of `values`).
 
     Max-subtracted, accumulated in action-index order, so every caller gets
-    the same bits.
+    the same bits. `amax` is the slice's argmax offset when the caller
+    already knows it; by default it is computed here.
     """
     if n is None:
         n = len(values)
-    m = values[lo + argmax(values, lo, n)]
+    if amax is None:
+        amax = argmax(values, lo, n)
+    m = values[lo + amax]
     tot = 0.0
     pa = 0.0
     for b in range(n):
@@ -116,7 +130,7 @@ def fused_update(omega, delta_student, r_ad, g_pd):
     return delta_student + (1.0 - omega) * (r_ad + g_pd)
 
 
-def train_run(next_state, reward, event, terminal, dead, delta, accepting,
+def train_run(next_state, reward, event, stop, dead, delta, accepting,
               q_ad, q_ad_known, pi_teacher, pi_known, rng_state,
               q, vol, counts, ep_reward, ep_steps, ep_accept, soft_steps,
               start, q_start, alpha, gamma, eps_start, eps_end, eps_decay,
@@ -126,9 +140,13 @@ def train_run(next_state, reward, event, terminal, dead, delta, accepting,
 
     Every array is flat. The env tables are indexed s*A + a, the automaton
     q*n_events + ev, the knowledge q*n_q + q2 and q*A + a, and the outputs
-    q, vol and counts (s*n_q + q)*A + a. The outputs arrive allocated (vol
-    filled with v_init) and are written in place; the episode count is
-    len(ep_reward) and the soft-violation cap len(soft_steps).
+    q, vol and counts (s*n_q + q)*A + a. `stop` marks the env states that
+    end an episode (terminal or dead) and `dead` those that also refuse
+    acceptance. The outputs arrive allocated (q zero-filled, vol filled
+    with v_init) and are written in place; the episode count is
+    len(ep_reward) and the soft-violation cap len(soft_steps). The four
+    words of `rng_state` are read once, held in locals and written back on
+    return.
 
     Per step: epsilon-greedy action, student TD error, trust gate read from
     the pair's volatility as it stood before this step, teacher terms
@@ -139,41 +157,50 @@ def train_run(next_state, reward, event, terminal, dead, delta, accepting,
     (first len(soft_steps) global step indices); non-finite updates abort.
     Returns (novel edge crossings, max |update|, soft violations).
     """
-    n_actions = len(next_state) // len(terminal)
+    n_actions = len(next_state) // len(stop)
     n_q = len(accepting)
     n_events = len(delta) // n_q
     soft_cap = len(soft_steps)
+    last = max_steps - 1
+    # greedy[p] == argmax(q, p * n_actions, n_actions) for every row p, as
+    # the module docstring says: Q starts at zero, and each write keeps it
+    greedy = [0] * (len(q) // n_actions)
+    r0, r1, r2, r3 = rng_state
     n_soft = 0
     novel = 0
     max_abs_dq = 0.0
-    global_step = 0
+    first_step = 0  # global index of the episode's first step
     eps = eps_start
     for ep in range(len(ep_reward)):
         e = eps if eps > eps_end else eps_end
         s = start
         qq = q_start
         total = 0.0
-        steps = 0
-        acc = False
         for t in range(max_steps):
-            row = (s * n_q + qq) * n_actions
-            # action choice: one draw to branch, one more when exploring
-            if e > 0.0 and xs128_next(rng_state) * _INV32 < e:
-                a = int((xs128_next(rng_state) * _INV32) * n_actions)
-            else:
-                a = argmax(q, row, n_actions)
+            p = s * n_q + qq
+            row = p * n_actions
+            # action choice: the greedy action b, unless one draw says explore
+            # and one more picks the action
+            b = greedy[p]
+            a = b
+            if e > 0.0:
+                r0, r1, r2, r3 = r1, r2, r3, xs128_word(r0, r3)
+                if r3 * _INV32 < e:
+                    r0, r1, r2, r3 = r1, r2, r3, xs128_word(r0, r3)
+                    a = int((r3 * _INV32) * n_actions)
             sa = s * n_actions + a
-            s2 = int(next_state[sa])
+            s2 = next_state[sa]
             r = reward[sa]
-            q2 = int(delta[qq * n_events + int(event[sa])])
-            done = terminal[s2] or dead[s2] or t == max_steps - 1
+            q2 = delta[qq * n_events + event[sa]]
+            done = stop[s2] or t == last
             if done:
                 boot = 0.0
             else:
-                row2 = (s2 * n_q + q2) * n_actions
-                boot = gamma * q[row2 + argmax(q, row2, n_actions)]
+                p2 = s2 * n_q + q2
+                boot = gamma * q[p2 * n_actions + greedy[p2]]
             pa = row + a
-            d_student = r + boot - q[pa]
+            old = q[pa]
+            d_student = r + boot - old
             if use_guidance:
                 if use_gate:
                     om = trust_gate(vol[pa], gate_k, theta)
@@ -188,7 +215,7 @@ def train_run(next_state, reward, event, terminal, dead, delta, accepting,
                 g = 0.0
                 if pi_known[qq] and tactical_applies(s, qq, s2, q2):
                     g = lam_pd * (pi_teacher[qq * n_actions + a]
-                                  - softmax_prob(q, a, row, n_actions))
+                                  - softmax_prob(q, a, row, n_actions, b))
                 dq = fused_update(om, d_student, r_ad, g)
             else:
                 dq = d_student
@@ -201,22 +228,32 @@ def train_run(next_state, reward, event, terminal, dead, delta, accepting,
                 max_abs_dq = adq
             if adq > bound:
                 if n_soft < soft_cap:
-                    soft_steps[n_soft] = global_step
+                    soft_steps[n_soft] = first_step + t
                 n_soft += 1
-            q[pa] = q[pa] + alpha * dq
+            new = old + alpha * dq
+            q[pa] = new
+            # keep greedy[p] current: only q[pa] moved, so the row needs a
+            # rescan only when its greedy entry fell; ties go to the lower a
+            if a == b:
+                if new < old:
+                    greedy[p] = argmax(q, row, n_actions)
+            elif a < b:
+                if new >= q[row + b]:
+                    greedy[p] = a
+            elif new > q[row + b]:
+                greedy[p] = a
             counts[pa] += 1
             total += r
-            global_step += 1
-            steps = t + 1
             s = s2
             qq = q2
-            if done:
-                acc = bool(accepting[q2]) and not dead[s2]
+            if done:  # always by the last step, t == max_steps - 1
                 break
         ep_reward[ep] = total
-        ep_steps[ep] = steps
-        ep_accept[ep] = acc
+        ep_steps[ep] = t + 1
+        ep_accept[ep] = accepting[qq] and not dead[s]
+        first_step += t + 1
         eps = eps * eps_decay
+    rng_state[0], rng_state[1], rng_state[2], rng_state[3] = r0, r1, r2, r3
     return novel, max_abs_dq, n_soft
 
 
@@ -271,13 +308,15 @@ def run_training(tables, cdfa, dense, *, alpha, gamma, eps_start, eps_end,
     ep_steps = np.zeros(episodes, dtype=np.int64)
     ep_accept = np.zeros(episodes, dtype=np.bool_)
     soft_steps = np.full(SOFT_CAP, -1, dtype=np.int64)
-    arrays = (tables.next_state, tables.reward, tables.event, tables.terminal,
-              tables.dead, cdfa.delta, cdfa.accepting, q_ad, q_ad_known,
-              pi_teacher, pi_known, state_from(seed, stream),
+    arrays = (tables.next_state, tables.reward, tables.event,
+              tables.terminal | tables.dead, tables.dead, cdfa.delta,
+              cdfa.accepting, q_ad, q_ad_known, pi_teacher, pi_known,
+              state_from(seed, stream),
               q, vol, counts, ep_reward, ep_steps, ep_accept, soft_steps)
     novel, max_abs_update, n_soft = train_run(
         *(memoryview(x.reshape(-1)) for x in arrays), int(tables.start),
-        int(cdfa.start), float(alpha), float(gamma), float(eps_start), float(eps_end), float(eps_decay),
+        int(cdfa.start), float(alpha), float(gamma), float(eps_start),
+        float(eps_end), float(eps_decay),
         float(eta), float(gate_k), float(theta), float(lam_ad),
         float(lam_pd), bool(use_gate), float(omega_fixed),
         bool(use_guidance), int(max_steps), float(bound))

@@ -2,8 +2,11 @@
 
 The generator is xorshift128 (Marsaglia 2003) over four 32-bit words. Words
 are kept in an int64 array and every operation masks back to 32 bits, so the
-arithmetic is exact and the same on every platform. Streams are derived from a (seed, stream) pair with a murmur-style
-finalizer, which keeps runs independent without any global state.
+arithmetic is exact and the same on every platform. Streams are derived
+from a (seed, stream) pair with a murmur-style finalizer, which keeps runs
+independent without any global state. The step itself is `xs128_word`, a
+pure function of two words; `xs128_next` applies it to a state array, and
+the training kernel applies it to four words it holds in locals.
 """
 
 from __future__ import annotations
@@ -54,16 +57,25 @@ def state_from(seed, stream=0):
     return state
 
 
+def xs128_word(x, w):
+    """The word after (x, ., ., w), in [0, 2**32).
+
+    x is the oldest of the four state words and w the newest; the step
+    shifts the state one word along and appends the result, so a caller
+    holding the words (r0, r1, r2, r3) advances with
+    `r0, r1, r2, r3 = r1, r2, r3, xs128_word(r0, r3)`.
+    """
+    t = (x ^ (x << 11)) & _MASK32
+    return ((w ^ (w >> 19)) ^ (t ^ (t >> 8))) & _MASK32
+
+
 def xs128_next(state):
     """Advance the state in place and return the next word in [0, 2**32)."""
-    t = state[0]
-    t = (t ^ (t << 11)) & _MASK32
+    w = xs128_word(state[0], state[3])
     state[0] = state[1]
     state[1] = state[2]
     state[2] = state[3]
-    w = state[3]
-    w = (w ^ (w >> 19)) ^ (t ^ (t >> 8))
-    state[3] = w & _MASK32
+    state[3] = w
     return state[3]
 
 

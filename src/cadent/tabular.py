@@ -15,7 +15,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .files import json_text, write_atomic
+from .files import json_text, read_json, write_atomic
 from .kernels import argmax
 
 QTABLE_FORMAT = "cadent-qtable"
@@ -76,8 +76,7 @@ class Config:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
     def with_(self, **kw):
         return replace(self, **kw)
@@ -198,8 +197,7 @@ def save_qtable(qt, path):
 def load_qtable(path):
     """Load a saved table; malformed content is rejected with a ValueError
     that names the file."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     try:
         if payload.get("format") != QTABLE_FORMAT:
             raise ValueError(f"{path}: not a {QTABLE_FORMAT} file")

@@ -15,7 +15,6 @@ state on an accepting path: that teacher is not competent to guide anyone.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .automaton import ProductState, accepting_path_edges
 from .envs.tables import compile_env
-from .files import json_text, write_atomic
+from .files import json_text, read_json, write_atomic
 from .kernels import RunResult, run_training
 from .tabular import LearningParams, QTable, softmax_policy
 
@@ -229,8 +228,7 @@ def save_knowledge(knowledge, path):
 def load_knowledge(path):
     """Load and validate a knowledge file; malformed content is rejected
     with a ValueError that names the file."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     try:
         if payload.get("format") != KNOWLEDGE_FORMAT:
             raise ValueError(f"{path}: not a {KNOWLEDGE_FORMAT} file")

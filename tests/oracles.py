@@ -12,6 +12,11 @@ distillations) is the dict-backed form that training results and
 distillation once took: the dense library distillation must match it bit
 for bit. `toy_teacher` goes the other way, from hand-written sparse inputs
 to the dense form the library reads.
+
+`reference_train_run` is the training loop as it was before its per-step
+bookkeeping was cut (a maintained greedy action per row, RNG words held in
+locals). It calls the library's formulas, so it pins the loop's
+bookkeeping, not the formulas: the kernel must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ import numpy as np
 from cadent.automaton import (ProductState, accepting_path_edges,
                               is_accepting, step_automaton)
 from cadent.envs.tables import EnvTables, compile_env
-from cadent.rng import RandomState
+from cadent.kernels import (argmax, fused_update, softmax_prob,
+                            tactical_applies, trust_gate, volatility_update)
+from cadent.rng import RandomState, xs128_next
 from cadent.tabular import QTable, softmax_policy
 from cadent.teacher import TeacherError
 
@@ -292,3 +299,118 @@ def toy_teacher(dfa, qtable, log=(), visits=None):
                        n_actions=qtable.n_actions)
     return SimpleNamespace(run=SimpleNamespace(q=q, counts=n, n_q=n_q),
                            env=SimpleNamespace(_tables=tables, dfa=dfa))
+
+
+# ---------------------------------------------------------------------------
+# the training loop before its per-step bookkeeping was cut
+
+_INV32 = 2.0 ** -32
+
+
+def reference_train_run(next_state, reward, event, terminal, dead, delta,
+                        accepting, q_ad, q_ad_known, pi_teacher, pi_known,
+                        rng_state, q, vol, counts, ep_reward, ep_steps,
+                        ep_accept, soft_steps, start, q_start, alpha, gamma,
+                        eps_start, eps_end, eps_decay, eta, gate_k, theta,
+                        lam_ad, lam_pd, use_gate, omega_fixed, use_guidance,
+                        max_steps, bound):
+    """The training kernel as it stood before it kept each row's greedy
+    action and its RNG words in locals: two argmax scans a step, and the
+    RNG state read and written through `rng_state` on every draw.
+
+    Run one full training job; see student.train_student for semantics.
+
+    Every array is flat. The env tables are indexed s*A + a, the automaton
+    q*n_events + ev, the knowledge q*n_q + q2 and q*A + a, and the outputs
+    q, vol and counts (s*n_q + q)*A + a. The outputs arrive allocated (vol
+    filled with v_init) and are written in place; the episode count is
+    len(ep_reward) and the soft-violation cap len(soft_steps).
+
+    Per step: epsilon-greedy action, student TD error, trust gate read from
+    the pair's volatility as it stood before this step, teacher terms
+    (automaton edge value, and the policy gradient on the taken action
+    where `tactical_applies`), fused update, then Q += alpha * update and
+    the volatility absorbs |update|. With use_guidance False this reduces
+    exactly to Q-learning. Update magnitudes above `bound` are recorded
+    (first len(soft_steps) global step indices); non-finite updates abort.
+    Returns (novel edge crossings, max |update|, soft violations).
+    """
+    n_actions = len(next_state) // len(terminal)
+    n_q = len(accepting)
+    n_events = len(delta) // n_q
+    soft_cap = len(soft_steps)
+    n_soft = 0
+    novel = 0
+    max_abs_dq = 0.0
+    global_step = 0
+    eps = eps_start
+    for ep in range(len(ep_reward)):
+        e = eps if eps > eps_end else eps_end
+        s = start
+        qq = q_start
+        total = 0.0
+        steps = 0
+        acc = False
+        for t in range(max_steps):
+            row = (s * n_q + qq) * n_actions
+            # action choice: one draw to branch, one more when exploring
+            if e > 0.0 and xs128_next(rng_state) * _INV32 < e:
+                a = int((xs128_next(rng_state) * _INV32) * n_actions)
+            else:
+                a = argmax(q, row, n_actions)
+            sa = s * n_actions + a
+            s2 = int(next_state[sa])
+            r = reward[sa]
+            q2 = int(delta[qq * n_events + int(event[sa])])
+            done = terminal[s2] or dead[s2] or t == max_steps - 1
+            if done:
+                boot = 0.0
+            else:
+                row2 = (s2 * n_q + q2) * n_actions
+                boot = gamma * q[row2 + argmax(q, row2, n_actions)]
+            pa = row + a
+            d_student = r + boot - q[pa]
+            if use_guidance:
+                if use_gate:
+                    om = trust_gate(vol[pa], gate_k, theta)
+                else:
+                    om = omega_fixed
+                r_ad = 0.0
+                if q2 != qq:
+                    if q_ad_known[qq * n_q + q2]:
+                        r_ad = lam_ad * q_ad[qq * n_q + q2]
+                    else:
+                        novel += 1
+                g = 0.0
+                if pi_known[qq] and tactical_applies(s, qq, s2, q2):
+                    g = lam_pd * (pi_teacher[qq * n_actions + a]
+                                  - softmax_prob(q, a, row, n_actions))
+                dq = fused_update(om, d_student, r_ad, g)
+            else:
+                dq = d_student
+            if not math.isfinite(dq):
+                raise ValueError("non-finite update; diverged")
+            if use_gate:
+                vol[pa] = volatility_update(vol[pa], dq, eta)
+            adq = abs(dq)
+            if adq > max_abs_dq:
+                max_abs_dq = adq
+            if adq > bound:
+                if n_soft < soft_cap:
+                    soft_steps[n_soft] = global_step
+                n_soft += 1
+            q[pa] = q[pa] + alpha * dq
+            counts[pa] += 1
+            total += r
+            global_step += 1
+            steps = t + 1
+            s = s2
+            qq = q2
+            if done:
+                acc = bool(accepting[q2]) and not dead[s2]
+                break
+        ep_reward[ep] = total
+        ep_steps[ep] = steps
+        ep_accept[ep] = acc
+        eps = eps * eps_decay
+    return novel, max_abs_dq, n_soft

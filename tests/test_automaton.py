@@ -1,6 +1,7 @@
 """Automaton construction, stepping, validation, and serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -248,7 +249,8 @@ def test_load_rejects_truncated_file(tmp_path, chain):
     save_dfa(chain, path)
     blob = path.read_text()
     path.write_text(blob[:len(blob) // 2])
-    with pytest.raises((DfaError, ValueError)):
+    with pytest.raises(DfaError, match=(
+            f"^{re.escape(str(path))}: not valid JSON: ")):
         load_dfa(path)
 
 

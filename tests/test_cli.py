@@ -225,3 +225,16 @@ def test_train_student_rejects_malformed_knowledge(knowledge_file, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: malformed knowledge payload: ")
     assert err.count("\n") == 1
+
+
+def test_train_student_names_a_truncated_knowledge_file(knowledge_file,
+                                                        tmp_path, capsys):
+    know, _qt = knowledge_file
+    text = know.read_text()
+    cut = tmp_path / "cut.json"
+    cut.write_text(text[:len(text) // 2])
+    assert main(["train-student", "--env", "dungeon", "--episodes", "5",
+                 "--knowledge", str(cut)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cut}: not valid JSON: ")
+    assert err.count("\n") == 1

@@ -168,7 +168,7 @@ def test_train_cell_omega0_on_a_pinned_base(monkeypatch):
         seen[config.variant] = config.omega0
         raise Stop
 
-    monkeypatch.setattr(harness, "load_knowledge", lambda path: None)
+    monkeypatch.setattr(harness, "_knowledge", lambda path: None)
     monkeypatch.setattr(harness, "train_student", capture)
     config = ExperimentConfig(
         variants=("no_transfer", "no_trust_gate", "fixed_trust"), omega0=0.8,
@@ -561,6 +561,44 @@ def test_run_experiment_builds_each_env_once(tmp_path, monkeypatch):
     assert len(made) == 4
     assert _tree(tmp_path / "a") == _tree(tmp_path / "b")
     assert _tree(tmp_path / "a") == _tree(tmp_path / "fresh")
+
+
+def test_run_experiment_loads_each_knowledge_file_once(tmp_path,
+                                                       monkeypatch):
+    loaded = []
+    real = harness.load_knowledge
+
+    def counting(path):
+        loaded.append(os.path.basename(path))
+        return real(path)
+
+    monkeypatch.setattr(harness, "load_knowledge", counting)
+    harness._load_knowledge_at.cache_clear()
+    config = ExperimentConfig(**{**MINI, "variants": ("cadent", "ad",
+                                                      "no_transfer"),
+                                 "teacher_episodes": 400})
+    run_experiment(config, tmp_path / "out")
+    assert loaded == ["dungeon_quest.json"]
+
+
+def test_rewritten_knowledge_file_is_read_again(tmp_path):
+    # the second grid's teacher rewrites the knowledge file at the same
+    # path; its cells must read the new file, not the parse of the old one
+    base = {**MINI, "variants": ("cadent", "no_transfer"),
+            "teacher_episodes": 400}
+    run_experiment(ExperimentConfig(**base, teacher_seed=7),
+                   tmp_path / "shared")
+    first = _tree(tmp_path / "shared")
+    second = ExperimentConfig(**base, teacher_seed=8)
+    run_experiment(second, tmp_path / "shared")
+    harness._load_knowledge_at.cache_clear()
+    run_experiment(second, tmp_path / "alone")
+    assert _tree(tmp_path / "shared") == _tree(tmp_path / "alone")
+    # the cadent cells' max |update| depends on the knowledge they read
+
+    def results(tree):
+        return json.loads(tree["summary.json"])["results"]
+    assert results(first) != results(_tree(tmp_path / "alone"))
 
 
 def test_grid_never_decodes_a_sparse_table(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cadent.rng import (RandomState, fmix32, mulmod32, randint, state_from,
-                        uniform, xs128_next)
+                        uniform, xs128_next, xs128_word)
 
 
 def test_same_pair_same_stream():
@@ -90,6 +90,17 @@ def test_words_stay_32_bit():
         w = xs128_next(state)
         assert 0 <= w < 2**32
     assert all(0 <= int(x) < 2**32 for x in state)
+
+
+def test_next_matches_word_held_in_locals():
+    # the kernel holds the four words in locals and steps them with
+    # xs128_word; the state array must see the same words
+    state = state_from(31, 7)
+    r0, r1, r2, r3 = (int(x) for x in state)
+    for _ in range(10_000):
+        r0, r1, r2, r3 = r1, r2, r3, xs128_word(r0, r3)
+        assert xs128_next(state) == r3
+    assert [int(x) for x in state] == [r0, r1, r2, r3]
 
 
 def test_zero_state_guard():

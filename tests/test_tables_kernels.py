@@ -1,15 +1,21 @@
 """Dense table compilation and the training kernel."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cadent.envs import EnvSpec, default_spec, make_env
 from cadent.envs.dungeon import DungeonQuest
 from cadent.envs.tables import compile_env
-from cadent.kernels import SOFT_CAP, greedy_rollout, run_training
+from cadent.kernels import (SOFT_CAP, greedy_rollout, run_training,
+                            softmax_prob, train_run)
+from cadent.rng import state_from
 
 from golden import golden_actions, run_actions
-from oracles import value_iteration
+from oracles import reference_train_run, value_iteration
 
 HYPERS = dict(alpha=0.1, gamma=0.99, eps_start=1.0, eps_end=0.05,
               eps_decay=0.995, eta=0.1, gate_k=10.0, theta=0.5, v_init=0.0,
@@ -163,6 +169,127 @@ def test_run_training_validation(dungeon_source_tables):
     with pytest.raises(ValueError):
         run_training(tables, cdfa, None, episodes=1, max_steps=0, seed=1,
                      **kw)
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the loop it replaced
+
+# few distinct values, so rows tie; negative ones, so the greedy entry of a
+# row falls and the row is rescanned
+VALUES = st.sampled_from([-1.0, -0.5, 0.0, 0.0, 0.25, 1.0])
+
+
+@st.composite
+def kernel_cases(draw):
+    n_s = draw(st.integers(1, 5))
+    n_a = draw(st.integers(1, 4))
+    n_q = draw(st.integers(1, 3))
+    n_ev = draw(st.integers(1, 3))
+
+    def ints(n, hi, dtype):
+        return np.array(draw(st.lists(st.integers(0, hi - 1), min_size=n,
+                                      max_size=n)), dtype=dtype)
+
+    def floats(n, elements=VALUES):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)),
+                        dtype=np.float64)
+
+    def bools(n):
+        return np.array(draw(st.lists(st.booleans(), min_size=n,
+                                      max_size=n)), dtype=np.bool_)
+
+    tables = dict(
+        next_state=ints(n_s * n_a, n_s, np.int32),
+        reward=floats(n_s * n_a), event=ints(n_s * n_a, n_ev, np.int16),
+        terminal=bools(n_s), dead=bools(n_s),
+        delta=ints(n_q * n_ev, n_q, np.int32), accepting=bools(n_q),
+        q_ad=floats(n_q * n_q), q_ad_known=bools(n_q * n_q),
+        pi_teacher=floats(n_q * n_a, st.floats(0.0, 1.0)),
+        pi_known=bools(n_q))
+    scalars = dict(
+        start=draw(st.integers(0, n_s - 1)),
+        q_start=draw(st.integers(0, n_q - 1)),
+        alpha=draw(st.sampled_from([0.1, 0.5, 1.0])),
+        gamma=draw(st.sampled_from([0.0, 0.9, 1.0])),
+        eps_start=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        eps_end=draw(st.sampled_from([0.0, 0.05])),
+        eps_decay=draw(st.sampled_from([0.5, 0.99])),
+        eta=draw(st.sampled_from([0.1, 0.5])), gate_k=10.0,
+        theta=draw(st.sampled_from([0.0, 0.5])),
+        lam_ad=draw(st.sampled_from([0.0, 1.0])),
+        lam_pd=draw(st.sampled_from([0.0, 0.5])),
+        use_gate=draw(st.booleans()),
+        omega_fixed=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        use_guidance=draw(st.booleans()),
+        max_steps=draw(st.integers(1, 12)),
+        bound=draw(st.sampled_from([math.inf, 0.2])))
+    return (tables, scalars, n_a, draw(st.integers(1, 6)),
+            draw(st.integers(0, 2**32)))
+
+
+def _run_kernel(kernel, tables, scalars, n_a, episodes, seed, stop):
+    """Outputs of one kernel on fresh buffers: the arrays, the RNG state
+    and the returned diagnostics, as bytes where they are floats."""
+    n_rows = len(tables["terminal"]) * len(tables["accepting"])
+    out = dict(rng=state_from(seed),
+               q=np.zeros(n_rows * n_a), vol=np.full(n_rows * n_a, 0.25),
+               counts=np.zeros(n_rows * n_a, dtype=np.int64),
+               ep_reward=np.zeros(episodes),
+               ep_steps=np.zeros(episodes, dtype=np.int64),
+               ep_accept=np.zeros(episodes, dtype=np.bool_),
+               soft_steps=np.full(4, -1, dtype=np.int64))
+    first = (tables["next_state"], tables["reward"], tables["event"],
+             stop, tables["dead"], tables["delta"], tables["accepting"],
+             tables["q_ad"], tables["q_ad_known"], tables["pi_teacher"],
+             tables["pi_known"])
+    novel, max_abs, n_soft = kernel(
+        *(memoryview(x) for x in first + tuple(out.values())), **scalars)
+    return ({k: v.tobytes() for k, v in out.items()},
+            (novel, np.float64(max_abs).tobytes(), n_soft))
+
+
+def _loop_case(next_state, reward, seed, **scalars):
+    """A one-automaton-state case over n env states and two actions."""
+    n_s = len(next_state) // 2
+    tables = dict(
+        next_state=np.array(next_state, dtype=np.int32),
+        reward=np.array(reward), event=np.zeros(2 * n_s, dtype=np.int16),
+        terminal=np.zeros(n_s, dtype=np.bool_),
+        dead=np.zeros(n_s, dtype=np.bool_), delta=np.zeros(1, dtype=np.int32),
+        accepting=np.zeros(1, dtype=np.bool_), q_ad=np.zeros(1),
+        q_ad_known=np.zeros(1, dtype=np.bool_), pi_teacher=np.zeros(2),
+        pi_known=np.zeros(1, dtype=np.bool_))
+    base = dict(start=0, q_start=0, alpha=0.5, gamma=0.9, eps_start=0.0,
+                eps_end=0.0, eps_decay=0.5, eta=0.1, gate_k=10.0, theta=0.5,
+                lam_ad=1.0, lam_pd=0.5, use_gate=False, omega_fixed=1.0,
+                use_guidance=False, max_steps=12, bound=math.inf)
+    return tables, {**base, **scalars}, 2, 3, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+# every reward negative: each greedy entry falls and its row is rescanned
+@example(_loop_case([0, 1, 1, 0], [-1.0] * 4, seed=5))
+# action 1 explored to 1.0, then action 0 explored to 1.0: the tie goes back
+# to action 0, and the next greedy step takes it
+@example(_loop_case([0, 0], [1.0, 1.0], seed=4, alpha=1.0, gamma=0.0,
+                    eps_start=1.0, max_steps=4))
+def test_train_run_matches_reference_kernel(case):
+    tables, scalars, n_a, episodes, seed = case
+    stop = tables["terminal"] | tables["dead"]
+    got = _run_kernel(train_run, tables, scalars, n_a, episodes, seed, stop)
+    want = _run_kernel(reference_train_run, tables, scalars, n_a, episodes,
+                       seed, tables["terminal"])
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(VALUES, min_size=1, max_size=6), st.data())
+def test_softmax_prob_with_known_argmax(row, data):
+    a = data.draw(st.integers(0, len(row) - 1))
+    amax = max(range(len(row)), key=lambda b: (row[b], -b))
+    assert (np.float64(softmax_prob(row, a, 0, len(row), amax)).tobytes()
+            == np.float64(softmax_prob(row, a)).tobytes())
 
 
 # ---------------------------------------------------------------------------

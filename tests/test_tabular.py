@@ -330,6 +330,30 @@ def test_qtable_load_names_the_file_of_a_malformed_payload(tmp_path, mutate):
         load_qtable(path)
 
 
+def _truncate(path):
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+    return path
+
+
+def test_qtable_load_names_the_file_of_truncated_json(tmp_path):
+    qt = QTable(2)
+    qt.set("s", 0, 1.0)
+    path = tmp_path / "t.json"
+    save_qtable(qt, path)
+    with pytest.raises(ValueError, match=(
+            f"^{re.escape(str(_truncate(path)))}: not valid JSON: ")):
+        load_qtable(path)
+
+
+def test_config_load_names_the_file_of_truncated_json(tmp_path):
+    path = tmp_path / "learn.json"
+    LearningParams().save(path)
+    with pytest.raises(ValueError, match=(
+            f"^{re.escape(str(_truncate(path)))}: not valid JSON: ")):
+        LearningParams.load(path)
+
+
 def test_qtable_save_rejects_unserializable_key(tmp_path):
     qt = QTable(2)
     qt.set(("fine",), 0, 1.0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -244,6 +245,17 @@ def test_load_knowledge_rejects_bad_header(dungeon_knowledge, tmp_path,
     bad = _knowledge_payload(dungeon_knowledge, tmp_path, **patch)
     with pytest.raises(ValueError):
         load_knowledge(bad)
+
+
+def test_load_knowledge_names_the_file_of_truncated_json(dungeon_knowledge,
+                                                        tmp_path):
+    path = tmp_path / "knowledge.json"
+    save_knowledge(dungeon_knowledge, path)
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+    with pytest.raises(ValueError, match=(
+            f"^{re.escape(str(path))}: not valid JSON: ")):
+        load_knowledge(path)
 
 
 def test_load_knowledge_rejects_bad_rows(dungeon_knowledge, tmp_path):
