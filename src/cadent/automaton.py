@@ -246,7 +246,7 @@ def load_dfa(path):
         payload = read_json(path)
     except ValueError as exc:
         raise DfaError(str(exc)) from exc
-    if payload.get("format") != FILE_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != FILE_FORMAT:
         raise DfaError(f"{path}: not a {FILE_FORMAT} file")
     if payload.get("version") != FILE_VERSION:
         raise DfaError(f"{path}: unsupported version {payload.get('version')}")

@@ -137,6 +137,19 @@ def _parse_only(text):
     return out
 
 
+def _parse_episodes(text):
+    out = {}
+    for clause in text.split(","):
+        name, eq, count = clause.partition("=")
+        if not (eq and count.strip().isdigit()):
+            raise ValueError(f"bad --episodes clause {clause!r}; "
+                             f"use env=count")
+        if name in out:
+            raise ValueError(f"--episodes names {name!r} twice")
+        out[name] = int(count)
+    return out
+
+
 def cmd_experiment(args):
     if args.write_default_config:
         ExperimentConfig().save(args.write_default_config)
@@ -146,21 +159,16 @@ def cmd_experiment(args):
         config = ExperimentConfig.load(args.config)
     else:
         config = ExperimentConfig()
+    # raw names: ExperimentConfig canonicalizes them and rejects repeats
     overrides = {}
     if args.envs:
-        overrides["environments"] = tuple(
-            canonical_name(e) for e in args.envs.split(","))
+        overrides["environments"] = tuple(args.envs.split(","))
     if args.variants:
-        overrides["variants"] = tuple(
-            canonical_variant(v) for v in args.variants.split(","))
+        overrides["variants"] = tuple(args.variants.split(","))
     if args.seeds:
         overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
     if args.episodes:
-        eps = {}
-        for clause in args.episodes.split(","):
-            name, _, n = clause.partition("=")
-            eps[canonical_name(name)] = int(n)
-        overrides["episodes"] = eps
+        overrides["episodes"] = _parse_episodes(args.episodes)
     if overrides:
         config = config.with_(**overrides)
     out_dir = args.out or os.environ.get("CADENT_OUT", "results")

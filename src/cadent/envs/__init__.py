@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import sys
-
 from .base import (ACCEPT_BONUS, PROGRESS_BONUS, STEP_PENALTY, EnvError,
                    Environment, EnvSpec, StepOutcome)
 from .craftsman import BlindCraftsman
@@ -56,10 +54,9 @@ def default_spec(name, variant="target", layout_seed=12):
 
 
 def bundled_dfa(name):
-    """The task automaton of a benchmark environment, as its module's
+    """The task automaton of a benchmark environment, as its class's
     `build_dfa()` defines it."""
-    module = sys.modules[_CLASSES[canonical_name(name)].__module__]
-    return module.build_dfa()
+    return _CLASSES[canonical_name(name)].build_dfa()
 
 
 __all__ = [

@@ -3,9 +3,17 @@
 Environments are pure transition functions: an instance holds only the layout
 (fixed by an EnvSpec), and `step(state, action)` maps an explicit state tuple
 to a StepOutcome. That keeps them trivially enumerable, replayable, and safe
-to share across runs. Rewards are the extrinsic shaping used everywhere:
--0.01 per step, +1.0 when the step advances the task automaton, +10.0 on
-acceptance (the bonuses stack on the accepting step).
+to share across runs.
+
+A subclass defines only the dynamics: `reset`, `transition(state, action)
+-> (next_state, event)`, `is_terminal`, `is_dead` (default: never) and
+`layout_text`, plus its parameters as class attributes (`defaults`,
+`extra_parameters`, `default_max_steps`) and its automaton (`build_dfa`).
+`Environment.step` is the one definition of the reward scheme and of the end
+of an episode: -0.01 per step, +1.0 when the step emits an event (advances
+the task automaton), +10.0 when it reaches a terminal (accepting) state, the
+bonuses stacking on the accepting step; the episode ends on a terminal or a
+dead state.
 """
 
 from __future__ import annotations
@@ -58,9 +66,9 @@ class EnvSpec(Config):
 class StepOutcome:
     """Result of one environment step.
 
-    `done` covers task completion and irrecoverable failure (e.g. a dead
-    battery); the per-episode step budget is enforced by the training loop,
-    which reports it through its own timeout flag.
+    `done` covers task completion and irrecoverable failure; `timeout` is
+    the failure alone (a dead state, e.g. a drained battery). The
+    per-episode step budget is enforced by the training loop, not here.
     """
 
     state: tuple
@@ -71,23 +79,66 @@ class StepOutcome:
 
 
 class Environment:
-    """Base class; subclasses fill in layout, dynamics, and labeling."""
+    """Base class; subclasses fill in layout, dynamics, and labeling.
+
+    A subclass sets `defaults` (variant -> {key: default value}),
+    `extra_parameters` (the keys with no per-variant default; together they
+    are the keys an EnvSpec may set) and `default_max_steps`.
+    """
 
     name = "abstract"
     action_names = GRID_ACTIONS
+    extra_parameters = ()
 
     def __init__(self, spec):
+        allowed = set(self.defaults[spec.variant]) | set(self.extra_parameters)
+        unknown = sorted(set(spec.parameters) - allowed)
+        if unknown:
+            raise EnvError(f"{self.name}: unknown parameters {unknown}; "
+                           f"allowed: {sorted(allowed)}")
         self.spec = spec
+        self.max_steps = spec.max_steps or self.default_max_steps
         self._tables = None  # dense-table cache, filled by envs.tables
 
     @property
     def n_actions(self):
         return len(self.action_names)
 
+    def param(self, key, default=None):
+        """The spec's value for `key`, else the variant's default, else
+        `default`."""
+        if key in self.spec.parameters:
+            return self.spec.parameters[key]
+        return self.defaults[self.spec.variant].get(key, default)
+
+    def grid_shape(self):
+        rows, cols = int(self.param("rows")), int(self.param("cols"))
+        if rows < 3 or cols < 3:
+            raise EnvError("grid must be at least 3x3")
+        return rows, cols
+
+    def place(self, count, taken):
+        """`count` seeded cells on the grid, clear of `taken`; source and
+        target layouts draw from different streams."""
+        stream = 0 if self.spec.variant == "source" else 1
+        return fractional_cells(self.spec.layout_seed, count, self.rows,
+                                self.cols, taken=taken, stream=stream)
+
+    def step(self, state, action):
+        state, event = self.transition(state, action)
+        terminal = self.is_terminal(state)
+        dead = self.is_dead(state)
+        reward = STEP_PENALTY
+        if event is not None:
+            reward += PROGRESS_BONUS
+        if terminal:
+            reward += ACCEPT_BONUS
+        return StepOutcome(state, reward, event, terminal or dead, dead)
+
     def reset(self):
         raise NotImplementedError
 
-    def step(self, state, action):
+    def transition(self, state, action):
         raise NotImplementedError
 
     def is_terminal(self, state):
@@ -98,13 +149,6 @@ class Environment:
 
     def layout_text(self):
         raise NotImplementedError
-
-
-def check_parameters(params, allowed, name):
-    unknown = sorted(set(params) - set(allowed))
-    if unknown:
-        raise EnvError(f"{name}: unknown parameters {unknown}; "
-                       f"allowed: {sorted(allowed)}")
 
 
 def fractional_cells(seed, count, rows, cols, taken, stream=0):

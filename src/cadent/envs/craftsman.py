@@ -9,22 +9,13 @@ one step of the task automaton: (wood factory)^quota home.
 
 from __future__ import annotations
 
-from .base import (ACCEPT_BONUS, PROGRESS_BONUS, STEP_PENALTY, EnvError,
-                   Environment, EnvSpec, StepOutcome, anchor_cell,
-                   check_parameters, fractional_cells, grid_text, move,
+from .base import (EnvError, Environment, anchor_cell, grid_text, move,
                    validate_positions)
 from ..automaton import make_dfa
 
 ALPHABET = ("wood", "factory", "home")
 
-_ALLOWED = {"rows", "cols", "n_piles", "quota", "start", "factory", "home",
-            "piles"}
-_DEFAULTS = {
-    "target": {"rows": 25, "cols": 25, "n_piles": 5},
-    "source": {"rows": 15, "cols": 15, "n_piles": 4},
-}
 DEFAULT_QUOTA = 3
-DEFAULT_MAX_STEPS = 500
 
 _FACTORY_ANCHOR = (0.30, 0.70)
 _HOME_ANCHOR = (0.80, 0.20)
@@ -48,46 +39,44 @@ def build_dfa(quota=DEFAULT_QUOTA):
 
 class BlindCraftsman(Environment):
     name = "blind_craftsman"
+    defaults = {
+        "target": {"rows": 25, "cols": 25, "n_piles": 5},
+        "source": {"rows": 15, "cols": 15, "n_piles": 4},
+    }
+    extra_parameters = ("quota", "start", "factory", "home", "piles")
+    default_max_steps = 500
+    build_dfa = staticmethod(build_dfa)
 
-    def __init__(self, spec: EnvSpec):
+    def __init__(self, spec):
         super().__init__(spec)
-        params = dict(spec.parameters)
-        check_parameters(params, _ALLOWED, self.name)
-        dflt = _DEFAULTS[spec.variant]
-        self.rows = int(params.get("rows", dflt["rows"]))
-        self.cols = int(params.get("cols", dflt["cols"]))
-        if self.rows < 3 or self.cols < 3:
-            raise EnvError("grid must be at least 3x3")
-        self.quota = int(params.get("quota", DEFAULT_QUOTA))
+        self.rows, self.cols = self.grid_shape()
+        self.quota = int(self.param("quota", DEFAULT_QUOTA))
         if self.quota < 1:
             raise EnvError("quota must be at least 1")
-        self.start = tuple(params.get("start",
+        self.start = tuple(self.param("start",
                                       (self.rows // 2, self.cols // 2)))
-        self.factory = tuple(params.get(
+        self.factory = tuple(self.param(
             "factory", anchor_cell(_FACTORY_ANCHOR, self.rows, self.cols)))
-        self.home = tuple(params.get(
+        self.home = tuple(self.param(
             "home", anchor_cell(_HOME_ANCHOR, self.rows, self.cols)))
         fixed = [self.start, self.factory, self.home]
         validate_positions(fixed, self.rows, self.cols, self.name)
-        n_piles = int(params.get("n_piles", dflt["n_piles"]))
-        if "piles" in params:
-            piles = [tuple(c) for c in params["piles"]]
+        n_piles = int(self.param("n_piles"))
+        if "piles" in spec.parameters:
+            piles = [tuple(c) for c in spec.parameters["piles"]]
         else:
-            stream = 0 if spec.variant == "source" else 1
-            piles = fractional_cells(spec.layout_seed, n_piles, self.rows,
-                                     self.cols, taken=fixed, stream=stream)
+            piles = self.place(n_piles, taken=fixed)
         validate_positions(fixed + piles, self.rows, self.cols, self.name)
         if not piles:
             raise EnvError("need at least one wood pile")
         self.piles = tuple(piles)
         self._pile_set = frozenset(piles)
-        self.max_steps = spec.max_steps or DEFAULT_MAX_STEPS
         self.dfa = build_dfa(self.quota)
 
     def reset(self):
         return (self.start[0], self.start[1], 0, 0)
 
-    def step(self, state, action):
+    def transition(self, state, action):
         r, c, wood, tools = state
         nr, nc = move((r, c), action, self.rows, self.cols)
         cell = (nr, nc)
@@ -101,13 +90,7 @@ class BlindCraftsman(Environment):
             event = "factory"
         elif cell == self.home and tools == self.quota:
             event = "home"
-        done = event == "home"
-        reward = STEP_PENALTY
-        if event is not None:
-            reward += PROGRESS_BONUS
-        if done:
-            reward += ACCEPT_BONUS
-        return StepOutcome((nr, nc, wood2, tools2), reward, event, done)
+        return (nr, nc, wood2, tools2), event
 
     def is_terminal(self, state):
         return (state[0], state[1]) == self.home and state[3] == self.quota

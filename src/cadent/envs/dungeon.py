@@ -8,19 +8,10 @@ exactly and out-of-order visits are silent.
 
 from __future__ import annotations
 
-from .base import (ACCEPT_BONUS, PROGRESS_BONUS, STEP_PENALTY, EnvError,
-                   Environment, EnvSpec, StepOutcome, check_parameters,
-                   fractional_cells, grid_text, move, validate_positions)
+from .base import Environment, grid_text, move, validate_positions
 from ..automaton import make_dfa
 
 ALPHABET = ("key", "chest", "sword", "shield", "dragon")
-
-_ALLOWED = {"rows", "cols", "start", "key", "chest", "shield", "dragon"}
-_DEFAULTS = {
-    "target": {"rows": 20, "cols": 20},
-    "source": {"rows": 12, "cols": 12},
-}
-DEFAULT_MAX_STEPS = 500
 
 # stage k is completed by the event at index k
 STAGES = ("key", "chest", "sword", "shield", "dragon")
@@ -40,34 +31,32 @@ def build_dfa():
 
 class DungeonQuest(Environment):
     name = "dungeon_quest"
+    defaults = {
+        "target": {"rows": 20, "cols": 20},
+        "source": {"rows": 12, "cols": 12},
+    }
+    extra_parameters = ("start", "key", "chest", "shield", "dragon")
+    default_max_steps = 500
+    build_dfa = staticmethod(build_dfa)
 
-    def __init__(self, spec: EnvSpec):
+    def __init__(self, spec):
         super().__init__(spec)
-        params = dict(spec.parameters)
-        check_parameters(params, _ALLOWED, self.name)
-        dflt = _DEFAULTS[spec.variant]
-        self.rows = int(params.get("rows", dflt["rows"]))
-        self.cols = int(params.get("cols", dflt["cols"]))
-        if self.rows < 3 or self.cols < 3:
-            raise EnvError("grid must be at least 3x3")
-        self.start = tuple(params.get("start", (self.rows - 1, 0)))
+        self.rows, self.cols = self.grid_shape()
+        self.start = tuple(self.param("start", (self.rows - 1, 0)))
         validate_positions([self.start], self.rows, self.cols, self.name)
-        stream = 0 if spec.variant == "source" else 1
-        auto = fractional_cells(spec.layout_seed, 4, self.rows, self.cols,
-                                taken=[self.start], stream=stream)
-        self.key = tuple(params.get("key", auto[0]))
-        self.chest = tuple(params.get("chest", auto[1]))
-        self.shield = tuple(params.get("shield", auto[2]))
-        self.dragon = tuple(params.get("dragon", auto[3]))
+        auto = self.place(4, taken=[self.start])
+        self.key = tuple(self.param("key", auto[0]))
+        self.chest = tuple(self.param("chest", auto[1]))
+        self.shield = tuple(self.param("shield", auto[2]))
+        self.dragon = tuple(self.param("dragon", auto[3]))
         validate_positions([self.start, self.key, self.chest, self.shield,
                             self.dragon], self.rows, self.cols, self.name)
-        self.max_steps = spec.max_steps or DEFAULT_MAX_STEPS
         self.dfa = build_dfa()
 
     def reset(self):
         return (self.start[0], self.start[1], 0)
 
-    def step(self, state, action):
+    def transition(self, state, action):
         r, c, stage = state
         nr, nc = move((r, c), action, self.rows, self.cols)
         cell = (nr, nc)
@@ -78,13 +67,7 @@ class DungeonQuest(Environment):
         if stage < 5 and cell == sites[stage]:
             event = STAGES[stage]
             stage = stage + 1
-        done = stage == 5
-        reward = STEP_PENALTY
-        if event is not None:
-            reward += PROGRESS_BONUS
-        if done:
-            reward += ACCEPT_BONUS
-        return StepOutcome((nr, nc, stage), reward, event, done)
+        return (nr, nc, stage), event
 
     def is_terminal(self, state):
         return state[2] == 5

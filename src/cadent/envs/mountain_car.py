@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .base import (ACCEPT_BONUS, PROGRESS_BONUS, STEP_PENALTY, EnvError,
-                   Environment, EnvSpec, StepOutcome, check_parameters)
+from .base import EnvError, Environment
 from ..automaton import make_dfa
 
 ALPHABET = ("power_cell", "sensor_array", "data_crystal", "base_station")
@@ -26,13 +25,6 @@ A_LEFT, A_NOOP, A_RIGHT, A_INTERACT = range(4)
 V_MAX = 3
 ENERGY_MAX = 4
 BOOST_THRUST = 2  # replaces the normal +1 thrust while on the steep section
-
-_ALLOWED = {"n_positions", "parts"}
-_DEFAULTS = {
-    "target": {"n_positions": 15, "parts": (5, 8, 11)},
-    "source": {"n_positions": 9, "parts": (3, 5, 7)},
-}
-DEFAULT_MAX_STEPS = 1000
 
 LEFT, VALLEY, GENTLE, STEEP, SUMMIT = range(5)
 _GRAVITY = {LEFT: 1, VALLEY: 0, GENTLE: -1, STEEP: -2, SUMMIT: 0}
@@ -74,29 +66,31 @@ def build_dfa():
 class MountainCarCollection(Environment):
     name = "mountain_car_collection"
     action_names = ACTION_NAMES
+    defaults = {
+        "target": {"n_positions": 15, "parts": (5, 8, 11)},
+        "source": {"n_positions": 9, "parts": (3, 5, 7)},
+    }
+    default_max_steps = 1000
+    build_dfa = staticmethod(build_dfa)
 
-    def __init__(self, spec: EnvSpec):
+    def __init__(self, spec):
         super().__init__(spec)
-        params = dict(spec.parameters)
-        check_parameters(params, _ALLOWED, self.name)
-        dflt = _DEFAULTS[spec.variant]
-        self.n_positions = int(params.get("n_positions", dflt["n_positions"]))
+        self.n_positions = int(self.param("n_positions"))
         self.bands = band_layout(self.n_positions)
         self.gravity = tuple(_GRAVITY[b] for b in self.bands)
-        parts = tuple(int(p) for p in params.get("parts", dflt["parts"]))
+        parts = tuple(int(p) for p in self.param("parts"))
         if len(parts) != 3 or sorted(set(parts)) != list(parts):
             raise EnvError("parts must be three strictly increasing buckets")
         if parts[0] <= 0 or parts[-1] >= self.n_positions - 1:
             raise EnvError("parts must lie strictly between the track ends")
         self.parts = parts
         self.valley_floor = self.bands.index(VALLEY)
-        self.max_steps = spec.max_steps or DEFAULT_MAX_STEPS
         self.dfa = build_dfa()
 
     def reset(self):
         return (self.valley_floor, 0, 0, 0)
 
-    def step(self, state, action):
+    def transition(self, state, action):
         p, v, energy, stage = state
         event = None
         if action == A_INTERACT:
@@ -122,13 +116,7 @@ class MountainCarCollection(Environment):
             if self.bands[p2] == VALLEY and abs(v2) >= 2:
                 energy = min(energy + 1, ENERGY_MAX)
             next_state = (p2, v2, energy, stage)
-        done = stage == 4
-        reward = STEP_PENALTY
-        if event is not None:
-            reward += PROGRESS_BONUS
-        if done:
-            reward += ACCEPT_BONUS
-        return StepOutcome(next_state, reward, event, done)
+        return next_state, event
 
     def is_terminal(self, state):
         return state[3] == 4

@@ -11,9 +11,7 @@ target facilities use different station arrangements.
 
 from __future__ import annotations
 
-from .base import (ACCEPT_BONUS, PROGRESS_BONUS, STEP_PENALTY, EnvError,
-                   Environment, EnvSpec, StepOutcome, check_parameters,
-                   fractional_cells, grid_text, move, validate_positions)
+from .base import Environment, grid_text, move, validate_positions
 from ..automaton import make_dfa
 
 ALPHABET = ("scanner", "scan", "charging_station", "item", "deliver")
@@ -24,14 +22,6 @@ A_INTERACT = 4
 BATTERY_BUCKETS = 5
 TICKS_PER_BUCKET = 10
 DEAD_STATE = (-1, -1, -1, -1, -1)
-
-_ALLOWED = {"rows", "cols", "start", "scanner_station", "shelf", "charger",
-            "item_shelf", "dock"}
-_DEFAULTS = {
-    "target": {"rows": 10, "cols": 12},
-    "source": {"rows": 6, "cols": 8},
-}
-DEFAULT_MAX_STEPS = 1000
 
 # interaction sites in chain order; stage k interacts at _SITES[k]
 _SITES = ("scanner_station", "shelf", "charger", "item_shelf", "dock")
@@ -52,38 +42,35 @@ def build_dfa():
 class WarehouseRobotics(Environment):
     name = "warehouse_robotics"
     action_names = ACTION_NAMES
+    defaults = {
+        "target": {"rows": 10, "cols": 12},
+        "source": {"rows": 6, "cols": 8},
+    }
+    extra_parameters = ("start",) + _SITES
+    default_max_steps = 1000
+    build_dfa = staticmethod(build_dfa)
 
-    def __init__(self, spec: EnvSpec):
+    def __init__(self, spec):
         super().__init__(spec)
-        params = dict(spec.parameters)
-        check_parameters(params, _ALLOWED, self.name)
-        dflt = _DEFAULTS[spec.variant]
-        self.rows = int(params.get("rows", dflt["rows"]))
-        self.cols = int(params.get("cols", dflt["cols"]))
-        if self.rows < 3 or self.cols < 3:
-            raise EnvError("grid must be at least 3x3")
-        self.start = tuple(params.get("start", (0, 0)))
+        self.rows, self.cols = self.grid_shape()
+        self.start = tuple(self.param("start", (0, 0)))
         validate_positions([self.start], self.rows, self.cols, self.name)
-        # source and target use different arrangements: salt the stream
-        salt = 0 if self.spec.variant == "source" else 1
-        auto = fractional_cells(spec.layout_seed, 5, self.rows, self.cols,
-                                taken=[self.start], stream=salt)
-        self.scanner_station = tuple(params.get("scanner_station", auto[0]))
-        self.shelf = tuple(params.get("shelf", auto[1]))
-        self.charger = tuple(params.get("charger", auto[2]))
-        self.item_shelf = tuple(params.get("item_shelf", auto[3]))
-        self.dock = tuple(params.get("dock", auto[4]))
+        auto = self.place(5, taken=[self.start])
+        self.scanner_station = tuple(self.param("scanner_station", auto[0]))
+        self.shelf = tuple(self.param("shelf", auto[1]))
+        self.charger = tuple(self.param("charger", auto[2]))
+        self.item_shelf = tuple(self.param("item_shelf", auto[3]))
+        self.dock = tuple(self.param("dock", auto[4]))
         self.sites = (self.scanner_station, self.shelf, self.charger,
                       self.item_shelf, self.dock)
         validate_positions((self.start,) + self.sites, self.rows, self.cols,
                            self.name)
-        self.max_steps = spec.max_steps or DEFAULT_MAX_STEPS
         self.dfa = build_dfa()
 
     def reset(self):
         return (self.start[0], self.start[1], 0, BATTERY_BUCKETS - 1, 0)
 
-    def step(self, state, action):
+    def transition(self, state, action):
         if state == DEAD_STATE:
             raise ValueError("cannot step a dead robot")
         r, c, stage, bucket, tick = state
@@ -97,8 +84,7 @@ class WarehouseRobotics(Environment):
             event = ALPHABET[stage]
             stage += 1
         if stage == 5:
-            reward = STEP_PENALTY + PROGRESS_BONUS + ACCEPT_BONUS
-            return StepOutcome((nr, nc, 5, bucket, tick), reward, event, True)
+            return (nr, nc, 5, bucket, tick), event
         if cell == self.charger:
             bucket2, tick2 = BATTERY_BUCKETS - 1, 0
         else:
@@ -106,11 +92,9 @@ class WarehouseRobotics(Environment):
             if tick2 == TICKS_PER_BUCKET:
                 tick2 = 0
                 bucket2 = bucket - 1
-        reward = STEP_PENALTY + (PROGRESS_BONUS if event is not None else 0.0)
         if bucket2 < 0:
-            return StepOutcome(DEAD_STATE, reward, event, True, timeout=True)
-        return StepOutcome((nr, nc, stage, bucket2, tick2), reward, event,
-                           False)
+            return DEAD_STATE, event
+        return (nr, nc, stage, bucket2, tick2), event
 
     def is_terminal(self, state):
         return state != DEAD_STATE and state[2] == 5

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import canonical_variant, preset_names, resolve_preset
-from .envs import (DEFAULT_EPISODES, ENV_NAMES, EnvSpec, canonical_name,
-                   make_env)
+from .envs import (ACCEPT_BONUS, DEFAULT_EPISODES, ENV_NAMES, PROGRESS_BONUS,
+                   STEP_PENALTY, EnvSpec, canonical_name, make_env)
 from .files import json_text, write_atomic
 from .student import StudentConfig, train_student, uses_teacher
 from .tabular import Config
@@ -496,8 +496,8 @@ def build_summary(config, results, diags):
         n_progress = sum(1 for (q, _s), t in env.dfa.transitions.items()
                          if t != q)
         norm[env_name] = {
-            "reward_min": env.max_steps * -0.01,
-            "reward_max": n_progress * 1.0 + 10.0,
+            "reward_min": env.max_steps * STEP_PENALTY,
+            "reward_max": n_progress * PROGRESS_BONUS + ACCEPT_BONUS,
         }
     return {
         "config": config.to_json(),

@@ -29,6 +29,11 @@ _JSON_TYPES = {"int": ((int,), "integer"), "float": ((int, float), "number"),
                "dict": ((dict,), "object")}
 
 
+def _words(name):
+    """A class name in words: `ExperimentConfig` -> "experiment config"."""
+    return re.sub(r"(?<!^)(?=[A-Z])", " ", name).lower()
+
+
 class Config:
     """Base of the frozen config dataclasses. Their JSON form, files and
     overrides all come from the fields: a field whose default is built by
@@ -44,8 +49,7 @@ class Config:
         an object, unknown or missing keys and a field of the wrong JSON
         type; `section` defaults to the class name in words."""
         if not isinstance(payload, dict):
-            section = section or re.sub(r"(?<!^)(?=[A-Z])", " ",
-                                        cls.__name__).lower()
+            section = section or _words(cls.__name__)
             raise ValueError(f"{section} must be a JSON object, not "
                              f"{type(payload).__name__}")
         payload = dict(payload)
@@ -76,7 +80,9 @@ class Config:
 
     @classmethod
     def load(cls, path):
-        return cls.from_json(read_json(path))
+        # a file that holds no JSON object is named in the error
+        return cls.from_json(read_json(path),
+                             f"{path}: {_words(cls.__name__)}")
 
     def with_(self, **kw):
         return replace(self, **kw)

@@ -254,6 +254,14 @@ def test_load_rejects_truncated_file(tmp_path, chain):
         load_dfa(path)
 
 
+def test_load_rejects_non_object_json(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    with pytest.raises(DfaError, match=(
+            f"^{re.escape(str(path))}: not a cadent-dfa file$")):
+        load_dfa(path)
+
+
 def test_make_dfa_rejects_unknown_edge_pair():
     with pytest.raises(DfaError):
         make_dfa(states=("a",), alphabet=("x",), start="a", accepting=set(),

@@ -63,7 +63,9 @@ def test_experiment_config_section_not_an_object(tmp_path, capsys, payload,
     assert main(["experiment", "--config", str(path), "--out",
                  str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {section} must be a JSON object")
+    # a file that is not an object names itself; a section names its key
+    where = f"{path}: " if section == "experiment config" else ""
+    assert err.startswith(f"error: {where}{section} must be a JSON object")
 
 
 @pytest.mark.parametrize("payload,message", [
@@ -108,6 +110,29 @@ def test_experiment_config_item_of_wrong_type(tmp_path, capsys, payload,
     out = tmp_path / "out"
     assert main(["experiment", "--config", str(path), "--out",
                  str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--episodes", "dungeon=5,dungeon_quest=7",
+     "ExperimentConfig.episodes names dungeon_quest twice"),
+    ("--episodes", "dungeon=5,dungeon=7", "--episodes names 'dungeon' twice"),
+    ("--episodes", "dungeon",
+     "bad --episodes clause 'dungeon'; use env=count"),
+    ("--episodes", "dungeon=x",
+     "bad --episodes clause 'dungeon=x'; use env=count"),
+    ("--envs", "dungeon,dungeon_quest", "ExperimentConfig.environments must "
+                                        "be distinct, not ['dungeon_quest', "
+                                        "'dungeon_quest']"),
+    ("--variants", "ad,ad_only", "ExperimentConfig.variants must be "
+                                 "distinct, not ['ad', 'ad']"),
+], ids=["episodes-alias", "episodes-repeat", "episodes-no-count",
+        "episodes-not-a-number", "envs-alias", "variants-alias"])
+def test_experiment_overrides_rejected_like_the_config(tmp_path, capsys, flag,
+                                                       value, message):
+    out = tmp_path / "out"
+    assert main(["experiment", "--out", str(out), flag, value]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cadent.envs import EnvSpec, default_spec, make_env
 from cadent.envs.dungeon import DungeonQuest
-from cadent.envs.tables import compile_env
+from cadent.envs.tables import compile_env, product_reach
 from cadent.kernels import (SOFT_CAP, greedy_rollout, run_training,
                             softmax_prob, train_run)
 from cadent.rng import state_from
@@ -82,7 +82,10 @@ def test_compile_deterministic_indexing():
     assert np.array_equal(a.event, b.event)
 
 
-def test_compile_rejects_inconsistent_done_flag():
+def test_product_reach_reports_terminal_mismatch():
+    # Environment.step derives `done` from is_terminal, so a wrong
+    # classification is no longer a disagreement inside the env: it shows
+    # as accepting automaton states whose env states do not end the episode
     class BrokenDungeon(DungeonQuest):
         def is_terminal(self, state):
             return False
@@ -91,8 +94,11 @@ def test_compile_rejects_inconsistent_done_flag():
         "rows": 3, "cols": 3, "start": (2, 0), "key": (2, 1),
         "chest": (2, 2), "shield": (1, 2), "dragon": (0, 2),
     })
-    with pytest.raises(AssertionError):
-        compile_env(BrokenDungeon(spec))
+    env = BrokenDungeon(spec)
+    _q_of, violations = product_reach(compile_env(env), env.dfa.compiled())
+    assert violations
+    assert all(v.startswith("terminal/accepting mismatch")
+               for v in violations)
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,15 @@ def test_config_load_names_the_file_of_truncated_json(tmp_path):
         LearningParams.load(path)
 
 
+def test_config_load_names_the_file_of_non_object_json(tmp_path):
+    path = tmp_path / "learn.json"
+    path.write_text("[]")
+    with pytest.raises(ValueError, match=(
+            f"^{re.escape(str(path))}: learning params must be a JSON object, "
+            f"not list$")):
+        LearningParams.load(path)
+
+
 def test_qtable_save_rejects_unserializable_key(tmp_path):
     qt = QTable(2)
     qt.set(("fine",), 0, 1.0)
