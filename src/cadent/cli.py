@@ -141,7 +141,7 @@ def _parse_episodes(text):
     out = {}
     for clause in text.split(","):
         name, eq, count = clause.partition("=")
-        if not (eq and count.strip().isdigit()):
+        if not (eq and count.strip().isdecimal()):
             raise ValueError(f"bad --episodes clause {clause!r}; "
                              f"use env=count")
         if name in out:
@@ -166,7 +166,12 @@ def cmd_experiment(args):
     if args.variants:
         overrides["variants"] = tuple(args.variants.split(","))
     if args.seeds:
-        overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
+        seeds = args.seeds.split(",")
+        for item in seeds:
+            if not item.strip().isdecimal():
+                raise ValueError(f"bad --seeds item {item!r}; use "
+                                 f"non-negative integers")
+        overrides["seeds"] = tuple(int(s) for s in seeds)
     if args.episodes:
         overrides["episodes"] = _parse_episodes(args.episodes)
     if overrides:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import canonical_variant, preset_names, resolve_preset
+from .baselines import canonical_variant, preset_names
 from .envs import (ACCEPT_BONUS, DEFAULT_EPISODES, ENV_NAMES, PROGRESS_BONUS,
                    STEP_PENALTY, EnvSpec, canonical_name, make_env)
 from .files import json_text, write_atomic
@@ -188,13 +188,24 @@ def read_run_csv(path):
     return records
 
 
+def _curve_rows(xs, table):
+    """(x, mean, stderr, n) for each row of a (points, runs) table: the
+    sample mean and standard error over n runs, stderr 0.0 for one run.
+    Reduced along the contiguous axis, each row sums in the order of a 1-D
+    reduction (an axis-0 sum would not), so every row has the bits of a
+    table of that row alone."""
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    n = table.shape[1]
+    mean = table.mean(axis=1).tolist()
+    err = ((table.std(axis=1, ddof=1) / math.sqrt(n)).tolist() if n > 1
+           else [0.0] * len(mean))
+    return [(x, m, e, n) for x, m, e in zip(xs, mean, err)]
+
+
 def _mean_stderr(values):
     """Sample mean and standard error; a single sample has stderr 0.0."""
-    arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    if len(arr) < 2:
-        return mean, 0.0
-    return mean, float(arr.std(ddof=1) / math.sqrt(len(arr)))
+    _x, mean, err, _n = _curve_rows([None], [values])[0]
+    return mean, err
 
 
 def aggregate_per_episode(runs, metric):
@@ -206,12 +217,9 @@ def aggregate_per_episode(runs, metric):
     lengths = {len(r) for r in runs}
     if len(lengths) != 1:
         raise ValueError(f"runs have unequal lengths {sorted(lengths)}")
-    rows = []
-    for ep in range(lengths.pop()):
-        vals = [float(getattr(run[ep], metric)) for run in runs]
-        mean, err = _mean_stderr(vals)
-        rows.append((ep, mean, err, len(vals)))
-    return rows
+    table = np.array([[getattr(rec, metric) for rec in run] for run in runs],
+                     dtype=np.float64).T
+    return _curve_rows(range(lengths.pop()), table)
 
 
 def aggregate_vs_cumulative_steps(runs, points=CURVE_POINTS):
@@ -223,31 +231,16 @@ def aggregate_vs_cumulative_steps(runs, points=CURVE_POINTS):
     point averages over all runs.
     """
     total = min(run[-1].cumulative_steps for run in runs)
-    grid = [max(1, round(total * (i + 1) / points)) for i in range(points)]
-    grid = sorted(set(grid))
-    rows = []
-    cursors = [0] * len(runs)
-    for x in grid:
-        vals = []
-        for i, run in enumerate(runs):
-            c = cursors[i]
-            while (c + 1 < len(run)
-                   and run[c].cumulative_steps <= x):
-                c += 1
-            # run[c] is the first episode not yet finished at x (or the
-            # last); the value at x is the previous one, backfilled at the
-            # start
-            if run[c].cumulative_steps <= x:
-                val = run[c].reward
-            elif c == 0:
-                val = run[0].reward
-            else:
-                val = run[c - 1].reward
-            cursors[i] = c
-            vals.append(float(val))
-        mean, err = _mean_stderr(vals)
-        rows.append((x, mean, err, len(vals)))
-    return rows
+    grid = sorted({max(1, round(total * (i + 1) / points))
+                   for i in range(points)})
+    columns = []
+    for run in runs:
+        cum = np.array([rec.cumulative_steps for rec in run])
+        reward = np.array([rec.reward for rec in run], dtype=np.float64)
+        # the last episode finished by x, else the first (backfill)
+        last = np.searchsorted(cum, grid, side="right") - 1
+        columns.append(reward[np.maximum(last, 0)])
+    return _curve_rows(grid, np.stack(columns, axis=1))
 
 
 def write_curve_csv(path, rows):
@@ -325,9 +318,7 @@ def _train_cell(args):
     (config_json, env_name, variant, seed, knowledge_path) = args
     config = ExperimentConfig.from_json(config_json)
     env = _env(env_name, "target", config)
-    # cadent pins nothing, so any base takes the experiment's omega0
-    student_cfg = resolve_preset(variant, config.base.with_(
-        variant="cadent", omega0=config.omega0))
+    student_cfg = config.base.with_(variant=variant, omega0=config.omega0)
     knowledge = _knowledge(knowledge_path) if uses_teacher(variant) else None
     result = train_student(env, knowledge, student_cfg,
                            episodes=config.episodes_for(env_name),

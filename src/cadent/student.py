@@ -23,12 +23,13 @@ from .kernels import (RunResult, fused_update, run_training, softmax_prob,
 from .tabular import Config, LearningParams
 from .teacher import TrainedRun, dense_knowledge
 
-# name -> (gated, strategic, tactical, omega0). gated: the trust gate sets
+# name -> (gated, strategic, tactical, pinned). gated: the trust gate sets
 # omega from the pair's volatility, otherwise omega is fixed. strategic,
 # tactical: the variant keeps lambda_ad, lambda_pd (without it the weight is
-# 0). omega0: the fixed omega the variant pins, or None to read it from
-# StudentConfig.omega0. The order is part of the results: the harness
-# derives each variant's random stream from it.
+# 0). pinned: the fixed omega the variant pins, or None to read it from
+# StudentConfig.omega0. `train_student` applies the row, so a config keeps
+# every weight whatever its variant. The order is part of the results: the
+# harness derives each variant's random stream from it.
 VARIANTS = {
     "cadent": (True, True, True, None),
     "ad": (True, True, False, None),
@@ -85,7 +86,7 @@ class GuidanceParams(Config):
 
 @dataclass(frozen=True)
 class StudentConfig(Config):
-    """Full hyperparameter bundle for one training variant."""
+    """Full hyperparameter bundle; its variant picks which weights a run uses."""
 
     learn: LearningParams = field(default_factory=LearningParams)
     trust: TrustParams = field(default_factory=TrustParams)
@@ -98,14 +99,6 @@ class StudentConfig(Config):
             raise ValueError(f"variant must be one of {tuple(VARIANTS)}")
         if not (0.0 <= self.omega0 <= 1.0):
             raise ValueError("omega0 must be in [0, 1]")
-        _gated, strategic, tactical, omega0 = VARIANTS[self.variant]
-        if not strategic and self.guide.lambda_ad != 0.0:
-            raise ValueError(f"{self.variant} variant requires lambda_ad == 0")
-        if not tactical and self.guide.lambda_pd != 0.0:
-            raise ValueError(f"{self.variant} variant requires lambda_pd == 0")
-        if omega0 is not None and self.omega0 != omega0:
-            raise ValueError(f"{self.variant} variant pins omega0 to "
-                             f"{omega0}")
 
 
 @dataclass
@@ -181,15 +174,19 @@ class StudentResult(TrainedRun):
 def train_student(env, knowledge, config, episodes, seed, stream=0):
     """Train one student on `env` under the given variant configuration.
 
-    `knowledge` may (and must) be None only for the no_transfer variant.
-    Compatibility between the knowledge and the environment's automaton and
-    action set is checked before any step runs. Update magnitudes are
-    monitored against the analytic bound; non-finite updates raise.
+    The config's row of VARIANTS decides the run: whether the gate is on,
+    which of lambda_ad and lambda_pd it keeps (a dropped weight is 0.0, in
+    the kernel and in the bound) and its fixed omega, the pin or else
+    `config.omega0`. `knowledge` may (and must) be None only for the
+    no_transfer variant. Compatibility between the knowledge and the
+    environment's automaton and action set is checked before any step runs.
+    Update magnitudes are monitored against the analytic bound; non-finite
+    updates raise.
     """
     if episodes <= 0:
         raise ValueError("episodes must be positive")
-    gated, _strategic, _tactical, _omega0 = VARIANTS[config.variant]
-    guided = uses_teacher(config.variant)
+    gated, strategic, tactical, pinned = VARIANTS[config.variant]
+    guided = strategic or tactical
     if guided and knowledge is None:
         raise ValueError(f"variant {config.variant!r} requires teacher "
                          f"knowledge")
@@ -202,9 +199,11 @@ def train_student(env, knowledge, config, episodes, seed, stream=0):
     if knowledge is not None:
         dense = dense_knowledge(knowledge, env.dfa, tables.n_actions)
         q_ad_max = knowledge.q_ad_max()
+    lam_ad = config.guide.lambda_ad if strategic else 0.0
+    lam_pd = config.guide.lambda_pd if tactical else 0.0
+    omega_fixed = config.omega0 if pinned is None else pinned
     r_max = float(np.abs(tables.reward).max())
-    bound = update_bound(config.learn.gamma, r_max, config.guide.lambda_ad,
-                         q_ad_max, config.guide.lambda_pd)
+    bound = update_bound(config.learn.gamma, r_max, lam_ad, q_ad_max, lam_pd)
     res = run_training(
         tables, cdfa, dense,
         alpha=config.learn.alpha, gamma=config.learn.gamma,
@@ -213,8 +212,8 @@ def train_student(env, knowledge, config, episodes, seed, stream=0):
         eps_decay=config.learn.epsilon_decay,
         eta=config.trust.eta, gate_k=config.trust.k,
         theta=config.trust.theta, v_init=config.trust.v_init,
-        lam_ad=config.guide.lambda_ad, lam_pd=config.guide.lambda_pd,
-        use_gate=gated, omega_fixed=config.omega0, use_guidance=guided,
+        lam_ad=lam_ad, lam_pd=lam_pd,
+        use_gate=gated, omega_fixed=omega_fixed, use_guidance=guided,
         episodes=episodes, max_steps=env.max_steps,
         seed=seed, stream=stream, bound=bound)
     diag = Diagnostics(

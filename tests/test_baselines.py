@@ -39,25 +39,16 @@ def test_resolve_defaults():
     assert cfg.trust == TrustParams()
 
 
-def test_resolve_ablations_zero_the_other_term():
-    ad = resolve_preset("ad")
-    assert (ad.guide.lambda_ad, ad.guide.lambda_pd) == (1.0, 0.0)
-    pd = resolve_preset("pd")
-    assert (pd.guide.lambda_ad, pd.guide.lambda_pd) == (0.0, 0.5)
-    none = resolve_preset("no_transfer")
-    assert (none.guide.lambda_ad, none.guide.lambda_pd) == (0.0, 0.0)
-
-
 def test_resolve_preserves_base_hyperparameters():
+    # a preset only names the variant; train_student drops the weights the
+    # variant does not use (test_student::test_preset_kernel_arguments)
     base = StudentConfig(learn=LearningParams(alpha=0.2, gamma=0.95),
                          trust=TrustParams(theta=0.9),
-                         guide=GuidanceParams(lambda_ad=2.0, lambda_pd=0.25))
-    ad = resolve_preset("ad", base)
-    assert ad.learn.alpha == 0.2
-    assert ad.trust.theta == 0.9
-    assert ad.guide.lambda_ad == 2.0 and ad.guide.lambda_pd == 0.0
-    pd = resolve_preset("pd", base)
-    assert pd.guide.lambda_pd == 0.25 and pd.guide.lambda_ad == 0.0
+                         guide=GuidanceParams(lambda_ad=2.0, lambda_pd=0.25),
+                         omega0=0.8)
+    for name in preset_names():
+        assert resolve_preset(name, base) == base.with_(variant=name)
+    assert resolve_preset("ad-only", base).variant == "ad"
 
 
 def test_resolve_is_idempotent():
@@ -65,18 +56,6 @@ def test_resolve_is_idempotent():
         once = resolve_preset(name)
         again = resolve_preset(name, base=once)
         assert again == once
-
-
-def test_omega0_only_for_fixed_family():
-    with pytest.raises(ValueError, match="fixed-trust"):
-        resolve_preset("cadent", omega0=0.3)
-    with pytest.raises(ValueError, match="fixed-trust"):
-        resolve_preset("no_transfer", omega0=0.3)
-    fixed = resolve_preset("fixed_trust", omega0=0.3)
-    assert fixed.omega0 == 0.3
-    assert resolve_preset("no_trust_gate", omega0=0.5).omega0 == 0.5
-    with pytest.raises(ValueError, match="fixed_trust"):
-        resolve_preset("no_trust_gate", omega0=0.7)
 
 
 def test_fixed_trust_inherits_base_omega():

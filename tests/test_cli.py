@@ -122,13 +122,18 @@ def test_experiment_config_item_of_wrong_type(tmp_path, capsys, payload,
      "bad --episodes clause 'dungeon'; use env=count"),
     ("--episodes", "dungeon=x",
      "bad --episodes clause 'dungeon=x'; use env=count"),
+    ("--episodes", "dungeon=\u00b2",
+     "bad --episodes clause 'dungeon=\u00b2'; use env=count"),
     ("--envs", "dungeon,dungeon_quest", "ExperimentConfig.environments must "
                                         "be distinct, not ['dungeon_quest', "
                                         "'dungeon_quest']"),
     ("--variants", "ad,ad_only", "ExperimentConfig.variants must be "
                                  "distinct, not ['ad', 'ad']"),
+    ("--seeds", "1,x", "bad --seeds item 'x'; use non-negative integers"),
+    ("--seeds", "1,-2", "bad --seeds item '-2'; use non-negative integers"),
 ], ids=["episodes-alias", "episodes-repeat", "episodes-no-count",
-        "episodes-not-a-number", "envs-alias", "variants-alias"])
+        "episodes-not-a-number", "episodes-superscript", "envs-alias",
+        "variants-alias", "seeds-not-a-number", "seeds-negative"])
 def test_experiment_overrides_rejected_like_the_config(tmp_path, capsys, flag,
                                                        value, message):
     out = tmp_path / "out"

@@ -138,8 +138,8 @@ def _teacher_cell(name):
 
 def _student_cell(name, variant, knowledge):
     env = make_env(default_spec(name, "target"))
-    config = resolve_preset(variant, omega0=(0.25 if variant == "fixed_trust"
-                                             else None))
+    config = resolve_preset(variant, (student.StudentConfig(omega0=0.25)
+                                      if variant == "fixed_trust" else None))
     with _captured(student) as seen:
         result = student.train_student(
             env, knowledge if variant != "no_transfer" else None, config,

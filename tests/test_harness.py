@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cadent import files, harness, teacher
+from cadent import files, harness, student, teacher
 from cadent.automaton import save_dfa
 from cadent.envs import bundled_dfa
 from cadent.harness import (CURVE_CSV_HEADER, RUN_CSV_HEADER, EpisodeRecord,
@@ -158,27 +158,31 @@ def _records(rewards, steps=None, variant="cadent", env="dungeon_quest",
 
 def test_train_cell_omega0_on_a_pinned_base(monkeypatch):
     # a base read from JSON may name a variant that pins omega0; each cell
-    # still gets the experiment's omega0 unless its own variant pins it
-    seen = {}
+    # still runs the kernel at the experiment's omega0 unless its own
+    # variant pins it
+    seen = []
 
     class Stop(Exception):
         pass
 
-    def capture(env, knowledge, config, **kwargs):
-        seen[config.variant] = config.omega0
+    def capture(*args, **kwargs):
+        seen.append(kwargs["omega_fixed"])
         raise Stop
 
-    monkeypatch.setattr(harness, "_knowledge", lambda path: None)
-    monkeypatch.setattr(harness, "train_student", capture)
     config = ExperimentConfig(
         variants=("no_transfer", "no_trust_gate", "fixed_trust"), omega0=0.8,
         base=StudentConfig(variant="no_trust_gate"))
+    env = harness._env("dungeon_quest", "target", config)
+    knowledge = TeacherKnowledge(
+        q_ad={}, pi={}, tau=2.0, n_actions=env.n_actions,
+        alphabet=tuple(env.dfa.alphabet), aggregation="visitation_weighted")
+    monkeypatch.setattr(harness, "_knowledge", lambda path: knowledge)
+    monkeypatch.setattr(student, "run_training", capture)
     for variant in config.variants:
         with pytest.raises(Stop):
             harness._train_cell((config.to_json(), "dungeon_quest", variant,
                                  1, "unused"))
-    assert seen == {"no_transfer": 0.8, "no_trust_gate": 0.5,
-                    "fixed_trust": 0.8}
+    assert seen == [0.8, 0.5, 0.8]
 
 
 def test_records_from_result():

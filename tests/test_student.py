@@ -190,28 +190,27 @@ def test_student_config_variant_rules():
     with pytest.raises(ValueError):
         StudentConfig(variant="cadent", omega0=1.5)
     with pytest.raises(ValueError):
-        StudentConfig(variant="ad")  # default lambda_pd is nonzero
-    with pytest.raises(ValueError):
-        StudentConfig(variant="pd")
-    with pytest.raises(ValueError):
-        StudentConfig(variant="no_transfer")
-    with pytest.raises(ValueError):
-        StudentConfig(variant="no_trust_gate", omega0=0.9)
-    StudentConfig(variant="ad", guide=GuidanceParams(lambda_pd=0.0))
-    StudentConfig(variant="no_trust_gate", omega0=0.5)
+        StudentConfig(variant="fixed_trust", omega0=-0.1)
+    # every variant takes any weights and omega0: train_student applies
+    # the variant's row (test_preset_kernel_arguments)
+    for name in preset_names():
+        StudentConfig(variant=name)
+        StudentConfig(variant=name, omega0=0.9,
+                      guide=GuidanceParams(lambda_ad=2.0, lambda_pd=0.0))
 
 
 def test_preset_kernel_arguments(monkeypatch, dungeon_target,
                                  source_knowledge):
-    # (use_gate, use_guidance, omega): omega is the fixed weight the kernel
-    # applies, None where the gate sets it or no teacher term is weighed
+    # the variant rules: (use_gate, use_guidance, omega_fixed, lam_ad,
+    # lam_pd) the kernel gets from one base config; a variant drops the
+    # weights it does not use, and no_trust_gate pins omega to 0.5
     expected = {
-        "cadent": (True, True, None),
-        "ad": (True, True, None),
-        "pd": (True, True, None),
-        "no_transfer": (False, False, None),
-        "no_trust_gate": (False, True, 0.5),
-        "fixed_trust": (False, True, 0.25),
+        "cadent": (True, True, 0.8, 2.0, 0.25),
+        "ad": (True, True, 0.8, 2.0, 0.0),
+        "pd": (True, True, 0.8, 0.0, 0.25),
+        "no_transfer": (False, False, 0.8, 0.0, 0.0),
+        "no_trust_gate": (False, True, 0.5, 2.0, 0.25),
+        "fixed_trust": (False, True, 0.8, 2.0, 0.25),
     }
     assert tuple(expected) == preset_names()
     seen = {}
@@ -221,17 +220,15 @@ def test_preset_kernel_arguments(monkeypatch, dungeon_target,
         return run_training(*args, **kwargs)
 
     monkeypatch.setattr(student, "run_training", capture)
-    base = StudentConfig(omega0=0.8)   # no_trust_gate keeps its 0.5
-    for name, (use_gate, use_guidance, omega) in expected.items():
-        config = resolve_preset(name, base, omega0=(
-            0.25 if name == "fixed_trust" else None))
+    base = StudentConfig(
+        guide=GuidanceParams(lambda_ad=2.0, lambda_pd=0.25), omega0=0.8)
+    for name, row in expected.items():
         train_student(dungeon_target,
-                      source_knowledge if use_guidance else None, config,
-                      episodes=1, seed=1)
-        assert (seen["use_gate"], seen["use_guidance"]) == (
-            use_gate, use_guidance), name
-        if omega is not None:
-            assert seen["omega_fixed"] == omega, name
+                      source_knowledge if row[1] else None,
+                      base.with_(variant=name), episodes=1, seed=1)
+        assert tuple(seen[key] for key in (
+            "use_gate", "use_guidance", "omega_fixed", "lam_ad",
+            "lam_pd")) == row, name
 
 
 def test_student_config_round_trip():
