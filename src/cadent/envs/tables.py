@@ -5,11 +5,17 @@ state set can be enumerated breadth-first from the reset state. The result is
 a set of flat arrays (successor, reward, event id, terminal/dead flags) that
 training kernels, planners, and reference oracles all consume, keeping the
 pure-Python `step` the single definition of the dynamics.
+
+`product_tables` joins the tables with the task automaton: the (env state,
+automaton state) pairs reachable from the start, which the training kernel
+walks. On every benchmark env the env state already fixes the automaton
+state, so there are about as many rows as env states, not n_q times as
+many.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -28,6 +34,8 @@ class EnvTables:
     dead: np.ndarray             # (S,) bool; unrecoverable failure
     start: int
     n_actions: int
+    # (cdfa, ProductTables) of the last product_tables call
+    product: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def n_states(self):
@@ -101,47 +109,65 @@ def compile_env(env):
     return tables
 
 
-def product_reach(tables, cdfa):
-    """Map each reachable env state index to its automaton state.
+@dataclass
+class ProductTables:
+    """The reachable rows of the product of an env and its automaton.
 
-    Walks the synchronous product from (reset, start). For these benchmarks
-    the mapping is a function on live states (each env state pins down one
-    automaton state); a live state reached under two different automaton
-    states, an event that fails to advance the automaton, or a
-    terminal/accepting mismatch is reported as a violation. Dead sink states
-    are exempt from uniqueness: they absorb runs from any automaton state.
+    Row p is the pair (env state s, automaton state q) whose old index
+    `s * n_q + q` is rows[p]. Rows ascend in that index, so any order taken
+    over rows is the order over old indices. Every successor of a row is a
+    row, so the set is closed under all actions.
     """
-    q_of = {tables.start: cdfa.start}
-    violations = []
-    frontier = [tables.start]
-    while frontier:
-        s = frontier.pop()
-        q = q_of[s]
-        if tables.terminal[s] or tables.dead[s]:
-            continue
-        for a in range(tables.n_actions):
-            s2 = int(tables.next_state[s, a])
-            ev = int(tables.event[s, a])
-            q2 = int(cdfa.delta[q, ev])
-            if ev != 0 and q2 == q:
-                violations.append(
-                    f"event {ev} at state {s} action {a} does not advance "
-                    f"the automaton from {q}")
-            if ev == 0 and q2 != q:
-                violations.append(
-                    f"null event moved the automaton at state {s}")
-            if bool(tables.terminal[s2]) != bool(cdfa.accepting[q2]):
-                violations.append(
-                    f"terminal/accepting mismatch at env state {s2} "
-                    f"(q={q2})")
-            if tables.dead[s2]:
-                continue
-            if s2 in q_of:
-                if q_of[s2] != q2:
-                    violations.append(
-                        f"env state {s2} reached under automaton states "
-                        f"{q_of[s2]} and {q2}")
-            else:
-                q_of[s2] = q2
-                frontier.append(s2)
-    return q_of, violations
+
+    rows: np.ndarray             # (P,) int64 ascending; old index s*n_q + q
+    next: np.ndarray             # (P, A) int32 successor row
+    reward: np.ndarray           # (P, A) float64
+    stop: np.ndarray             # (P,) bool; the env state is terminal or dead
+    dead: np.ndarray             # (P,) bool
+    q_of: np.ndarray             # (P,) int64 automaton state of each row
+    start: int                   # row of (env reset state, automaton start)
+
+
+def product_tables(tables, cdfa):
+    """Product rows reachable from the start pair, built once per tables.
+
+    Breadth-first over whole frontiers with numpy: a row's successor under
+    action a is (next_state[s, a], delta[q, event[s, a]]). Terminal and
+    dead rows are expanded like any other; in compiled tables they
+    self-loop on the null event, so they add no row. The result is kept on
+    `tables` and returned again for the same `cdfa`.
+    """
+    memo = getattr(tables, "product", None)
+    if memo is not None and memo[0] is cdfa:
+        return memo[1]
+    n_s = tables.next_state.shape[0]
+    n_q = cdfa.delta.shape[0]
+    next_pid = tables.next_state.astype(np.int64) * n_q
+
+    def successors(pids):
+        s, q = np.divmod(pids, n_q)
+        return next_pid[s] + cdfa.delta[q[:, None], tables.event[s]]
+
+    start = int(tables.start) * n_q + int(cdfa.start)
+    seen = np.zeros(n_s * n_q, dtype=np.bool_)
+    seen[start] = True
+    last = np.empty(n_s * n_q, dtype=np.int64)
+    frontier = np.array([start], dtype=np.int64)
+    while frontier.size:
+        new = successors(frontier).ravel()
+        new = new[~seen[new]]
+        seen[new] = True
+        # keep one copy of each new row: the last one written wins `last`
+        order = np.arange(len(new))
+        last[new] = order
+        frontier = new[last[new] == order]
+    rows = np.flatnonzero(seen)
+    pos = np.zeros(n_s * n_q, dtype=np.int32)
+    pos[rows] = np.arange(len(rows), dtype=np.int32)
+    s, q = np.divmod(rows, n_q)
+    product = ProductTables(
+        rows=rows, next=pos[successors(rows)], reward=tables.reward[s],
+        stop=tables.terminal[s] | tables.dead[s], dead=tables.dead[s],
+        q_of=q, start=int(pos[start]))
+    tables.product = (cdfa, product)
+    return product

@@ -8,12 +8,16 @@ update's formulas (the trust gate, the volatility trace, the fused update,
 the policy-gradient rule, argmax and the softmax pull) are defined once
 below; the loop and the public API call the same functions.
 
-All states here are flat indices. The product index of environment state s
-and automaton state q is `s * n_q + q`, and a table over (row, action) is
-indexed `row * n_actions + a`. Kernel outputs are dense (product index,
-action) arrays of Q, volatility and visit counts. Training returns them as
-they are and distillation reads them; a sparse table is decoded from them
-only on request (`--qtable-out`).
+The kernel walks product rows, not (env state, automaton state) pairs.
+`envs.tables.product_tables` builds, once per env, the rows reachable from
+the start pair, with each row's successor, reward, stop and dead flags and
+automaton state `q_of`, so a step neither looks the automaton up nor
+computes an index. Row p stands for the pair whose old index `s * n_q + q`
+is `rows[p]`; rows ascend in it. A table over (row, action) is indexed
+`p * n_actions + a`. Kernel outputs are (n_rows, action) arrays of Q,
+volatility and visit counts, returned with `rows`. Distillation and the
+greedy rollout read them through `rows`; a sparse table is decoded from
+them only on request (`--qtable-out`).
 
 A step's cost does not grow with the row width. The loop keeps each
 product row's greedy action in a list: `greedy[p] == argmax(q, p * A, A)`
@@ -33,6 +37,7 @@ import math
 
 import numpy as np
 
+from .envs.tables import product_tables
 from .rng import state_from, xs128_word
 
 _INV32 = 2.0 ** -32
@@ -130,20 +135,21 @@ def fused_update(omega, delta_student, r_ad, g_pd):
     return delta_student + (1.0 - omega) * (r_ad + g_pd)
 
 
-def train_run(next_state, reward, event, stop, dead, delta, accepting,
+def train_run(next_row, reward, stop, dead, q_of, accepting,
               q_ad, q_ad_known, pi_teacher, pi_known, rng_state,
               q, vol, counts, ep_reward, ep_steps, ep_accept, soft_steps,
-              start, q_start, alpha, gamma, eps_start, eps_end, eps_decay,
+              start, alpha, gamma, eps_start, eps_end, eps_decay,
               eta, gate_k, theta, lam_ad, lam_pd,
               use_gate, omega_fixed, use_guidance, max_steps, bound):
     """Run one full training job; see student.train_student for semantics.
 
-    Every array is flat. The env tables are indexed s*A + a, the automaton
-    q*n_events + ev, the knowledge q*n_q + q2 and q*A + a, and the outputs
-    q, vol and counts (s*n_q + q)*A + a. `stop` marks the env states that
+    Every array is flat. The product tables (`envs.tables.product_tables`)
+    are indexed by row p: next_row, reward and the outputs q, vol and
+    counts p*A + a, and stop, dead and q_of p. `stop` marks the rows that
     end an episode (terminal or dead) and `dead` those that also refuse
-    acceptance. The outputs arrive allocated (q zero-filled, vol filled
-    with v_init) and are written in place; the episode count is
+    acceptance. The automaton's `accepting` is indexed q, the knowledge
+    q*n_q + q2 and q*A + a. The outputs arrive allocated (q zero-filled,
+    vol filled with v_init) and are written in place; the episode count is
     len(ep_reward) and the soft-violation cap len(soft_steps). The four
     words of `rng_state` are read once, held in locals and written back on
     return.
@@ -157,14 +163,13 @@ def train_run(next_state, reward, event, stop, dead, delta, accepting,
     (first len(soft_steps) global step indices); non-finite updates abort.
     Returns (novel edge crossings, max |update|, soft violations).
     """
-    n_actions = len(next_state) // len(stop)
+    n_actions = len(next_row) // len(stop)
     n_q = len(accepting)
-    n_events = len(delta) // n_q
     soft_cap = len(soft_steps)
     last = max_steps - 1
     # greedy[p] == argmax(q, p * n_actions, n_actions) for every row p, as
     # the module docstring says: Q starts at zero, and each write keeps it
-    greedy = [0] * (len(q) // n_actions)
+    greedy = [0] * len(stop)
     r0, r1, r2, r3 = rng_state
     n_soft = 0
     novel = 0
@@ -173,11 +178,9 @@ def train_run(next_state, reward, event, stop, dead, delta, accepting,
     eps = eps_start
     for ep in range(len(ep_reward)):
         e = eps if eps > eps_end else eps_end
-        s = start
-        qq = q_start
+        p = start
         total = 0.0
         for t in range(max_steps):
-            p = s * n_q + qq
             row = p * n_actions
             # action choice: the greedy action b, unless one draw says explore
             # and one more picks the action
@@ -188,17 +191,14 @@ def train_run(next_state, reward, event, stop, dead, delta, accepting,
                 if r3 * _INV32 < e:
                     r0, r1, r2, r3 = r1, r2, r3, xs128_word(r0, r3)
                     a = int((r3 * _INV32) * n_actions)
-            sa = s * n_actions + a
-            s2 = next_state[sa]
-            r = reward[sa]
-            q2 = delta[qq * n_events + event[sa]]
-            done = stop[s2] or t == last
+            pa = row + a
+            p2 = next_row[pa]
+            r = reward[pa]
+            done = stop[p2] or t == last
             if done:
                 boot = 0.0
             else:
-                p2 = s2 * n_q + q2
                 boot = gamma * q[p2 * n_actions + greedy[p2]]
-            pa = row + a
             old = q[pa]
             d_student = r + boot - old
             if use_guidance:
@@ -206,6 +206,8 @@ def train_run(next_state, reward, event, stop, dead, delta, accepting,
                     om = trust_gate(vol[pa], gate_k, theta)
                 else:
                     om = omega_fixed
+                qq = q_of[p]
+                q2 = q_of[p2]
                 r_ad = 0.0
                 if q2 != qq:
                     if q_ad_known[qq * n_q + q2]:
@@ -213,7 +215,8 @@ def train_run(next_state, reward, event, stop, dead, delta, accepting,
                     else:
                         novel += 1
                 g = 0.0
-                if pi_known[qq] and tactical_applies(s, qq, s2, q2):
+                # with q2 == qq, p2 != p is the same test as s2 != s
+                if pi_known[qq] and tactical_applies(p, qq, p2, q2):
                     g = lam_pd * (pi_teacher[qq * n_actions + a]
                                   - softmax_prob(q, a, row, n_actions, b))
                 dq = fused_update(om, d_student, r_ad, g)
@@ -244,13 +247,12 @@ def train_run(next_state, reward, event, stop, dead, delta, accepting,
                 greedy[p] = a
             counts[pa] += 1
             total += r
-            s = s2
-            qq = q2
+            p = p2
             if done:  # always by the last step, t == max_steps - 1
                 break
         ep_reward[ep] = total
         ep_steps[ep] = t + 1
-        ep_accept[ep] = accepting[qq] and not dead[s]
+        ep_accept[ep] = accepting[q_of[p]] and not dead[p]
         first_step += t + 1
         eps = eps * eps_decay
     rng_state[0], rng_state[1], rng_state[2], rng_state[3] = r0, r1, r2, r3
@@ -258,11 +260,13 @@ def train_run(next_state, reward, event, stop, dead, delta, accepting,
 
 
 class RunResult:
-    """One training job's outputs: the dense (s*n_q + q, a) tables, the
-    episode arrays and the update diagnostics."""
+    """One training job's outputs: the (n_rows, A) tables of Q, volatility
+    and visit counts over the product rows, `rows` (each row's old index
+    s*n_q + q, ascending), the episode arrays and the update
+    diagnostics."""
 
     def __init__(self, q, vol, counts, ep_reward, ep_steps, ep_accept,
-                 soft_steps, novel, max_abs_update, n_soft, n_q):
+                 soft_steps, novel, max_abs_update, n_soft, rows, n_q):
         self.q = q
         self.vol = vol
         self.counts = counts
@@ -274,6 +278,7 @@ class RunResult:
         self.n_soft_violations = int(n_soft)
         self.soft_violation_steps = soft_steps[:min(int(n_soft),
                                                     len(soft_steps))]
+        self.rows = rows
         self.n_q = n_q
 
 
@@ -283,14 +288,17 @@ def run_training(tables, cdfa, dense, *, alpha, gamma, eps_start, eps_end,
                  seed, stream=0, bound=math.inf):
     """Allocate the outputs and run the kernel over them.
 
-    `dense` is the (q_ad, q_ad_known, pi_teacher, pi_known) array bundle;
-    pass None when use_guidance is False. The kernel gets memoryviews of
-    the flat buffers, whose items read as Python scalars.
+    The kernel walks the product rows of `tables` and `cdfa`, built on the
+    first call and reused after. `dense` is the (q_ad, q_ad_known,
+    pi_teacher, pi_known) array bundle; pass None when use_guidance is
+    False. The kernel gets memoryviews of the flat buffers, whose items
+    read as Python scalars.
     """
     if episodes <= 0:
         raise ValueError("episodes must be positive")
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
+    product = product_tables(tables, cdfa)
     n_q = cdfa.delta.shape[0]
     n_actions = tables.n_actions
     if dense is None:
@@ -300,7 +308,7 @@ def run_training(tables, cdfa, dense, *, alpha, gamma, eps_start, eps_end,
         pi_known = np.zeros(n_q, dtype=np.bool_)
     else:
         q_ad, q_ad_known, pi_teacher, pi_known = dense
-    shape = (tables.next_state.shape[0] * n_q, n_actions)
+    shape = (len(product.rows), n_actions)
     q = np.zeros(shape, dtype=np.float64)
     vol = np.full(shape, v_init, dtype=np.float64)
     counts = np.zeros(shape, dtype=np.int64)
@@ -308,46 +316,43 @@ def run_training(tables, cdfa, dense, *, alpha, gamma, eps_start, eps_end,
     ep_steps = np.zeros(episodes, dtype=np.int64)
     ep_accept = np.zeros(episodes, dtype=np.bool_)
     soft_steps = np.full(SOFT_CAP, -1, dtype=np.int64)
-    arrays = (tables.next_state, tables.reward, tables.event,
-              tables.terminal | tables.dead, tables.dead, cdfa.delta,
-              cdfa.accepting, q_ad, q_ad_known, pi_teacher, pi_known,
-              state_from(seed, stream),
+    arrays = (product.next, product.reward, product.stop, product.dead,
+              product.q_of, cdfa.accepting, q_ad, q_ad_known, pi_teacher,
+              pi_known, state_from(seed, stream),
               q, vol, counts, ep_reward, ep_steps, ep_accept, soft_steps)
     novel, max_abs_update, n_soft = train_run(
-        *(memoryview(x.reshape(-1)) for x in arrays), int(tables.start),
-        int(cdfa.start), float(alpha), float(gamma), float(eps_start),
+        *(memoryview(x.reshape(-1)) for x in arrays), product.start,
+        float(alpha), float(gamma), float(eps_start),
         float(eps_end), float(eps_decay),
         float(eta), float(gate_k), float(theta), float(lam_ad),
         float(lam_pd), bool(use_gate), float(omega_fixed),
         bool(use_guidance), int(max_steps), float(bound))
     return RunResult(q, vol, counts, ep_reward, ep_steps, ep_accept,
-                     soft_steps, novel, max_abs_update, n_soft, n_q)
+                     soft_steps, novel, max_abs_update, n_soft, product.rows,
+                     n_q)
 
 
 def greedy_rollout(tables, cdfa, q, max_steps):
-    """Follow the greedy policy of dense table `q` from reset.
+    """Follow the greedy policy of `q`, an (n_rows, A) table over the
+    product rows of `tables` and `cdfa`, from reset.
 
     Returns (accepted, steps, total_reward). Ends on acceptance, death, a
-    revisited product state (a guaranteed loop under a deterministic
-    policy), or the step budget.
+    revisited row (a guaranteed loop under a deterministic policy), or the
+    step budget.
     """
-    n_q = cdfa.delta.shape[0]
-    s = tables.start
-    qq = cdfa.start
-    seen = {(s, qq)}
+    product = product_tables(tables, cdfa)
+    p = product.start
+    seen = {p}
     total = 0.0
     for t in range(max_steps):
-        a = argmax(q[s * n_q + qq])
-        s2 = int(tables.next_state[s, a])
-        total += float(tables.reward[s, a])
-        ev = int(tables.event[s, a])
-        qq = int(cdfa.delta[qq, ev])
-        s = s2
-        if cdfa.accepting[qq]:
+        a = argmax(q[p])
+        total += float(product.reward[p, a])
+        p = int(product.next[p, a])
+        if cdfa.accepting[product.q_of[p]]:
             return True, t + 1, total
-        if tables.dead[s]:
+        if product.dead[p]:
             return False, t + 1, total
-        if (s, qq) in seen:
+        if p in seen:
             return False, t + 1, total
-        seen.add((s, qq))
+        seen.add(p)
     return False, max_steps, total

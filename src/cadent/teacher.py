@@ -37,21 +37,22 @@ class TeacherError(RuntimeError):
 
 
 def decode_qtable(run, env):
-    """The sparse table of a dense run: one ProductState-keyed entry per
-    updated pair, inserted in np.argwhere order."""
+    """The sparse table of a run: one ProductState-keyed entry per updated
+    pair, inserted in np.argwhere order (rows ascend in s*n_q + q)."""
     tables = compile_env(env)
     qtable = QTable(tables.n_actions)
-    for pid, a in np.argwhere(run.counts > 0):
-        s, q = divmod(int(pid), run.n_q)
+    for i, a in np.argwhere(run.counts > 0):
+        s, q = divmod(int(run.rows[i]), run.n_q)
         qtable.set(ProductState(tables.states[s], env.dfa.states[q]), int(a),
-                   run.q[pid, a])
+                   run.q[i, a])
     return qtable
 
 
 class TrainedRun:
     """A training job's kernel output `run` (a RunResult) on env `env`.
 
-    Results stay dense; the sparse `qtable` is decoded on first read.
+    Results stay as the kernel's arrays over product rows; the sparse
+    `qtable` is decoded on first read.
     """
 
     ep_reward = property(lambda self: self.run.ep_reward)
@@ -98,7 +99,7 @@ def train_teacher(env, params=None, episodes=5000, seed=7, stream=0):
 
     Raises TeacherError if not a single episode reached acceptance: such a
     run has nothing worth distilling. Returns a TeacherResult holding the
-    kernel's dense RunResult, whose arrays distillation reads as they are.
+    kernel's RunResult, whose row arrays distillation reads as they are.
     """
     params = params or LearningParams()
     if episodes <= 0:
@@ -131,14 +132,14 @@ def distill_automaton_values(result, dfa):
     """
     run = result.run
     tables = compile_env(result.env)
-    pid, a = np.nonzero(run.counts)
-    s, q = np.divmod(pid, run.n_q)
+    row, a = np.nonzero(run.counts)
+    s, q = np.divmod(run.rows[row], run.n_q)
     q2 = dfa.compiled().delta[q, tables.event[s, a]]
     moved = np.flatnonzero(q2 != q)
     moved = moved[np.lexsort((a[moved], tables.rank[s[moved]]))]
     by_edge = {}
     for i, j, v in zip(q[moved].tolist(), q2[moved].tolist(),
-                       run.q[pid[moved], a[moved]].tolist()):
+                       run.q[row[moved], a[moved]].tolist()):
         by_edge.setdefault((dfa.states[i], dfa.states[j]), []).append(v)
     required = accepting_path_edges(dfa)
     missing = sorted(required - set(by_edge))
@@ -168,8 +169,8 @@ def distill_teacher_policy(result, dfa, tau,
     rank = compile_env(result.env).rank
     visits = run.counts.sum(axis=1)
     rows = np.flatnonzero(visits)
-    rows = rows[np.argsort(rank[rows // run.n_q], kind="stable")]
-    q_of = rows % run.n_q
+    rows = rows[np.argsort(rank[run.rows[rows] // run.n_q], kind="stable")]
+    q_of = run.rows[rows] % run.n_q
     pi = {}
     for qi in sorted(set(q_of.tolist()), key=dfa.states.__getitem__):
         acc = np.zeros(run.q.shape[1], dtype=np.float64)

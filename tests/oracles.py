@@ -9,14 +9,18 @@ sharing code with the implementation would make the tests circular.
 
 The sparse reference (`sparse_results` and the two `reference_*`
 distillations) is the dict-backed form that training results and
-distillation once took: the dense library distillation must match it bit
-for bit. `toy_teacher` goes the other way, from hand-written sparse inputs
-to the dense form the library reads.
+distillation once took: the library distillation, which reads the kernel's
+arrays over product rows, must match it bit for bit. `dense_run` scatters
+those rows back to the dense (s*n_q + q) layout the kernel once returned.
+`toy_teacher` goes the other way, from hand-written sparse inputs to the
+arrays the library reads.
 
 `reference_train_run` is the training loop as it was before its per-step
 bookkeeping was cut (a maintained greedy action per row, RNG words held in
-locals). It calls the library's formulas, so it pins the loop's
-bookkeeping, not the formulas: the kernel must match it bit for bit.
+locals) and before it walked product rows: it looks the automaton up each
+step and indexes the dense layout. It calls the library's formulas, so it
+pins the loop's bookkeeping, not the formulas: the kernel's outputs,
+scattered by `dense_run`, must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from cadent.automaton import (ProductState, accepting_path_edges,
                               is_accepting, step_automaton)
-from cadent.envs.tables import EnvTables, compile_env
+from cadent.envs.tables import EnvTables, compile_env, product_tables
 from cadent.kernels import (argmax, fused_update, softmax_prob,
                             tactical_applies, trust_gate, volatility_update)
 from cadent.rng import RandomState, xs128_next
@@ -100,8 +104,9 @@ def dict_value_iteration(transitions, rewards, terminal, gamma, tol=1e-12):
             return q
 
 
-def dense_q_from_table(tables, cdfa, dfa, qtable):
-    """Dense (n_prod, n_actions) array from a sparse product-keyed table."""
+def q_rows_from_table(tables, cdfa, qtable):
+    """(n_rows, n_actions) array over the product rows (the layout
+    `greedy_rollout` reads) from a sparse product-keyed table."""
     n_q = cdfa.delta.shape[0]
     dense = np.zeros((tables.n_states * n_q, tables.n_actions),
                      dtype=np.float64)
@@ -109,7 +114,7 @@ def dense_q_from_table(tables, cdfa, dfa, qtable):
         s = tables.index[key.env]
         qi = cdfa.state_index[key.q]
         dense[s * n_q + qi, a] = v
-    return dense
+    return dense[product_tables(tables, cdfa).rows]
 
 
 def reference_q_learning(env, episodes, seed, stream=0, alpha=0.1,
@@ -172,17 +177,95 @@ def reference_q_learning(env, episodes, seed, stream=0, alpha=0.1,
 
 
 # ---------------------------------------------------------------------------
+# the reachable product
+
+
+def product_walk(tables, cdfa):
+    """Old indices s*n_q + q of the (env state, automaton state) pairs
+    reachable from the start pair, by a plain breadth-first walk that does
+    not expand terminal or dead pairs."""
+    n_q = cdfa.delta.shape[0]
+    start = (int(tables.start), int(cdfa.start))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        s, q = frontier.pop()
+        if tables.terminal[s] or tables.dead[s]:
+            continue
+        for a in range(tables.n_actions):
+            nxt = (int(tables.next_state[s, a]),
+                   int(cdfa.delta[q, tables.event[s, a]]))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return {s * n_q + q for s, q in seen}
+
+
+def product_violations(tables, cdfa, product):
+    """Where the product breaks the rules every benchmark env keeps, read
+    off the product tables' live rows and their edges.
+
+    Each live env state pins down one automaton state (dead sinks absorb
+    runs from any automaton state and are exempt), an event advances the
+    automaton and the null event does not, and a successor is terminal
+    exactly when its automaton state accepts.
+    """
+    n_q = cdfa.delta.shape[0]
+    s_of = product.rows // n_q
+    live = np.flatnonzero(~product.stop)
+    s = s_of[live][:, None]
+    q = product.q_of[live][:, None]
+    s2 = s_of[product.next[live]]
+    q2 = product.q_of[product.next[live]]
+    ev = tables.event[s_of[live]]
+    out = []
+    for i, a in np.argwhere((ev != 0) & (q2 == q)).tolist():
+        out.append(f"event {ev[i, a]} at state {s[i, 0]} action {a} does "
+                   f"not advance the automaton from {q[i, 0]}")
+    for i, a in np.argwhere((ev == 0) & (q2 != q)).tolist():
+        out.append(f"null event moved the automaton at state {s[i, 0]}")
+    for i, a in np.argwhere(tables.terminal[s2]
+                            != cdfa.accepting[q2]).tolist():
+        out.append(f"terminal/accepting mismatch at env state {s2[i, a]} "
+                   f"(q={q2[i, a]})")
+    s_live = s_of[~tables.dead[s_of]]
+    q_live = product.q_of[~tables.dead[s_of]]
+    states, n_rows = np.unique(s_live, return_counts=True)
+    for st in states[n_rows > 1].tolist():
+        qs = q_live[s_live == st].tolist()
+        out.append(f"env state {st} reached under automaton states "
+                   f"{qs[0]} and {qs[1]}")
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the sparse reference for results and distillation
 
 
+def dense_run(run, n_states, v_init=0.0):
+    """A run's Q, volatility and visit counts scattered from its product
+    rows to the dense (n_states * n_q, A) layout, row s*n_q + q, as the
+    kernel once returned them: rows it never reached hold 0 and vol
+    `v_init`."""
+    shape = (n_states * run.n_q, run.q.shape[1])
+    dense = SimpleNamespace(q=np.zeros(shape), vol=np.full(shape, v_init),
+                            counts=np.zeros(shape, dtype=np.int64),
+                            n_q=run.n_q)
+    dense.q[run.rows] = run.q
+    dense.vol[run.rows] = run.vol
+    dense.counts[run.rows] = run.counts
+    return dense
+
+
 def sparse_results(env, run, gated=False):
-    """Sparse views of a dense run, one entry per updated pair in
-    np.argwhere order: the Q table, visit counts, the log of automaton
-    triggers ((ProductState, action), (q, q')), and, for a gated run, the
-    volatility of each pair."""
+    """Sparse views of a run, one entry per updated pair in np.argwhere
+    order over the dense layout: the Q table, visit counts, the log of
+    automaton triggers ((ProductState, action), (q, q')), and, for a gated
+    run, the volatility of each pair."""
     tables = compile_env(env)
     cdfa = env.dfa.compiled()
     names = list(env.dfa.states)
+    run = dense_run(run, tables.n_states)
     out = SimpleNamespace(qtable=QTable(tables.n_actions), visits={},
                           transition_log=set(), volatility={})
     for pid, a in np.argwhere(run.counts > 0):
@@ -254,7 +337,8 @@ def reference_knowledge(result, dfa, tau, aggregation="visitation_weighted"):
 
 
 def toy_teacher(dfa, qtable, log=(), visits=None):
-    """A teacher result whose dense run and env tables encode sparse inputs.
+    """A teacher result whose run and env tables encode sparse inputs; its
+    run has a row for every (env state, automaton state) pair.
 
     `qtable` gives Q, `visits` ({(ProductState, action): count}) the visit
     counts, and `log` the automaton triggers ((key, action), (q, q')); a
@@ -297,7 +381,8 @@ def toy_teacher(dfa, qtable, log=(), visits=None):
                        reward=np.zeros(event.shape), event=event,
                        terminal=none, dead=none, start=0,
                        n_actions=qtable.n_actions)
-    return SimpleNamespace(run=SimpleNamespace(q=q, counts=n, n_q=n_q),
+    run = SimpleNamespace(q=q, counts=n, rows=np.arange(len(q)), n_q=n_q)
+    return SimpleNamespace(run=run,
                            env=SimpleNamespace(_tables=tables, dfa=dfa))
 
 
@@ -315,8 +400,9 @@ def reference_train_run(next_state, reward, event, terminal, dead, delta,
                         lam_ad, lam_pd, use_gate, omega_fixed, use_guidance,
                         max_steps, bound):
     """The training kernel as it stood before it kept each row's greedy
-    action and its RNG words in locals: two argmax scans a step, and the
-    RNG state read and written through `rng_state` on every draw.
+    action and its RNG words in locals and walked product rows: two argmax
+    scans a step, the RNG state read and written through `rng_state` on
+    every draw, and the automaton stepped on each step's event.
 
     Run one full training job; see student.train_student for semantics.
 

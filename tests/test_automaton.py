@@ -3,7 +3,6 @@
 import json
 import re
 
-import numpy as np
 import pytest
 
 from cadent.automaton import (Dfa, DfaError, NULL_EVENT, ProductState,

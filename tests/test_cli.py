@@ -5,10 +5,13 @@ import json
 import pytest
 
 from cadent.cli import _student_config, build_parser, main
+from cadent.envs import default_spec, make_env
 from cadent.harness import ExperimentConfig, read_run_csv
-from cadent.student import StudentConfig
+from cadent.student import StudentConfig, train_student
 from cadent.tabular import load_qtable
-from cadent.teacher import load_knowledge
+from cadent.teacher import load_knowledge, train_teacher
+
+from oracles import sparse_results
 
 
 def test_info_prints_registry(capsys):
@@ -198,6 +201,33 @@ def test_train_student_cadent_with_knowledge(knowledge_file, tmp_path,
     out = capsys.readouterr().out
     assert "cadent on dungeon_quest/target" in out
     assert "soft_violations=0" in out
+
+
+def _saved_entries(path):
+    return [(state, a, v) for (state, a), v in load_qtable(path).items()]
+
+
+def _reference_entries(env, run):
+    return [(state, a, v) for (state, a), v in
+            sparse_results(env, run).qtable.items()]
+
+
+def test_qtable_out_matches_sparse_reference(knowledge_file, tmp_path):
+    # --qtable-out writes one entry per updated pair of the run, in the
+    # dense np.argwhere order, for a teacher and for a guided student
+    know, teacher_qt = knowledge_file
+    source = make_env(default_spec("dungeon_quest", "source"))
+    result = train_teacher(source, episodes=800, seed=7)
+    assert _saved_entries(teacher_qt) == _reference_entries(source,
+                                                            result.run)
+    qt = tmp_path / "student.json"
+    assert main(["train-student", "--env", "dungeon", "--episodes", "30",
+                 "--seed", "2", "--knowledge", str(know),
+                 "--qtable-out", str(qt)]) == 0
+    target = make_env(default_spec("dungeon_quest", "target"))
+    result = train_student(target, load_knowledge(know), StudentConfig(),
+                           episodes=30, seed=2)
+    assert _saved_entries(qt) == _reference_entries(target, result.run)
 
 
 def test_knowledge_misuse_exit_codes(knowledge_file, tmp_path, capsys):

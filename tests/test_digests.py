@@ -1,8 +1,9 @@
 """Pinned outputs of short training runs, bit for bit.
 
 Each (environment, variant) cell trains a short run and hashes everything
-it produces: the kernel's dense Q, volatility and visit counts, the episode
-arrays, the update diagnostics, and the sparse tables that
+it produces: the kernel's Q, volatility and visit counts (scattered to the
+dense (s*n_q + q, a) layout by `oracles.dense_run`), the episode arrays,
+the update diagnostics, and the sparse tables that
 `oracles.sparse_results` rebuilds from them. The "teacher" cell hashes the
 source-task run whose knowledge the variants use.
 A refactor of the kernel or of a formula that flips a single bit fails here
@@ -20,9 +21,10 @@ import pytest
 from cadent import student, teacher
 from cadent.baselines import preset_names, resolve_preset
 from cadent.envs import ENV_NAMES, default_spec, make_env
+from cadent.envs.tables import compile_env
 from cadent.harness import _run_stream
 
-from oracles import sparse_results
+from oracles import dense_run, sparse_results
 
 TEACHER_EPISODES = 400   # enough for every environment's teacher to distill
 STUDENT_EPISODES = 40
@@ -99,8 +101,10 @@ def _digest(parts):
     return h.hexdigest()
 
 
-def _kernel_parts(res):
-    return (res.q, res.vol, res.counts, res.ep_reward, res.ep_steps,
+def _kernel_parts(res, env, v_init):
+    # hashed in the dense (s*n_q + q, a) layout the table was recorded in
+    dense = dense_run(res, compile_env(env).n_states, v_init)
+    return (dense.q, dense.vol, dense.counts, res.ep_reward, res.ep_steps,
             res.ep_accept, res.novel_transitions, float(res.max_abs_update),
             res.n_soft_violations, res.soft_violation_steps)
 
@@ -130,7 +134,7 @@ def _teacher_cell(name):
                                        stream=ENV_NAMES.index(name))
     knowledge = teacher.build_knowledge(result, env.dfa, tau=2.0)
     ref = sparse_results(env, result.run)
-    digest = _digest(_kernel_parts(seen[0]) + (
+    digest = _digest(_kernel_parts(seen[0], env, 0.0) + (
         sorted(ref.qtable.items()), sorted(ref.visits.items()),
         sorted(ref.transition_log)))
     return digest, knowledge
@@ -148,7 +152,7 @@ def _student_cell(name, variant, knowledge):
     d = result.diagnostics
     ref = sparse_results(env, result.run,
                          gated=student.VARIANTS[config.variant][0])
-    return _digest(_kernel_parts(seen[0]) + (
+    return _digest(_kernel_parts(seen[0], env, config.trust.v_init) + (
         sorted(ref.qtable.items()), sorted(ref.volatility.items()),
         d.novel_transitions, d.max_abs_update, d.soft_violations,
         d.soft_violation_steps, result.bound))

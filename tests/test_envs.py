@@ -1,7 +1,5 @@
 """Environment behaviour: layouts, dynamics, rewards, and scripted runs."""
 
-import math
-
 import pytest
 
 from cadent.automaton import is_accepting, step_automaton
@@ -12,10 +10,11 @@ from cadent.envs.base import (ACCEPT_BONUS, GRID_MOVES, PROGRESS_BONUS,
                               fractional_cells, move)
 from cadent.envs.mountain_car import (LEFT, STEEP, SUMMIT, VALLEY,
                                       band_layout)
-from cadent.envs.tables import compile_env, product_reach
+from cadent.envs.tables import compile_env, product_tables
 from cadent.envs.warehouse import DEAD_STATE
 
 from golden import GoldenError, golden_actions, run_actions
+from oracles import product_violations
 
 ALL_INSTANCES = [(name, variant)
                  for name in ENV_NAMES for variant in ("source", "target")]
@@ -517,9 +516,10 @@ def test_golden_run_accepts(env_cache, name, variant):
 def test_product_reach_has_no_violations(env_cache, name, variant):
     env = env_cache(name, variant)
     tables = compile_env(env)
-    q_of, violations = product_reach(tables, env.dfa.compiled())
-    assert violations == []
-    assert q_of[tables.start] == env.dfa.compiled().start
+    cdfa = env.dfa.compiled()
+    product = product_tables(tables, cdfa)
+    assert product_violations(tables, cdfa, product) == []
+    assert product.q_of[product.start] == cdfa.start
 
 
 def test_golden_error_on_hopeless_budget():

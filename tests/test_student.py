@@ -22,7 +22,7 @@ from cadent.student import (Diagnostics, GuidanceParams, StudentConfig,
 from cadent.tabular import LearningParams, softmax_policy
 from cadent.teacher import build_knowledge, train_teacher
 
-from oracles import dense_q_from_table, ewma_closed_form, sigmoid
+from oracles import ewma_closed_form, q_rows_from_table, sigmoid
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +445,8 @@ def test_no_trust_gate_greedy_policy_accepts(env_cache, grid_knowledge,
                         stream=_run_stream(name, "no_trust_gate"))
     tables = compile_env(env)
     cdfa = env.dfa.compiled()
-    dense = dense_q_from_table(tables, cdfa, env.dfa, res.qtable)
-    accepted, steps, _total = greedy_rollout(tables, cdfa, dense,
+    q = q_rows_from_table(tables, cdfa, res.qtable)
+    accepted, steps, _total = greedy_rollout(tables, cdfa, q,
                                              env.max_steps)
     assert accepted, (f"greedy policy stopped after {steps} steps without "
                       f"accepting")

@@ -1,21 +1,24 @@
-"""Dense table compilation and the training kernel."""
+"""Dense table compilation, the product tables and the training kernel."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cadent.envs import EnvSpec, default_spec, make_env
+from cadent.automaton import CompiledDfa
+from cadent.envs import ENV_NAMES, EnvSpec, default_spec, make_env
 from cadent.envs.dungeon import DungeonQuest
-from cadent.envs.tables import compile_env, product_reach
+from cadent.envs.tables import compile_env, product_tables
 from cadent.kernels import (SOFT_CAP, greedy_rollout, run_training,
                             softmax_prob, train_run)
 from cadent.rng import state_from
 
 from golden import golden_actions, run_actions
-from oracles import reference_train_run, value_iteration
+from oracles import (dense_run, product_violations, product_walk,
+                     reference_train_run, value_iteration)
 
 HYPERS = dict(alpha=0.1, gamma=0.99, eps_start=1.0, eps_end=0.05,
               eps_decay=0.995, eta=0.1, gate_k=10.0, theta=0.5, v_init=0.0,
@@ -82,6 +85,26 @@ def test_compile_deterministic_indexing():
     assert np.array_equal(a.event, b.event)
 
 
+# ---------------------------------------------------------------------------
+# product_tables
+
+ALL_INSTANCES = [(name, variant)
+                 for name in ENV_NAMES for variant in ("source", "target")]
+
+# reachable product rows: every env state, plus one row per further
+# automaton state a warehouse dead sink is entered under
+PRODUCT_ROWS = {
+    ("blind_craftsman", "source"): 1560,
+    ("blind_craftsman", "target"): 4357,
+    ("dungeon_quest", "source"): 717,
+    ("dungeon_quest", "target"): 1997,
+    ("mountain_car_collection", "source"): 994,
+    ("mountain_car_collection", "target"): 1630,
+    ("warehouse_robotics", "source"): 10983,
+    ("warehouse_robotics", "target"): 26491,
+}
+
+
 def test_product_reach_reports_terminal_mismatch():
     # Environment.step derives `done` from is_terminal, so a wrong
     # classification is no longer a disagreement inside the env: it shows
@@ -95,10 +118,55 @@ def test_product_reach_reports_terminal_mismatch():
         "chest": (2, 2), "shield": (1, 2), "dragon": (0, 2),
     })
     env = BrokenDungeon(spec)
-    _q_of, violations = product_reach(compile_env(env), env.dfa.compiled())
+    tables, cdfa = compile_env(env), env.dfa.compiled()
+    violations = product_violations(tables, cdfa,
+                                    product_tables(tables, cdfa))
     assert violations
     assert all(v.startswith("terminal/accepting mismatch")
                for v in violations)
+
+
+@pytest.mark.parametrize("name,variant", ALL_INSTANCES)
+def test_product_rows_are_the_reachable_pairs(env_cache, name, variant):
+    env = env_cache(name, variant)
+    tables, cdfa = compile_env(env), env.dfa.compiled()
+    product = product_tables(tables, cdfa)
+    assert len(product.rows) == PRODUCT_ROWS[(name, variant)]
+    assert np.all(np.diff(product.rows) > 0)
+    assert set(product.rows.tolist()) == product_walk(tables, cdfa)
+    n_q = cdfa.delta.shape[0]
+    assert product.rows[product.start] == tables.start * n_q + cdfa.start
+
+
+@pytest.mark.parametrize("name,variant", ALL_INSTANCES)
+def test_product_tables_follow_env_and_automaton(env_cache, name, variant):
+    env = env_cache(name, variant)
+    tables, cdfa = compile_env(env), env.dfa.compiled()
+    product = product_tables(tables, cdfa)
+    n_q = cdfa.delta.shape[0]
+    s, q = np.divmod(product.rows, n_q)
+    assert np.array_equal(product.q_of, q)
+    assert np.array_equal(product.stop, tables.terminal[s] | tables.dead[s])
+    assert np.array_equal(product.dead, tables.dead[s])
+    assert np.array_equal(product.reward, tables.reward[s])
+    # along every live edge the successor row is the env successor under
+    # the automaton state the edge's event leads to
+    live = ~product.stop
+    s2, q2 = np.divmod(product.rows[product.next[live]], n_q)
+    assert np.array_equal(s2, tables.next_state[s[live]])
+    assert np.array_equal(
+        q2, cdfa.delta[q[live][:, None], tables.event[s[live]]])
+
+
+def test_product_tables_are_built_once(dungeon_source,
+                                       dungeon_source_tables):
+    tables, cdfa = dungeon_source_tables
+    first = product_tables(tables, cdfa)
+    assert product_tables(tables, cdfa) is first
+    # another compiled automaton is not the one the rows were built for
+    rebuilt = product_tables(tables, CompiledDfa.from_dfa(dungeon_source.dfa))
+    assert rebuilt is not first
+    assert np.array_equal(rebuilt.rows, first.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +184,11 @@ def _run(tables, cdfa, dense, mode, episodes=30, seed=11, **overrides):
 def test_training_output_shapes(dungeon_source_tables):
     tables, cdfa = dungeon_source_tables
     res = _run(tables, cdfa, None, TEACHER_MODE, episodes=5)
-    n_pids = tables.n_states * cdfa.delta.shape[0]
-    assert res.q.shape == (n_pids, tables.n_actions)
-    assert res.vol.shape == (n_pids, tables.n_actions)
-    assert res.counts.shape == (n_pids, tables.n_actions)
+    rows = product_tables(tables, cdfa).rows
+    assert res.rows is rows
+    assert res.q.shape == (len(rows), tables.n_actions)
+    assert res.vol.shape == (len(rows), tables.n_actions)
+    assert res.counts.shape == (len(rows), tables.n_actions)
     assert res.ep_reward.shape == (5,)
     assert res.ep_steps.shape == (5,)
     assert res.ep_accept.shape == (5,)
@@ -233,25 +302,69 @@ def kernel_cases(draw):
             draw(st.integers(0, 2**32)))
 
 
-def _run_kernel(kernel, tables, scalars, n_a, episodes, seed, stop):
-    """Outputs of one kernel on fresh buffers: the arrays, the RNG state
-    and the returned diagnostics, as bytes where they are floats."""
-    n_rows = len(tables["terminal"]) * len(tables["accepting"])
-    out = dict(rng=state_from(seed),
-               q=np.zeros(n_rows * n_a), vol=np.full(n_rows * n_a, 0.25),
-               counts=np.zeros(n_rows * n_a, dtype=np.int64),
-               ep_reward=np.zeros(episodes),
-               ep_steps=np.zeros(episodes, dtype=np.int64),
-               ep_accept=np.zeros(episodes, dtype=np.bool_),
-               soft_steps=np.full(4, -1, dtype=np.int64))
-    first = (tables["next_state"], tables["reward"], tables["event"],
-             stop, tables["dead"], tables["delta"], tables["accepting"],
-             tables["q_ad"], tables["q_ad_known"], tables["pi_teacher"],
-             tables["pi_known"])
-    novel, max_abs, n_soft = kernel(
-        *(memoryview(x) for x in first + tuple(out.values())), **scalars)
+def _buffers(n_rows, n_a, episodes, seed):
+    """Fresh kernel outputs over n_rows rows, in the kernel's order."""
+    return dict(rng=state_from(seed),
+                q=np.zeros(n_rows * n_a), vol=np.full(n_rows * n_a, 0.25),
+                counts=np.zeros(n_rows * n_a, dtype=np.int64),
+                ep_reward=np.zeros(episodes),
+                ep_steps=np.zeros(episodes, dtype=np.int64),
+                ep_accept=np.zeros(episodes, dtype=np.bool_),
+                soft_steps=np.full(4, -1, dtype=np.int64))
+
+
+def _bits(out, diagnostics):
+    """The outputs, the RNG state and the returned diagnostics, as bytes
+    where they are floats."""
+    novel, max_abs, n_soft = diagnostics
     return ({k: v.tobytes() for k, v in out.items()},
             (novel, np.float64(max_abs).tobytes(), n_soft))
+
+
+_KNOWLEDGE = ("q_ad", "q_ad_known", "pi_teacher", "pi_known")
+
+
+def _run_reference(tables, scalars, n_a, episodes, seed):
+    n_rows = len(tables["terminal"]) * len(tables["accepting"])
+    out = _buffers(n_rows, n_a, episodes, seed)
+    first = tuple(tables[k] for k in (
+        "next_state", "reward", "event", "terminal", "dead", "delta",
+        "accepting") + _KNOWLEDGE)
+    diagnostics = reference_train_run(
+        *(memoryview(x) for x in first + tuple(out.values())), **scalars)
+    return _bits(out, diagnostics)
+
+
+def _run_product_kernel(tables, scalars, n_a, episodes, seed):
+    """train_run over the case's product tables, its Q, volatility and
+    counts scattered to the reference's dense layout."""
+    n_s, n_q = len(tables["terminal"]), len(tables["accepting"])
+    env_tables = SimpleNamespace(
+        next_state=tables["next_state"].reshape(n_s, n_a),
+        reward=tables["reward"].reshape(n_s, n_a),
+        event=tables["event"].reshape(n_s, n_a),
+        terminal=tables["terminal"], dead=tables["dead"],
+        start=scalars["start"], n_actions=n_a)
+    cdfa = SimpleNamespace(delta=tables["delta"].reshape(n_q, -1),
+                           accepting=tables["accepting"],
+                           start=scalars["q_start"])
+    product = product_tables(env_tables, cdfa)
+    out = _buffers(len(product.rows), n_a, episodes, seed)
+    first = (product.next, product.reward, product.stop, product.dead,
+             product.q_of, tables["accepting"]) + tuple(
+                 tables[k] for k in _KNOWLEDGE)
+    kw = {k: v for k, v in scalars.items() if k not in ("start", "q_start")}
+    diagnostics = train_run(
+        *(memoryview(x.reshape(-1)) for x in first + tuple(out.values())),
+        start=product.start, **kw)
+    run = SimpleNamespace(q=out["q"].reshape(-1, n_a),
+                          vol=out["vol"].reshape(-1, n_a),
+                          counts=out["counts"].reshape(-1, n_a),
+                          rows=product.rows, n_q=n_q)
+    dense = dense_run(run, n_s, 0.25)
+    out.update(q=dense.q.ravel(), vol=dense.vol.ravel(),
+               counts=dense.counts.ravel())
+    return _bits(out, diagnostics)
 
 
 def _loop_case(next_state, reward, seed, **scalars):
@@ -281,11 +394,11 @@ def _loop_case(next_state, reward, seed, **scalars):
 @example(_loop_case([0, 0], [1.0, 1.0], seed=4, alpha=1.0, gamma=0.0,
                     eps_start=1.0, max_steps=4))
 def test_train_run_matches_reference_kernel(case):
+    # the kernel walks the product rows reachable from the case's random
+    # start pair; the reference loop indexes every (s, q) pair
     tables, scalars, n_a, episodes, seed = case
-    stop = tables["terminal"] | tables["dead"]
-    got = _run_kernel(train_run, tables, scalars, n_a, episodes, seed, stop)
-    want = _run_kernel(reference_train_run, tables, scalars, n_a, episodes,
-                       seed, tables["terminal"])
+    got = _run_product_kernel(tables, scalars, n_a, episodes, seed)
+    want = _run_reference(tables, scalars, n_a, episodes, seed)
     assert got == want
 
 
@@ -306,6 +419,7 @@ def test_greedy_rollout_optimal_policy_accepts(dungeon_source,
                                                dungeon_source_tables):
     tables, cdfa = dungeon_source_tables
     q = value_iteration(tables, cdfa, gamma=0.99)
+    q = q[product_tables(tables, cdfa).rows]
     accepted, steps, total = greedy_rollout(tables, cdfa, q,
                                             dungeon_source.max_steps)
     assert accepted
@@ -317,16 +431,18 @@ def test_greedy_rollout_optimal_policy_accepts(dungeon_source,
 
 def test_greedy_rollout_detects_loops(dungeon_source_tables):
     tables, cdfa = dungeon_source_tables
-    q = np.zeros((tables.n_states * cdfa.delta.shape[0], tables.n_actions))
+    n_rows = len(product_tables(tables, cdfa).rows)
+    q = np.zeros((n_rows, tables.n_actions))
     accepted, steps, _ = greedy_rollout(tables, cdfa, q, 10**6)
     assert not accepted
-    assert steps <= tables.n_states * cdfa.delta.shape[0]
+    assert steps <= n_rows
 
 
 def test_greedy_rollout_respects_budget(dungeon_source,
                                         dungeon_source_tables):
     tables, cdfa = dungeon_source_tables
     q = value_iteration(tables, cdfa, gamma=0.99)
+    q = q[product_tables(tables, cdfa).rows]
     accepted, steps, _ = greedy_rollout(tables, cdfa, q, 3)
     assert not accepted
     assert steps == 3

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from cadent.automaton import ProductState, make_dfa
-from cadent.envs import ENV_NAMES, EnvSpec, default_spec, make_env
-from cadent.tabular import QTable, softmax_policy
+from cadent.envs import ENV_NAMES, default_spec, make_env
+from cadent.tabular import QTable
 from cadent.teacher import (AGGREGATION_MODES, TeacherError,
                             build_knowledge, dense_knowledge,
                             distill_automaton_values, distill_teacher_policy,
@@ -365,10 +365,12 @@ def test_build_knowledge_matches_sparse_reference(name):
     outcomes = []
     for seed, episodes in itertools.product((3, 7, 11), _BUDGETS[name]):
         result = train_teacher(env, episodes=episodes, seed=seed)
-        counts = result.run.counts.copy()
-        counts[start::result.run.n_q] = 0
+        run = result.run
+        counts = run.counts.copy()
+        counts[run.rows % run.n_q == start] = 0
         erased = dataclasses.replace(result, run=SimpleNamespace(
-            q=result.run.q, counts=counts, n_q=result.run.n_q))
+            q=run.q, vol=run.vol, counts=counts, rows=run.rows,
+            n_q=run.n_q))
         for res, agg in itertools.product((result, erased),
                                           AGGREGATION_MODES):
             ref = sparse_results(env, res.run)
