@@ -8,9 +8,9 @@ pure-Python `step` the single definition of the dynamics.
 
 `product_tables` joins the tables with the task automaton: the (env state,
 automaton state) pairs reachable from the start, which the training kernel
-walks. On every benchmark env the env state already fixes the automaton
-state, so there are about as many rows as env states, not n_q times as
-many.
+walks. On every benchmark env a live env state already fixes the
+automaton state, so there are about as many rows as env states, not n_q
+times as many.
 """
 
 from __future__ import annotations
