@@ -155,6 +155,9 @@ def cmd_experiment(args):
         ExperimentConfig().save(args.write_default_config)
         print(f"default config written to {args.write_default_config}")
         return 0
+    if args.parallel is not None and args.parallel < 1:
+        raise ValueError(f"--parallel must be a positive integer, not "
+                         f"{args.parallel}")
     if args.config:
         config = ExperimentConfig.load(args.config)
     else:
@@ -261,7 +264,10 @@ def build_parser():
                    help="per-env episode overrides, e.g. dungeon=500")
     p.add_argument("--only", help="filter cells, e.g. "
                                   "env=dungeon_quest,variant=cadent")
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--parallel", type=int,
+                   help="processes running the student cells (default: "
+                        "every CPU this process may use; 1 runs them all "
+                        "in this process)")
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--write-default-config",
                    help="write the default config JSON and exit")

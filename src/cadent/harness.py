@@ -2,10 +2,11 @@
 
 One experiment trains a teacher per environment on its source variant,
 distills knowledge once, then trains every requested student variant across
-seeds on the target variant. Outputs are plain files: per-run episode CSVs,
-aggregate curves (mean and standard error), distilled knowledge, and a
-summary with the sample-efficiency and final-performance tables. Everything
-written is a pure function of the config, so reruns are byte-identical.
+seeds on the target variant, spreading the student runs over the usable
+CPUs. Outputs are plain files: per-run episode CSVs, aggregate curves (mean
+and standard error), distilled knowledge, and a summary with the
+sample-efficiency and final-performance tables. Everything written is a pure
+function of the config, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from .baselines import canonical_variant, preset_names
 from .envs import (ACCEPT_BONUS, DEFAULT_EPISODES, ENV_NAMES, PROGRESS_BONUS,
                    STEP_PENALTY, EnvSpec, canonical_name, make_env)
+from .envs.tables import compile_env, product_tables
 from .files import json_text, write_atomic
 from .student import StudentConfig, train_student, uses_teacher
 from .tabular import Config
@@ -337,14 +339,38 @@ class CellError(RuntimeError):
     """A grid cell's run failed; the message names its (env, variant, seed)."""
 
 
-def run_experiment(config, out_dir, only=None, parallel=1, progress=None):
+def _worker_count(parallel):
+    """Processes to run a grid's cells: `parallel`, or for None the CPUs
+    this process may run on."""
+    if parallel is None:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:          # no sched_getaffinity (macOS)
+            return os.cpu_count() or 1
+    if (isinstance(parallel, bool)
+            or not isinstance(parallel, numbers.Integral) or parallel < 1):
+        raise ValueError(f"parallel must be None or a positive integer, "
+                         f"not {parallel!r}")
+    return int(parallel)
+
+
+def run_experiment(config, out_dir, only=None, parallel=None, progress=None):
     """Execute the full grid and write all artifacts under `out_dir`.
 
     `only` optionally restricts to (env, variant) pairs, e.g.
     {"env": {"dungeon_quest"}, "variant": {"cadent"}}; filtered runs produce
     byte-identical results to the same cells of the full grid. Returns the
     summary dict.
+
+    `parallel` processes run the student cells, never more than there are
+    cells. None, the default, means every CPU this process may run on; at 1
+    the cells run in this process, with no pool. The target env tables are
+    built before the pool starts, so forked workers share them. Cells that
+    need no teacher start at once; this process trains each env's teacher
+    meanwhile and starts that env's guided cells once its knowledge is
+    saved. The artifacts are byte-identical whatever `parallel` is.
     """
+    workers = _worker_count(parallel)
     out_dir = os.path.abspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     for sub in ("knowledge", "runs", "curves"):
@@ -359,54 +385,67 @@ def run_experiment(config, out_dir, only=None, parallel=1, progress=None):
         if not grid:
             raise ValueError("the only-filter removed every run")
     say = progress or (lambda msg: None)
+    env_names = sorted({e for (e, _v, _s) in grid})
+    # built before the pool starts, so that forked workers share them
+    for env_name in env_names:
+        env = _env(env_name, "target", config)
+        product_tables(compile_env(env), env.dfa.compiled())
 
-    # stage 1: teachers and distilled knowledge, one per environment
-    knowledge_paths = {}
-    for env_name in sorted({e for (e, _v, _s) in grid}):
-        needs_teacher = any(uses_teacher(v) for (e, v, _s) in grid
-                            if e == env_name)
-        path = os.path.join(out_dir, "knowledge", f"{env_name}.json")
-        knowledge_paths[env_name] = path
-        if not needs_teacher:
-            continue
-        say(f"teacher: {env_name}")
-        env = _env(env_name, "source", config)
-        result = train_teacher(env, params=config.base.learn,
-                               episodes=config.teacher_episodes,
-                               seed=config.teacher_seed,
-                               stream=ENV_NAMES.index(env_name))
-        knowledge = build_knowledge(result, env.dfa, tau=config.base.learn.tau,
-                                    aggregation=config.aggregation)
-        save_knowledge(knowledge, path)
-
-    # stage 2: the student grid
     config_json = config.to_json()
-    tasks = [(config_json, e, v, s, knowledge_paths[e]) for (e, v, s) in grid]
+    knowledge_paths = {e: os.path.join(out_dir, "knowledge", f"{e}.json")
+                       for e in env_names}
     results = {}
     diags = {}
-    with (ProcessPoolExecutor(max_workers=parallel) if parallel > 1
+    workers = min(workers, len(grid))
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
-        # per cell, a call giving its result: the worker's, or a serial run
-        outcomes = [pool.submit(_train_cell, task).result if pool
-                    else functools.partial(_train_cell, task)
-                    for task in tasks]
-        for task, outcome in zip(tasks, outcomes):
-            try:
-                key, records, diag = outcome()
-            except Exception as exc:
-                if pool:
-                    pool.shutdown(cancel_futures=True)
-                _config, e, v, s, _path = task
-                raise CellError(f"cell ({e}, {v}, seed {s}) failed: "
-                                f"{type(exc).__name__}: {exc}") from exc
-            say(f"run: {key}")
-            results[key] = records
-            diags[key] = diag
+
+        def start(cell):
+            """A call giving the cell's result: the worker's, or a run in
+            this process when there is no pool."""
+            e, v, s = cell
+            task = (config_json, e, v, s, knowledge_paths[e])
+            return (pool.submit(_train_cell, task).result if pool
+                    else functools.partial(_train_cell, task))
+
+        try:
+            outcomes = {c: start(c) for c in grid if not uses_teacher(c[1])}
+            # a teacher and its distilled knowledge per environment, then
+            # that environment's guided cells
+            for env_name in env_names:
+                guided = [c for c in grid
+                          if c[0] == env_name and uses_teacher(c[1])]
+                if not guided:
+                    continue
+                say(f"teacher: {env_name}")
+                env = _env(env_name, "source", config)
+                result = train_teacher(env, params=config.base.learn,
+                                       episodes=config.teacher_episodes,
+                                       seed=config.teacher_seed,
+                                       stream=ENV_NAMES.index(env_name))
+                knowledge = build_knowledge(result, env.dfa,
+                                            tau=config.base.learn.tau,
+                                            aggregation=config.aggregation)
+                save_knowledge(knowledge, knowledge_paths[env_name])
+                outcomes.update((c, start(c)) for c in guided)
+            for (e, v, s) in grid:
+                try:
+                    key, records, diag = outcomes[(e, v, s)]()
+                except Exception as exc:
+                    raise CellError(f"cell ({e}, {v}, seed {s}) failed: "
+                                    f"{type(exc).__name__}: {exc}") from exc
+                say(f"run: {key}")
+                results[key] = records
+                diags[key] = diag
+        except BaseException:
+            if pool:
+                pool.shutdown(cancel_futures=True)
+            raise
     for (e, v, s), records in sorted(results.items()):
         path = os.path.join(out_dir, "runs", f"{e}__{v}__seed{s}.csv")
         write_run_csv(path, records)
 
-    # stage 3: aggregation and summary
+    # aggregation and summary
     cells = sorted({(e, v) for (e, v, _s) in results})
     for (e, v) in cells:
         runs = [results[(e, v, s)] for s in config.seeds

@@ -514,34 +514,98 @@ def test_run_experiment_rejects_empty_filter(tmp_path):
                        only={"env": {"warehouse_robotics"}})
 
 
+# two envs whose cadent cells wait for their teachers while the
+# no_transfer cells run, and a grid that trains no teacher
+OVERLAP = dict(environments=("dungeon_quest", "blind_craftsman"),
+               variants=("cadent", "no_transfer"), seeds=(1, 2),
+               episodes={"dungeon_quest": 30, "blind_craftsman": 30},
+               teacher_episodes=300, threshold_window=10)
+
+
 def test_run_experiment_parallel_matches_serial(tmp_path):
-    config = ExperimentConfig(**MINI)
-    run_experiment(config, tmp_path / "serial", parallel=1)
-    run_experiment(config, tmp_path / "pool", parallel=2)
-    assert _tree(tmp_path / "serial") == _tree(tmp_path / "pool")
+    for name, grid in (("overlap", OVERLAP), ("mini", MINI)):
+        config = ExperimentConfig(**grid)
+        run_experiment(config, tmp_path / name / "serial", parallel=1)
+        serial = _tree(tmp_path / name / "serial")
+        for parallel in (None, 2):
+            out = tmp_path / name / f"pool{parallel}"
+            run_experiment(config, out, parallel=parallel)
+            assert multiprocessing.active_children() == []
+            assert _tree(out) == serial, (name, parallel)
 
 
-@pytest.mark.parametrize("parallel", [
-    1,
-    pytest.param(2, marks=pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="workers see the patched train_student only when forked")),
-])
-def test_run_experiment_names_a_failing_cell(tmp_path, monkeypatch,
-                                             parallel):
-    real = harness.train_student
-
-    def fail_seed_2(env, knowledge, config, *, seed, **kwargs):
-        if seed == 2:
-            raise RuntimeError("boom")
-        return real(env, knowledge, config, seed=seed, **kwargs)
-
-    monkeypatch.setattr(harness, "train_student", fail_seed_2)
-    with pytest.raises(harness.CellError, match=(
-            r"^cell \(dungeon_quest, no_transfer, seed 2\) failed: "
-            r"RuntimeError: boom$")):
+@pytest.mark.parametrize("parallel", [0, -3, True, 1.5, "2"])
+def test_run_experiment_rejects_bad_parallel(tmp_path, parallel):
+    with pytest.raises(ValueError, match="parallel must be None or a "
+                                         "positive integer"):
         run_experiment(ExperimentConfig(**MINI), tmp_path / "out",
                        parallel=parallel)
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_usable_cpu_runs_the_grid_without_a_pool(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-CPU grid started a process pool")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+    config = ExperimentConfig(**MINI)
+    run_experiment(config, tmp_path / "out")
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    run_experiment(config, tmp_path / "no_affinity")
+    assert _tree(tmp_path / "out") == _tree(tmp_path / "no_affinity")
+
+
+def test_pool_is_capped_and_starts_after_the_target_tables(tmp_path,
+                                                          monkeypatch):
+    # the default worker count is capped at the cells; forked workers
+    # inherit each target env with its tables and product rows
+    made = []
+
+    class Recording(harness.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            made.append((max_workers, [
+                env._tables is not None and env._tables.product is not None
+                for env in harness._ENVS.values()
+                if env.spec.variant == "target"]))
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(harness, "_ENVS", {})
+    run_experiment(ExperimentConfig(**MINI), tmp_path / "out")
+    assert made == [(2, [True])]
+    assert multiprocessing.active_children() == []
+
+
+FORKED = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers see the patched train_student only when forked")
+
+
+@pytest.mark.parametrize("parallel", [1, pytest.param(2, marks=FORKED),
+                                      pytest.param(None, marks=FORKED)])
+def test_run_experiment_names_a_failing_cell(tmp_path, monkeypatch,
+                                             parallel):
+    # a no_transfer cell starts before the teacher, a cadent cell after it
+    real = harness.train_student
+    config = ExperimentConfig(**{**MINI, "variants": ("cadent", "no_transfer"),
+                                 "teacher_episodes": 300})
+    for variant in ("no_transfer", "cadent"):
+        def fail_seed_2(env, knowledge, config, *, seed, **kwargs):
+            if seed == 2 and config.variant == variant:
+                raise RuntimeError("boom")
+            return real(env, knowledge, config, seed=seed, **kwargs)
+
+        monkeypatch.setattr(harness, "train_student", fail_seed_2)
+        with pytest.raises(harness.CellError, match=(
+                rf"^cell \(dungeon_quest, {variant}, seed 2\) failed: "
+                r"RuntimeError: boom$")):
+            run_experiment(config, tmp_path / variant, parallel=parallel)
+        assert multiprocessing.active_children() == []
 
 
 def test_run_experiment_builds_each_env_once(tmp_path, monkeypatch):
@@ -581,28 +645,35 @@ def test_run_experiment_loads_each_knowledge_file_once(tmp_path,
     config = ExperimentConfig(**{**MINI, "variants": ("cadent", "ad",
                                                       "no_transfer"),
                                  "teacher_episodes": 400})
-    run_experiment(config, tmp_path / "out")
+    # the memo is per process: in this process, every cell parses here
+    run_experiment(config, tmp_path / "out", parallel=1)
     assert loaded == ["dungeon_quest.json"]
 
 
 def test_rewritten_knowledge_file_is_read_again(tmp_path):
     # the second grid's teacher rewrites the knowledge file at the same
-    # path; its cells must read the new file, not the parse of the old one
+    # path; its cells must read the new file, not the parse of the old one.
+    # The first grid runs in this process, so its parse is in this
+    # process's memo, which forked workers inherit.
     base = {**MINI, "variants": ("cadent", "no_transfer"),
             "teacher_episodes": 400}
-    run_experiment(ExperimentConfig(**base, teacher_seed=7),
-                   tmp_path / "shared")
-    first = _tree(tmp_path / "shared")
-    second = ExperimentConfig(**base, teacher_seed=8)
-    run_experiment(second, tmp_path / "shared")
-    harness._load_knowledge_at.cache_clear()
-    run_experiment(second, tmp_path / "alone")
-    assert _tree(tmp_path / "shared") == _tree(tmp_path / "alone")
-    # the cadent cells' max |update| depends on the knowledge they read
 
     def results(tree):
         return json.loads(tree["summary.json"])["results"]
-    assert results(first) != results(_tree(tmp_path / "alone"))
+
+    for parallel in (1, None):
+        shared = tmp_path / f"shared{parallel}"
+        alone = tmp_path / f"alone{parallel}"
+        run_experiment(ExperimentConfig(**base, teacher_seed=7), shared,
+                       parallel=1)
+        first = _tree(shared)
+        second = ExperimentConfig(**base, teacher_seed=8)
+        run_experiment(second, shared, parallel=parallel)
+        harness._load_knowledge_at.cache_clear()
+        run_experiment(second, alone, parallel=parallel)
+        assert _tree(shared) == _tree(alone), parallel
+        # the cadent cells' max |update| depends on the knowledge they read
+        assert results(first) != results(_tree(alone)), parallel
 
 
 def test_grid_never_decodes_a_sparse_table(tmp_path, monkeypatch):
