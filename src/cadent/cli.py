@@ -150,14 +150,22 @@ def _parse_episodes(text):
     return out
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, "
+                                         f"not {text}")
+    return value
+
+
 def cmd_experiment(args):
     if args.write_default_config:
         ExperimentConfig().save(args.write_default_config)
         print(f"default config written to {args.write_default_config}")
         return 0
-    if args.parallel is not None and args.parallel < 1:
-        raise ValueError(f"--parallel must be a positive integer, not "
-                         f"{args.parallel}")
     if args.config:
         config = ExperimentConfig.load(args.config)
     else:
@@ -264,7 +272,7 @@ def build_parser():
                    help="per-env episode overrides, e.g. dungeon=500")
     p.add_argument("--only", help="filter cells, e.g. "
                                   "env=dungeon_quest,variant=cadent")
-    p.add_argument("--parallel", type=int,
+    p.add_argument("--parallel", type=_positive_int,
                    help="processes running the student cells (default: "
                         "every CPU this process may use; 1 runs them all "
                         "in this process)")

@@ -240,12 +240,14 @@ def test_knowledge_misuse_exit_codes(knowledge_file, tmp_path, capsys):
     assert "does not take" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
 def test_experiment_rejects_bad_parallel(tmp_path, capsys, value):
-    assert main(["experiment", "--out", str(tmp_path / "out"),
-                 "--parallel", value]) == 1
-    assert f"--parallel must be a positive integer, not {value}" in \
-        capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--out", str(tmp_path / "out"),
+              "--parallel", value])
+    assert exc.value.code == 2
+    assert f"argument --parallel: must be a positive integer, not {value}" \
+        in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from cadent import files, harness, student, teacher
 from cadent.automaton import save_dfa
+from cadent.cli import main
 from cadent.envs import bundled_dfa
 from cadent.harness import (CURVE_CSV_HEADER, RUN_CSV_HEADER, EpisodeRecord,
                             ExperimentConfig, _mean_stderr, _run_stream,
@@ -532,6 +533,14 @@ def test_run_experiment_parallel_matches_serial(tmp_path):
             run_experiment(config, out, parallel=parallel)
             assert multiprocessing.active_children() == []
             assert _tree(out) == serial, (name, parallel)
+        # cadent experiment without --parallel takes run_experiment's default
+        config.save(tmp_path / name / "config.json")
+        out = tmp_path / name / "cli"
+        assert main(["experiment", "--config", str(tmp_path / name /
+                                                   "config.json"),
+                     "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        assert _tree(out) == serial, (name, "cli")
 
 
 @pytest.mark.parametrize("parallel", [0, -3, True, 1.5, "2"])
@@ -620,12 +629,13 @@ def test_run_experiment_builds_each_env_once(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_ENVS", {})
     config = ExperimentConfig(**{**MINI, "variants": ("cadent", "no_transfer"),
                                  "teacher_episodes": 400})
-    run_experiment(config, tmp_path / "a")
-    run_experiment(config, tmp_path / "b")
+    # the cache is per process: in this process, every cell looks it up here
+    run_experiment(config, tmp_path / "a", parallel=1)
+    run_experiment(config, tmp_path / "b", parallel=1)
     assert sorted(made) == [("dungeon_quest", "source"),
                             ("dungeon_quest", "target")]
     monkeypatch.setattr(harness, "_ENVS", {})
-    run_experiment(config, tmp_path / "fresh")
+    run_experiment(config, tmp_path / "fresh", parallel=1)
     assert len(made) == 4
     assert _tree(tmp_path / "a") == _tree(tmp_path / "b")
     assert _tree(tmp_path / "a") == _tree(tmp_path / "fresh")
