@@ -45,9 +45,9 @@ _HYPER_SECTIONS = {"learn": LearningParams, "trust": TrustParams,
                    "guide": GuidanceParams}
 
 
-def _add_hyper_args(p):
+def _add_hyper_args(p, *sections):
     g = p.add_argument_group("hyperparameters")
-    for params in _HYPER_SECTIONS.values():
+    for params in sections:
         for f in fields(params):
             flag = "gate-k" if f.name == "k" else f.name.replace("_", "-")
             g.add_argument("--" + flag, dest=f.name, type=float,
@@ -235,7 +235,7 @@ def build_parser():
     p = sub.add_parser("train-teacher",
                        help="train on a source task and distill knowledge")
     _add_env_args(p, "source")
-    _add_hyper_args(p)
+    _add_hyper_args(p, LearningParams)   # a teacher has no gate or guidance
     p.add_argument("--episodes", type=int, default=5000)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--aggregation", default="visitation_weighted",
@@ -247,7 +247,7 @@ def build_parser():
     p = sub.add_parser("train-student",
                        help="train one student variant on a target task")
     _add_env_args(p, "target")
-    _add_hyper_args(p)
+    _add_hyper_args(p, *_HYPER_SECTIONS.values())
     p.add_argument("--variant", default="cadent",
                    help=f"one of {', '.join(preset_names())} "
                         f"(aliases: {', '.join(sorted(VARIANT_ALIASES))})")

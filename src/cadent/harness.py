@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .automaton import progress_edges
 from .baselines import canonical_variant, preset_names
 from .envs import (ACCEPT_BONUS, DEFAULT_EPISODES, ENV_NAMES, PROGRESS_BONUS,
                    STEP_PENALTY, EnvSpec, canonical_name, make_env)
@@ -30,8 +31,8 @@ from .envs.tables import compile_env, product_tables
 from .files import json_text, write_atomic
 from .student import StudentConfig, train_student, uses_teacher
 from .tabular import Config
-from .teacher import (AGGREGATION_MODES, build_knowledge, load_knowledge,
-                      save_knowledge, train_teacher)
+from .teacher import (AGGREGATION_MODES, build_knowledge, save_knowledge,
+                      train_teacher)
 
 CURVE_POINTS = 200
 RUN_CSV_HEADER = "variant,env,seed,episode,reward,steps,cumulative_steps,reached_accept"
@@ -97,6 +98,12 @@ class ExperimentConfig(Config):
             for i, s in enumerate(self.seeds)))
         object.__setattr__(self, "episodes", _env_mapping(
             self.episodes, "episodes", True, 1, "a positive JSON integer"))
+        for where, lowest, what in (
+                ("layout_seed", 0, "a non-negative JSON integer"),
+                ("teacher_episodes", 1, "a positive JSON integer"),
+                ("teacher_seed", 0, "a non-negative JSON integer")):
+            object.__setattr__(self, where, _config_item(
+                getattr(self, where), where, True, lowest, what))
         if not self.environments:
             raise ValueError("need at least one environment")
         if not self.variants:
@@ -298,30 +305,12 @@ def _env(name, variant, config):
     return _ENVS[key]
 
 
-def _knowledge(path):
-    """This process's parse of the knowledge file at `path`.
-
-    Every guided cell of an env reads the same file, so it is parsed once.
-    The key holds the file's inode, mtime and size as well as its path: a
-    later grid that rewrites the file (`write_atomic` renames a new inode
-    over it) gets it read again.
-    """
-    st = os.stat(path)
-    return _load_knowledge_at(path, st.st_ino, st.st_mtime_ns, st.st_size)
-
-
-@functools.lru_cache(maxsize=8)
-def _load_knowledge_at(path, _ino, _mtime_ns, _size):
-    return load_knowledge(path)
-
-
-def _train_cell(args):
-    """One (env, variant, seed) student run; used by worker processes too."""
-    (config_json, env_name, variant, seed, knowledge_path) = args
-    config = ExperimentConfig.from_json(config_json)
+def _train_cell(config, env_name, variant, seed, knowledge):
+    """One (env, variant, seed) student run, guided by `knowledge` (None for
+    a variant without a teacher); used by worker processes too. Returns the
+    run's episode records and its diagnostics."""
     env = _env(env_name, "target", config)
     student_cfg = config.base.with_(variant=variant, omega0=config.omega0)
-    knowledge = _knowledge(knowledge_path) if uses_teacher(variant) else None
     result = train_student(env, knowledge, student_cfg,
                            episodes=config.episodes_for(env_name),
                            seed=seed, stream=_run_stream(env_name, variant))
@@ -332,7 +321,7 @@ def _train_cell(args):
         "soft_violations": result.diagnostics.soft_violations,
         "bound": result.bound,
     }
-    return (env_name, variant, seed), records, diag
+    return records, diag
 
 
 class CellError(RuntimeError):
@@ -367,8 +356,8 @@ def run_experiment(config, out_dir, only=None, parallel=None, progress=None):
     the cells run in this process, with no pool. The target env tables are
     built before the pool starts, so forked workers share them. Cells that
     need no teacher start at once; this process trains each env's teacher
-    meanwhile and starts that env's guided cells once its knowledge is
-    saved. The artifacts are byte-identical whatever `parallel` is.
+    meanwhile and, once its knowledge is saved, starts that env's guided
+    cells with the knowledge as an argument. The artifacts are byte-identical whatever `parallel` is.
     """
     workers = _worker_count(parallel)
     out_dir = os.path.abspath(out_dir)
@@ -391,22 +380,19 @@ def run_experiment(config, out_dir, only=None, parallel=None, progress=None):
         env = _env(env_name, "target", config)
         product_tables(compile_env(env), env.dfa.compiled())
 
-    config_json = config.to_json()
-    knowledge_paths = {e: os.path.join(out_dir, "knowledge", f"{e}.json")
-                       for e in env_names}
     results = {}
     diags = {}
     workers = min(workers, len(grid))
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
 
-        def start(cell):
+        def start(cell, knowledge=None):
             """A call giving the cell's result: the worker's, or a run in
-            this process when there is no pool."""
-            e, v, s = cell
-            task = (config_json, e, v, s, knowledge_paths[e])
-            return (pool.submit(_train_cell, task).result if pool
-                    else functools.partial(_train_cell, task))
+            this process when there is no pool. A worker gets the config
+            and the knowledge pickled with its task."""
+            task = (_train_cell, config, *cell, knowledge)
+            return (pool.submit(*task).result if pool
+                    else functools.partial(*task))
 
         try:
             outcomes = {c: start(c) for c in grid if not uses_teacher(c[1])}
@@ -426,17 +412,19 @@ def run_experiment(config, out_dir, only=None, parallel=None, progress=None):
                 knowledge = build_knowledge(result, env.dfa,
                                             tau=config.base.learn.tau,
                                             aggregation=config.aggregation)
-                save_knowledge(knowledge, knowledge_paths[env_name])
-                outcomes.update((c, start(c)) for c in guided)
-            for (e, v, s) in grid:
+                save_knowledge(knowledge, os.path.join(
+                    out_dir, "knowledge", f"{env_name}.json"))
+                outcomes.update((c, start(c, knowledge)) for c in guided)
+            for cell in grid:
                 try:
-                    key, records, diag = outcomes[(e, v, s)]()
+                    records, diag = outcomes[cell]()
                 except Exception as exc:
+                    e, v, s = cell
                     raise CellError(f"cell ({e}, {v}, seed {s}) failed: "
                                     f"{type(exc).__name__}: {exc}") from exc
-                say(f"run: {key}")
-                results[key] = records
-                diags[key] = diag
+                say(f"run: {cell}")
+                results[cell] = records
+                diags[cell] = diag
         except BaseException:
             if pool:
                 pool.shutdown(cancel_futures=True)
@@ -523,11 +511,10 @@ def build_summary(config, results, diags):
     norm = {}
     for env_name in table:
         env = _env(env_name, "target", config)
-        n_progress = sum(1 for (q, _s), t in env.dfa.transitions.items()
-                         if t != q)
         norm[env_name] = {
             "reward_min": env.max_steps * STEP_PENALTY,
-            "reward_max": n_progress * PROGRESS_BONUS + ACCEPT_BONUS,
+            "reward_max": (len(progress_edges(env.dfa)) * PROGRESS_BONUS
+                           + ACCEPT_BONUS),
         }
     return {
         "config": config.to_json(),

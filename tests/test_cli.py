@@ -177,6 +177,19 @@ def test_train_teacher_writes_artifacts(knowledge_file):
     assert len(table) > 0
 
 
+@pytest.mark.parametrize("flag", ["--eta", "--gate-k", "--theta", "--v-init",
+                                  "--lambda-ad", "--lambda-pd"])
+def test_train_teacher_rejects_student_flags(flag, tmp_path, capsys):
+    # a teacher has no trust gate or guidance terms, so their flags would
+    # be ignored; argparse refuses them before any training
+    with pytest.raises(SystemExit) as exc:
+        main(["train-teacher", "--env", "dungeon", "--out",
+              str(tmp_path / "knowledge.json"), flag, "0.3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 0.3" in capsys.readouterr().err
+    assert not (tmp_path / "knowledge.json").exists()
+
+
 def test_train_student_no_transfer(tmp_path, capsys):
     csv = tmp_path / "run.csv"
     code = main(["train-student", "--env", "dungeon", "--variant", "none",

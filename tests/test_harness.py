@@ -20,9 +20,9 @@ from cadent.harness import (CURVE_CSV_HEADER, RUN_CSV_HEADER, EpisodeRecord,
                             records_from_result, run_experiment,
                             steps_to_threshold, write_curve_csv,
                             write_run_csv)
-from cadent.student import StudentConfig, TrustParams
+from cadent.student import StudentConfig, TrustParams, uses_teacher
 from cadent.tabular import QTable, save_qtable
-from cadent.teacher import TeacherKnowledge, save_knowledge
+from cadent.teacher import TeacherKnowledge, load_knowledge, save_knowledge
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +61,16 @@ def test_config_validation_errors():
         ExperimentConfig(episodes={"atari": 100})
     with pytest.raises(ValueError):
         ExperimentConfig(omega0=1.5)
+    for field, value, what in (
+            ("teacher_episodes", 0, "a positive JSON integer"),
+            ("teacher_episodes", True, "a positive JSON integer"),
+            ("teacher_episodes", 2.5, "a positive JSON integer"),
+            ("teacher_seed", -1, "a non-negative JSON integer"),
+            ("layout_seed", -2, "a non-negative JSON integer")):
+        with pytest.raises(ValueError, match=(
+                rf"^ExperimentConfig.{field} must be {what}, "
+                rf"not {json.dumps(value)}$")):
+            ExperimentConfig(**{field: value})
 
 
 def test_config_rejects_names_repeated_after_canonicalization():
@@ -177,12 +187,11 @@ def test_train_cell_omega0_on_a_pinned_base(monkeypatch):
     knowledge = TeacherKnowledge(
         q_ad={}, pi={}, tau=2.0, n_actions=env.n_actions,
         alphabet=tuple(env.dfa.alphabet), aggregation="visitation_weighted")
-    monkeypatch.setattr(harness, "_knowledge", lambda path: knowledge)
     monkeypatch.setattr(student, "run_training", capture)
     for variant in config.variants:
         with pytest.raises(Stop):
-            harness._train_cell((config.to_json(), "dungeon_quest", variant,
-                                 1, "unused"))
+            harness._train_cell(config, "dungeon_quest", variant, 1,
+                                knowledge if uses_teacher(variant) else None)
     assert seen == [0.8, 0.5, 0.8]
 
 
@@ -641,30 +650,11 @@ def test_run_experiment_builds_each_env_once(tmp_path, monkeypatch):
     assert _tree(tmp_path / "a") == _tree(tmp_path / "fresh")
 
 
-def test_run_experiment_loads_each_knowledge_file_once(tmp_path,
-                                                       monkeypatch):
-    loaded = []
-    real = harness.load_knowledge
-
-    def counting(path):
-        loaded.append(os.path.basename(path))
-        return real(path)
-
-    monkeypatch.setattr(harness, "load_knowledge", counting)
-    harness._load_knowledge_at.cache_clear()
-    config = ExperimentConfig(**{**MINI, "variants": ("cadent", "ad",
-                                                      "no_transfer"),
-                                 "teacher_episodes": 400})
-    # the memo is per process: in this process, every cell parses here
-    run_experiment(config, tmp_path / "out", parallel=1)
-    assert loaded == ["dungeon_quest.json"]
-
-
-def test_rewritten_knowledge_file_is_read_again(tmp_path):
+def test_consecutive_grids_in_one_process_match_a_fresh_directory(tmp_path):
     # the second grid's teacher rewrites the knowledge file at the same
-    # path; its cells must read the new file, not the parse of the old one.
-    # The first grid runs in this process, so its parse is in this
-    # process's memo, which forked workers inherit.
+    # path; its cells must train from the new knowledge, and its tree must
+    # equal that of the same grid written to a directory of its own. The
+    # first grid runs in this process, whose state forked workers inherit.
     base = {**MINI, "variants": ("cadent", "no_transfer"),
             "teacher_episodes": 400}
 
@@ -679,11 +669,27 @@ def test_rewritten_knowledge_file_is_read_again(tmp_path):
         first = _tree(shared)
         second = ExperimentConfig(**base, teacher_seed=8)
         run_experiment(second, shared, parallel=parallel)
-        harness._load_knowledge_at.cache_clear()
         run_experiment(second, alone, parallel=parallel)
         assert _tree(shared) == _tree(alone), parallel
-        # the cadent cells' max |update| depends on the knowledge they read
+        # the cadent cells' max |update| depends on the knowledge they get
         assert results(first) != results(_tree(alone)), parallel
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_guided_cell_matches_a_run_from_the_saved_knowledge(tmp_path,
+                                                            parallel):
+    # a guided cell trains from the knowledge its teacher built in memory;
+    # the file the grid saved holds the same knowledge, bit for bit
+    config = ExperimentConfig(**{**MINI, "variants": ("cadent", "no_transfer"),
+                                 "teacher_episodes": 400})
+    out = tmp_path / "out"
+    run_experiment(config, out, parallel=parallel)
+    knowledge = load_knowledge(out / "knowledge" / "dungeon_quest.json")
+    records, _diag = harness._train_cell(config, "dungeon_quest", "cadent", 2,
+                                         knowledge)
+    write_run_csv(tmp_path / "again.csv", records)
+    assert ((tmp_path / "again.csv").read_bytes()
+            == (out / "runs" / "dungeon_quest__cadent__seed2.csv").read_bytes())
 
 
 def test_grid_never_decodes_a_sparse_table(tmp_path, monkeypatch):
