@@ -18,7 +18,9 @@ dead state.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..rng import RandomState
 from ..tabular import Config
@@ -56,14 +58,16 @@ class EnvSpec(Config):
         if self.variant not in VARIANTS:
             raise EnvError(f"variant must be one of {VARIANTS}, "
                            f"got {self.variant!r}")
-        if self.layout_seed < 0:
-            raise EnvError("layout_seed must be non-negative")
-        if self.max_steps < 0:
-            raise EnvError("max_steps must be non-negative")
+        for name in ("layout_seed", "max_steps"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral) or value < 0):
+                raise EnvError(f"EnvSpec.{name} must be a non-negative "
+                               f"integer, not {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """Result of one environment step.
 
     `done` covers task completion and irrecoverable failure; `timeout` is

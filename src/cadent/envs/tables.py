@@ -15,6 +15,7 @@ times as many.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -57,51 +58,50 @@ def compile_env(env):
     Traversal is breadth-first in action-index order, so state indices are a
     deterministic function of the environment alone. Terminal and dead states
     are indexed but never expanded; their table rows self-loop with zero
-    reward and are never read by a correct training loop.
+    reward and are never read by a correct training loop. Each row is
+    appended to flat typed buffers, which become the tables without a copy.
     """
     if env._tables is not None:
         return env._tables
-    comp = env.dfa.compiled()
+    symbols = {None: 0, **env.dfa.compiled().symbol_index}
     n_actions = env.n_actions
+    actions = range(n_actions)
+    step, is_terminal, is_dead = env.step, env.is_terminal, env.is_dead
     start = env.reset()
     states = [start]
     index = {start: 0}
-    terminal = [env.is_terminal(start)]
-    dead = [env.is_dead(start)]
-    next_rows, reward_rows, event_rows = [], [], []
-    head = 0
-    while head < len(states):
-        s = states[head]
+    terminal = bytearray([bool(is_terminal(start))])
+    dead = bytearray([bool(is_dead(start))])
+    next_state, reward, event = array("i"), array("d"), array("h")
+    stop_reward = array("d", [0.0]) * n_actions
+    stop_event = array("h", [0]) * n_actions
+    # `states` grows while it is walked: the iterator reaches every state
+    for head, s in enumerate(states):
         if terminal[head] or dead[head]:
-            next_rows.append([head] * n_actions)
-            reward_rows.append([0.0] * n_actions)
-            event_rows.append([0] * n_actions)
-            head += 1
+            next_state.extend([head] * n_actions)
+            reward.extend(stop_reward)
+            event.extend(stop_event)
             continue
-        nxt, rew, evt = [], [], []
-        for a in range(n_actions):
-            out = env.step(s, a)
-            if out.state not in index:
-                index[out.state] = len(states)
-                states.append(out.state)
-                terminal.append(env.is_terminal(out.state))
-                dead.append(env.is_dead(out.state))
-            nxt.append(index[out.state])
-            rew.append(out.reward)
-            evt.append(comp.symbol_index[out.event]
-                       if out.event is not None else 0)
-        next_rows.append(nxt)
-        reward_rows.append(rew)
-        event_rows.append(evt)
-        head += 1
+        for a in actions:
+            nxt, r, e, _done, _timeout = step(s, a)
+            j = index.get(nxt)
+            if j is None:
+                j = index[nxt] = len(states)
+                states.append(nxt)
+                terminal.append(bool(is_terminal(nxt)))
+                dead.append(bool(is_dead(nxt)))
+            next_state.append(j)
+            reward.append(r)
+            event.append(symbols[e])
+    shape = (len(states), n_actions)
     tables = EnvTables(
         states=states,
         index=index,
-        next_state=np.array(next_rows, dtype=np.int32),
-        reward=np.array(reward_rows, dtype=np.float64),
-        event=np.array(event_rows, dtype=np.int16),
-        terminal=np.array(terminal, dtype=np.bool_),
-        dead=np.array(dead, dtype=np.bool_),
+        next_state=np.frombuffer(next_state, dtype=np.int32).reshape(shape),
+        reward=np.frombuffer(reward, dtype=np.float64).reshape(shape),
+        event=np.frombuffer(event, dtype=np.int16).reshape(shape),
+        terminal=np.frombuffer(terminal, dtype=np.bool_),
+        dead=np.frombuffer(dead, dtype=np.bool_),
         start=0,
         n_actions=n_actions,
     )

@@ -41,13 +41,14 @@ CURVE_CSV_HEADER = "x,mean,stderr,n"
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
 
 
-def _config_item(value, where, integer, lowest, what):
-    """An item of an ExperimentConfig array or mapping, as an int if
-    `integer` else a float; a ValueError naming `where` unless it is such a
-    JSON number (bools are not) of at least `lowest`."""
+def _config_item(value, where, integer, lowest, what, highest=math.inf):
+    """An ExperimentConfig field, or an item of one of its arrays or
+    mappings, as an int if `integer` else a float; a ValueError naming
+    `where` unless it is such a JSON number (bools are not) in [`lowest`,
+    `highest`] (NaN is not)."""
     kind = numbers.Integral if integer else numbers.Real
     if (isinstance(value, bool) or not isinstance(value, kind)
-            or value < lowest):
+            or not lowest <= value <= highest):
         try:
             shown = json.dumps(value)
         except TypeError:
@@ -101,9 +102,12 @@ class ExperimentConfig(Config):
         for where, lowest, what in (
                 ("layout_seed", 0, "a non-negative JSON integer"),
                 ("teacher_episodes", 1, "a positive JSON integer"),
-                ("teacher_seed", 0, "a non-negative JSON integer")):
+                ("teacher_seed", 0, "a non-negative JSON integer"),
+                ("threshold_window", 1, "a positive JSON integer")):
             object.__setattr__(self, where, _config_item(
                 getattr(self, where), where, True, lowest, what))
+        object.__setattr__(self, "omega0", _config_item(
+            self.omega0, "omega0", False, 0, "a JSON number in [0, 1]", 1))
         if not self.environments:
             raise ValueError("need at least one environment")
         if not self.variants:
@@ -127,10 +131,6 @@ class ExperimentConfig(Config):
         if self.threshold == "auto" and "no_transfer" not in self.variants:
             raise ValueError("auto thresholds need the no_transfer variant "
                              "in the grid")
-        if self.threshold_window < 1:
-            raise ValueError("threshold_window must be positive")
-        if not (0.0 <= self.omega0 <= 1.0):
-            raise ValueError("omega0 must be in [0, 1]")
         unknown = set(self.episodes) - set(self.environments)
         if unknown:
             raise ValueError(f"episode overrides for unknown environments "

@@ -171,16 +171,15 @@ def distill_teacher_policy(result, dfa, tau,
     rows = np.flatnonzero(visits)
     rows = rows[np.argsort(rank[run.rows[rows] // run.n_q], kind="stable")]
     q_of = run.rows[rows] % run.n_q
+    weights = (visits if aggregation == "visitation_weighted"
+               else np.ones_like(visits))
     pi = {}
     for qi in sorted(set(q_of.tolist()), key=dfa.states.__getitem__):
-        acc = np.zeros(run.q.shape[1], dtype=np.float64)
-        weight_total = 0.0
-        for row in rows[q_of == qi]:
-            w = (float(visits[row]) if aggregation == "visitation_weighted"
-                 else 1.0)
-            acc += w * run.q[row]
-            weight_total += w
-        pi[dfa.states[qi]] = softmax_policy(acc / weight_total, tau)
+        sel = rows[q_of == qi]
+        w = weights[sel]
+        # accumulate adds rows strictly left to right (a sum may pair them)
+        acc = np.add.accumulate(w[:, None] * run.q[sel], axis=0)[-1]
+        pi[dfa.states[qi]] = softmax_policy(acc / float(w.sum()), tau)
     required = sorted({q for (q, _q2) in accepting_path_edges(dfa)})
     missing = [q for q in required if q not in pi]
     if missing:

@@ -11,10 +11,12 @@ again: `PYTHONPATH=src python tests/test_env_tables.py` prints it.
 """
 
 import hashlib
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from cadent.envs import ENV_NAMES, default_spec, make_env
+from cadent.envs import ENV_NAMES, StepOutcome, default_spec, make_env
 from cadent.envs.tables import compile_env
 
 PINNED = {
@@ -63,6 +65,42 @@ def _digest(name, variant):
 def test_compiled_tables_match_pinned_digest(name, variant):
     assert _digest(name, variant) == PINNED[(name, variant)], (
         f"compiled tables of ({name}, {variant}) changed")
+
+
+@pytest.mark.parametrize("name,variant", _CELLS)
+def test_compiled_tables_have_their_dtypes_and_shapes(name, variant):
+    # the digests hash bytes only, so they cannot see a dtype or shape
+    tables = compile_env(make_env(default_spec(name, variant)))
+    n, a = tables.n_states, tables.n_actions
+    for array, dtype, shape in (
+            (tables.next_state, np.int32, (n, a)),
+            (tables.reward, np.float64, (n, a)),
+            (tables.event, np.int16, (n, a)),
+            (tables.terminal, np.bool_, (n,)),
+            (tables.dead, np.bool_, (n,))):
+        assert (array.dtype, array.shape) == (np.dtype(dtype), shape)
+
+
+def test_compile_env_peak_memory_stays_near_what_it_keeps():
+    # rows built as Python lists of boxed numbers peaked at 2.8x what the
+    # compiled tables keep on the warehouse target; flat buffers at 1.0x
+    env = make_env(default_spec("warehouse_robotics", "target"))
+    tracemalloc.start()
+    try:
+        tables = compile_env(env)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tables.n_states > 20000
+    assert peak < 2 * kept, (peak, kept)
+
+
+def test_step_outcome_is_an_immutable_named_tuple():
+    out = StepOutcome((1, 2), -0.01, None, False)
+    assert out._fields == ("state", "reward", "event", "done", "timeout")
+    assert tuple(out) == ((1, 2), -0.01, None, False, False)
+    with pytest.raises(AttributeError):
+        out.done = True
 
 
 if __name__ == "__main__":

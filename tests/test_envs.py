@@ -1,5 +1,8 @@
 """Environment behaviour: layouts, dynamics, rewards, and scripted runs."""
 
+import re
+
+import numpy as np
 import pytest
 
 from cadent.automaton import is_accepting, step_automaton
@@ -54,10 +57,18 @@ def test_canonical_name_rejects_unknown():
 def test_env_spec_validation():
     with pytest.raises(ValueError):
         EnvSpec("dungeon_quest", variant="teacher")
-    with pytest.raises(ValueError):
-        EnvSpec("dungeon_quest", layout_seed=-1)
-    with pytest.raises(ValueError):
-        EnvSpec("dungeon_quest", max_steps=-5)
+    # a float seed failed later in make_env, a bool one gave its own cache
+    # key, and a float or bool max_steps reached the env as its budget
+    for field, value in (("layout_seed", -1), ("layout_seed", 1.5),
+                         ("layout_seed", True), ("max_steps", -5),
+                         ("max_steps", 2.5), ("max_steps", True)):
+        with pytest.raises(EnvError, match=(
+                rf"^EnvSpec.{field} must be a non-negative integer, "
+                rf"not {re.escape(repr(value))}$")):
+            EnvSpec("dungeon_quest", **{field: value})
+    # a numpy integer is stored as an int, so the spec stays JSON
+    spec = EnvSpec("dungeon_quest", layout_seed=np.int64(3))
+    assert type(spec.layout_seed) is int
 
 
 def test_env_spec_json_round_trip(tmp_path):

@@ -1,8 +1,10 @@
 """Experiment configuration, CSV artifacts, aggregation, and the runner."""
 
 import json
+import math
 import multiprocessing
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,11 +68,24 @@ def test_config_validation_errors():
             ("teacher_episodes", True, "a positive JSON integer"),
             ("teacher_episodes", 2.5, "a positive JSON integer"),
             ("teacher_seed", -1, "a non-negative JSON integer"),
-            ("layout_seed", -2, "a non-negative JSON integer")):
+            ("layout_seed", -2, "a non-negative JSON integer"),
+            # a float window trained every cell and failed in build_summary
+            ("threshold_window", 0, "a positive JSON integer"),
+            ("threshold_window", 2.5, "a positive JSON integer"),
+            ("threshold_window", 3.0, "a positive JSON integer"),
+            ("threshold_window", True, "a positive JSON integer"),
+            ("omega0", 1.5, "a JSON number in [0, 1]"),
+            ("omega0", -0.1, "a JSON number in [0, 1]"),
+            ("omega0", True, "a JSON number in [0, 1]"),
+            ("omega0", math.nan, "a JSON number in [0, 1]")):
         with pytest.raises(ValueError, match=(
-                rf"^ExperimentConfig.{field} must be {what}, "
+                rf"^ExperimentConfig.{field} must be {re.escape(what)}, "
                 rf"not {json.dumps(value)}$")):
             ExperimentConfig(**{field: value})
+    with pytest.raises(ValueError, match=(
+            r"^ExperimentConfig.threshold\[dungeon\] must be a JSON number, "
+            r"not NaN$")):
+        ExperimentConfig(threshold={"dungeon": math.nan})
 
 
 def test_config_rejects_names_repeated_after_canonicalization():

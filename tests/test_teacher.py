@@ -383,3 +383,18 @@ def test_build_knowledge_matches_sparse_reference(name):
                     ref.qtable, ref.visits, dfa, 2.0, env.n_actions, agg))
             outcomes.append(isinstance(got, str))
     assert outcomes.count(True) == outcomes.count(False) == 12
+
+
+@pytest.mark.parametrize("name", ENV_NAMES)
+def test_policy_of_a_grid_teacher_matches_sparse_reference(name,
+                                                           source_teacher):
+    # the full-budget teachers a grid distills: long per-state sums, where
+    # any change in the order of the additions would show in the bits
+    result = source_teacher(name)
+    env = result.env
+    ref = sparse_results(env, result.run)
+    for agg in AGGREGATION_MODES:
+        assert _bits(lambda: distill_teacher_policy(
+            result, env.dfa, 2.0, agg)) == _bits(
+            lambda: reference_teacher_policy(
+                ref.qtable, ref.visits, env.dfa, 2.0, env.n_actions, agg))
