@@ -7,23 +7,14 @@ distilled into (a) a value for each automaton transition it exercised and
 target task then fuses its own TD error with those two signals, arbitrated
 per state-action pair by a trust gate driven by the student's local TD-error
 volatility: noisy estimates defer to the teacher, settled ones do not.
+
+The public names load on first use (PEP 562): `cadent.train_student` imports
+`cadent.student` and what it imports, not the experiment harness and its
+process pool, which load when `run_experiment` or `ExperimentConfig` is
+first read.
 """
 
-from .automaton import (Dfa, DfaError, ProductState, NULL_EVENT,
-                        is_accepting, load_dfa, make_dfa, save_dfa,
-                        step_automaton)
-from .baselines import canonical_variant, preset_names, resolve_preset
-from .envs import (ENV_NAMES, EnvSpec, bundled_dfa, default_spec, make_env)
-from .harness import ExperimentConfig, run_experiment
-from .student import (GuidanceParams, StudentConfig, TrustParams,
-                      fused_update, strategic_reward, tactical_applies,
-                      tactical_gradient, train_student, trust_gate,
-                      update_bound, volatility_update)
-from .tabular import (LearningParams, QTable, epsilon_greedy, greedy_policy,
-                      load_qtable, q_update, save_qtable, softmax_policy,
-                      td_error)
-from .teacher import (TeacherKnowledge, build_knowledge, load_knowledge,
-                      save_knowledge, train_teacher)
+import importlib
 
 __version__ = "0.1.0"
 
@@ -41,3 +32,44 @@ __all__ = [
     "tactical_applies", "tactical_gradient", "td_error", "train_student",
     "train_teacher", "trust_gate", "update_bound", "volatility_update",
 ]
+
+# public name -> the submodule it is read from
+_SOURCES = {
+    name: module for module, names in {
+        "automaton": ("Dfa", "DfaError", "ProductState", "NULL_EVENT",
+                      "is_accepting", "load_dfa", "make_dfa", "save_dfa",
+                      "step_automaton"),
+        "baselines": ("canonical_variant", "preset_names", "resolve_preset"),
+        "envs": ("ENV_NAMES", "EnvSpec", "bundled_dfa", "default_spec",
+                 "make_env"),
+        "harness": ("ExperimentConfig", "run_experiment"),
+        "student": ("GuidanceParams", "StudentConfig", "TrustParams",
+                    "fused_update", "strategic_reward", "tactical_applies",
+                    "tactical_gradient", "train_student", "trust_gate",
+                    "update_bound", "volatility_update"),
+        "tabular": ("LearningParams", "QTable", "epsilon_greedy",
+                    "greedy_policy", "load_qtable", "q_update", "save_qtable",
+                    "softmax_policy", "td_error"),
+        "teacher": ("TeacherKnowledge", "build_knowledge", "load_knowledge",
+                    "save_knowledge", "train_teacher"),
+    }.items() for name in names
+}
+
+_SUBMODULES = ("automaton", "baselines", "cli", "envs", "files", "harness",
+               "kernels", "rng", "student", "tabular", "teacher")
+
+
+def __getattr__(name):
+    """Import the submodule behind a public name and keep the value here,
+    so later reads find it without this call."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_SOURCES[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

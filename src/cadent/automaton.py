@@ -251,8 +251,12 @@ def load_dfa(path):
     if payload.get("version") != FILE_VERSION:
         raise DfaError(f"{path}: unsupported version {payload.get('version')}")
     try:
-        edges = {(t["from"], t["symbol"]): t["to"]
-                 for t in payload["transitions"]}
+        edges = {}
+        for t in payload["transitions"]:
+            pair = (t["from"], t["symbol"])
+            if pair in edges:
+                raise DfaError(f"{path}: repeated transition {pair!r}")
+            edges[pair] = t["to"]
         return make_dfa(payload["states"], payload["alphabet"],
                         payload["start"], payload["accepting"], edges)
     except (KeyError, TypeError) as exc:

@@ -18,12 +18,11 @@ dead state.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from ..files import Config, is_integer
 from ..rng import RandomState
-from ..tabular import Config
 
 STEP_PENALTY = -0.01
 PROGRESS_BONUS = 1.0
@@ -60,8 +59,7 @@ class EnvSpec(Config):
                            f"got {self.variant!r}")
         for name in ("layout_seed", "max_steps"):
             value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral) or value < 0):
+            if not is_integer(value) or value < 0:
                 raise EnvError(f"EnvSpec.{name} must be a non-negative "
                                f"integer, not {value!r}")
             object.__setattr__(self, name, int(value))
@@ -115,8 +113,28 @@ class Environment:
             return self.spec.parameters[key]
         return self.defaults[self.spec.variant].get(key, default)
 
+    def int_param(self, key, default=None):
+        """`param` as an int; an EnvError names `key` unless it is an
+        integer (a bool is not)."""
+        return checked_int(self.name, key, self.param(key, default))
+
+    def cell_param(self, key, default=None):
+        """`param` as a (row, col) tuple; an EnvError names `key` unless
+        it is a pair of integers."""
+        return checked_cell(self.name, key, self.param(key, default))
+
+    def list_param(self, key, check):
+        """`param` as a list of items each passed through `check` (one of
+        `checked_int` and `checked_cell`); an EnvError names `key` unless
+        it is a list or tuple."""
+        value = self.param(key)
+        if not isinstance(value, (list, tuple)):
+            raise EnvError(f"{self.name}: parameter {key!r} must be a list, "
+                           f"not {value!r}")
+        return [check(self.name, key, item) for item in value]
+
     def grid_shape(self):
-        rows, cols = int(self.param("rows")), int(self.param("cols"))
+        rows, cols = self.int_param("rows"), self.int_param("cols")
         if rows < 3 or cols < 3:
             raise EnvError("grid must be at least 3x3")
         return rows, cols
@@ -153,6 +171,25 @@ class Environment:
 
     def layout_text(self):
         raise NotImplementedError
+
+
+def checked_int(env, key, value):
+    """`value` of parameter `key` of env `env` as an int; an EnvError
+    unless it is an integer (a bool is not)."""
+    if not is_integer(value):
+        raise EnvError(f"{env}: parameter {key!r} must be an integer, "
+                       f"not {value!r}")
+    return int(value)
+
+
+def checked_cell(env, key, value):
+    """`value` of parameter `key` of env `env` as a (row, col) tuple; an
+    EnvError unless it is a list or tuple of two integers."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(map(is_integer, value))):
+        raise EnvError(f"{env}: parameter {key!r} must be a [row, col] pair "
+                       f"of integers, not {value!r}")
+    return (int(value[0]), int(value[1]))
 
 
 def fractional_cells(seed, count, rows, cols, taken, stream=0):

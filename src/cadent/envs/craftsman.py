@@ -9,8 +9,8 @@ one step of the task automaton: (wood factory)^quota home.
 
 from __future__ import annotations
 
-from .base import (EnvError, Environment, anchor_cell, grid_text, move,
-                   validate_positions)
+from .base import (EnvError, Environment, anchor_cell, checked_cell,
+                   grid_text, move, validate_positions)
 from ..automaton import make_dfa
 
 ALPHABET = ("wood", "factory", "home")
@@ -50,20 +50,20 @@ class BlindCraftsman(Environment):
     def __init__(self, spec):
         super().__init__(spec)
         self.rows, self.cols = self.grid_shape()
-        self.quota = int(self.param("quota", DEFAULT_QUOTA))
+        self.quota = self.int_param("quota", DEFAULT_QUOTA)
         if self.quota < 1:
             raise EnvError("quota must be at least 1")
-        self.start = tuple(self.param("start",
-                                      (self.rows // 2, self.cols // 2)))
-        self.factory = tuple(self.param(
-            "factory", anchor_cell(_FACTORY_ANCHOR, self.rows, self.cols)))
-        self.home = tuple(self.param(
-            "home", anchor_cell(_HOME_ANCHOR, self.rows, self.cols)))
+        self.start = self.cell_param("start",
+                                     (self.rows // 2, self.cols // 2))
+        self.factory = self.cell_param(
+            "factory", anchor_cell(_FACTORY_ANCHOR, self.rows, self.cols))
+        self.home = self.cell_param(
+            "home", anchor_cell(_HOME_ANCHOR, self.rows, self.cols))
         fixed = [self.start, self.factory, self.home]
         validate_positions(fixed, self.rows, self.cols, self.name)
-        n_piles = int(self.param("n_piles"))
+        n_piles = self.int_param("n_piles")
         if "piles" in spec.parameters:
-            piles = [tuple(c) for c in spec.parameters["piles"]]
+            piles = self.list_param("piles", checked_cell)
         else:
             piles = self.place(n_piles, taken=fixed)
         validate_positions(fixed + piles, self.rows, self.cols, self.name)

@@ -42,13 +42,13 @@ class DungeonQuest(Environment):
     def __init__(self, spec):
         super().__init__(spec)
         self.rows, self.cols = self.grid_shape()
-        self.start = tuple(self.param("start", (self.rows - 1, 0)))
+        self.start = self.cell_param("start", (self.rows - 1, 0))
         validate_positions([self.start], self.rows, self.cols, self.name)
         auto = self.place(4, taken=[self.start])
-        self.key = tuple(self.param("key", auto[0]))
-        self.chest = tuple(self.param("chest", auto[1]))
-        self.shield = tuple(self.param("shield", auto[2]))
-        self.dragon = tuple(self.param("dragon", auto[3]))
+        self.key = self.cell_param("key", auto[0])
+        self.chest = self.cell_param("chest", auto[1])
+        self.shield = self.cell_param("shield", auto[2])
+        self.dragon = self.cell_param("dragon", auto[3])
         validate_positions([self.start, self.key, self.chest, self.shield,
                             self.dragon], self.rows, self.cols, self.name)
         self.dfa = build_dfa()

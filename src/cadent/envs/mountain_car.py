@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .base import EnvError, Environment
+from .base import EnvError, Environment, checked_int
 from ..automaton import make_dfa
 
 ALPHABET = ("power_cell", "sensor_array", "data_crystal", "base_station")
@@ -75,10 +75,10 @@ class MountainCarCollection(Environment):
 
     def __init__(self, spec):
         super().__init__(spec)
-        self.n_positions = int(self.param("n_positions"))
+        self.n_positions = self.int_param("n_positions")
         self.bands = band_layout(self.n_positions)
         self.gravity = tuple(_GRAVITY[b] for b in self.bands)
-        parts = tuple(int(p) for p in self.param("parts"))
+        parts = tuple(self.list_param("parts", checked_int))
         if len(parts) != 3 or sorted(set(parts)) != list(parts):
             raise EnvError("parts must be three strictly increasing buckets")
         if parts[0] <= 0 or parts[-1] >= self.n_positions - 1:

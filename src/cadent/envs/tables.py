@@ -27,7 +27,6 @@ class EnvTables:
     """Array form of one environment. State index 0 is the reset state."""
 
     states: list                 # index -> state tuple
-    index: dict                  # state tuple -> index
     next_state: np.ndarray       # (S, A) int32
     reward: np.ndarray           # (S, A) float64
     event: np.ndarray            # (S, A) int16; 0 = null event
@@ -96,7 +95,6 @@ def compile_env(env):
     shape = (len(states), n_actions)
     tables = EnvTables(
         states=states,
-        index=index,
         next_state=np.frombuffer(next_state, dtype=np.int32).reshape(shape),
         reward=np.frombuffer(reward, dtype=np.float64).reshape(shape),
         event=np.frombuffer(event, dtype=np.int16).reshape(shape),

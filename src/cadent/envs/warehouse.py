@@ -53,14 +53,14 @@ class WarehouseRobotics(Environment):
     def __init__(self, spec):
         super().__init__(spec)
         self.rows, self.cols = self.grid_shape()
-        self.start = tuple(self.param("start", (0, 0)))
+        self.start = self.cell_param("start", (0, 0))
         validate_positions([self.start], self.rows, self.cols, self.name)
         auto = self.place(5, taken=[self.start])
-        self.scanner_station = tuple(self.param("scanner_station", auto[0]))
-        self.shelf = tuple(self.param("shelf", auto[1]))
-        self.charger = tuple(self.param("charger", auto[2]))
-        self.item_shelf = tuple(self.param("item_shelf", auto[3]))
-        self.dock = tuple(self.param("dock", auto[4]))
+        self.scanner_station = self.cell_param("scanner_station", auto[0])
+        self.shelf = self.cell_param("shelf", auto[1])
+        self.charger = self.cell_param("charger", auto[2])
+        self.item_shelf = self.cell_param("item_shelf", auto[3])
+        self.dock = self.cell_param("dock", auto[4])
         self.sites = (self.scanner_station, self.shelf, self.charger,
                       self.item_shelf, self.dock)
         validate_positions((self.start,) + self.sites, self.rows, self.cols,

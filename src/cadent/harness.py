@@ -16,7 +16,6 @@ import functools
 import hashlib
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -28,9 +27,8 @@ from .baselines import canonical_variant, preset_names
 from .envs import (ACCEPT_BONUS, DEFAULT_EPISODES, ENV_NAMES, PROGRESS_BONUS,
                    STEP_PENALTY, EnvSpec, canonical_name, make_env)
 from .envs.tables import compile_env, product_tables
-from .files import json_text, write_atomic
+from .files import Config, is_integer, is_number, json_text, write_atomic
 from .student import StudentConfig, train_student, uses_teacher
-from .tabular import Config
 from .teacher import (AGGREGATION_MODES, build_knowledge, save_knowledge,
                       train_teacher)
 
@@ -46,8 +44,7 @@ def _config_item(value, where, integer, lowest, what, highest=math.inf):
     mappings, as an int if `integer` else a float; a ValueError naming
     `where` unless it is such a JSON number (bools are not) in [`lowest`,
     `highest`] (NaN is not)."""
-    kind = numbers.Integral if integer else numbers.Real
-    if (isinstance(value, bool) or not isinstance(value, kind)
+    if (not (is_integer if integer else is_number)(value)
             or not lowest <= value <= highest):
         try:
             shown = json.dumps(value)
@@ -336,8 +333,7 @@ def _worker_count(parallel):
             return len(os.sched_getaffinity(0))
         except AttributeError:          # no sched_getaffinity (macOS)
             return os.cpu_count() or 1
-    if (isinstance(parallel, bool)
-            or not isinstance(parallel, numbers.Integral) or parallel < 1):
+    if not is_integer(parallel) or parallel < 1:
         raise ValueError(f"parallel must be None or a positive integer, "
                          f"not {parallel!r}")
     return int(parallel)

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envs.tables import compile_env
+from .files import Config
 from .kernels import (RunResult, fused_update, run_training, softmax_prob,
                       tactical_applies, trust_gate, volatility_update)
-from .tabular import Config, LearningParams
+from .tabular import LearningParams
 from .teacher import TrainedRun, dense_knowledge
 
 # name -> (gated, strategic, tactical, pinned). gated: the trust gate sets

@@ -10,82 +10,15 @@ from __future__ import annotations
 
 import json
 import math
-import re
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .files import json_text, read_json, write_atomic
+from .files import Config, is_integer, is_number, read_json, write_atomic
 from .kernels import argmax
 
 QTABLE_FORMAT = "cadent-qtable"
 QTABLE_VERSION = 1
-
-
-# annotation -> (the JSON values a field of it takes, their name); fields
-# annotated otherwise take any value and leave the check to the class
-_JSON_TYPES = {"int": ((int,), "integer"), "float": ((int, float), "number"),
-               "str": ((str,), "string"), "tuple": ((list, tuple), "array"),
-               "dict": ((dict,), "object")}
-
-
-def _words(name):
-    """A class name in words: `ExperimentConfig` -> "experiment config"."""
-    return re.sub(r"(?<!^)(?=[A-Z])", " ", name).lower()
-
-
-class Config:
-    """Base of the frozen config dataclasses. Their JSON form, files and
-    overrides all come from the fields: a field whose default is built by
-    a Config class is a nested section."""
-
-    def to_json(self):
-        """The fields as JSON reads them back: dicts, tuples as lists."""
-        return json.loads(json.dumps(asdict(self)))
-
-    @classmethod
-    def from_json(cls, payload, section=None):
-        """Build from parsed JSON. A ValueError names a section that is not
-        an object, unknown or missing keys and a field of the wrong JSON
-        type; `section` defaults to the class name in words."""
-        if not isinstance(payload, dict):
-            section = section or _words(cls.__name__)
-            raise ValueError(f"{section} must be a JSON object, not "
-                             f"{type(payload).__name__}")
-        payload = dict(payload)
-        known = {f.name: f for f in fields(cls)}
-        unknown = sorted(set(payload) - set(known))
-        missing = [name for name, f in known.items() if name not in payload
-                   and f.default is MISSING and f.default_factory is MISSING]
-        for problem, names in (("unknown", unknown), ("missing", missing)):
-            if names:
-                raise ValueError(f"{problem} {cls.__name__} keys: "
-                                 f"{', '.join(names)}")
-        for name, value in list(payload.items()):
-            nested = known[name].default_factory
-            if isinstance(nested, type) and issubclass(nested, Config):
-                payload[name] = nested.from_json(value, name)
-                continue
-            annotation = known[name].type   # a string, or a type if evaluated
-            types, kind = _JSON_TYPES.get(
-                getattr(annotation, "__name__", annotation), ((), None))
-            if kind and (isinstance(value, bool)
-                         or not isinstance(value, types)):
-                raise ValueError(f"{cls.__name__}.{name} must be a JSON "
-                                 f"{kind}, not {type(value).__name__}")
-        return cls(**payload)
-
-    def save(self, path):
-        write_atomic(path, json_text(self.to_json()))
-
-    @classmethod
-    def load(cls, path):
-        # a file that holds no JSON object is named in the error
-        return cls.from_json(read_json(path),
-                             f"{path}: {_words(cls.__name__)}")
-
-    def with_(self, **kw):
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -212,9 +145,20 @@ def load_qtable(path):
         entries = payload["entries"]
         if payload["n_entries"] != len(entries):
             raise ValueError(f"{path}: entry count mismatch")
-        qt = QTable(payload["n_actions"])
+        n_actions = payload["n_actions"]
+        if not is_integer(n_actions) or n_actions < 1:
+            raise ValueError(f"{path}: bad action count {n_actions!r}")
+        qt = QTable(n_actions)
         for e in entries:
-            qt.set(_key_from_json(e["state"]), e["action"], e["value"])
+            state, action, value = (_key_from_json(e["state"]), e["action"],
+                                    e["value"])
+            if not is_integer(action) or not 0 <= action < n_actions:
+                raise ValueError(f"{path}: bad action {action!r}")
+            if not is_number(value) or not math.isfinite(value):
+                raise ValueError(f"{path}: non-finite value {value!r}")
+            qt.set(state, action, value)
+        if len(qt) != len(entries):
+            raise ValueError(f"{path}: entries repeat a (state, action) pair")
         return qt
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: malformed qtable payload: "

@@ -15,6 +15,7 @@ state on an accepting path: that teacher is not competent to guide anyone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .automaton import ProductState, accepting_path_edges
 from .envs.tables import compile_env
-from .files import json_text, read_json, write_atomic
+from .files import is_integer, is_number, json_text, read_json, write_atomic
 from .kernels import RunResult, run_training
 from .tabular import LearningParams, QTable, softmax_policy
 
@@ -234,36 +235,56 @@ def load_knowledge(path):
             raise ValueError(f"{path}: not a {KNOWLEDGE_FORMAT} file")
         if payload.get("version") != KNOWLEDGE_VERSION:
             raise ValueError(f"{path}: unsupported version")
-        n_actions = int(payload["n_actions"])
-        if n_actions < 1:
-            raise ValueError(f"{path}: bad action count")
+        n_actions = payload["n_actions"]
+        if not is_integer(n_actions) or n_actions < 1:
+            raise ValueError(f"{path}: bad action count {n_actions!r}")
         if payload["aggregation"] not in AGGREGATION_MODES:
             raise ValueError(f"{path}: unknown aggregation mode")
-        tau = float(payload["tau"])
-        if tau <= 0.0:
-            raise ValueError(f"{path}: tau must be positive")
-        alphabet = tuple(payload["alphabet"])
+        tau = payload["tau"]
+        if not is_number(tau) or not 0.0 < tau < math.inf:
+            raise ValueError(f"{path}: tau must be a positive finite "
+                             f"number, not {tau!r}")
+        # a value of the wrong JSON type is a malformed payload
+        for key, kind in (("alphabet", list), ("q_ad", list), ("pi", list),
+                          ("provenance", dict)):
+            if not isinstance(payload[key], kind):
+                raise TypeError(f"{key} must be a JSON {kind.__name__}, not "
+                                f"{type(payload[key]).__name__}")
+        alphabet = payload["alphabet"]
         if not alphabet:
             raise ValueError(f"{path}: empty alphabet")
         q_ad = {}
         for e in payload["q_ad"]:
-            v = float(e["value"])
-            if not np.isfinite(v):
-                raise ValueError(f"{path}: non-finite edge value")
-            q_ad[(e["from"], e["to"])] = v
+            edge, v = (e["from"], e["to"]), e["value"]
+            if edge in q_ad:
+                raise ValueError(f"{path}: repeated edge {edge!r}")
+            if not is_number(v) or not math.isfinite(v):
+                raise ValueError(f"{path}: non-finite edge value {v!r}")
+            q_ad[edge] = float(v)
         pi = {}
         for e in payload["pi"]:
-            probs = np.array(e["probs"], dtype=np.float64)
+            q, probs = e["q"], e["probs"]
+            if q in pi:
+                raise ValueError(f"{path}: repeated policy row {q!r}")
+            if not isinstance(probs, list):
+                raise TypeError(f"probs of {q!r} must be a JSON list, not "
+                                f"{type(probs).__name__}")
             if len(probs) != n_actions:
                 raise ValueError(f"{path}: policy row length mismatch")
+            # NaN fails every comparison, so finiteness is checked first
+            for p in probs:
+                if not is_number(p) or not math.isfinite(p):
+                    raise ValueError(f"{path}: policy row {q!r} is not a "
+                                     f"distribution: it holds {p!r}")
+            probs = np.array(probs, dtype=np.float64)
             if (probs < 0).any() or abs(float(probs.sum()) - 1.0) > 1e-9:
-                raise ValueError(f"{path}: policy row is not a "
+                raise ValueError(f"{path}: policy row {q!r} is not a "
                                  f"distribution")
-            pi[e["q"]] = probs
-        if not payload.get("provenance"):
+            pi[q] = probs
+        if not payload["provenance"]:
             raise ValueError(f"{path}: missing provenance")
-        return TeacherKnowledge(q_ad=q_ad, pi=pi, tau=tau,
-                                n_actions=n_actions, alphabet=alphabet,
+        return TeacherKnowledge(q_ad=q_ad, pi=pi, tau=float(tau),
+                                n_actions=n_actions, alphabet=tuple(alphabet),
                                 aggregation=payload["aggregation"],
                                 provenance=payload["provenance"])
     except (KeyError, TypeError, AttributeError) as exc:

@@ -110,8 +110,9 @@ def q_rows_from_table(tables, cdfa, qtable):
     n_q = cdfa.delta.shape[0]
     dense = np.zeros((tables.n_states * n_q, tables.n_actions),
                      dtype=np.float64)
+    index = {state: i for i, state in enumerate(tables.states)}
     for (key, a), v in qtable.items():
-        s = tables.index[key.env]
+        s = index[key.env]
         qi = cdfa.state_index[key.q]
         dense[s * n_q + qi, a] = v
     return dense[product_tables(tables, cdfa).rows]
@@ -376,7 +377,7 @@ def toy_teacher(dfa, qtable, log=(), visits=None):
                            if all(cdfa.delta[qi, e] == q2
                                   for qi, q2 in want.items()))
     none = np.zeros(len(states), dtype=np.bool_)
-    tables = EnvTables(states=states, index=index,
+    tables = EnvTables(states=states,
                        next_state=np.zeros(event.shape, dtype=np.int32),
                        reward=np.zeros(event.shape), event=event,
                        terminal=none, dead=none, start=0,

@@ -243,6 +243,18 @@ def test_load_rejects_malformed_payload(tmp_path):
         load_dfa(path)
 
 
+def test_load_rejects_repeated_transition(tmp_path, chain):
+    # the last of two (from, symbol) transitions once silently won
+    path = tmp_path / "r.json"
+    save_dfa(chain, path)
+    payload = json.loads(path.read_text())
+    payload["transitions"].append({"from": "a", "symbol": "x", "to": "c"})
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DfaError, match=(
+            f"^{re.escape(str(path))}: repeated transition ")):
+        load_dfa(path)
+
+
 def test_load_rejects_truncated_file(tmp_path, chain):
     path = tmp_path / "t.json"
     save_dfa(chain, path)

@@ -10,6 +10,7 @@ the table it changed. A deliberate change of behaviour records the table
 again: `PYTHONPATH=src python tests/test_env_tables.py` prints it.
 """
 
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from cadent.envs import ENV_NAMES, StepOutcome, default_spec, make_env
-from cadent.envs.tables import compile_env
+from cadent.envs.tables import EnvTables, compile_env
 
 PINNED = {
     ('blind_craftsman', 'source'):
@@ -83,7 +84,8 @@ def test_compiled_tables_have_their_dtypes_and_shapes(name, variant):
 
 def test_compile_env_peak_memory_stays_near_what_it_keeps():
     # rows built as Python lists of boxed numbers peaked at 2.8x what the
-    # compiled tables keep on the warehouse target; flat buffers at 1.0x
+    # compiled tables keep on the warehouse target; flat buffers at 1.0x,
+    # and at 1.5x once the walk's state index was no longer kept
     env = make_env(default_spec("warehouse_robotics", "target"))
     tracemalloc.start()
     try:
@@ -93,6 +95,14 @@ def test_compile_env_peak_memory_stays_near_what_it_keeps():
         tracemalloc.stop()
     assert tables.n_states > 20000
     assert peak < 2 * kept, (peak, kept)
+
+
+def test_tables_keep_no_state_index():
+    # the walk's state -> index dict stays local to compile_env: no reader
+    # needs it, and on the warehouse target it held 26,487 entries
+    assert "index" not in {f.name for f in dataclasses.fields(EnvTables)}
+    tables = compile_env(make_env(default_spec("dungeon_quest", "source")))
+    assert not hasattr(tables, "index")
 
 
 def test_step_outcome_is_an_immutable_named_tuple():

@@ -109,6 +109,39 @@ def test_unknown_parameter_rejected():
         make_env(spec)
 
 
+@pytest.mark.parametrize("name,parameters,key", [
+    # a float or string size once built a truncated grid, a float start
+    # held 1.5 in every state, and a float key could not be reached
+    ("dungeon_quest", {"rows": 7.9}, "rows"),
+    ("dungeon_quest", {"rows": "7"}, "rows"),
+    ("dungeon_quest", {"cols": True}, "cols"),
+    ("dungeon_quest", {"start": [1.5, 0]}, "start"),
+    ("dungeon_quest", {"key": [0.5, 2]}, "key"),
+    ("dungeon_quest", {"dragon": [1, 2, 3]}, "dragon"),
+    ("dungeon_quest", {"chest": "12"}, "chest"),
+    ("warehouse_robotics", {"dock": [1, True]}, "dock"),
+    ("blind_craftsman", {"quota": 1.5}, "quota"),
+    ("blind_craftsman", {"n_piles": "3"}, "n_piles"),
+    ("blind_craftsman", {"home": [2.0, 3]}, "home"),
+    ("blind_craftsman", {"piles": 3}, "piles"),
+    ("blind_craftsman", {"piles": [[1, 2.5]]}, "piles"),
+    ("mountain_car_collection", {"n_positions": 9.0}, "n_positions"),
+    ("mountain_car_collection", {"parts": [3, 5.5, 7]}, "parts"),
+    ("mountain_car_collection", {"parts": 5}, "parts"),
+])
+def test_parameters_of_the_wrong_type_are_rejected(name, parameters, key):
+    with pytest.raises(EnvError, match=f"^{name}: parameter '{key}' must "):
+        make_env(EnvSpec(name, parameters=parameters))
+
+
+def test_integer_parameters_build_as_before():
+    # numpy integers and tuples pass and are stored as plain ints
+    env = make_env(EnvSpec("dungeon_quest", parameters={
+        "rows": np.int64(7), "start": (np.int32(1), 0)}))
+    assert (env.rows, env.start) == (7, (1, 0))
+    assert type(env.rows) is int and type(env.start[0]) is int
+
+
 def test_max_steps_override():
     env = make_env(EnvSpec("dungeon_quest", max_steps=50))
     assert env.max_steps == 50

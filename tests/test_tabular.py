@@ -330,6 +330,38 @@ def test_qtable_load_names_the_file_of_a_malformed_payload(tmp_path, mutate):
         load_qtable(path)
 
 
+def _repeat_entry(payload):
+    payload["entries"].append(dict(payload["entries"][0], value=2.0))
+    payload["n_entries"] += 1
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda p: p.update(n_actions=2.7),
+    lambda p: p.update(n_actions=True),
+    lambda p: p.update(n_actions=0),
+    lambda p: p["entries"][0].update(action=1.9),
+    lambda p: p["entries"][0].update(action=True),
+    lambda p: p["entries"][0].update(action=2),
+    lambda p: p["entries"][0].update(value="1.0"),
+    lambda p: p["entries"][0].update(value=float("nan")),
+    _repeat_entry,
+], ids=["float-n-actions", "bool-n-actions", "zero-n-actions",
+        "float-action", "bool-action", "action-out-of-range", "string-value",
+        "nan-value", "repeated-entry"])
+def test_qtable_load_names_the_file_of_a_bad_entry(tmp_path, mutate):
+    # a float count or action once loaded, truncated or stored under the
+    # float key, and a repeated entry replaced the first
+    qt = QTable(2)
+    qt.set("s", 0, 1.0)
+    path = tmp_path / "e.json"
+    save_qtable(qt, path)
+    payload = json.loads(path.read_text())
+    mutate(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        load_qtable(path)
+
+
 def _truncate(path):
     text = path.read_text()
     path.write_text(text[:len(text) // 2])

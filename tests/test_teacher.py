@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import re
 from types import SimpleNamespace
 
@@ -221,7 +222,6 @@ def test_knowledge_round_trip(dungeon_knowledge, tmp_path):
 
 
 def _knowledge_payload(knowledge, tmp_path, **patch):
-    import json
     path = tmp_path / "knowledge.json"
     save_knowledge(knowledge, path)
     payload = json.loads(path.read_text())
@@ -274,6 +274,44 @@ def test_load_knowledge_rejects_bad_rows(dungeon_knowledge, tmp_path):
         pi=[{"q": "q0", "probs": [0.5, 0.1, 0.1, 0.1]}])
     with pytest.raises(ValueError, match="distribution"):
         load_knowledge(bad)
+
+
+def _nan_row(payload):
+    payload["pi"][0]["probs"] = [float("nan")] * payload["n_actions"]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda p: p.update(n_actions=4.7),
+    lambda p: p.update(n_actions=True),
+    lambda p: p.update(tau=True),
+    lambda p: p.update(tau="2"),
+    lambda p: p.update(tau=float("nan")),
+    lambda p: p.update(tau=float("inf")),
+    _nan_row,
+    lambda p: p["pi"][0].update(probs=["0.25"] * 4),
+    lambda p: p.update(alphabet="abc"),
+    lambda p: p.update(q_ad={}),
+    lambda p: p.update(pi={}),
+    lambda p: p["q_ad"].append(dict(p["q_ad"][0], value=0.0)),
+    lambda p: p["pi"].append(p["pi"][-1]),
+    lambda p: p.update(provenance=[1]),
+    lambda p: p["q_ad"][0].update(value="1.5"),
+], ids=["float-n-actions", "bool-n-actions", "bool-tau", "string-tau",
+        "nan-tau", "inf-tau", "nan-policy-row", "string-policy-row",
+        "string-alphabet", "q-ad-object", "pi-object", "repeated-edge",
+        "repeated-policy-row", "provenance-array", "string-edge-value"])
+def test_load_knowledge_names_the_file_of_a_malformed_payload(
+        dungeon_knowledge, tmp_path, mutate):
+    # each of these once loaded: a float count or tau was truncated or
+    # cast, a NaN row passed the distribution check, a string alphabet
+    # became its characters and a repeated entry replaced the first
+    path = tmp_path / "knowledge.json"
+    save_knowledge(dungeon_knowledge, path)
+    payload = json.loads(path.read_text())
+    mutate(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        load_knowledge(path)
 
 
 # ---------------------------------------------------------------------------
