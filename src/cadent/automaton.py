@@ -255,9 +255,11 @@ def load_dfa(path):
         for t in payload["transitions"]:
             pair = (t["from"], t["symbol"])
             if pair in edges:
-                raise DfaError(f"{path}: repeated transition {pair!r}")
+                raise DfaError(f"repeated transition {pair!r}")
             edges[pair] = t["to"]
         return make_dfa(payload["states"], payload["alphabet"],
                         payload["start"], payload["accepting"], edges)
+    except DfaError as exc:
+        raise DfaError(f"{path}: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise DfaError(f"{path}: malformed automaton payload: {exc}") from exc

@@ -122,21 +122,6 @@ def cmd_train_student(args):
     return 0
 
 
-def _parse_only(text):
-    out = {}
-    for part in text.split(","):
-        if "=" not in part:
-            raise ValueError(f"bad --only clause {part!r}; use key=value")
-        key, value = part.split("=", 1)
-        key = key.strip()
-        if key not in ("env", "variant"):
-            raise ValueError(f"--only keys are env/variant, not {key!r}")
-        norm = (canonical_name(value.strip()) if key == "env"
-                else canonical_variant(value.strip()))
-        out.setdefault(key, set()).add(norm)
-    return out
-
-
 def _parse_episodes(text):
     out = {}
     for clause in text.split(","):
@@ -188,9 +173,7 @@ def cmd_experiment(args):
     if overrides:
         config = config.with_(**overrides)
     out_dir = args.out or os.environ.get("CADENT_OUT", "results")
-    only = _parse_only(args.only) if args.only else None
-    summary = run_experiment(config, out_dir, only=only,
-                             parallel=args.parallel,
+    summary = run_experiment(config, out_dir, parallel=args.parallel,
                              progress=(print if args.verbose else None))
     print(f"experiment written to {out_dir}")
     for env_name, variants in sorted(summary["results"].items()):
@@ -270,8 +253,6 @@ def build_parser():
     p.add_argument("--seeds", help="comma-separated seed list")
     p.add_argument("--episodes",
                    help="per-env episode overrides, e.g. dungeon=500")
-    p.add_argument("--only", help="filter cells, e.g. "
-                                  "env=dungeon_quest,variant=cadent")
     p.add_argument("--parallel", type=_positive_int,
                    help="processes running the student cells (default: "
                         "every CPU this process may use; 1 runs them all "

@@ -13,6 +13,7 @@ of the process, not of the machine.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import re
@@ -38,6 +39,14 @@ def is_integer(value):
 def is_number(value):
     """Whether `value` is a number as JSON has it: a bool is not."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def shown(value):
+    """`value` as a JSON file writes it (`NaN`, `true`), else its repr."""
+    try:
+        return json.dumps(value)
+    except TypeError:
+        return repr(value)
 
 
 def json_text(payload):
@@ -111,6 +120,16 @@ class Config:
                 raise ValueError(f"{cls.__name__}.{name} must be a JSON "
                                  f"{kind}, not {type(value).__name__}")
         return cls(**payload)
+
+    def check_finite(self):
+        """A ValueError naming the first float field that holds a bool, NaN
+        or an infinity; a subclass calls it after its own checks."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (getattr(f.type, "__name__", f.type) == "float"
+                    and not (is_number(value) and math.isfinite(value))):
+                raise ValueError(f"{type(self).__name__}.{f.name} must be a "
+                                 f"finite number, not {shown(value)}")
 
     def save(self, path):
         write_atomic(path, json_text(self.to_json()))

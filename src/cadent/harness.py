@@ -27,7 +27,8 @@ from .baselines import canonical_variant, preset_names
 from .envs import (ACCEPT_BONUS, DEFAULT_EPISODES, ENV_NAMES, PROGRESS_BONUS,
                    STEP_PENALTY, EnvSpec, canonical_name, make_env)
 from .envs.tables import compile_env, product_tables
-from .files import Config, is_integer, is_number, json_text, write_atomic
+from .files import (Config, is_integer, is_number, json_text, shown,
+                    write_atomic)
 from .student import StudentConfig, train_student, uses_teacher
 from .teacher import (AGGREGATION_MODES, build_knowledge, save_knowledge,
                       train_teacher)
@@ -46,12 +47,8 @@ def _config_item(value, where, integer, lowest, what, highest=math.inf):
     `highest`] (NaN is not)."""
     if (not (is_integer if integer else is_number)(value)
             or not lowest <= value <= highest):
-        try:
-            shown = json.dumps(value)
-        except TypeError:
-            shown = repr(value)
         raise ValueError(f"ExperimentConfig.{where} must be {what}, "
-                         f"not {shown}")
+                         f"not {shown(value)}")
     return int(value) if integer else float(value)
 
 
@@ -132,6 +129,13 @@ class ExperimentConfig(Config):
         if unknown:
             raise ValueError(f"episode overrides for unknown environments "
                              f"{sorted(unknown)}")
+        # extra keys stay allowed, so a subset of a config's environments
+        # keeps its thresholds
+        if self.threshold != "auto":
+            missing = [e for e in self.environments if e not in self.threshold]
+            if missing:
+                raise ValueError(f"ExperimentConfig.threshold has no value "
+                                 f"for {missing}")
 
     def episodes_for(self, env_name):
         return self.episodes.get(env_name, DEFAULT_EPISODES[env_name])
@@ -278,9 +282,12 @@ def final_window_mean(records, window=100):
     return sum(r.reward for r in tail) / len(tail)
 
 
+def _pairs(config):
+    return [(e, v) for e in config.environments for v in config.variants]
+
+
 def _sorted_grid(config):
-    return [(e, v, s) for e in config.environments
-            for v in config.variants for s in config.seeds]
+    return [(e, v, s) for (e, v) in _pairs(config) for s in config.seeds]
 
 
 def _run_stream(env_name, variant):
@@ -339,13 +346,11 @@ def _worker_count(parallel):
     return int(parallel)
 
 
-def run_experiment(config, out_dir, only=None, parallel=None, progress=None):
-    """Execute the full grid and write all artifacts under `out_dir`.
-
-    `only` optionally restricts to (env, variant) pairs, e.g.
-    {"env": {"dungeon_quest"}, "variant": {"cadent"}}; filtered runs produce
-    byte-identical results to the same cells of the full grid. Returns the
-    summary dict.
+def run_experiment(config, out_dir, parallel=None, progress=None):
+    """Execute the config's grid and write all artifacts under `out_dir`.
+    Returns the summary dict. A cell's run CSV and curves do not depend on
+    the other cells, so a grid of a subset of `environments`, `variants` or
+    `seeds` writes them byte-identical to the larger grid's.
 
     `parallel` processes run the student cells, never more than there are
     cells. None, the default, means every CPU this process may run on; at 1
@@ -362,15 +367,8 @@ def run_experiment(config, out_dir, only=None, parallel=None, progress=None):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
     config.save(os.path.join(out_dir, "config.json"))
     grid = _sorted_grid(config)
-    if only:
-        envs = only.get("env")
-        variants = only.get("variant")
-        grid = [(e, v, s) for (e, v, s) in grid
-                if (not envs or e in envs) and (not variants or v in variants)]
-        if not grid:
-            raise ValueError("the only-filter removed every run")
     say = progress or (lambda msg: None)
-    env_names = sorted({e for (e, _v, _s) in grid})
+    env_names = sorted(config.environments)
     # built before the pool starts, so that forked workers share them
     for env_name in env_names:
         env = _env(env_name, "target", config)
@@ -425,15 +423,13 @@ def run_experiment(config, out_dir, only=None, parallel=None, progress=None):
             if pool:
                 pool.shutdown(cancel_futures=True)
             raise
-    for (e, v, s), records in sorted(results.items()):
+    for (e, v, s) in grid:
         path = os.path.join(out_dir, "runs", f"{e}__{v}__seed{s}.csv")
-        write_run_csv(path, records)
+        write_run_csv(path, results[(e, v, s)])
 
     # aggregation and summary
-    cells = sorted({(e, v) for (e, v, _s) in results})
-    for (e, v) in cells:
-        runs = [results[(e, v, s)] for s in config.seeds
-                if (e, v, s) in results]
+    for (e, v) in _pairs(config):
+        runs = [results[(e, v, s)] for s in config.seeds]
         base = os.path.join(out_dir, "curves", f"{e}__{v}__")
         write_curve_csv(base + "reward_per_episode.csv",
                         aggregate_per_episode(runs, "reward"))
@@ -448,30 +444,27 @@ def run_experiment(config, out_dir, only=None, parallel=None, progress=None):
 
 def _thresholds(config, results):
     """Per-env reward threshold: explicit, or 0.8 x no_transfer final mean."""
+    if config.threshold != "auto":
+        return {e: config.threshold[e] for e in config.environments}
     out = {}
-    for env_name in sorted({e for (e, _v, _s) in results}):
-        if config.threshold != "auto":
-            if env_name not in config.threshold:
-                raise ValueError(f"no threshold configured for {env_name}")
-            out[env_name] = float(config.threshold[env_name])
-            continue
-        finals = [final_window_mean(records)
-                  for (e, v, _s), records in sorted(results.items())
-                  if e == env_name and v == "no_transfer"]
-        if not finals:
+    for env_name in config.environments:
+        # summed in ascending seed order, whatever the config's order
+        cells = [(env_name, "no_transfer", s) for s in sorted(config.seeds)]
+        if not all(c in results for c in cells):
             raise ValueError(f"auto threshold for {env_name} needs "
                              f"no_transfer runs")
+        finals = [final_window_mean(results[c]) for c in cells]
         out[env_name] = 0.8 * (sum(finals) / len(finals))
     return out
 
 
 def build_summary(config, results, diags):
-    """Sample-efficiency and final-performance tables plus provenance."""
+    """Sample-efficiency and final-performance tables plus provenance, over
+    the config's cells: `results` and `diags` hold one entry per cell."""
     thresholds = _thresholds(config, results)
-    cells = sorted({(e, v) for (e, v, _s) in results})
+    seeds = config.seeds
     table = {}
-    for (e, v) in cells:
-        seeds = [s for s in config.seeds if (e, v, s) in results]
+    for (e, v) in _pairs(config):
         runs = [results[(e, v, s)] for s in seeds]
         stt, censored = [], 0
         for records in runs:
@@ -487,7 +480,7 @@ def build_summary(config, results, diags):
         accepts = [sum(r.reached_accept for r in records[-100:]) /
                    min(100, len(records)) for records in runs]
         table.setdefault(e, {})[v] = {
-            "seeds": seeds,
+            "seeds": list(seeds),
             "steps_to_threshold": stt,
             "steps_to_threshold_mean": s_mean,
             "steps_to_threshold_stderr": s_err,
@@ -505,7 +498,7 @@ def build_summary(config, results, diags):
             "update_bound": max(diags[(e, v, s)]["bound"] for s in seeds),
         }
     norm = {}
-    for env_name in table:
+    for env_name in config.environments:
         env = _env(env_name, "target", config)
         norm[env_name] = {
             "reward_min": env.max_steps * STEP_PENALTY,

@@ -73,6 +73,7 @@ class TrustParams(Config):
             raise ValueError("theta must be finite")
         if self.v_init < 0.0:
             raise ValueError("v_init must be non-negative")
+        self.check_finite()
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,7 @@ class GuidanceParams(Config):
     def __post_init__(self):
         if self.lambda_ad < 0.0 or self.lambda_pd < 0.0:
             raise ValueError("guidance weights must be non-negative")
+        self.check_finite()
 
 
 @dataclass(frozen=True)

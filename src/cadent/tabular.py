@@ -41,6 +41,7 @@ class LearningParams(Config):
             raise ValueError("epsilon_decay must be in (0, 1]")
         if self.tau <= 0.0:
             raise ValueError("tau must be positive")
+        self.check_finite()
 
 
 class QTable:
@@ -61,6 +62,9 @@ class QTable:
         return self._data.get((state, action), 0.0)
 
     def set(self, state, action, value):
+        # a float key is never read, and True would alias action 1
+        if not is_integer(action):
+            raise ValueError(f"action {action!r} is not an integer")
         if not (0 <= action < self.n_actions):
             raise ValueError(f"action {action} out of range")
         value = float(value)

@@ -255,6 +255,22 @@ def test_load_rejects_repeated_transition(tmp_path, chain):
         load_dfa(path)
 
 
+@pytest.mark.parametrize("edit,message", [
+    ({"to": "zz"}, "invalid automaton: transition to unknown state 'zz'"),
+    ({"from": "q"}, "edge from unknown pair ('q', 'x')"),
+])
+def test_load_names_the_file_of_an_invalid_automaton(tmp_path, chain, edit,
+                                                     message):
+    path = tmp_path / "i.json"
+    save_dfa(chain, path)
+    payload = json.loads(path.read_text())
+    payload["transitions"][0].update(edit)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DfaError, match=(
+            f"^{re.escape(str(path))}: {re.escape(message)}$")):
+        load_dfa(path)
+
+
 def test_load_rejects_truncated_file(tmp_path, chain):
     path = tmp_path / "t.json"
     save_dfa(chain, path)

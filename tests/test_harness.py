@@ -109,6 +109,24 @@ def test_config_rejects_two_keys_for_one_env(field):
         ExperimentConfig(**{field: {"dungeon": 10, "dungeon_quest": 20}})
 
 
+def test_config_requires_threshold_coverage():
+    # checked here, a missing env fails before any cell trains
+    with pytest.raises(ValueError, match=(
+            r"^ExperimentConfig.threshold has no value for "
+            r"\['blind_craftsman'\]$")):
+        ExperimentConfig(environments=("dungeon", "craftsman"),
+                         threshold={"dungeon": 1.0})
+    # the per-item checks come first
+    with pytest.raises(ValueError, match=(
+            r"^ExperimentConfig.threshold\[dungeon\] must be a JSON number")):
+        ExperimentConfig(environments=("dungeon", "craftsman"),
+                         threshold={"dungeon": "high"})
+    # extra keys stay, so a subset of the environments keeps its thresholds
+    cfg = ExperimentConfig(environments=("dungeon",),
+                           threshold={"dungeon": 1.0, "craftsman": 2.0})
+    assert cfg.threshold == {"dungeon_quest": 1.0, "blind_craftsman": 2.0}
+
+
 def test_config_from_json_names_unknown_keys():
     payload = ExperimentConfig().to_json()
     payload["seed"] = [1]
@@ -440,22 +458,6 @@ def test_build_summary_censors_failed_runs():
     assert cell["steps_to_threshold"] == [60]  # the run's final total
 
 
-def test_build_summary_requires_threshold_coverage():
-    config = ExperimentConfig(environments=("dungeon_quest",),
-                              variants=("no_transfer",), seeds=(1,),
-                              threshold={"dungeon_quest": 1.0})
-    curves = {("dungeon_quest", "no_transfer"): [[0.0] * 6]}
-    results, diags = _grid_results(config, curves)
-    foreign = {(("blind_craftsman"), "no_transfer", 1):
-               _records([0.0] * 6, env="blind_craftsman")}
-    results.update(foreign)
-    diags.update({k: {"novel_transitions": 0, "max_abs_update": 0.0,
-                      "soft_violations": 0, "bound": 1.0}
-                  for k in foreign})
-    with pytest.raises(ValueError, match="threshold"):
-        build_summary(config, results, diags)
-
-
 def test_build_summary_auto_needs_no_transfer_runs():
     config = ExperimentConfig(environments=("dungeon_quest",),
                               variants=("cadent", "no_transfer"), seeds=(1,))
@@ -515,36 +517,34 @@ def test_run_experiment_is_reproducible(tmp_path):
     assert _tree(tmp_path / "a") == _tree(tmp_path / "b")
 
 
-def test_run_experiment_only_filter_matches_full_grid(tmp_path):
-    config = ExperimentConfig(environments=("dungeon_quest",
-                                            "blind_craftsman"),
-                              variants=("no_transfer",), seeds=(1,),
-                              episodes={"dungeon_quest": 30,
-                                        "blind_craftsman": 30},
-                              threshold_window=10)
-    run_experiment(config, tmp_path / "full")
-    run_experiment(config, tmp_path / "part",
-                   only={"env": {"dungeon_quest"}})
-    full = _tree(tmp_path / "full")
-    part = _tree(tmp_path / "part")
-    name = "runs/dungeon_quest__no_transfer__seed1.csv"
-    assert part[name] == full[name]
-    assert "runs/blind_craftsman__no_transfer__seed1.csv" not in part
-
-
-def test_run_experiment_rejects_empty_filter(tmp_path):
-    config = ExperimentConfig(**MINI)
-    with pytest.raises(ValueError, match="filter"):
-        run_experiment(config, tmp_path / "out",
-                       only={"env": {"warehouse_robotics"}})
-
-
 # two envs whose cadent cells wait for their teachers while the
 # no_transfer cells run, and a grid that trains no teacher
 OVERLAP = dict(environments=("dungeon_quest", "blind_craftsman"),
                variants=("cadent", "no_transfer"), seeds=(1, 2),
                episodes={"dungeon_quest": 30, "blind_craftsman": 30},
                teacher_episodes=300, threshold_window=10)
+
+
+def test_run_experiment_env_subset_matches_full_grid(tmp_path):
+    # a cell's bytes depend on the config, not on the other cells of its grid
+    full = ExperimentConfig(**OVERLAP)
+    run_experiment(full, tmp_path / "full", parallel=1)
+    run_experiment(full.with_(environments=("dungeon_quest",),
+                              episodes={"dungeon_quest": 30}),
+                   tmp_path / "part", parallel=1)
+    run_experiment(full.with_(variants=("no_transfer",), seeds=(2,)),
+                   tmp_path / "cell", parallel=1)
+    whole = _tree(tmp_path / "full")
+    part = _tree(tmp_path / "part")
+    cell = _tree(tmp_path / "cell")
+    # knowledge, 2 variants x 2 seeds of runs, 2 variants x 3 curves
+    shared = set(part) - {"config.json", "summary.json"}
+    assert len(shared) == 1 + 4 + 6
+    assert {name: part[name] for name in shared} == {
+        name: whole[name] for name in shared}
+    for env_name in ("dungeon_quest", "blind_craftsman"):
+        name = f"runs/{env_name}__no_transfer__seed2.csv"
+        assert cell[name] == whole[name]
 
 
 def test_run_experiment_parallel_matches_serial(tmp_path):

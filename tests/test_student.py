@@ -184,6 +184,46 @@ def test_guidance_params_validation():
         GuidanceParams(lambda_pd=-0.5)
 
 
+@pytest.mark.parametrize("params,field,value,shown", [
+    (LearningParams, "alpha", True, "true"),
+    (LearningParams, "gamma", False, "false"),
+    (LearningParams, "epsilon_start", True, "true"),
+    (LearningParams, "epsilon_decay", True, "true"),
+    (LearningParams, "tau", math.nan, "NaN"),
+    (LearningParams, "tau", math.inf, "Infinity"),
+    (TrustParams, "eta", True, "true"),
+    (TrustParams, "k", math.nan, "NaN"),
+    (TrustParams, "k", math.inf, "Infinity"),
+    (TrustParams, "theta", False, "false"),
+    (TrustParams, "v_init", math.nan, "NaN"),
+    (TrustParams, "v_init", math.inf, "Infinity"),
+    (GuidanceParams, "lambda_ad", math.nan, "NaN"),
+    (GuidanceParams, "lambda_ad", True, "true"),
+    (GuidanceParams, "lambda_pd", math.inf, "Infinity"),
+])
+def test_params_reject_bools_and_non_finite_values(params, field, value,
+                                                   shown):
+    # each passes the range checks; tau=nan distills an all-NaN policy, and
+    # lambda_ad=nan or k=nan would stop a grid midway on a non-finite update
+    with pytest.raises(ValueError, match=(
+            f"^{params.__name__}.{field} must be a finite number, "
+            f"not {shown}$")):
+        params(**{field: value})
+
+
+@pytest.mark.parametrize("params,field,value,message", [
+    (LearningParams, "alpha", math.nan, r"alpha must be in \(0, 1\]"),
+    (LearningParams, "tau", -math.inf, "tau must be positive"),
+    (TrustParams, "eta", math.inf, r"eta must be in \(0, 1\]"),
+    (TrustParams, "theta", math.nan, "theta must be finite"),
+    (GuidanceParams, "lambda_pd", -math.inf,
+     "guidance weights must be non-negative"),
+])
+def test_params_keep_their_range_messages(params, field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        params(**{field: value})
+
+
 def test_student_config_variant_rules():
     with pytest.raises(ValueError):
         StudentConfig(variant="sac")

@@ -38,6 +38,18 @@ def test_set_rejects_out_of_range_action():
         qt.set("s", -1, 1.0)
 
 
+@pytest.mark.parametrize("action", [1.9, 1.0, True, False, "1", None])
+def test_set_rejects_non_integer_action(action):
+    # a float key is never read, and True would alias action 1
+    qt = QTable(2)
+    with pytest.raises(ValueError, match=(
+            f"^action {re.escape(repr(action))} is not an integer$")):
+        qt.set("s", action, 2.0)
+    assert len(qt) == 0
+    qt.set("s", np.int64(1), 2.0)
+    assert qt.row("s").tolist() == [0.0, 2.0]
+
+
 def test_set_rejects_non_finite():
     qt = QTable(2)
     with pytest.raises(ValueError):
