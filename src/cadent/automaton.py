@@ -34,7 +34,8 @@ class ProductState(NamedTuple):
 
 @dataclass
 class Dfa:
-    """Explicit-transition DFA. Missing (state, symbol) pairs self-loop.
+    """Explicit-transition DFA; every (state, symbol) pair needs a
+    transition (`make_dfa` fills in the self-loops).
 
     Construction is permissive so that malformed definitions can be built
     and inspected; `validate` reports violations and `compiled` refuses to
@@ -79,24 +80,10 @@ class Dfa:
             for sym in self.alphabet:
                 if (q, sym) not in self.transitions:
                     problems.append(f"missing transition ({q!r}, {sym!r})")
-        if not problems and self.accepting:
-            if not self._accepting_reachable():
-                problems.append("no accepting state reachable from start")
+        if (not problems and self.accepting
+                and not self.accepting & _reachable(self, [self.start])):
+            problems.append("no accepting state reachable from start")
         return problems
-
-    def _accepting_reachable(self):
-        seen = {self.start}
-        frontier = [self.start]
-        while frontier:
-            q = frontier.pop()
-            if q in self.accepting:
-                return True
-            for sym in self.alphabet:
-                q2 = self.transitions[(q, sym)]
-                if q2 not in seen:
-                    seen.add(q2)
-                    frontier.append(q2)
-        return bool(self.accepting & {self.start})
 
     def compiled(self):
         """Dense integer form for kernels. Raises on invalid automata."""
@@ -178,6 +165,23 @@ def progress_edges(dfa):
     return sorted(out)
 
 
+def _reachable(dfa, sources, backward=False):
+    """The states reachable from `sources` along `dfa.transitions`, or with
+    `backward` the states some source is reachable from."""
+    succ = {}
+    for (q, _sym), q2 in dfa.transitions.items():
+        src, dst = (q2, q) if backward else (q, q2)
+        succ.setdefault(src, []).append(dst)
+    seen = set(sources)
+    frontier = list(seen)
+    while frontier:
+        for q2 in succ.get(frontier.pop(), ()):
+            if q2 not in seen:
+                seen.add(q2)
+                frontier.append(q2)
+    return seen
+
+
 def accepting_path_edges(dfa):
     """Progress edges that lie on some start-to-accept path.
 
@@ -185,38 +189,11 @@ def accepting_path_edges(dfa):
     accepting state is reachable from q'. These are the edges a competent
     teacher must have exercised.
     """
-    comp = dfa.compiled()
-    nq = len(dfa.states)
-    reach = np.zeros(nq, dtype=bool)
-    reach[comp.start] = True
-    frontier = [comp.start]
-    while frontier:
-        qi = frontier.pop()
-        for si in range(1, len(dfa.alphabet) + 1):
-            ti = int(comp.delta[qi, si])
-            if not reach[ti]:
-                reach[ti] = True
-                frontier.append(ti)
-    co = np.array(comp.accepting, copy=True)
-    changed = True
-    while changed:
-        changed = False
-        for qi in range(nq):
-            if co[qi]:
-                continue
-            for si in range(1, len(dfa.alphabet) + 1):
-                if co[int(comp.delta[qi, si])]:
-                    co[qi] = True
-                    changed = True
-                    break
-    out = set()
-    for (q, sym), q2 in dfa.transitions.items():
-        if q2 == q:
-            continue
-        qi, ti = comp.state_index[q], comp.state_index[q2]
-        if reach[qi] and co[ti]:
-            out.add((q, q2))
-    return out
+    dfa.compiled()   # an invalid automaton raises here
+    reach = _reachable(dfa, [dfa.start])
+    co = _reachable(dfa, dfa.accepting, backward=True)
+    return {(q, q2) for (q, _sym), q2 in dfa.transitions.items()
+            if q2 != q and q in reach and q2 in co}
 
 
 def save_dfa(dfa, path):

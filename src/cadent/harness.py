@@ -125,12 +125,8 @@ class ExperimentConfig(Config):
         if self.threshold == "auto" and "no_transfer" not in self.variants:
             raise ValueError("auto thresholds need the no_transfer variant "
                              "in the grid")
-        unknown = set(self.episodes) - set(self.environments)
-        if unknown:
-            raise ValueError(f"episode overrides for unknown environments "
-                             f"{sorted(unknown)}")
-        # extra keys stay allowed, so a subset of a config's environments
-        # keeps its thresholds
+        # extra keys stay allowed, here and in `episodes`, so a subset of a
+        # config's environments keeps its thresholds and episode overrides
         if self.threshold != "auto":
             missing = [e for e in self.environments if e not in self.threshold]
             if missing:

@@ -282,14 +282,15 @@ class RunResult:
         self.n_q = n_q
 
 
-def run_training(tables, cdfa, dense, *, alpha, gamma, eps_start, eps_end,
-                 eps_decay, eta, gate_k, theta, v_init, lam_ad, lam_pd,
-                 use_gate, omega_fixed, use_guidance, episodes, max_steps,
-                 seed, stream=0, bound=math.inf):
+def run_training(tables, cdfa, dense, learn, *, episodes, max_steps, seed,
+                 stream=0, trust=None, guide=None, use_gate=False,
+                 omega_fixed=1.0, use_guidance=False, bound=math.inf):
     """Allocate the outputs and run the kernel over them.
 
     The kernel walks the product rows of `tables` and `cdfa`, built on the
-    first call and reused after. `dense` is the (q_ad, q_ad_known,
+    first call and reused after. `learn`, `trust` and `guide` are the
+    LearningParams, TrustParams and GuidanceParams sections the run reads;
+    a section left as None reads as zeros. `dense` is the (q_ad, q_ad_known,
     pi_teacher, pi_known) array bundle; pass None when use_guidance is
     False. The kernel gets memoryviews of the flat buffers, whose items
     read as Python scalars.
@@ -298,6 +299,12 @@ def run_training(tables, cdfa, dense, *, alpha, gamma, eps_start, eps_end,
         raise ValueError("episodes must be positive")
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
+    eta = gate_k = theta = v_init = lam_ad = lam_pd = 0.0
+    if trust is not None:
+        eta, gate_k, theta, v_init = (trust.eta, trust.k, trust.theta,
+                                      trust.v_init)
+    if guide is not None:
+        lam_ad, lam_pd = guide.lambda_ad, guide.lambda_pd
     product = product_tables(tables, cdfa)
     n_q = cdfa.delta.shape[0]
     n_actions = tables.n_actions
@@ -322,8 +329,8 @@ def run_training(tables, cdfa, dense, *, alpha, gamma, eps_start, eps_end,
               q, vol, counts, ep_reward, ep_steps, ep_accept, soft_steps)
     novel, max_abs_update, n_soft = train_run(
         *(memoryview(x.reshape(-1)) for x in arrays), product.start,
-        float(alpha), float(gamma), float(eps_start),
-        float(eps_end), float(eps_decay),
+        float(learn.alpha), float(learn.gamma), float(learn.epsilon_start),
+        float(learn.epsilon_end), float(learn.epsilon_decay),
         float(eta), float(gate_k), float(theta), float(lam_ad),
         float(lam_pd), bool(use_gate), float(omega_fixed),
         bool(use_guidance), int(max_steps), float(bound))

@@ -102,6 +102,7 @@ class StudentConfig(Config):
             raise ValueError(f"variant must be one of {tuple(VARIANTS)}")
         if not (0.0 <= self.omega0 <= 1.0):
             raise ValueError("omega0 must be in [0, 1]")
+        self.check_finite()
 
 
 @dataclass
@@ -202,23 +203,18 @@ def train_student(env, knowledge, config, episodes, seed, stream=0):
     if knowledge is not None:
         dense = dense_knowledge(knowledge, env.dfa, tables.n_actions)
         q_ad_max = knowledge.q_ad_max()
-    lam_ad = config.guide.lambda_ad if strategic else 0.0
-    lam_pd = config.guide.lambda_pd if tactical else 0.0
-    omega_fixed = config.omega0 if pinned is None else pinned
+    guide = config.guide.with_(
+        lambda_ad=config.guide.lambda_ad if strategic else 0.0,
+        lambda_pd=config.guide.lambda_pd if tactical else 0.0)
     r_max = float(np.abs(tables.reward).max())
-    bound = update_bound(config.learn.gamma, r_max, lam_ad, q_ad_max, lam_pd)
+    bound = update_bound(config.learn.gamma, r_max, guide.lambda_ad, q_ad_max,
+                         guide.lambda_pd)
     res = run_training(
-        tables, cdfa, dense,
-        alpha=config.learn.alpha, gamma=config.learn.gamma,
-        eps_start=config.learn.epsilon_start,
-        eps_end=config.learn.epsilon_end,
-        eps_decay=config.learn.epsilon_decay,
-        eta=config.trust.eta, gate_k=config.trust.k,
-        theta=config.trust.theta, v_init=config.trust.v_init,
-        lam_ad=lam_ad, lam_pd=lam_pd,
-        use_gate=gated, omega_fixed=omega_fixed, use_guidance=guided,
-        episodes=episodes, max_steps=env.max_steps,
-        seed=seed, stream=stream, bound=bound)
+        tables, cdfa, dense, config.learn, episodes=episodes,
+        max_steps=env.max_steps, seed=seed, stream=stream,
+        trust=config.trust, guide=guide, use_gate=gated,
+        omega_fixed=config.omega0 if pinned is None else pinned,
+        use_guidance=guided, bound=bound)
     diag = Diagnostics(
         novel_transitions=res.novel_transitions,
         max_abs_update=float(res.max_abs_update),

@@ -142,7 +142,8 @@ def load_qtable(path):
     that names the file."""
     payload = read_json(path)
     try:
-        if payload.get("format") != QTABLE_FORMAT:
+        if (not isinstance(payload, dict)
+                or payload.get("format") != QTABLE_FORMAT):
             raise ValueError(f"{path}: not a {QTABLE_FORMAT} file")
         if payload.get("version") != QTABLE_VERSION:
             raise ValueError(f"{path}: unsupported version")

@@ -106,12 +106,7 @@ def train_teacher(env, params=None, episodes=5000, seed=7, stream=0):
     if episodes <= 0:
         raise ValueError("episodes must be positive")
     res = run_training(
-        compile_env(env), env.dfa.compiled(), None,
-        alpha=params.alpha, gamma=params.gamma,
-        eps_start=params.epsilon_start, eps_end=params.epsilon_end,
-        eps_decay=params.epsilon_decay,
-        eta=0.0, gate_k=0.0, theta=0.0, v_init=0.0, lam_ad=0.0, lam_pd=0.0,
-        use_gate=False, omega_fixed=1.0, use_guidance=False,
+        compile_env(env), env.dfa.compiled(), None, params,
         episodes=episodes, max_steps=env.max_steps, seed=seed, stream=stream)
     n_successes = int(res.ep_accept.sum())
     if n_successes == 0:
@@ -231,7 +226,8 @@ def load_knowledge(path):
     with a ValueError that names the file."""
     payload = read_json(path)
     try:
-        if payload.get("format") != KNOWLEDGE_FORMAT:
+        if (not isinstance(payload, dict)
+                or payload.get("format") != KNOWLEDGE_FORMAT):
             raise ValueError(f"{path}: not a {KNOWLEDGE_FORMAT} file")
         if payload.get("version") != KNOWLEDGE_VERSION:
             raise ValueError(f"{path}: unsupported version")

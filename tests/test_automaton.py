@@ -156,6 +156,15 @@ def test_accepting_path_edges_skips_dead_branch():
     assert accepting_path_edges(dfa) == {("a", "b"), ("b", "c")}
 
 
+def test_accepting_path_edges_skips_unreachable_source():
+    # orphan reaches the accepting state, but the start never reaches orphan
+    dfa = make_dfa(
+        states=("a", "b", "c", "orphan"), alphabet=("x", "y", "o"),
+        start="a", accepting={"c"},
+        edges={("a", "x"): "b", ("b", "y"): "c", ("orphan", "o"): "c"})
+    assert accepting_path_edges(dfa) == {("a", "b"), ("b", "c")}
+
+
 def test_bundled_dungeon_shape():
     dfa = bundled_dfa("dungeon_quest")
     assert len(dfa.states) == 6

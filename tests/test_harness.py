@@ -127,6 +127,17 @@ def test_config_requires_threshold_coverage():
     assert cfg.threshold == {"dungeon_quest": 1.0, "blind_craftsman": 2.0}
 
 
+def test_config_keeps_episode_overrides_outside_the_grid():
+    # as with thresholds, --envs can take a subset of a config file's envs
+    cfg = ExperimentConfig(episodes={"dungeon": 30, "craftsman": 40})
+    sub = cfg.with_(environments=("dungeon",))
+    assert sub.episodes == {"dungeon_quest": 30, "blind_craftsman": 40}
+    assert sub.episodes_for("dungeon_quest") == 30
+    # an env name that is no environment is still rejected
+    with pytest.raises(ValueError, match="unknown environment 'atari'"):
+        sub.with_(episodes={"atari": 100})
+
+
 def test_config_from_json_names_unknown_keys():
     payload = ExperimentConfig().to_json()
     payload["seed"] = [1]
@@ -529,8 +540,7 @@ def test_run_experiment_env_subset_matches_full_grid(tmp_path):
     # a cell's bytes depend on the config, not on the other cells of its grid
     full = ExperimentConfig(**OVERLAP)
     run_experiment(full, tmp_path / "full", parallel=1)
-    run_experiment(full.with_(environments=("dungeon_quest",),
-                              episodes={"dungeon_quest": 30}),
+    run_experiment(full.with_(environments=("dungeon_quest",)),
                    tmp_path / "part", parallel=1)
     run_experiment(full.with_(variants=("no_transfer",), seeds=(2,)),
                    tmp_path / "cell", parallel=1)

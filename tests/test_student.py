@@ -200,6 +200,8 @@ def test_guidance_params_validation():
     (GuidanceParams, "lambda_ad", math.nan, "NaN"),
     (GuidanceParams, "lambda_ad", True, "true"),
     (GuidanceParams, "lambda_pd", math.inf, "Infinity"),
+    (StudentConfig, "omega0", True, "true"),
+    (StudentConfig, "omega0", False, "false"),
 ])
 def test_params_reject_bools_and_non_finite_values(params, field, value,
                                                    shown):
@@ -218,6 +220,8 @@ def test_params_reject_bools_and_non_finite_values(params, field, value,
     (TrustParams, "theta", math.nan, "theta must be finite"),
     (GuidanceParams, "lambda_pd", -math.inf,
      "guidance weights must be non-negative"),
+    (StudentConfig, "omega0", math.nan, r"omega0 must be in \[0, 1\]"),
+    (StudentConfig, "omega0", math.inf, r"omega0 must be in \[0, 1\]"),
 ])
 def test_params_keep_their_range_messages(params, field, value, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -256,7 +260,8 @@ def test_preset_kernel_arguments(monkeypatch, dungeon_target,
     seen = {}
 
     def capture(*args, **kwargs):
-        seen.update(kwargs)
+        seen.update(kwargs, lam_ad=kwargs["guide"].lambda_ad,
+                    lam_pd=kwargs["guide"].lambda_pd)
         return run_training(*args, **kwargs)
 
     monkeypatch.setattr(student, "run_training", capture)
@@ -331,10 +336,10 @@ def test_kernel_guided_step_matches_reference(case, s_next, event):
              np.array([[False, True], [False, False]]),
              np.array([[0.8, 0.2], [0.5, 0.5]]), np.array([True, False]))
     trust = TrustParams(eta=0.25, k=10.0, theta=0.5, v_init=1.0)
-    res = run_training(tables, cdfa, dense, alpha=0.5, gamma=0.9,
-                       eps_start=0.0, eps_end=0.0, eps_decay=1.0,
-                       eta=trust.eta, gate_k=trust.k, theta=trust.theta,
-                       v_init=trust.v_init, lam_ad=1.0, lam_pd=0.5,
+    learn = LearningParams(alpha=0.5, gamma=0.9, epsilon_start=0.0,
+                           epsilon_end=0.0, epsilon_decay=1.0)
+    res = run_training(tables, cdfa, dense, learn, trust=trust,
+                       guide=GuidanceParams(lambda_ad=1.0, lambda_pd=0.5),
                        use_gate=True, omega_fixed=0.0, use_guidance=True,
                        episodes=1, max_steps=1, seed=1)
     q_next = "q1" if event else "q0"

@@ -15,14 +15,17 @@ from cadent.envs.tables import compile_env, product_tables
 from cadent.kernels import (SOFT_CAP, greedy_rollout, run_training,
                             softmax_prob, train_run)
 from cadent.rng import state_from
+from cadent.student import GuidanceParams, TrustParams
+from cadent.tabular import LearningParams
 
 from golden import golden_actions, run_actions
 from oracles import (dense_run, product_violations, product_walk,
                      reference_train_run, value_iteration)
 
-HYPERS = dict(alpha=0.1, gamma=0.99, eps_start=1.0, eps_end=0.05,
-              eps_decay=0.995, eta=0.1, gate_k=10.0, theta=0.5, v_init=0.0,
-              lam_ad=1.0, lam_pd=0.5)
+LEARN = LearningParams(alpha=0.1, gamma=0.99, epsilon_start=1.0,
+                       epsilon_end=0.05, epsilon_decay=0.995)
+SECTIONS = dict(trust=TrustParams(eta=0.1, k=10.0, theta=0.5, v_init=0.0),
+                guide=GuidanceParams(lambda_ad=1.0, lambda_pd=0.5))
 
 TEACHER_MODE = dict(use_gate=False, omega_fixed=1.0, use_guidance=False)
 
@@ -174,11 +177,9 @@ def test_product_tables_are_built_once(dungeon_source,
 
 
 def _run(tables, cdfa, dense, mode, episodes=30, seed=11, **overrides):
-    kw = dict(HYPERS)
-    kw.update(mode)
-    kw.update(overrides)
-    return run_training(tables, cdfa, dense, episodes=episodes, max_steps=120,
-                        seed=seed, **kw)
+    return run_training(tables, cdfa, dense, LEARN, episodes=episodes,
+                        max_steps=120, seed=seed,
+                        **{**SECTIONS, **mode, **overrides})
 
 
 def test_training_output_shapes(dungeon_source_tables):
@@ -209,15 +210,15 @@ def test_same_seed_bit_identical(dungeon_source_tables):
 def test_different_stream_diverges(dungeon_source_tables):
     tables, cdfa = dungeon_source_tables
     a = _run(tables, cdfa, None, TEACHER_MODE)
-    b = run_training(tables, cdfa, None, episodes=30, max_steps=120, seed=11,
-                     stream=1, **{**HYPERS, **TEACHER_MODE})
+    b = run_training(tables, cdfa, None, LEARN, episodes=30, max_steps=120,
+                     seed=11, stream=1, **SECTIONS, **TEACHER_MODE)
     assert not np.array_equal(a.q, b.q)
 
 
 def test_soft_bound_recording(dungeon_source_tables):
     tables, cdfa = dungeon_source_tables
-    res = run_training(tables, cdfa, None, episodes=20, max_steps=120,
-                       seed=11, bound=0.0, **{**HYPERS, **TEACHER_MODE})
+    res = run_training(tables, cdfa, None, LEARN, episodes=20, max_steps=120,
+                       seed=11, bound=0.0, **SECTIONS, **TEACHER_MODE)
     assert res.n_soft_violations > SOFT_CAP
     steps = res.soft_violation_steps
     assert steps.shape == (SOFT_CAP,)
@@ -229,21 +230,22 @@ def test_soft_bound_recording(dungeon_source_tables):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_update_raises(dungeon_source_tables):
     tables, cdfa = dungeon_source_tables
+    # LEARN's fields, with an alpha that LearningParams would refuse
+    learn = SimpleNamespace(**{**vars(LEARN), "alpha": 1e308, "gamma": 0.99})
     with pytest.raises(ValueError, match="diverged"):
-        run_training(tables, cdfa, None, episodes=200, max_steps=120, seed=11,
-                     **{**HYPERS, **TEACHER_MODE,
-                        "alpha": 1e308, "gamma": 0.99})
+        run_training(tables, cdfa, None, learn, episodes=200, max_steps=120,
+                     seed=11, **SECTIONS, **TEACHER_MODE)
 
 
 def test_run_training_validation(dungeon_source_tables):
     tables, cdfa = dungeon_source_tables
-    kw = {**HYPERS, **TEACHER_MODE}
+    kw = {**SECTIONS, **TEACHER_MODE}
     with pytest.raises(ValueError):
-        run_training(tables, cdfa, None, episodes=0, max_steps=10, seed=1,
-                     **kw)
+        run_training(tables, cdfa, None, LEARN, episodes=0, max_steps=10,
+                     seed=1, **kw)
     with pytest.raises(ValueError):
-        run_training(tables, cdfa, None, episodes=1, max_steps=0, seed=1,
-                     **kw)
+        run_training(tables, cdfa, None, LEARN, episodes=1, max_steps=0,
+                     seed=1, **kw)
 
 
 # ---------------------------------------------------------------------------

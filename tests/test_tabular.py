@@ -310,6 +310,16 @@ def test_qtable_load_rejects_wrong_format(tmp_path):
         load_qtable(path)
 
 
+@pytest.mark.parametrize("payload", [[1, 2], "cadent-qtable", 3, None])
+def test_qtable_load_rejects_a_payload_that_is_not_an_object(tmp_path,
+                                                            payload):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=(
+            f"^{re.escape(str(path))}: not a cadent-qtable file$")):
+        load_qtable(path)
+
+
 def test_qtable_load_rejects_count_mismatch(tmp_path):
     qt = QTable(2)
     qt.set("s", 0, 1.0)

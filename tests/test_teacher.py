@@ -247,6 +247,16 @@ def test_load_knowledge_rejects_bad_header(dungeon_knowledge, tmp_path,
         load_knowledge(bad)
 
 
+@pytest.mark.parametrize("payload", [[1, 2], "cadent-knowledge", 3, None])
+def test_load_knowledge_rejects_a_payload_that_is_not_an_object(tmp_path,
+                                                               payload):
+    path = tmp_path / "knowledge.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=(
+            f"^{re.escape(str(path))}: not a cadent-knowledge file$")):
+        load_knowledge(path)
+
+
 def test_load_knowledge_names_the_file_of_truncated_json(dungeon_knowledge,
                                                         tmp_path):
     path = tmp_path / "knowledge.json"
