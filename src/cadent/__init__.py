@@ -24,13 +24,12 @@ __all__ = [
     "ProductState", "QTable", "StudentConfig", "TeacherKnowledge",
     "TrustParams",
     "build_knowledge", "bundled_dfa", "canonical_variant",
-    "default_spec", "epsilon_greedy", "fused_update", "greedy_policy",
-    "is_accepting", "load_dfa", "load_knowledge", "load_qtable", "make_dfa",
-    "make_env", "preset_names", "q_update", "resolve_preset",
-    "run_experiment", "save_dfa", "save_knowledge", "save_qtable",
-    "softmax_policy", "step_automaton", "strategic_reward",
-    "tactical_applies", "tactical_gradient", "td_error", "train_student",
-    "train_teacher", "trust_gate", "update_bound", "volatility_update",
+    "default_spec", "fused_update", "is_accepting", "load_dfa",
+    "load_knowledge", "make_dfa", "make_env", "preset_names",
+    "resolve_preset", "run_experiment", "save_dfa", "save_knowledge",
+    "save_qtable", "softmax_policy", "step_automaton", "tactical_applies",
+    "train_student", "train_teacher", "trust_gate", "update_bound",
+    "volatility_update",
 ]
 
 # public name -> the submodule it is read from
@@ -44,12 +43,10 @@ _SOURCES = {
                  "make_env"),
         "harness": ("ExperimentConfig", "run_experiment"),
         "student": ("GuidanceParams", "StudentConfig", "TrustParams",
-                    "fused_update", "strategic_reward", "tactical_applies",
-                    "tactical_gradient", "train_student", "trust_gate",
-                    "update_bound", "volatility_update"),
-        "tabular": ("LearningParams", "QTable", "epsilon_greedy",
-                    "greedy_policy", "load_qtable", "q_update", "save_qtable",
-                    "softmax_policy", "td_error"),
+                    "fused_update", "tactical_applies", "train_student",
+                    "trust_gate", "update_bound", "volatility_update"),
+        "tabular": ("LearningParams", "QTable", "save_qtable",
+                    "softmax_policy"),
         "teacher": ("TeacherKnowledge", "build_knowledge", "load_knowledge",
                     "save_knowledge", "train_teacher"),
     }.items() for name in names

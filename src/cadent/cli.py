@@ -81,7 +81,7 @@ def cmd_train_teacher(args):
         save_qtable(result.qtable, args.qtable_out)
     print(f"teacher on {env.name}/{env.spec.variant}: "
           f"{result.n_successes}/{args.episodes} successful episodes, "
-          f"final-100 mean reward "
+          f"final-{min(100, args.episodes)} mean reward "
           f"{result.ep_reward[-100:].mean():.3f}")
     print(f"knowledge written to {args.out}")
     return 0
@@ -111,14 +111,14 @@ def cmd_train_student(args):
         print(f"episode log written to {args.out}")
     if args.qtable_out:
         save_qtable(result.qtable, args.qtable_out)
-    d = result.diagnostics
+    run = result.run
     print(f"{variant} on {env.name}/{env.spec.variant}: "
-          f"final-100 mean reward "
+          f"final-{min(100, episodes)} mean reward "
           f"{float(result.ep_reward[-100:].mean()):.3f}, "
           f"accept rate {float(result.ep_accept[-100:].mean()):.2f}")
-    print(f"diagnostics: novel_transitions={d.novel_transitions} "
-          f"max|update|={d.max_abs_update:.3f} (bound {result.bound:.3f}) "
-          f"soft_violations={d.soft_violations}")
+    print(f"diagnostics: novel_transitions={run.novel_transitions} "
+          f"max|update|={run.max_abs_update:.3f} (bound {result.bound:.3f}) "
+          f"soft_violations={run.n_soft_violations}")
     return 0
 
 

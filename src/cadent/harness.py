@@ -316,9 +316,9 @@ def _train_cell(config, env_name, variant, seed, knowledge):
                            seed=seed, stream=_run_stream(env_name, variant))
     records = records_from_result(env_name, variant, seed, result)
     diag = {
-        "novel_transitions": result.diagnostics.novel_transitions,
-        "max_abs_update": result.diagnostics.max_abs_update,
-        "soft_violations": result.diagnostics.soft_violations,
+        "novel_transitions": result.run.novel_transitions,
+        "max_abs_update": result.run.max_abs_update,
+        "soft_violations": result.run.n_soft_violations,
         "bound": result.bound,
     }
     return records, diag

@@ -6,7 +6,9 @@ the env, automaton and knowledge tables, with no copy: their items read as
 Python scalars, which CPython indexes far faster than numpy arrays. The
 update's formulas (the trust gate, the volatility trace, the fused update,
 the policy-gradient rule, argmax and the softmax pull) are defined once
-below; the loop and the public API call the same functions.
+below. The loop calls them, and the public API re-exports the same
+functions (`student`); the TD error, the epsilon-greedy choice, the edge
+value r_AD and the pull g_PD are written only in the loop.
 
 The kernel walks product rows, not (env state, automaton state) pairs.
 `envs.tables.product_tables` builds, once per env, the rows reachable from

@@ -6,8 +6,10 @@ crossed and a policy-matching gradient on the taken action. A per-pair
 volatility trace (EWMA of the applied update's magnitude, starting high)
 drives a sigmoid gate deciding how much weight the teacher gets: pairs
 without experience and volatile regions lean on the teacher, settled
-regions on the student's own signal. The update's formulas are defined
-once in `kernels`, which runs them, and are re-exported here.
+regions on the student's own signal. The update's formulas have one
+implementation, in `kernels`, which runs them; `trust_gate`,
+`volatility_update`, `tactical_applies` and `fused_update` are those
+functions, re-exported here as the public API.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .envs.tables import compile_env
 from .files import Config
-from .kernels import (RunResult, fused_update, run_training, softmax_prob,
+from .kernels import (RunResult, fused_update, run_training,
                       tactical_applies, trust_gate, volatility_update)
 from .tabular import LearningParams
 from .teacher import TrainedRun, dense_knowledge
@@ -105,46 +107,6 @@ class StudentConfig(Config):
         self.check_finite()
 
 
-@dataclass
-class Diagnostics:
-    """Mutable counters surfaced by guidance ops and training runs."""
-
-    novel_transitions: int = 0
-    max_abs_update: float = 0.0
-    soft_violations: int = 0
-    soft_violation_steps: list = field(default_factory=list)
-
-
-def strategic_reward(knowledge, q, q_next, lambda_ad, diagnostics=None):
-    """Scaled distilled value of the automaton edge just crossed.
-
-    Zero without automaton progress. An edge the teacher never observed
-    contributes zero and bumps the novel-transition counter: the student is
-    off the teacher's map there.
-    """
-    if q_next == q:
-        return 0.0
-    value = knowledge.q_ad.get((q, q_next))
-    if value is None:
-        if diagnostics is not None:
-            diagnostics.novel_transitions += 1
-        return 0.0
-    return lambda_ad * value
-
-
-def tactical_gradient(knowledge, q, q_row, action, lambda_pd):
-    """Policy-matching pull on the taken action.
-
-    Compares the teacher's abstract policy at q with the student's softmax
-    (temperature 1) over its own Q row. Zero when q is outside the distilled
-    policy's domain. Bounded by lambda_pd in absolute value.
-    """
-    probs = knowledge.pi.get(q)
-    if probs is None:
-        return 0.0
-    return lambda_pd * (probs[action] - softmax_prob(q_row, action))
-
-
 def update_bound(gamma, r_max, lambda_ad, q_ad_max, lambda_pd):
     """Worst-case |update| for any single step.
 
@@ -168,7 +130,6 @@ class StudentResult(TrainedRun):
 
     run: RunResult
     env: object
-    diagnostics: Diagnostics
     bound: float
     config: StudentConfig
     episodes: int
@@ -215,11 +176,5 @@ def train_student(env, knowledge, config, episodes, seed, stream=0):
         trust=config.trust, guide=guide, use_gate=gated,
         omega_fixed=config.omega0 if pinned is None else pinned,
         use_guidance=guided, bound=bound)
-    diag = Diagnostics(
-        novel_transitions=res.novel_transitions,
-        max_abs_update=float(res.max_abs_update),
-        soft_violations=res.n_soft_violations,
-        soft_violation_steps=[int(x) for x in res.soft_violation_steps],
-    )
-    return StudentResult(run=res, env=env, diagnostics=diag, bound=bound,
-                         config=config, episodes=episodes, seed=seed)
+    return StudentResult(run=res, env=env, bound=bound, config=config,
+                         episodes=episodes, seed=seed)

@@ -1,9 +1,12 @@
-"""Sparse tabular value learning primitives.
+"""The sparse Q-table, its file format, the learning parameters and the
+Boltzmann policy that distillation applies.
 
 QTable is a plain mapping from (state, action) to float with an explicit
 default of 0.0: reads of absent keys return 0.0 and never insert. States may
 be any hashable built from JSON-able scalars and (nested) tuples, which is
-what the serializer relies on.
+what the serializer relies on. A run's sparse table is decoded from the
+kernel's arrays; the learning rule itself (the TD error, the action choice,
+the update) has its one implementation in `kernels`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .files import Config, is_integer, is_number, read_json, write_atomic
+from .files import Config, is_integer, write_atomic
 from .kernels import argmax
 
 QTABLE_FORMAT = "cadent-qtable"
@@ -76,24 +79,10 @@ class QTable:
     def items(self):
         return self._data.items()
 
-    def states(self):
-        """Distinct states with any stored entry, in insertion order."""
-        seen = {}
-        for (s, _a) in self._data:
-            seen.setdefault(s, None)
-        return list(seen)
-
     def row(self, state):
         """Dense value row for one state (absent entries read as 0.0)."""
         return np.array([self.get(state, a) for a in range(self.n_actions)],
                         dtype=np.float64)
-
-    def max_value(self, state):
-        return max(self.get(state, a) for a in range(self.n_actions))
-
-    def argmax(self, state):
-        """Greedy action; ties break to the lowest action index."""
-        return argmax(self.row(state))
 
     def __len__(self):
         return len(self._data)
@@ -118,12 +107,6 @@ def _key_to_json(state):
                     f"and tuples")
 
 
-def _key_from_json(payload):
-    if "t" in payload:
-        return tuple(_key_from_json(x) for x in payload["t"])
-    return payload["v"]
-
-
 def save_qtable(qt, path):
     entries = [{"state": _key_to_json(s), "action": a, "value": v}
                for (s, a), v in qt.items()]
@@ -137,55 +120,13 @@ def save_qtable(qt, path):
     write_atomic(path, json.dumps(payload) + "\n")
 
 
-def load_qtable(path):
-    """Load a saved table; malformed content is rejected with a ValueError
-    that names the file."""
-    payload = read_json(path)
-    try:
-        if (not isinstance(payload, dict)
-                or payload.get("format") != QTABLE_FORMAT):
-            raise ValueError(f"{path}: not a {QTABLE_FORMAT} file")
-        if payload.get("version") != QTABLE_VERSION:
-            raise ValueError(f"{path}: unsupported version")
-        entries = payload["entries"]
-        if payload["n_entries"] != len(entries):
-            raise ValueError(f"{path}: entry count mismatch")
-        n_actions = payload["n_actions"]
-        if not is_integer(n_actions) or n_actions < 1:
-            raise ValueError(f"{path}: bad action count {n_actions!r}")
-        qt = QTable(n_actions)
-        for e in entries:
-            state, action, value = (_key_from_json(e["state"]), e["action"],
-                                    e["value"])
-            if not is_integer(action) or not 0 <= action < n_actions:
-                raise ValueError(f"{path}: bad action {action!r}")
-            if not is_number(value) or not math.isfinite(value):
-                raise ValueError(f"{path}: non-finite value {value!r}")
-            qt.set(state, action, value)
-        if len(qt) != len(entries):
-            raise ValueError(f"{path}: entries repeat a (state, action) pair")
-        return qt
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"{path}: malformed qtable payload: "
-                         f"{exc!r}") from exc
-
-
-def td_error(qt, state, action, reward, next_state, done, gamma):
-    """One-step TD error; terminal transitions do not bootstrap."""
-    bootstrap = 0.0 if done else gamma * qt.max_value(next_state)
-    return reward + bootstrap - qt.get(state, action)
-
-
-def q_update(qt, state, action, delta, alpha):
-    """Q(s,a) += alpha * delta, rejecting non-finite results."""
-    qt.set(state, action, qt.get(state, action) + alpha * delta)
-
-
 def softmax_policy(q_row, tau):
     """Boltzmann distribution over one value row.
 
     Max-subtracted for stability; accumulation runs in action-index order so
-    results are reproducible bit for bit.
+    results are reproducible bit for bit. At tau 1 each entry is the
+    kernel's `softmax_prob`, bit for bit, so the distilled policy and the
+    student's pull share one softmax.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
@@ -199,19 +140,3 @@ def softmax_policy(q_row, tau):
     for a in range(n):
         out[a] = out[a] / total
     return out
-
-
-def epsilon_greedy(qt, state, epsilon, rng):
-    """Epsilon-greedy action choice.
-
-    Draw order is fixed: one uniform to decide explore/exploit, then one
-    more only on the explore branch. epsilon=0 consumes no randomness.
-    """
-    if epsilon > 0.0 and rng.uniform() < epsilon:
-        return rng.randint(qt.n_actions)
-    return qt.argmax(state)
-
-
-def greedy_policy(qt):
-    """Greedy action per state with any stored entry."""
-    return {s: qt.argmax(s) for s in qt.states()}

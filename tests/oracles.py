@@ -15,6 +15,12 @@ those rows back to the dense (s*n_q + q) layout the kernel once returned.
 `toy_teacher` goes the other way, from hand-written sparse inputs to the
 arrays the library reads.
 
+`toy_product` and its helpers hand-build tiny products for short
+`run_training` calls, so the worked examples of the update rule (the TD
+error, the Q update, the action choice and the two teacher terms) check
+the kernel itself; `td_error`, `strategic_reward` and `tactical_gradient`
+are the one-line transcriptions those examples compare with.
+
 `reference_train_run` is the training loop as it was before its per-step
 bookkeeping was cut (a maintained greedy action per row, RNG words held in
 locals) and before it walked product rows: it looks the automaton up each
@@ -25,6 +31,7 @@ scattered by `dense_run`, must match it bit for bit.
 
 from __future__ import annotations
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -33,8 +40,9 @@ import numpy as np
 from cadent.automaton import (ProductState, accepting_path_edges,
                               is_accepting, step_automaton)
 from cadent.envs.tables import EnvTables, compile_env, product_tables
-from cadent.kernels import (argmax, fused_update, softmax_prob,
-                            tactical_applies, trust_gate, volatility_update)
+from cadent.kernels import (argmax, fused_update, run_training,
+                            softmax_prob, tactical_applies, trust_gate,
+                            volatility_update)
 from cadent.rng import RandomState, xs128_next
 from cadent.tabular import QTable, softmax_policy
 from cadent.teacher import TeacherError
@@ -55,6 +63,38 @@ def ewma_closed_form(n, eta, delta_mag, v0=0.0):
     """V after n updates with constant |delta|: geometric interpolation."""
     w = (1.0 - eta) ** n
     return w * v0 + (1.0 - w) * delta_mag
+
+
+def td_error(reward, q_sa, next_max, gamma, done):
+    """One-step TD error; a step that ends the episode does not bootstrap."""
+    return reward + (0.0 if done else gamma * next_max) - q_sa
+
+
+def strategic_reward(q_ad, q, q_next, lam):
+    """lam times the distilled value of the edge q -> q_next; 0 without
+    automaton progress or on an edge the teacher never crossed."""
+    return lam * q_ad.get((q, q_next), 0.0) if q_next != q else 0.0
+
+
+def tactical_gradient(pi, q, row, action, lam):
+    """lam times the teacher's probability of `action` at q less the
+    student's temperature-1 softmax over `row`; 0 where pi has no q."""
+    return lam * (pi[q][action] - naive_softmax(row, 1.0)[action]) \
+        if q in pi else 0.0
+
+
+def read_qtable(path):
+    """The table a `save_qtable` file holds, read without validation."""
+    with open(path, encoding="utf-8") as f:
+        payload = json.load(f)
+
+    def key(node):
+        return tuple(key(x) for x in node["t"]) if "t" in node else node["v"]
+
+    qt = QTable(payload["n_actions"])
+    for e in payload["entries"]:
+        qt.set(key(e["state"]), e["action"], e["value"])
+    return qt
 
 
 def value_iteration(tables, cdfa, gamma, tol=1e-12, max_iter=200000):
@@ -385,6 +425,122 @@ def toy_teacher(dfa, qtable, log=(), visits=None):
     run = SimpleNamespace(q=q, counts=n, rows=np.arange(len(q)), n_q=n_q)
     return SimpleNamespace(run=run,
                            env=SimpleNamespace(_tables=tables, dfa=dfa))
+
+
+# ---------------------------------------------------------------------------
+# hand-built products for short kernel runs
+
+
+def toy_product(next_state, reward, event=None, terminal=(), delta=((0,),),
+                q_start=0, accepting=()):
+    """Env tables and a compiled automaton holding what `run_training` and
+    `greedy_rollout` read. Episodes start in env state 0; env state s and
+    action a go to next_state[s][a] with reward[s][a] and event[s][a]
+    (default 0, the null event). `terminal` lists the env states that end
+    an episode. The automaton starts in `q_start`, steps q -> delta[q][e]
+    and accepts the states listed in `accepting`."""
+    next_state = np.array(next_state, dtype=np.int32)
+    stop = np.zeros(len(next_state), dtype=np.bool_)
+    stop[list(terminal)] = True
+    tables = SimpleNamespace(
+        next_state=next_state, reward=np.array(reward, dtype=np.float64),
+        event=(np.zeros_like(next_state) if event is None
+               else np.array(event, dtype=np.int32)),
+        terminal=stop, dead=np.zeros_like(stop), start=0,
+        n_actions=next_state.shape[1])
+    delta = np.array(delta, dtype=np.int32)
+    accept = np.zeros(len(delta), dtype=np.bool_)
+    accept[list(accepting)] = True
+    return tables, SimpleNamespace(delta=delta, accepting=accept,
+                                   start=q_start)
+
+
+def toy_knowledge(n_q, n_actions, q_ad=(), pi=()):
+    """The kernel's knowledge arrays (q_ad, q_ad_known, pi_teacher,
+    pi_known) from {(q, q2): value} and {q: probabilities}, keyed by
+    automaton state index."""
+    values = np.zeros((n_q, n_q))
+    known = np.zeros((n_q, n_q), dtype=np.bool_)
+    for (q, q2), v in dict(q_ad).items():
+        values[q, q2] = v
+        known[q, q2] = True
+    probs = np.zeros((n_q, n_actions))
+    has = np.zeros(n_q, dtype=np.bool_)
+    for q, row in dict(pi).items():
+        probs[q] = row
+        has[q] = True
+    return values, known, probs, has
+
+
+# With the gate on and eta 1, a pair's volatility is the magnitude of its
+# last update, (1 - 1) * v + 1 * |update|; without teacher terms that is
+# its last |TD error|.
+LAST_UPDATE = SimpleNamespace(eta=1.0, k=1.0, theta=0.0, v_init=0.0)
+
+
+def toy_run(product, knowledge=None, *, lam_ad=0.0, lam_pd=0.0, omega=0.0,
+            trust=None, alpha=1.0, gamma=0.0, epsilon=0.0, episodes=1,
+            max_steps=1, seed=1):
+    """`run_training` on a toy product at a constant epsilon. Given
+    `knowledge` the teacher terms count at weights lam_ad and lam_pd, by
+    default in full (a fixed omega of 0); given `trust` the gate is on."""
+    learn = SimpleNamespace(alpha=alpha, gamma=gamma, epsilon_start=epsilon,
+                            epsilon_end=epsilon, epsilon_decay=1.0)
+    return run_training(
+        *product, knowledge, learn, episodes=episodes, max_steps=max_steps,
+        seed=seed, trust=trust,
+        guide=SimpleNamespace(lambda_ad=lam_ad, lambda_pd=lam_pd),
+        use_gate=trust is not None, omega_fixed=omega,
+        use_guidance=knowledge is not None)
+
+
+def row_of(res, s, q=0):
+    """Index of the product row of env state s under automaton state q in
+    a run's (n_rows, A) outputs."""
+    p = int(np.searchsorted(res.rows, s * res.n_q + q))
+    assert p < len(res.rows) and res.rows[p] == s * res.n_q + q, (
+        f"(env state {s}, automaton state {q}) is not a product row")
+    return p
+
+
+def edge_product(n_q, q, q2):
+    """One step from env state 0 to the terminal env state 1 on event 1,
+    which takes automaton state q to q2; the automaton starts in q and
+    every other (state, event) pair stays put."""
+    delta = [[i, i] for i in range(n_q)]
+    delta[q][1] = q2
+    return toy_product([[1], [1]], [[0.0], [0.0]], event=[[1], [0]],
+                       terminal=[1], delta=delta, q_start=q)
+
+
+def corridor(length, n_actions):
+    """Env states 0 .. length, every action moving one state on with reward
+    0 and the last state terminal: each step of an episode starts from a
+    row it has not updated, so its Q row is still zero."""
+    return toy_product(
+        [[min(s + 1, length)] * n_actions for s in range(length + 1)],
+        np.zeros((length + 1, n_actions)), terminal=[length])
+
+
+def kernel_pull(pi, lam, others):
+    """The pull g_PD the kernel pays for the last action of the row
+    others + [0.0] under the teacher policy `pi` (None: no policy).
+
+    Env state 0 has len(others) + 1 actions: action b bumps into the wall
+    with reward others[b], the last moves on to a terminal state. Greedy
+    from the zero table at alpha 1 and gamma 0, an episode tries the
+    actions in order: each bump sets its Q to its reward, which must be
+    negative so that the next untried action is greedy, and earns no
+    teacher term. The last step's Q is then the pull alone, the teacher
+    counting in full.
+    """
+    n = len(others) + 1
+    product = toy_product([[0] * (n - 1) + [1], [1] * n],
+                          [list(others) + [0.0], [0.0] * n], terminal=[1])
+    knowledge = toy_knowledge(1, n, pi={} if pi is None else {0: pi})
+    res = toy_run(product, knowledge, lam_pd=lam, max_steps=n)
+    assert res.counts[0].tolist() == [1] * n, res.counts[0]
+    return res.q[0, n - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import math
 import os
 import time
 from collections import defaultdict
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,21 +30,20 @@ from cadent.harness import (RUN_CSV_HEADER, EpisodeRecord, ExperimentConfig,
                             aggregate_per_episode, final_window_mean,
                             read_run_csv, run_experiment, steps_to_threshold,
                             write_run_csv)
-from cadent.kernels import greedy_rollout
-from cadent.rng import RandomState
-from cadent.student import (Diagnostics, StudentConfig, fused_update,
-                            strategic_reward, tactical_gradient,
-                            train_student, trust_gate, update_bound,
-                            volatility_update)
-from cadent.tabular import (QTable, epsilon_greedy, greedy_policy, q_update,
-                            softmax_policy, td_error)
+from cadent.kernels import argmax, greedy_rollout
+from cadent.student import (StudentConfig, fused_update, train_student,
+                            trust_gate, update_bound, volatility_update)
+from cadent.tabular import QTable, softmax_policy
 from cadent.teacher import (build_knowledge, distill_automaton_values,
                             load_knowledge, save_knowledge, train_teacher)
 
 from golden import golden_actions, run_actions
-from oracles import (dict_value_iteration, ewma_closed_form, naive_softmax,
-                     q_rows_from_table, reference_q_learning, sigmoid,
-                     sparse_results, toy_teacher, value_iteration)
+from oracles import (LAST_UPDATE, dict_value_iteration, edge_product,
+                     ewma_closed_form, kernel_pull, naive_softmax,
+                     q_rows_from_table, reference_q_learning, row_of,
+                     sigmoid, sparse_results, strategic_reward,
+                     tactical_gradient, td_error, toy_knowledge, toy_product,
+                     toy_run, toy_teacher, value_iteration)
 
 _BUDGETS = {1: 10.0, 2: 30.0, 3: 120.0, 4: 600.0, 5: 1800.0, 6: 1800.0,
             7: 60.0}
@@ -157,27 +155,40 @@ def test_criterion_1_worked_examples(env_cache, tmp_path):
                                       + PROGRESS_BONUS * len(events)
                                       + ACCEPT_BONUS, abs=1e-9)
 
-    # -- tabular learning
-    qt = QTable(2)
-    assert td_error(qt, "s", 0, 1.0, "s2", True, 0.99) == 1.0
-    qt.set("s", 0, 0.1)
-    assert td_error(qt, "s", 0, 1.0, "s2", True, 0.99) == 1.0 - 0.1
-    qt2 = QTable(2)
-    qt2.set("s2", 1, 5.0)
-    assert td_error(qt2, "s", 0, 1.0, "s2", False, 1.0) == 6.0
-    qt3 = QTable(2)
-    q_update(qt3, "s", 0, 1.0, 0.1)
-    assert qt3.get("s", 0) == 0.1
-    q_update(qt3, "s", 0, 0.0, 0.1)
-    assert qt3.get("s", 0) == 0.1
+    # -- tabular learning, through the kernel on hand-built products: Q
+    # starts at zero, alpha 1 sets a pair to its target, and LAST_UPDATE
+    # keeps each pair's last |TD error| in `vol`
+    step = toy_product([[1], [1]], [[1.0], [0.0]], terminal=[1])
+    res = toy_run(step, trust=LAST_UPDATE, gamma=0.99)
+    assert res.vol[0, 0] == td_error(1.0, 0.0, 0.0, 0.99, True) == 1.0
+    res = toy_run(step, trust=LAST_UPDATE, alpha=0.1, gamma=0.99, episodes=2)
+    assert res.vol[0, 0] == td_error(1.0, 0.1, 0.0, 0.99, True) == 1.0 - 0.1
+    chain = toy_product([[1], [2], [2]], [[1.0], [5.0], [0.0]], terminal=[2])
+    res = toy_run(chain, gamma=1.0, episodes=2, max_steps=2)
+    assert res.q[1, 0] == 5.0
+    assert res.q[0, 0] == td_error(1.0, 0.0, 5.0, 1.0, False) == 6.0
+    assert toy_run(step, alpha=0.1).q[0, 0] == 0.1
+    tenth = toy_product([[1], [1]], [[0.1], [0.0]], terminal=[1])
+    res = toy_run(tenth, trust=LAST_UPDATE, episodes=2)   # a zero TD error
+    assert res.vol[0, 0] == 0.0 and res.q[0, 0] == 0.1
     transitions = {("A", 0): "B", ("A", 1): "A", ("B", 0): "T", ("B", 1): "A"}
     rewards = {("A", 0): 0.0, ("A", 1): 0.0, ("B", 0): 1.0, ("B", 1): 0.0}
     qvi = dict_value_iteration(transitions, rewards, {"T"}, 0.9)
-    vi_table = QTable(2, entries=qvi)
+    index = {"A": 0, "B": 1, "T": 2}
+    mdp = toy_product(
+        [[index[transitions[(s, a)]] for a in (0, 1)] for s in "AB"]
+        + [[2, 2]],
+        [[rewards[(s, a)] for a in (0, 1)] for s in "AB"] + [[0.0, 0.0]],
+        terminal=[2])
+    res = toy_run(mdp, gamma=0.9, epsilon=1.0, episodes=200, max_steps=100)
+    q_of = {s: res.q[row_of(res, index[s])] for s in "AB"}
     for (s, a), s2 in transitions.items():
-        resid = td_error(vi_table, s, a, rewards[(s, a)], s2, s2 == "T", 0.9)
+        next_max = 0.0 if s2 == "T" else q_of[s2].max()
+        resid = td_error(rewards[(s, a)], q_of[s][a], next_max, 0.9,
+                         s2 == "T")
         assert abs(resid) < 1e-9
-    assert greedy_policy(vi_table) == {"A": 0, "B": 0}
+        assert abs(q_of[s][a] - qvi[(s, a)]) < 1e-9
+    assert {s: argmax(q_of[s]) for s in "AB"} == {"A": 0, "B": 0}
     assert qvi[("A", 0)] == pytest.approx(0.9, abs=1e-9)
     assert qvi[("B", 0)] == pytest.approx(1.0, abs=1e-9)
     assert np.all(softmax_policy(np.zeros(4), 1.0) == 0.25)
@@ -186,20 +197,26 @@ def test_criterion_1_worked_examples(env_cache, tmp_path):
     got = softmax_policy(np.array([2.0, 1.0, 0.0]), 1.0)
     want = naive_softmax([2.0, 1.0, 0.0], 1.0)
     assert np.all(np.abs(got - np.array(want)) < 1e-9)
-    rng = RandomState(11, 0)
-    qt5 = QTable(4)
-    qt5.set("s", 2, 1.0)
-    assert all(epsilon_greedy(qt5, "s", 0.0, rng) == 2 for _ in range(50))
-    assert epsilon_greedy(QTable(4), "s", 0.0, rng) == 0
-    draws = np.bincount([epsilon_greedy(qt5, "s", 1.0, rng)
-                         for _ in range(100000)], minlength=4)
+    # the kernel's epsilon-greedy choice over one-step episodes: at epsilon
+    # 0 the zero row picks action 0, then actions 1 (-1.0) and 2 (1.0),
+    # which the next 50 episodes all pick; at epsilon 1 the choice is
+    # uniform
+    four = toy_product([[1] * 4, [1] * 4], [[-1.0, -1.0, 1.0, 0.0],
+                                            [0.0] * 4], terminal=[1])
+    res = toy_run(four, episodes=53, seed=11)
+    assert res.counts[0].tolist() == [1, 1, 51, 0]
+    assert argmax(res.q[0]) == 2 and argmax(np.zeros(4)) == 0
+    draws = toy_run(four, epsilon=1.0, episodes=100000, seed=11).counts[0]
     sigma = math.sqrt(100000 * 0.25 * 0.75)
     assert np.all(np.abs(draws - 25000.0) <= 3.0 * sigma), draws
-    assert greedy_policy(QTable(3)) == {}
-    qt6 = QTable(2)
-    qt6.set("s", 0, 0.0)
-    qt6.set("s", 1, 2.0)
-    assert greedy_policy(qt6) == {"s": 1}
+    # greedy rollouts: a zero table takes action 0 (a bump here), the row
+    # [0.0, 2.0] action 1 (into the accepting automaton state)
+    duel = toy_product([[0, 1], [1, 1]], [[0.0, 2.0], [0.0, 0.0]],
+                       event=[[0, 1], [0, 0]], delta=[[0, 1], [1, 1]],
+                       accepting=[1])
+    assert greedy_rollout(*duel, np.zeros((2, 2)), 5) == (False, 1, 0.0)
+    assert greedy_rollout(*duel, np.array([[0.0, 2.0], [0.0, 0.0]]),
+                          5) == (True, 1, 2.0)
 
     # -- teacher distillation
     chain = make_dfa(("q0", "q1", "acc"), ("a", "b"), "q0", {"acc"},
@@ -296,18 +313,27 @@ def test_criterion_1_worked_examples(env_cache, tmp_path):
     assert trust_gate(0.0, 10.0, 0.5) == pytest.approx(sigmoid(5.0), abs=1e-9)
     assert trust_gate(1.0, 10.0, 0.5) == pytest.approx(1.0 / (1.0 + math.e ** 5),
                                                        abs=1e-9)
-    know_ad = SimpleNamespace(q_ad={("q0", "q1"): 4.0})
-    assert strategic_reward(know_ad, "q0", "q1", 0.5) == 2.0
-    assert strategic_reward(know_ad, "q0", "q0", 0.5) == 0.0
-    diag = Diagnostics()
-    assert strategic_reward(know_ad, "q1", "q2", 1.0, diag) == 0.0
-    assert diag.novel_transitions == 1
-    know_pd = SimpleNamespace(pi={"q0": np.array([0.9, 0.1])})
-    assert tactical_gradient(know_pd, "q0", np.zeros(2), 0, 2.0) == (
-        pytest.approx(2.0 * (0.9 - 0.5), abs=1e-9))
-    flat = SimpleNamespace(pi={"q0": np.array([0.5, 0.5])})
-    assert tactical_gradient(flat, "q0", np.zeros(2), 0, 2.0) == 0.0
-    assert tactical_gradient(know_pd, "elsewhere", np.zeros(2), 0, 2.0) == 0.0
+    # the teacher terms as the kernel pays them: one step at alpha 1 and
+    # reward 0 with the teacher in full (omega 0) leaves Q = r_AD + g_PD
+    q_ad = {(0, 1): 4.0}
+    know_ad = toy_knowledge(3, 1, q_ad=q_ad)
+    for q2, want in ((1, 2.0), (0, 0.0)):
+        assert strategic_reward(q_ad, 0, q2, 0.5) == want
+        res = toy_run(edge_product(3, 0, q2), know_ad, lam_ad=0.5)
+        assert res.q[0, 0] == want and res.novel_transitions == 0
+    assert strategic_reward(q_ad, 1, 2, 1.0) == 0.0
+    res = toy_run(edge_product(3, 1, 2), know_ad, lam_ad=1.0)
+    assert res.q[0, 0] == 0.0 and res.novel_transitions == 1
+    # from automaton state 0 (of 2); the zero row's softmax is uniform
+    step2 = toy_product([[1, 1], [1, 1]], np.zeros((2, 2)), terminal=[1],
+                        delta=[[0], [1]])
+    for pi, want in (({0: [0.9, 0.1]}, 2.0 * (0.9 - 0.5)),
+                     ({0: [0.5, 0.5]}, 0.0),
+                     ({1: [0.9, 0.1]}, 0.0)):     # outside pi's domain
+        assert tactical_gradient(pi, 0, np.zeros(2), 0, 2.0) == (
+            pytest.approx(want, abs=1e-9))
+        res = toy_run(step2, toy_knowledge(2, 2, pi=pi), lam_pd=2.0)
+        assert res.q[0, 0] == pytest.approx(want, abs=1e-9)
     # delta + (1 - omega) * (r_ad + g_pd): the teacher arm is a TD error too
     assert fused_update(1.0, 2.0, 5.0, 5.0) == 2.0
     assert fused_update(0.0, 2.0, 1.0, 0.5) == 3.5
@@ -411,28 +437,40 @@ def test_criterion_2_property_groups():
         shifted = softmax_policy(row + rng.uniform(-100.0, 100.0), tau)
         assert np.all(np.abs(shifted - probs) < 1e-9)
 
-    # tactical guidance never exceeds its weight
+    # tactical guidance never exceeds its weight. The kernel pays the pull
+    # on the last action of a row whose other entries its bumps set below
+    # zero (oracles.kernel_pull): here the drawn row less 10
     for _ in range(1500):
         n = int(rng.integers(2, 7))
-        know = SimpleNamespace(pi={"q0": rng.dirichlet(np.ones(n))})
+        pi = {0: rng.dirichlet(np.ones(n))}
         lam = rng.uniform(0.0, 5.0)
-        g = tactical_gradient(know, "q0", rng.uniform(-10.0, 10.0, n),
-                              int(rng.integers(n)), lam)
+        row = rng.uniform(-10.0, 10.0, n)
+        g = tactical_gradient(pi, 0, row, int(rng.integers(n)), lam)
         assert abs(g) <= lam + 1e-12
-        assert tactical_gradient(know, "q1", np.zeros(n), 0, lam) == 0.0
+        assert tactical_gradient(pi, 1, np.zeros(n), 0, lam) == 0.0
+        others = list(row[:-1] - 10.0)
+        g = kernel_pull(pi[0], lam, others)
+        assert abs(g) <= lam + 1e-12
+        assert g == pytest.approx(tactical_gradient(
+            pi, 0, others + [0.0], n - 1, lam), abs=1e-12)
+        assert kernel_pull(None, lam, others) == 0.0
 
-    # strategic reward gates exactly to zero without automaton progress
-    pool = ("q0", "q1", "q2", "q3")
+    # strategic reward gates exactly to zero without automaton progress;
+    # the kernel's one step from q to q2 leaves Q = r_AD (edge_product)
     for _ in range(1500):
-        q_ad = {(pool[int(rng.integers(4))], pool[int(rng.integers(4))]):
+        q_ad = {(int(rng.integers(4)), int(rng.integers(4))):
                 float(rng.uniform(-20.0, 20.0)) for _ in range(4)}
-        know = SimpleNamespace(q_ad=q_ad)
-        q = pool[int(rng.integers(4))]
+        know = toy_knowledge(4, 1, q_ad=q_ad)
+        q = int(rng.integers(4))
         lam = rng.uniform(0.0, 3.0)
-        assert strategic_reward(know, q, q, lam) == 0.0
-        q2 = pool[int(rng.integers(4))]
+        assert strategic_reward(q_ad, q, q, lam) == 0.0
+        assert toy_run(edge_product(4, q, q), know,
+                       lam_ad=lam).q[0, 0] == 0.0
+        q2 = int(rng.integers(4))
         if q2 != q and (q, q2) in q_ad:
-            assert strategic_reward(know, q, q2, lam) == lam * q_ad[(q, q2)]
+            assert strategic_reward(q_ad, q, q2, lam) == lam * q_ad[(q, q2)]
+            assert toy_run(edge_product(4, q, q2), know,
+                           lam_ad=lam).q[0, 0] == lam * q_ad[(q, q2)]
 
     # volatility stays non-negative and finite under arbitrary errors
     for _ in range(1000):
@@ -485,11 +523,11 @@ def test_criterion_3_update_bound_instrumentation(env_cache, source_teacher):
     knowledge = build_knowledge(teacher, source.dfa, tau=2.0)
     result = train_student(target, knowledge, resolve_preset("cadent"),
                            episodes=500, seed=1, stream=0)
-    diag = result.diagnostics
-    assert diag.max_abs_update <= result.bound + 1e-12
-    assert diag.soft_violations == 0, (
-        f"{diag.soft_violations} soft bound violations at steps "
-        f"{diag.soft_violation_steps[:20]}")
+    run = result.run
+    assert run.max_abs_update <= result.bound + 1e-12
+    assert run.n_soft_violations == 0, (
+        f"{run.n_soft_violations} soft bound violations at steps "
+        f"{run.soft_violation_steps[:20].tolist()}")
     values = np.array([v for _k, v in result.qtable.items()])
     assert np.all(np.isfinite(values))
     _finish(3, "update bound instrumentation", t0)

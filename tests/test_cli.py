@@ -8,10 +8,9 @@ from cadent.cli import _student_config, build_parser, main
 from cadent.envs import default_spec, make_env
 from cadent.harness import ExperimentConfig, read_run_csv
 from cadent.student import StudentConfig, train_student
-from cadent.tabular import load_qtable
 from cadent.teacher import load_knowledge, train_teacher
 
-from oracles import sparse_results
+from oracles import read_qtable, sparse_results
 
 
 def test_info_prints_registry(capsys):
@@ -187,7 +186,7 @@ def test_train_teacher_writes_artifacts(knowledge_file):
     assert knowledge.provenance["env"] == "dungeon_quest"
     assert knowledge.provenance["variant"] == "source"
     assert knowledge.provenance["episodes"] == 800
-    table = load_qtable(qt)
+    table = read_qtable(qt)
     assert len(table) > 0
 
 
@@ -214,8 +213,17 @@ def test_train_student_no_transfer(tmp_path, capsys):
     assert len(records) == 30
     assert records[0].variant == "no_transfer"
     assert records[0].env == "dungeon_quest"
-    assert load_qtable(tmp_path / "student.json").n_actions == 4
+    assert read_qtable(tmp_path / "student.json").n_actions == 4
     assert "no_transfer on dungeon_quest/target" in capsys.readouterr().out
+
+
+def test_train_student_labels_the_final_window_with_its_size(capsys):
+    # the window is the last 100 episodes, or all of a shorter run
+    code = main(["train-student", "--env", "dungeon", "--variant", "none",
+                 "--episodes", "20"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "final-20 mean reward" in out and "final-100" not in out
 
 
 def test_train_student_cadent_with_knowledge(knowledge_file, tmp_path,
@@ -231,7 +239,7 @@ def test_train_student_cadent_with_knowledge(knowledge_file, tmp_path,
 
 
 def _saved_entries(path):
-    return [(state, a, v) for (state, a), v in load_qtable(path).items()]
+    return [(state, a, v) for (state, a), v in read_qtable(path).items()]
 
 
 def _reference_entries(env, run):

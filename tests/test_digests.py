@@ -149,13 +149,13 @@ def _student_cell(name, variant, knowledge):
             env, knowledge if variant != "no_transfer" else None, config,
             episodes=STUDENT_EPISODES, seed=SEED,
             stream=_run_stream(name, variant))
-    d = result.diagnostics
-    ref = sparse_results(env, result.run,
-                         gated=student.VARIANTS[config.variant][0])
+    run = result.run
+    ref = sparse_results(env, run, gated=student.VARIANTS[config.variant][0])
     return _digest(_kernel_parts(seen[0], env, config.trust.v_init) + (
         sorted(ref.qtable.items()), sorted(ref.volatility.items()),
-        d.novel_transitions, d.max_abs_update, d.soft_violations,
-        d.soft_violation_steps, result.bound))
+        run.novel_transitions, float(run.max_abs_update),
+        run.n_soft_violations, run.soft_violation_steps.tolist(),
+        result.bound))
 
 
 def _cells():

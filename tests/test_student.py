@@ -1,7 +1,6 @@
 """Guidance terms, the trust gate, and full student training runs."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,15 +13,15 @@ from cadent.envs import DEFAULT_EPISODES
 from cadent.envs.tables import compile_env
 from cadent.harness import _run_stream
 from cadent.kernels import greedy_rollout, run_training
-from cadent.student import (Diagnostics, GuidanceParams, StudentConfig,
-                            TrustParams, fused_update, strategic_reward,
-                            tactical_applies, tactical_gradient,
-                            train_student, trust_gate, update_bound,
-                            volatility_update)
+from cadent.student import (GuidanceParams, StudentConfig, TrustParams,
+                            fused_update, tactical_applies, train_student,
+                            trust_gate, update_bound, volatility_update)
 from cadent.tabular import LearningParams, softmax_policy
 from cadent.teacher import build_knowledge, train_teacher
 
-from oracles import ewma_closed_form, q_rows_from_table, sigmoid
+from oracles import (corridor, edge_product, ewma_closed_form, kernel_pull,
+                     q_rows_from_table, sigmoid, strategic_reward,
+                     tactical_gradient, toy_knowledge, toy_product, toy_run)
 
 
 # ---------------------------------------------------------------------------
@@ -65,41 +64,88 @@ def test_trust_gate_monotone_decreasing(v1, v2, k, theta):
     assert trust_gate(lo, k, theta) >= trust_gate(hi, k, theta)
 
 
+def _edge_value(q_ad, q, q2, lam):
+    """Q after the kernel's one step crossing q -> q2 (q2 == q: no
+    progress), the teacher counting in full: the edge value r_AD alone."""
+    res = toy_run(edge_product(3, q, q2), toy_knowledge(3, 1, q_ad=q_ad),
+                  lam_ad=lam)
+    return res.q[0, 0], res.novel_transitions
+
+
 def test_strategic_reward_cases():
-    know = SimpleNamespace(q_ad={("q0", "q1"): 2.0})
-    assert strategic_reward(know, "q0", "q0", 1.0) == 0.0
-    assert strategic_reward(know, "q0", "q1", 1.0) == 2.0
-    assert strategic_reward(know, "q0", "q1", 0.5) == 1.0
+    q_ad = {(0, 1): 2.0}
+    for q2, lam, want in ((0, 1.0, 0.0), (1, 1.0, 2.0), (1, 0.5, 1.0)):
+        assert strategic_reward(q_ad, 0, q2, lam) == want
+        assert _edge_value(q_ad, 0, q2, lam) == (want, 0)
 
 
 def test_strategic_reward_counts_novel_edges():
-    know = SimpleNamespace(q_ad={})
-    diag = Diagnostics()
-    assert strategic_reward(know, "q0", "q1", 1.0, diag) == 0.0
-    assert strategic_reward(know, "q1", "q2", 1.0, diag) == 0.0
-    assert diag.novel_transitions == 2
+    # automaton q0 -(event 1)-> q1 -(event 2)-> q2 and an episode crossing
+    # both edges, then a step on the null event; the teacher knows neither
+    tables, cdfa = toy_product(
+        [[1], [2], [3], [3]], np.zeros((4, 1)), event=[[1], [2], [0], [0]],
+        terminal=[3], delta=[[0, 1, 0], [1, 1, 2], [2, 2, 2]])
+    res = toy_run((tables, cdfa), toy_knowledge(3, 1), lam_ad=1.0,
+                  max_steps=3)
+    assert res.ep_steps.tolist() == [3]
+    assert res.novel_transitions == 2
+    assert np.all(res.q == 0.0)
     # no automaton progress is not novelty
-    strategic_reward(know, "q0", "q0", 1.0, diag)
-    assert diag.novel_transitions == 2
+    assert _edge_value({}, 0, 0, 1.0) == (0.0, 0)
+    assert _edge_value({}, 0, 1, 1.0) == (0.0, 1)
+
+
+def _zero_row_pulls(pi, lam):
+    """The pulls the kernel pays on a walk down a corridor at epsilon 1,
+    by action. Each step starts from a zero Q row, and at alpha 1 with the
+    teacher in full its Q is the pull alone."""
+    res = toy_run(corridor(16, 2), toy_knowledge(1, 2, pi=pi), lam_pd=lam,
+                  epsilon=1.0, max_steps=16)
+    return {a: res.q[res.counts[:, a] > 0, a].tolist() for a in (0, 1)}
 
 
 def test_tactical_gradient_cases():
-    know = SimpleNamespace(pi={"q0": np.array([0.9, 0.1])})
+    pi = {"q0": np.array([0.9, 0.1])}
     row = np.zeros(2)
     # student softmax over a zero row is uniform
-    assert tactical_gradient(know, "q0", row, 0, 2.0) == pytest.approx(
+    assert tactical_gradient(pi, "q0", row, 0, 2.0) == pytest.approx(
         0.8, abs=1e-12)
-    assert tactical_gradient(know, "q0", row, 1, 0.5) == pytest.approx(
+    assert tactical_gradient(pi, "q0", row, 1, 0.5) == pytest.approx(
         -0.2, abs=1e-12)
-    assert tactical_gradient(know, "q9", row, 0, 0.5) == 0.0
+    assert tactical_gradient(pi, "q9", row, 0, 0.5) == 0.0
+    # the kernel pays the same pulls; the walk takes both actions
+    pulls = _zero_row_pulls({0: pi["q0"]}, 2.0)[0]
+    assert pulls and pulls == pytest.approx([0.8] * len(pulls), abs=1e-12)
+    pulls = _zero_row_pulls({0: pi["q0"]}, 0.5)[1]
+    assert pulls and pulls == pytest.approx([-0.2] * len(pulls), abs=1e-12)
+    outside = _zero_row_pulls({}, 0.5)      # no policy at q0
+    assert set(outside[0] + outside[1]) == {0.0}
 
 
 def test_tactical_gradient_uses_unit_temperature():
-    know = SimpleNamespace(pi={"q0": np.array([1.0, 0.0, 0.0])})
+    pi = {"q0": np.array([1.0, 0.0, 0.0])}
     row = np.array([2.0, 1.0, -1.0])
     student = softmax_policy(row, 1.0)
-    got = tactical_gradient(know, "q0", row, 1, 0.5)
-    assert got == pytest.approx(0.5 * (0.0 - student[1]), abs=1e-12)
+    want = 0.5 * (0.0 - student[1])
+    assert tactical_gradient(pi, "q0", row, 1, 0.5) == pytest.approx(
+        want, abs=1e-12)
+    # the kernel's pull on that row: actions 0 and 2 bump into the wall
+    # with rewards 2 and -1, action 1 moves on to a terminal state with
+    # reward 1. The gate trusts a pair's own first update in full (omega 1
+    # at volatility 0) and the teacher in full on its second (omega 0 at
+    # volatility 1), so action 1's first visit sets its Q to 1 and its
+    # second adds the pull alone. Exploring at epsilon 1, seed 1 bumps into
+    # both walls before that second visit, which ends the run.
+    product = toy_product([[0, 1, 0], [1, 1, 1]],
+                          [[2.0, 1.0, -1.0], [0.0, 0.0, 0.0]], terminal=[1])
+    gate = TrustParams(eta=1.0, k=1e4, theta=0.5, v_init=0.0)
+    res = toy_run(product, toy_knowledge(1, 3, pi={0: pi["q0"]}),
+                  lam_pd=0.5, trust=gate, epsilon=1.0, episodes=2,
+                  max_steps=50, seed=1)
+    assert res.counts[0, 1] == 2 and min(res.counts[0, ::2]) > 0
+    assert res.q[0].tolist()[::2] == [2.0, -1.0]
+    assert res.q[0, 1] - 1.0 == pytest.approx(want, abs=1e-12)
+    assert res.vol[0, 1] == abs(want)     # eta 1: the update's magnitude
 
 
 @settings(max_examples=300, deadline=None)
@@ -109,9 +155,15 @@ def test_tactical_gradient_bounded(row, lam, action):
     action = action % len(row)
     probs = np.zeros(len(row))
     probs[0] = 1.0
-    know = SimpleNamespace(pi={"q0": probs})
-    g = tactical_gradient(know, "q0", np.array(row), action, lam)
+    g = tactical_gradient({"q0": probs}, "q0", np.array(row), action, lam)
     assert abs(g) <= lam + 1e-12
+    # the kernel's pull on the last action, after bumps that set the other
+    # entries below zero (see oracles.kernel_pull)
+    others = [v - 21.0 for v in row[:-1]]
+    g = kernel_pull(probs, lam, others)
+    assert abs(g) <= lam + 1e-12
+    assert g == pytest.approx(tactical_gradient(
+        {"q0": probs}, "q0", others + [0.0], len(row) - 1, lam), abs=1e-12)
 
 
 def test_fused_update_examples():
@@ -312,11 +364,7 @@ def test_tactical_applies():
 
 
 # ---------------------------------------------------------------------------
-# the kernel's guided step against the scalar reference helpers
-
-
-_KNOW = SimpleNamespace(q_ad={("q0", "q1"): 4.0},
-                        pi={"q0": np.array([0.8, 0.2])})
+# the kernel's guided step against the scalar references
 
 
 @pytest.mark.parametrize("case,s_next,event", [
@@ -324,30 +372,20 @@ _KNOW = SimpleNamespace(q_ad={("q0", "q1"): 4.0},
 def test_kernel_guided_step_matches_reference(case, s_next, event):
     # one greedy step from env state 0 under q0; the zero table picks
     # action 0, whose outcome each case sets
-    tables = SimpleNamespace(
-        next_state=np.array([[s_next, 0], [1, 1]], dtype=np.int32),
-        reward=np.array([[0.3, 0.0], [0.0, 0.0]]),
-        event=np.array([[event, 0], [0, 0]], dtype=np.int32),
-        terminal=np.zeros(2, dtype=np.bool_),
-        dead=np.zeros(2, dtype=np.bool_), start=0, n_actions=2)
-    cdfa = SimpleNamespace(delta=np.array([[0, 1], [1, 1]], dtype=np.int32),
-                           accepting=np.zeros(2, dtype=np.bool_), start=0)
-    dense = (np.array([[0.0, 4.0], [0.0, 0.0]]),
-             np.array([[False, True], [False, False]]),
-             np.array([[0.8, 0.2], [0.5, 0.5]]), np.array([True, False]))
+    product = toy_product([[s_next, 0], [1, 1]], [[0.3, 0.0], [0.0, 0.0]],
+                          event=[[event, 0], [0, 0]], delta=[[0, 1], [1, 1]])
     trust = TrustParams(eta=0.25, k=10.0, theta=0.5, v_init=1.0)
-    learn = LearningParams(alpha=0.5, gamma=0.9, epsilon_start=0.0,
-                           epsilon_end=0.0, epsilon_decay=1.0)
-    res = run_training(tables, cdfa, dense, learn, trust=trust,
-                       guide=GuidanceParams(lambda_ad=1.0, lambda_pd=0.5),
-                       use_gate=True, omega_fixed=0.0, use_guidance=True,
-                       episodes=1, max_steps=1, seed=1)
+    res = toy_run(product, toy_knowledge(2, 2, q_ad={(0, 1): 4.0},
+                                         pi={0: [0.8, 0.2]}),
+                  lam_ad=1.0, lam_pd=0.5, trust=trust, alpha=0.5,
+                  gamma=0.9)
     q_next = "q1" if event else "q0"
     omega = trust_gate(trust.v_init, trust.k, trust.theta)
-    r_ad = strategic_reward(_KNOW, "q0", q_next, 1.0)
+    r_ad = strategic_reward({("q0", "q1"): 4.0}, "q0", q_next, 1.0)
     g_pd = 0.0
     if tactical_applies(0, "q0", s_next, q_next):
-        g_pd = tactical_gradient(_KNOW, "q0", np.zeros(2), 0, 0.5)
+        g_pd = tactical_gradient({"q0": [0.8, 0.2]}, "q0", np.zeros(2), 0,
+                                 0.5)
         assert g_pd == 0.5 * (0.8 - 0.5)
     dq = fused_update(omega, 0.3, r_ad, g_pd)   # the step ends the episode
     assert (r_ad != 0.0) == (case == "edge crossing")
@@ -397,8 +435,8 @@ def test_train_student_no_transfer_shape(dungeon_target):
     # gate unused for this variant: no volatility moves from its start
     assert np.all(res.run.vol == res.config.trust.v_init)
     assert res.bound == pytest.approx(10.99 / (1 - 0.99), abs=1e-9)
-    assert res.diagnostics.soft_violations == 0
-    assert res.diagnostics.max_abs_update <= res.bound
+    assert res.run.n_soft_violations == 0
+    assert res.run.max_abs_update <= res.bound
 
 
 def test_train_student_cadent_populates_volatility(dungeon_target,

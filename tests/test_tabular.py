@@ -1,6 +1,6 @@
-"""Sparse Q-table, TD arithmetic, softmax, and exploration primitives."""
+"""Sparse Q-table and softmax, and the kernel's TD arithmetic, Q update
+and exploration on hand-built products."""
 
-import json
 import math
 import re
 
@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cadent.rng import RandomState
-from cadent.tabular import (LearningParams, QTable, epsilon_greedy,
-                            greedy_policy, load_qtable, q_update,
-                            save_qtable, softmax_policy, td_error)
+from cadent import kernels
+from cadent.envs.tables import product_tables
+from cadent.kernels import argmax, greedy_rollout, softmax_prob
+from cadent.rng import RandomState, state_from
+from cadent.tabular import LearningParams, QTable, save_qtable, softmax_policy
 
-from oracles import dict_value_iteration, naive_softmax
+from oracles import (LAST_UPDATE, dict_value_iteration, naive_softmax,
+                     read_qtable, row_of, toy_product, toy_run)
 
 
 def test_default_read_is_zero_and_does_not_insert():
@@ -67,16 +69,16 @@ def test_row_and_max_value():
     qt = QTable(3)
     qt.set("s", 1, 2.0)
     assert list(qt.row("s")) == [0.0, 2.0, 0.0]
-    assert qt.max_value("s") == 2.0
-    assert qt.max_value("unseen") == 0.0
+    assert qt.row("s").max() == 2.0
+    assert qt.row("unseen").max() == 0.0
 
 
 def test_argmax_tie_breaks_low():
     qt = QTable(4)
-    assert qt.argmax("zero-row") == 0
+    assert argmax(qt.row("zero-row")) == 0
     qt.set("s", 2, 5.0)
     qt.set("s", 3, 5.0)
-    assert qt.argmax("s") == 2
+    assert argmax(qt.row("s")) == 2
 
 
 def test_states_insertion_order_and_copy_eq():
@@ -84,63 +86,80 @@ def test_states_insertion_order_and_copy_eq():
     qt.set("b", 0, 1.0)
     qt.set("a", 1, 2.0)
     qt.set("b", 1, 3.0)
-    assert qt.states() == ["b", "a"]
+    assert [key for key, _v in qt.items()] == [("b", 0), ("a", 1), ("b", 1)]
     dup = qt.copy()
     assert dup == qt
     dup.set("c", 0, 4.0)
     assert dup != qt
 
 
+# The kernel's TD error and Q update. Q starts at zero; alpha 1 sets a
+# pair to its target, and a later episode finds that value in place. The
+# LAST_UPDATE trace holds each pair's last |TD error|.
+
+
 def test_td_error_zero_table():
-    qt = QTable(2)
-    assert td_error(qt, "s", 0, 1.0, "s2", False, 0.99) == 1.0
+    # env state 0 steps to 1 with reward 1.0, and the episode goes on
+    product = toy_product([[1, 0], [1, 1]], [[1.0, 0.0], [0.0, 0.0]])
+    res = toy_run(product, trust=LAST_UPDATE, gamma=0.99, max_steps=2)
+    assert res.vol[0, 0] == 1.0
+    assert res.q[0, 0] == 1.0
 
 
 def test_td_error_bootstrap_arithmetic():
-    qt = QTable(2)
-    qt.set("s", 0, 1.0)
-    qt.set("s2", 1, 1.0)
-    got = td_error(qt, "s", 0, 1.0, "s2", False, 0.9)
+    # 0 -> 1 -> terminal 2, reward 1.0 each: the first episode sets both
+    # pairs to 1.0, the second bootstraps from Q(1, 0)
+    product = toy_product([[1], [2], [2]], [[1.0], [1.0], [0.0]],
+                          terminal=[2])
+    res = toy_run(product, trust=LAST_UPDATE, gamma=0.9, episodes=2,
+                  max_steps=2)
+    got = res.vol[0, 0]
     assert got == 1.0 + 0.9 * 1.0 - 1.0
     assert abs(got - 0.9) < 1e-9
+    assert res.q[0, 0] == 1.0 + got
 
 
 def test_td_error_terminal_no_bootstrap():
-    qt = QTable(2)
-    qt.set("s", 0, 4.0)
-    qt.set("s2", 0, 100.0)
-    assert td_error(qt, "s", 0, 10.0, "s2", True, 0.99) == 6.0
+    # a bump back into env state 0 with reward 10.0 on an episode's only
+    # step: Q(0, 0) is 4.0 after the first episode at alpha 0.4, and the
+    # second does not bootstrap from it
+    product = toy_product([[0]], [[10.0]])
+    res = toy_run(product, trust=LAST_UPDATE, alpha=0.4, gamma=0.99,
+                  episodes=2)
+    assert res.vol[0, 0] == 6.0
+    assert res.q[0, 0] == 4.0 + 0.4 * 6.0
 
 
 def test_q_update_arithmetic():
-    qt = QTable(1)
-    q_update(qt, "s", 0, 1.0, 0.1)
-    assert qt.get("s", 0) == 0.1
+    res = toy_run(toy_product([[0]], [[1.0]]), alpha=0.1)
+    assert res.q[0, 0] == 0.1
 
 
 def test_q_update_zero_delta_identity():
-    qt = QTable(1)
-    qt.set("s", 0, 0.7)
-    q_update(qt, "s", 0, 0.0, 0.5)
-    assert qt.get("s", 0) == 0.7
+    # the second episode's TD error is 0: Q(0, 0) stays at its target
+    res = toy_run(toy_product([[0]], [[0.7]]), trust=LAST_UPDATE,
+                  episodes=2)
+    assert res.vol[0, 0] == 0.0
+    assert res.q[0, 0] == 0.7
 
 
 def test_q_update_alpha_one_sets_target():
-    qt = QTable(1)
-    qt.set("s", 0, 3.0)
-    target = -1.25
-    q_update(qt, "s", 0, target - qt.get("s", 0), 1.0)
-    assert qt.get("s", 0) == target
+    # 0 -> 1 -> terminal 2: the first episode sets Q(0, 0) to 3.0 and
+    # Q(1, 0) to -8.5, so the second's target is 3.0 + 0.5 * -8.5
+    product = toy_product([[1], [2], [2]], [[3.0], [-8.5], [0.0]],
+                          terminal=[2])
+    assert toy_run(product, gamma=0.5, max_steps=2).q[0, 0] == 3.0
+    res = toy_run(product, gamma=0.5, episodes=2, max_steps=2)
+    assert res.q[0, 0] == -1.25
 
 
 def test_q_update_rejects_non_finite_result():
-    qt = QTable(1)
-    with pytest.raises(ValueError):
-        q_update(qt, "s", 0, float("nan"), 0.1)
+    with pytest.raises(ValueError, match="non-finite update"):
+        toy_run(toy_product([[0]], [[float("nan")]]), alpha=0.1)
 
 
 def test_q_learning_fixed_point_matches_value_iteration():
-    # two-state deterministic MDP: alpha=1 sweeps are exactly the VI backup
+    # two-state deterministic MDP: at alpha 1 every update is a VI backup
     transitions = {("s0", 0): "s1", ("s0", 1): "s0",
                    ("s1", 0): "t", ("s1", 1): "s0"}
     rewards = {("s0", 0): 0.0, ("s0", 1): -1.0,
@@ -148,14 +167,16 @@ def test_q_learning_fixed_point_matches_value_iteration():
     terminal = {"t"}
     gamma = 0.9
     oracle = dict_value_iteration(transitions, rewards, terminal, gamma)
-    qt = QTable(2)
-    for _ in range(200):
-        for (s, a), s2 in transitions.items():
-            done = s2 in terminal
-            delta = td_error(qt, s, a, rewards[(s, a)], s2, done, gamma)
-            q_update(qt, s, a, delta, 1.0)
-    for key, val in oracle.items():
-        assert abs(qt.get(*key) - val) < 1e-6
+    index = {"s0": 0, "s1": 1, "t": 2}
+    product = toy_product(
+        [[index[transitions[(s, a)]] for a in (0, 1)] for s in ("s0", "s1")]
+        + [[2, 2]],
+        [[rewards[(s, a)] for a in (0, 1)] for s in ("s0", "s1")]
+        + [[0.0, 0.0]], terminal=[2])
+    res = toy_run(product, gamma=gamma, epsilon=1.0, episodes=200,
+                  max_steps=200, seed=1)
+    for (s, a), val in oracle.items():
+        assert abs(res.q[row_of(res, index[s]), a] - val) < 1e-6
 
 
 def test_softmax_uniform_row():
@@ -196,6 +217,20 @@ def test_softmax_shift_invariance():
         assert np.abs(a - b).max() < 1e-9
 
 
+def test_softmax_policy_at_unit_temperature_is_the_kernel_softmax():
+    # one softmax: the distilled policy (tau 1) and the kernel's pull on
+    # the student's row agree bit for bit, ties and all
+    rng = np.random.default_rng(0x50F7)
+    for i in range(20000):
+        n = int(rng.integers(1, 9))
+        row = (rng.uniform(-50.0, 50.0, n) if i % 2
+               else rng.integers(-3, 4, n).astype(np.float64))
+        probs = softmax_policy(row, 1.0)
+        for a in range(n):
+            got = np.float64(softmax_prob(row.tolist(), a)).tobytes()
+            assert probs[a].tobytes() == got, (row, a)
+
+
 def test_softmax_rejects_bad_tau():
     with pytest.raises(ValueError):
         softmax_policy(np.zeros(2), 0.0)
@@ -212,51 +247,79 @@ def test_softmax_distribution_property(row, tau):
     assert abs(float(out.sum()) - 1.0) < 1e-9
 
 
+# The kernel's epsilon-greedy choice: one draw decides explore/exploit,
+# one more picks the explored action; at epsilon 0 it draws nothing.
+
+_FOUR_WAY = toy_product([[1] * 4, [1] * 4], [[-1.0, 5.0, 0.0, 0.0],
+                                              [0.0] * 4], terminal=[1])
+
+
 def test_epsilon_greedy_pure_greedy():
-    qt = QTable(4)
-    for a, v in enumerate((0.0, 5.0, 0.0, 0.0)):
-        qt.set("s", a, v)
-    rng = RandomState(1)
-    assert epsilon_greedy(qt, "s", 0.0, rng) == 1
+    # the first episode tries action 0 (-1.0), the second action 1 (5.0),
+    # which the third then picks
+    res = toy_run(_FOUR_WAY, episodes=3, seed=1)
+    assert res.q[0].tolist() == [-1.0, 5.0, 0.0, 0.0]
+    assert res.counts[0].tolist() == [1, 2, 0, 0]
 
 
 def test_epsilon_greedy_zero_row_tie_break():
-    qt = QTable(4)
-    rng = RandomState(1)
-    assert epsilon_greedy(qt, "s", 0.0, rng) == 0
+    res = toy_run(_FOUR_WAY, seed=1)
+    assert res.counts[0].tolist() == [1, 0, 0, 0]
 
 
-def test_epsilon_greedy_zero_epsilon_consumes_no_randomness():
-    qt = QTable(4)
-    rng = RandomState(8)
-    before = list(rng.state)
-    epsilon_greedy(qt, "s", 0.0, rng)
-    assert list(rng.state) == before
+def test_epsilon_greedy_zero_epsilon_consumes_no_randomness(monkeypatch):
+    states = []
+
+    def spy(seed, stream=0):
+        states.append(state_from(seed, stream))
+        return states[-1]
+
+    monkeypatch.setattr(kernels, "state_from", spy)
+    toy_run(_FOUR_WAY, episodes=3, seed=8)
+    assert states[0].tolist() == state_from(8).tolist()
+    toy_run(_FOUR_WAY, epsilon=0.5, seed=8)
+    assert states[1].tolist() != state_from(8).tolist()
 
 
 def test_epsilon_greedy_uniform_at_full_exploration():
-    # 1e5 draws; each action count within 3 sigma of the binomial mean
-    qt = QTable(4)
-    rng = RandomState(404)
+    # 1e5 one-step episodes; each action count within 3 sigma of the
+    # binomial mean
     n = 100000
-    counts = [0, 0, 0, 0]
-    for _ in range(n):
-        counts[epsilon_greedy(qt, "s", 1.0, rng)] += 1
+    res = toy_run(_FOUR_WAY, epsilon=1.0, episodes=n, seed=404)
     mean = n / 4
     sigma = math.sqrt(n * 0.25 * 0.75)
-    for c in counts:
+    for c in res.counts[0]:
         assert abs(c - mean) <= 3 * sigma
 
 
+# The kernel's greedy policy: `greedy_rollout` follows argmax of each row.
+
+def _rollout(product, values, max_steps=10):
+    """greedy_rollout over `product` of the table {(env state, action):
+    value} (automaton state 0, every other entry 0)."""
+    tables, cdfa = product
+    rows = product_tables(tables, cdfa).rows
+    q = np.zeros((len(rows), tables.n_actions))
+    n_q = len(cdfa.delta)
+    for (s, a), v in values.items():
+        q[int(np.searchsorted(rows, s * n_q)), a] = v
+    return greedy_rollout(tables, cdfa, q, max_steps)
+
+
 def test_greedy_policy_empty():
-    assert greedy_policy(QTable(3)) == {}
+    # from 0, action 0 earns 1.0 on to 1 and 1 bumps on action 0 (2.0); any
+    # other action would earn 100.0
+    product = toy_product([[1, 1, 1], [1, 0, 0]],
+                          [[1.0, 100.0, 100.0], [2.0, 100.0, 100.0]])
+    assert _rollout(product, {}) == (False, 2, 3.0)
 
 
 def test_greedy_policy_single_state():
-    qt = QTable(2)
-    qt.set("s", 0, 0.0)
-    qt.set("s", 1, 2.0)
-    assert greedy_policy(qt) == {"s": 1}
+    # action 1 reaches the accepting automaton state, action 0 bumps
+    product = toy_product([[0, 1], [1, 1]], [[0.0, 2.0], [0.0, 0.0]],
+                          event=[[0, 1], [0, 0]], delta=[[0, 1], [1, 1]],
+                          accepting=[1])
+    assert _rollout(product, {(0, 0): 0.0, (0, 1): 2.0}) == (True, 1, 2.0)
 
 
 def test_greedy_policy_matches_value_iteration_on_toy_mdp():
@@ -267,10 +330,18 @@ def test_greedy_policy_matches_value_iteration_on_toy_mdp():
     rewards = {(s, a): -0.1 for (s, a) in transitions}
     rewards[("s2", 1)] = 10.0
     oracle = dict_value_iteration(transitions, rewards, {"t"}, 0.9)
-    qt = QTable(2)
-    for (s, a), v in oracle.items():
-        qt.set(s, a, v)
-    assert greedy_policy(qt) == {"s0": 1, "s1": 1, "s2": 1}
+    index = {"s0": 0, "s1": 1, "s2": 2, "t": 3}
+    product = toy_product(
+        [[index[transitions[(s, a)]] for a in (0, 1)]
+         for s in ("s0", "s1", "s2")] + [[3, 3]],
+        [[rewards[(s, a)] for a in (0, 1)] for s in ("s0", "s1", "s2")]
+        + [[0.0, 0.0]],
+        event=[[0, 0], [0, 0], [0, 1], [0, 0]], terminal=[3],
+        delta=[[0, 1], [1, 1]], accepting=[1])
+    values = {(index[s], a): v for (s, a), v in oracle.items()}
+    accepted, steps, total = _rollout(product, values)
+    assert (accepted, steps) == (True, 3)
+    assert total == pytest.approx(-0.1 - 0.1 + 10.0, abs=1e-12)
 
 
 def test_learning_params_validation():
@@ -300,104 +371,13 @@ def test_qtable_save_load_round_trip(tmp_path):
     qt.set((None, True, 1.5), 1, 7.0)
     path = tmp_path / "q.json"
     save_qtable(qt, path)
-    assert load_qtable(path) == qt
-
-
-def test_qtable_load_rejects_wrong_format(tmp_path):
-    path = tmp_path / "x.json"
-    path.write_text(json.dumps({"format": "nope"}))
-    with pytest.raises(ValueError):
-        load_qtable(path)
-
-
-@pytest.mark.parametrize("payload", [[1, 2], "cadent-qtable", 3, None])
-def test_qtable_load_rejects_a_payload_that_is_not_an_object(tmp_path,
-                                                            payload):
-    path = tmp_path / "x.json"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=(
-            f"^{re.escape(str(path))}: not a cadent-qtable file$")):
-        load_qtable(path)
-
-
-def test_qtable_load_rejects_count_mismatch(tmp_path):
-    qt = QTable(2)
-    qt.set("s", 0, 1.0)
-    path = tmp_path / "c.json"
-    save_qtable(qt, path)
-    payload = json.loads(path.read_text())
-    payload["n_entries"] = 5
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError):
-        load_qtable(path)
-
-
-@pytest.mark.parametrize("mutate", [
-    lambda p: p.pop("n_actions"),
-    lambda p: p["entries"][0].pop("value"),
-    lambda p: p.update(entries=5, n_entries=5),
-    lambda p: p["entries"][0].update(state=3),
-], ids=["no-n-actions", "entry-without-value", "entries-not-array",
-        "state-not-object"])
-def test_qtable_load_names_the_file_of_a_malformed_payload(tmp_path, mutate):
-    qt = QTable(2)
-    qt.set("s", 0, 1.0)
-    path = tmp_path / "m.json"
-    save_qtable(qt, path)
-    payload = json.loads(path.read_text())
-    mutate(payload)
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=(
-            f"^{re.escape(str(path))}: malformed qtable payload: ")):
-        load_qtable(path)
-
-
-def _repeat_entry(payload):
-    payload["entries"].append(dict(payload["entries"][0], value=2.0))
-    payload["n_entries"] += 1
-
-
-@pytest.mark.parametrize("mutate", [
-    lambda p: p.update(n_actions=2.7),
-    lambda p: p.update(n_actions=True),
-    lambda p: p.update(n_actions=0),
-    lambda p: p["entries"][0].update(action=1.9),
-    lambda p: p["entries"][0].update(action=True),
-    lambda p: p["entries"][0].update(action=2),
-    lambda p: p["entries"][0].update(value="1.0"),
-    lambda p: p["entries"][0].update(value=float("nan")),
-    _repeat_entry,
-], ids=["float-n-actions", "bool-n-actions", "zero-n-actions",
-        "float-action", "bool-action", "action-out-of-range", "string-value",
-        "nan-value", "repeated-entry"])
-def test_qtable_load_names_the_file_of_a_bad_entry(tmp_path, mutate):
-    # a float count or action once loaded, truncated or stored under the
-    # float key, and a repeated entry replaced the first
-    qt = QTable(2)
-    qt.set("s", 0, 1.0)
-    path = tmp_path / "e.json"
-    save_qtable(qt, path)
-    payload = json.loads(path.read_text())
-    mutate(payload)
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
-        load_qtable(path)
+    assert read_qtable(path) == qt
 
 
 def _truncate(path):
     text = path.read_text()
     path.write_text(text[:len(text) // 2])
     return path
-
-
-def test_qtable_load_names_the_file_of_truncated_json(tmp_path):
-    qt = QTable(2)
-    qt.set("s", 0, 1.0)
-    path = tmp_path / "t.json"
-    save_qtable(qt, path)
-    with pytest.raises(ValueError, match=(
-            f"^{re.escape(str(_truncate(path)))}: not valid JSON: ")):
-        load_qtable(path)
 
 
 def test_config_load_names_the_file_of_truncated_json(tmp_path):
