@@ -21,8 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Dfa", "DfaError", "ENV_NAMES", "EnvSpec",
     "ExperimentConfig", "GuidanceParams", "LearningParams", "NULL_EVENT",
-    "ProductState", "QTable", "StudentConfig", "TeacherKnowledge",
-    "TrustParams",
+    "ProductState", "StudentConfig", "TeacherKnowledge", "TrustParams",
     "build_knowledge", "bundled_dfa", "canonical_variant",
     "default_spec", "fused_update", "is_accepting", "load_dfa",
     "load_knowledge", "make_dfa", "make_env", "preset_names",
@@ -45,10 +44,9 @@ _SOURCES = {
         "student": ("GuidanceParams", "StudentConfig", "TrustParams",
                     "fused_update", "tactical_applies", "train_student",
                     "trust_gate", "update_bound", "volatility_update"),
-        "tabular": ("LearningParams", "QTable", "save_qtable",
-                    "softmax_policy"),
+        "tabular": ("LearningParams", "softmax_policy"),
         "teacher": ("TeacherKnowledge", "build_knowledge", "load_knowledge",
-                    "save_knowledge", "train_teacher"),
+                    "save_knowledge", "save_qtable", "train_teacher"),
     }.items() for name in names
 }
 

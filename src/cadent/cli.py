@@ -21,9 +21,9 @@ from .harness import (ExperimentConfig, records_from_result, run_experiment,
                       write_run_csv)
 from .student import (VARIANT_ALIASES, GuidanceParams, StudentConfig,
                       TrustParams, train_student, uses_teacher)
-from .tabular import LearningParams, save_qtable
+from .tabular import LearningParams
 from .teacher import (AGGREGATION_MODES, build_knowledge, load_knowledge,
-                      save_knowledge, train_teacher)
+                      save_knowledge, save_qtable, train_teacher)
 
 
 def _add_env_args(p, variant_default):
@@ -78,7 +78,7 @@ def cmd_train_teacher(args):
                                 aggregation=args.aggregation)
     save_knowledge(knowledge, args.out)
     if args.qtable_out:
-        save_qtable(result.qtable, args.qtable_out)
+        save_qtable(result, args.qtable_out)
     print(f"teacher on {env.name}/{env.spec.variant}: "
           f"{result.n_successes}/{args.episodes} successful episodes, "
           f"final-{min(100, args.episodes)} mean reward "
@@ -110,7 +110,7 @@ def cmd_train_student(args):
         write_run_csv(args.out, records)
         print(f"episode log written to {args.out}")
     if args.qtable_out:
-        save_qtable(result.qtable, args.qtable_out)
+        save_qtable(result, args.qtable_out)
     run = result.run
     print(f"{variant} on {env.name}/{env.spec.variant}: "
           f"final-{min(100, episodes)} mean reward "

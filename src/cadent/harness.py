@@ -29,6 +29,7 @@ from .envs import (ACCEPT_BONUS, DEFAULT_EPISODES, ENV_NAMES, PROGRESS_BONUS,
 from .envs.tables import compile_env, product_tables
 from .files import (Config, is_integer, is_number, json_text, shown,
                     write_atomic)
+from .kernels import sum_in_order
 from .student import StudentConfig, train_student, uses_teacher
 from .teacher import (AGGREGATION_MODES, build_knowledge, save_knowledge,
                       train_teacher)
@@ -275,7 +276,7 @@ def steps_to_threshold(records, threshold, window):
 
 def final_window_mean(records, window=100):
     tail = records[-window:]
-    return sum(r.reward for r in tail) / len(tail)
+    return sum_in_order(r.reward for r in tail) / len(tail)
 
 
 def _pairs(config):
@@ -450,7 +451,7 @@ def _thresholds(config, results):
             raise ValueError(f"auto threshold for {env_name} needs "
                              f"no_transfer runs")
         finals = [final_window_mean(results[c]) for c in cells]
-        out[env_name] = 0.8 * (sum(finals) / len(finals))
+        out[env_name] = 0.8 * (sum_in_order(finals) / len(finals))
     return out
 
 

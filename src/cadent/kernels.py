@@ -17,9 +17,9 @@ automaton state `q_of`, so a step neither looks the automaton up nor
 computes an index. Row p stands for the pair whose old index `s * n_q + q`
 is `rows[p]`; rows ascend in it. A table over (row, action) is indexed
 `p * n_actions + a`. Kernel outputs are (n_rows, action) arrays of Q,
-volatility and visit counts, returned with `rows`. Distillation and the
-greedy rollout read them through `rows`; a sparse table is decoded from
-them only on request (`--qtable-out`).
+volatility and visit counts, returned with `rows`. They are the only form
+a learned Q takes: distillation, the greedy rollout and `--qtable-out`
+read them through `rows`.
 
 A step's cost does not grow with the row width. The loop keeps each
 product row's greedy action in a list: `greedy[p] == argmax(q, p * A, A)`
@@ -69,6 +69,16 @@ def argmax(values, lo=0, n=None):
             best = v
             a = b
     return a
+
+
+def sum_in_order(values):
+    """The floats of `values` added strictly left to right. From Python
+    3.12 the builtin `sum` compensates float sums, whose bits then differ
+    from one interpreter to the next."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def softmax_prob(values, a, lo=0, n=None, amax=None):

@@ -15,20 +15,22 @@ state on an accepting path: that teacher is not competent to guide anyone.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .automaton import ProductState, accepting_path_edges
 from .envs.tables import compile_env
 from .files import is_integer, is_number, json_text, read_json, write_atomic
-from .kernels import RunResult, run_training
-from .tabular import LearningParams, QTable, softmax_policy
+from .kernels import RunResult, run_training, sum_in_order
+from .tabular import LearningParams, softmax_policy
 
 KNOWLEDGE_FORMAT = "cadent-knowledge"
 KNOWLEDGE_VERSION = 1
+QTABLE_FORMAT = "cadent-qtable"
+QTABLE_VERSION = 1
 
 AGGREGATION_MODES = ("visitation_weighted", "unweighted")
 
@@ -37,32 +39,51 @@ class TeacherError(RuntimeError):
     """Teacher training or distillation could not produce usable knowledge."""
 
 
-def decode_qtable(run, env):
-    """The sparse table of a run: one ProductState-keyed entry per updated
-    pair, inserted in np.argwhere order (rows ascend in s*n_q + q)."""
+def _key_to_json(state):
+    if isinstance(state, tuple):
+        return {"t": [_key_to_json(x) for x in state]}
+    if isinstance(state, (str, int, float, bool)) or state is None:
+        return {"v": state}
+    raise TypeError(f"state {state!r} is not serializable; use scalars "
+                    f"and tuples")
+
+
+def save_qtable(result, path):
+    """Write the Q of a teacher or student result as a `--qtable-out` file:
+    one ProductState-keyed entry per updated pair, in np.argwhere order
+    (rows ascend in s*n_q + q, then actions). A non-finite value refuses
+    to write."""
+    run, env = result.run, result.env
     tables = compile_env(env)
-    qtable = QTable(tables.n_actions)
-    for i, a in np.argwhere(run.counts > 0):
-        s, q = divmod(int(run.rows[i]), run.n_q)
-        qtable.set(ProductState(tables.states[s], env.dfa.states[q]), int(a),
-                   run.q[i, a])
-    return qtable
+    row, a = np.nonzero(run.counts)
+    s, q = np.divmod(run.rows[row], run.n_q)
+    entries = [
+        {"state": _key_to_json(ProductState(tables.states[si],
+                                            env.dfa.states[qi])),
+         "action": ai, "value": v}
+        for si, qi, ai, v in zip(s.tolist(), q.tolist(), a.tolist(),
+                                 run.q[row, a].tolist())]
+    payload = {
+        "format": QTABLE_FORMAT,
+        "version": QTABLE_VERSION,
+        "n_actions": tables.n_actions,
+        "n_entries": len(entries),
+        "entries": entries,
+    }
+    write_atomic(path, json.dumps(payload, allow_nan=False) + "\n")
 
 
 class TrainedRun:
     """A training job's kernel output `run` (a RunResult) on env `env`.
 
-    Results stay as the kernel's arrays over product rows; the sparse
-    `qtable` is decoded on first read.
+    Results stay as the kernel's arrays over product rows, Q included:
+    `run.q[i]` is the row of the pair whose index `s * n_q + q` is
+    `run.rows[i]`.
     """
 
     ep_reward = property(lambda self: self.run.ep_reward)
     ep_steps = property(lambda self: self.run.ep_steps)
     ep_accept = property(lambda self: self.run.ep_accept)
-
-    @cached_property
-    def qtable(self):
-        return decode_qtable(self.run, self.env)
 
 
 @dataclass
@@ -143,7 +164,7 @@ def distill_automaton_values(result, dfa):
         raise TeacherError(
             f"teacher never triggered accepting-path edges {missing}; "
             f"cannot distill strategic values")
-    return {edge: sum(vals) / len(vals) for edge, vals in
+    return {edge: sum_in_order(vals) / len(vals) for edge, vals in
             sorted(by_edge.items())}
 
 

@@ -39,12 +39,12 @@ import numpy as np
 
 from cadent.automaton import (ProductState, accepting_path_edges,
                               is_accepting, step_automaton)
-from cadent.envs.tables import EnvTables, compile_env, product_tables
+from cadent.envs.tables import EnvTables, compile_env
 from cadent.kernels import (argmax, fused_update, run_training,
-                            softmax_prob, tactical_applies, trust_gate,
-                            volatility_update)
+                            softmax_prob, sum_in_order, tactical_applies,
+                            trust_gate, volatility_update)
 from cadent.rng import RandomState, xs128_next
-from cadent.tabular import QTable, softmax_policy
+from cadent.tabular import softmax_policy
 from cadent.teacher import TeacherError
 
 
@@ -84,17 +84,21 @@ def tactical_gradient(pi, q, row, action, lam):
 
 
 def read_qtable(path):
-    """The table a `save_qtable` file holds, read without validation."""
+    """The {(state, action): value} table a `save_qtable` file holds, in
+    file order, read without validation."""
     with open(path, encoding="utf-8") as f:
         payload = json.load(f)
 
     def key(node):
         return tuple(key(x) for x in node["t"]) if "t" in node else node["v"]
 
-    qt = QTable(payload["n_actions"])
-    for e in payload["entries"]:
-        qt.set(key(e["state"]), e["action"], e["value"])
-    return qt
+    return {(key(e["state"]), e["action"]): e["value"]
+            for e in payload["entries"]}
+
+
+def q_row(qtable, key, n_actions):
+    """Dense value row of one state of a sparse table (absent reads 0.0)."""
+    return np.array([qtable.get((key, a), 0.0) for a in range(n_actions)])
 
 
 def value_iteration(tables, cdfa, gamma, tol=1e-12, max_iter=200000):
@@ -142,20 +146,6 @@ def dict_value_iteration(transitions, rewards, terminal, gamma, tol=1e-12):
         q = q_new
         if worst < tol:
             return q
-
-
-def q_rows_from_table(tables, cdfa, qtable):
-    """(n_rows, n_actions) array over the product rows (the layout
-    `greedy_rollout` reads) from a sparse product-keyed table."""
-    n_q = cdfa.delta.shape[0]
-    dense = np.zeros((tables.n_states * n_q, tables.n_actions),
-                     dtype=np.float64)
-    index = {state: i for i, state in enumerate(tables.states)}
-    for (key, a), v in qtable.items():
-        s = index[key.env]
-        qi = cdfa.state_index[key.q]
-        dense[s * n_q + qi, a] = v
-    return dense[product_tables(tables, cdfa).rows]
 
 
 def reference_q_learning(env, episodes, seed, stream=0, alpha=0.1,
@@ -307,13 +297,13 @@ def sparse_results(env, run, gated=False):
     cdfa = env.dfa.compiled()
     names = list(env.dfa.states)
     run = dense_run(run, tables.n_states)
-    out = SimpleNamespace(qtable=QTable(tables.n_actions), visits={},
-                          transition_log=set(), volatility={})
+    out = SimpleNamespace(qtable={}, visits={}, transition_log=set(),
+                          volatility={})
     for pid, a in np.argwhere(run.counts > 0):
         s, q = divmod(int(pid), run.n_q)
         a = int(a)
         key = ProductState(tables.states[s], names[q])
-        out.qtable.set(key, a, run.q[pid, a])
+        out.qtable[(key, a)] = float(run.q[pid, a])
         out.visits[(key, a)] = int(run.counts[pid, a])
         if gated:
             out.volatility[(key, a)] = float(run.vol[pid, a])
@@ -328,13 +318,13 @@ def reference_automaton_values(qtable, dfa, transition_log):
     order; TeacherError when an accepting-path edge has no trigger."""
     by_edge = {}
     for (key, a), edge in sorted(transition_log):
-        by_edge.setdefault(edge, []).append(qtable.get(key, a))
+        by_edge.setdefault(edge, []).append(qtable.get((key, a), 0.0))
     missing = sorted(accepting_path_edges(dfa) - set(by_edge))
     if missing:
         raise TeacherError(
             f"teacher never triggered accepting-path edges {missing}; "
             f"cannot distill strategic values")
-    return {edge: sum(vals) / len(vals) for edge, vals in
+    return {edge: sum_in_order(vals) / len(vals) for edge, vals in
             sorted(by_edge.items())}
 
 
@@ -356,7 +346,7 @@ def reference_teacher_policy(qtable, visits, dfa, tau, n_actions,
         for key in by_q[q]:
             w = (float(state_visits[key])
                  if aggregation == "visitation_weighted" else 1.0)
-            acc += w * qtable.row(key)
+            acc += w * q_row(qtable, key, n_actions)
             weight_total += w
         pi[q] = softmax_policy(acc / weight_total, tau)
     required = sorted({q for (q, _q2) in accepting_path_edges(dfa)})
@@ -373,15 +363,16 @@ def reference_knowledge(result, dfa, tau, aggregation="visitation_weighted"):
     ref = sparse_results(result.env, result.run)
     q_ad = reference_automaton_values(ref.qtable, dfa, ref.transition_log)
     pi = reference_teacher_policy(ref.qtable, ref.visits, dfa, tau,
-                                  ref.qtable.n_actions, aggregation)
+                                  result.run.q.shape[1], aggregation)
     return q_ad, pi
 
 
-def toy_teacher(dfa, qtable, log=(), visits=None):
+def toy_teacher(dfa, qtable, n_actions, log=(), visits=None):
     """A teacher result whose run and env tables encode sparse inputs; its
     run has a row for every (env state, automaton state) pair.
 
-    `qtable` gives Q, `visits` ({(ProductState, action): count}) the visit
+    `qtable` ({(ProductState, action): value}) gives Q over `n_actions`
+    actions, `visits` ({(ProductState, action): count}) the visit
     counts, and `log` the automaton triggers ((key, action), (q, q')); a
     logged pair counts as visited once unless `visits` says otherwise. Env
     states are indexed in order of first appearance, so the dense index
@@ -398,7 +389,7 @@ def toy_teacher(dfa, qtable, log=(), visits=None):
     index = {st: i for i, st in enumerate(states)}
     cdfa = dfa.compiled()
     n_q = len(dfa.states)
-    shape = (len(states) * n_q, qtable.n_actions)
+    shape = (len(states) * n_q, n_actions)
     q = np.zeros(shape, dtype=np.float64)
     n = np.zeros(shape, dtype=np.int64)
     for (key, a), v in qtable.items():
@@ -411,7 +402,7 @@ def toy_teacher(dfa, qtable, log=(), visits=None):
     for ((key, a), (_q, q2)) in log:
         s, qi = index[key.env], cdfa.state_index[key.q]
         targets[(s, a)][qi] = cdfa.state_index[q2]
-    event = np.zeros((len(states), qtable.n_actions), dtype=np.int16)
+    event = np.zeros((len(states), n_actions), dtype=np.int16)
     for (s, a), want in targets.items():
         event[s, a] = next(e for e in range(cdfa.delta.shape[1])
                            if all(cdfa.delta[qi, e] == q2
@@ -421,7 +412,7 @@ def toy_teacher(dfa, qtable, log=(), visits=None):
                        next_state=np.zeros(event.shape, dtype=np.int32),
                        reward=np.zeros(event.shape), event=event,
                        terminal=none, dead=none, start=0,
-                       n_actions=qtable.n_actions)
+                       n_actions=n_actions)
     run = SimpleNamespace(q=q, counts=n, rows=np.arange(len(q)), n_q=n_q)
     return SimpleNamespace(run=run,
                            env=SimpleNamespace(_tables=tables, dfa=dfa))

@@ -33,17 +33,17 @@ from cadent.harness import (RUN_CSV_HEADER, EpisodeRecord, ExperimentConfig,
 from cadent.kernels import argmax, greedy_rollout
 from cadent.student import (StudentConfig, fused_update, train_student,
                             trust_gate, update_bound, volatility_update)
-from cadent.tabular import QTable, softmax_policy
+from cadent.tabular import softmax_policy
 from cadent.teacher import (build_knowledge, distill_automaton_values,
                             load_knowledge, save_knowledge, train_teacher)
 
 from golden import golden_actions, run_actions
 from oracles import (LAST_UPDATE, dict_value_iteration, edge_product,
-                     ewma_closed_form, kernel_pull, naive_softmax,
-                     q_rows_from_table, reference_q_learning, row_of,
-                     sigmoid, sparse_results, strategic_reward,
-                     tactical_gradient, td_error, toy_knowledge, toy_product,
-                     toy_run, toy_teacher, value_iteration)
+                     ewma_closed_form, kernel_pull, naive_softmax, q_row,
+                     reference_q_learning, row_of, sigmoid, sparse_results,
+                     strategic_reward, tactical_gradient, td_error,
+                     toy_knowledge, toy_product, toy_run, toy_teacher,
+                     value_iteration)
 
 _BUDGETS = {1: 10.0, 2: 30.0, 3: 120.0, 4: 600.0, 5: 1800.0, 6: 1800.0,
             7: 60.0}
@@ -221,13 +221,13 @@ def test_criterion_1_worked_examples(env_cache, tmp_path):
     # -- teacher distillation
     chain = make_dfa(("q0", "q1", "acc"), ("a", "b"), "q0", {"acc"},
                      {("q0", "a"): "q1", ("q1", "b"): "acc"})
-    dt = QTable(2, entries={(ProductState("s0", "q0"), 1): 3.0,
-                            (ProductState("t0", "q1"), 0): 2.0,
-                            (ProductState("t1", "q1"), 0): 4.0})
+    dt = {(ProductState("s0", "q0"), 1): 3.0,
+          (ProductState("t0", "q1"), 0): 2.0,
+          (ProductState("t1", "q1"), 0): 4.0}
     log = {((ProductState("s0", "q0"), 1), ("q0", "q1")),
            ((ProductState("t0", "q1"), 0), ("q1", "acc")),
            ((ProductState("t1", "q1"), 0), ("q1", "acc"))}
-    q_ad = distill_automaton_values(toy_teacher(chain, dt, log), chain)
+    q_ad = distill_automaton_values(toy_teacher(chain, dt, 2, log), chain)
     assert q_ad[("q0", "q1")] == 3.0
     assert q_ad[("q1", "acc")] == (2.0 + 4.0) / 2.0
 
@@ -240,7 +240,7 @@ def test_criterion_1_worked_examples(env_cache, tmp_path):
     qstar = value_iteration(tables, cdfa, gamma=0.99)
     names = list(source.dfa.states)
     n_q = cdfa.delta.shape[0]
-    full = QTable(tables.n_actions)
+    full = {}
     full_log = set()
     for s in range(tables.n_states):
         if tables.terminal[s] or tables.dead[s]:
@@ -248,12 +248,12 @@ def test_criterion_1_worked_examples(env_cache, tmp_path):
         for qi in range(n_q):
             key = ProductState(tables.states[s], names[qi])
             for a in range(tables.n_actions):
-                full.set(key, a, qstar[s * n_q + qi, a])
+                full[(key, a)] = float(qstar[s * n_q + qi, a])
                 q2 = int(cdfa.delta[qi, int(tables.event[s, a])])
                 if q2 != qi:
                     full_log.add(((key, a), (names[qi], names[q2])))
-    vi_ad = distill_automaton_values(toy_teacher(source.dfa, full, full_log),
-                                     source.dfa)
+    vi_ad = distill_automaton_values(
+        toy_teacher(source.dfa, full, tables.n_actions, full_log), source.dfa)
     chain_syms, chain_states = _chain_path(source.dfa)
     chain_edges = list(zip(chain_states, chain_states[1:]))
     chain_vals = [vi_ad[e] for e in chain_edges]
@@ -267,15 +267,18 @@ def test_criterion_1_worked_examples(env_cache, tmp_path):
     # matches the visitation-weighted majority greedy action
     run_a = train_teacher(source, episodes=1200, seed=7)
     run_b = train_teacher(source, episodes=1200, seed=7)
-    assert dict(run_a.qtable.items()) == dict(run_b.qtable.items())
+    assert np.array_equal(run_a.run.q, run_b.run.q)
+    assert np.array_equal(run_a.run.counts, run_b.run.counts)
     assert np.array_equal(run_a.ep_reward, run_b.ep_reward)
     know = build_knowledge(run_a, source.dfa, tau=2.0)
     state_weight = defaultdict(float)
-    for (key, _a), n in sparse_results(source, run_a.run).visits.items():
+    ref = sparse_results(source, run_a.run)
+    for (key, _a), n in ref.visits.items():
         state_weight[key] += n
     vote = defaultdict(float)
     for key, w in state_weight.items():
-        vote[(key.q, int(np.argmax(run_a.qtable.row(key))))] += w
+        row = q_row(ref.qtable, key, tables.n_actions)
+        vote[(key.q, int(np.argmax(row)))] += w
     for head in ("q0", "q_key"):
         best = max((w, -a) for (q, a), w in vote.items() if q == head)
         assert int(np.argmax(know.pi[head])) == -best[1]
@@ -496,15 +499,13 @@ def test_criterion_2_property_groups():
             entries.append((key, float(rng.uniform(-5.0, 5.0))))
             log.append((key, ("q1", "acc")))
         fwd = distill_automaton_values(toy_teacher(
-            chain, QTable(2, entries=dict(entries)), set(log)), chain)
+            chain, dict(entries), 2, set(log)), chain)
         rev = distill_automaton_values(toy_teacher(
-            chain, QTable(2, entries=dict(reversed(entries))),
-            set(reversed(log))), chain)
+            chain, dict(reversed(entries)), 2, set(reversed(log))), chain)
         assert fwd == rev
         c = float(rng.uniform(0.1, 10.0))
         scaled = distill_automaton_values(toy_teacher(
-            chain, QTable(2, entries={k: c * v for k, v in entries}),
-            set(log)), chain)
+            chain, {k: c * v for k, v in entries}, 2, set(log)), chain)
         for edge, val in fwd.items():
             assert scaled[edge] == pytest.approx(c * val, rel=1e-9, abs=1e-12)
 
@@ -528,8 +529,7 @@ def test_criterion_3_update_bound_instrumentation(env_cache, source_teacher):
     assert run.n_soft_violations == 0, (
         f"{run.n_soft_violations} soft bound violations at steps "
         f"{run.soft_violation_steps[:20].tolist()}")
-    values = np.array([v for _k, v in result.qtable.items()])
-    assert np.all(np.isfinite(values))
+    assert np.all(np.isfinite(run.q))
     _finish(3, "update bound instrumentation", t0)
 
 
@@ -544,8 +544,7 @@ def test_criterion_4_teacher_competence(env_cache, source_teacher):
         teacher = source_teacher(name)
         tables = compile_env(env)
         cdfa = env.dfa.compiled()
-        q = q_rows_from_table(tables, cdfa, teacher.qtable)
-        accepted, steps, _total = greedy_rollout(tables, cdfa, q,
+        accepted, steps, _total = greedy_rollout(tables, cdfa, teacher.run.q,
                                                  env.max_steps)
         yardstick = len(golden_actions(env))
         print(f"{name}: greedy {steps} steps vs scripted {yardstick} "
@@ -661,7 +660,7 @@ def test_criterion_7_reference_parity(env_cache):
                            episodes=100, seed=5, stream=0)
     ref_q, ref_reward, ref_steps, ref_accept = reference_q_learning(
         env, episodes=100, seed=5, stream=0)
-    assert dict(result.qtable.items()) == ref_q
+    assert sparse_results(env, result.run).qtable == ref_q
     assert np.array_equal(result.ep_reward, ref_reward)
     assert np.array_equal(result.ep_steps, ref_steps)
     assert np.array_equal(result.ep_accept, ref_accept)

@@ -213,7 +213,8 @@ def test_train_student_no_transfer(tmp_path, capsys):
     assert len(records) == 30
     assert records[0].variant == "no_transfer"
     assert records[0].env == "dungeon_quest"
-    assert read_qtable(tmp_path / "student.json").n_actions == 4
+    payload = json.loads((tmp_path / "student.json").read_text())
+    assert payload["n_actions"] == 4
     assert "no_transfer on dungeon_quest/target" in capsys.readouterr().out
 
 

@@ -5,7 +5,9 @@ it produces: the kernel's Q, volatility and visit counts (scattered to the
 dense (s*n_q + q, a) layout by `oracles.dense_run`), the episode arrays,
 the update diagnostics, and the sparse tables that
 `oracles.sparse_results` rebuilds from them. The "teacher" cell hashes the
-source-task run whose knowledge the variants use.
+source-task run whose knowledge the variants use. `QTABLE_OUT_PINNED`
+holds the sha256 of the files `--qtable-out` writes for a short teacher and
+a guided student that uses its knowledge.
 A refactor of the kernel or of a formula that flips a single bit fails here
 and names the cell it changed. A deliberate change
 of behaviour records the table again: `PYTHONPATH=src python
@@ -13,13 +15,17 @@ tests/test_digests.py` prints it.
 """
 
 import hashlib
-from contextlib import contextmanager
+import tempfile
+from contextlib import contextmanager, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cadent import student, teacher
 from cadent.baselines import preset_names, resolve_preset
+from cadent.cli import main
 from cadent.envs import ENV_NAMES, default_spec, make_env
 from cadent.envs.tables import compile_env
 from cadent.harness import _run_stream
@@ -87,6 +93,13 @@ PINNED = {
         '8e35592513bde2d418354ec1bfc18fc8d0fe3591f266613553083e22e56119dd',
     ('warehouse_robotics', 'fixed_trust'):
         'd1367e94c3f35fcdcbc383b0c5b3de944e74f3d87af7eb9b790457d160420fe1',
+}
+
+QTABLE_OUT_PINNED = {
+    'teacher':
+        '6ce5dc438b61a4d56f7c9167499d34a54c9b04bfaa011d37d034fc02c0a09f02',
+    'student':
+        'ba7faf13771b42f5bb2bb2dc6dc193eff5be50c5b28f6283d2e2934d26e945ef',
 }
 
 
@@ -175,6 +188,27 @@ def teacher_cells():
     return get
 
 
+def _qtable_out_digests(out_dir):
+    """sha256 of the --qtable-out files of a dungeon_quest teacher (300
+    episodes, seed 7) and of a cadent student on its knowledge (20
+    episodes, seed 1), both trained through the CLI."""
+    know = str(out_dir / "knowledge.json")
+    runs = {
+        "teacher": ["train-teacher", "--env", "dungeon", "--episodes", "300",
+                    "--seed", "7", "--out", know],
+        "student": ["train-student", "--env", "dungeon", "--variant",
+                    "cadent", "--knowledge", know, "--episodes", "20",
+                    "--seed", "1"],
+    }
+    digests = {}
+    for role, argv in runs.items():
+        path = out_dir / f"{role}_q.json"
+        with redirect_stdout(StringIO()):
+            assert main(argv + ["--qtable-out", str(path)]) == 0
+        digests[role] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
 @pytest.mark.parametrize("name,variant", _cells())
 def test_run_outputs_match_pinned_digest(teacher_cells, name, variant):
     digest, knowledge = teacher_cells(name)
@@ -182,6 +216,10 @@ def test_run_outputs_match_pinned_digest(teacher_cells, name, variant):
         digest = _student_cell(name, variant, knowledge)
     assert digest == PINNED[(name, variant)], (
         f"outputs of ({name}, {variant}) changed")
+
+
+def test_qtable_out_files_match_pinned_digest(tmp_path):
+    assert _qtable_out_digests(tmp_path) == QTABLE_OUT_PINNED
 
 
 if __name__ == "__main__":
@@ -193,3 +231,6 @@ if __name__ == "__main__":
         else:
             digest = _student_cell(name, variant, teachers[name][1])
         print(f"    ({name!r}, {variant!r}):\n        {digest!r},")
+    with tempfile.TemporaryDirectory() as out_dir:
+        for role, digest in _qtable_out_digests(Path(out_dir)).items():
+            print(f"    {role!r}:\n        {digest!r},")

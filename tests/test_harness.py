@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cadent import files, harness, student, teacher
-from cadent.automaton import save_dfa
+from cadent.automaton import ProductState, save_dfa
 from cadent.cli import main
 from cadent.envs import bundled_dfa
 from cadent.harness import (CURVE_CSV_HEADER, RUN_CSV_HEADER, EpisodeRecord,
@@ -22,9 +22,12 @@ from cadent.harness import (CURVE_CSV_HEADER, RUN_CSV_HEADER, EpisodeRecord,
                             records_from_result, run_experiment,
                             steps_to_threshold, write_curve_csv,
                             write_run_csv)
+from cadent.kernels import sum_in_order
 from cadent.student import StudentConfig, TrustParams, uses_teacher
-from cadent.tabular import QTable, save_qtable
-from cadent.teacher import TeacherKnowledge, load_knowledge, save_knowledge
+from cadent.teacher import (TeacherKnowledge, load_knowledge, save_knowledge,
+                            save_qtable)
+
+from oracles import toy_teacher
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +288,16 @@ def test_curve_csv_format(tmp_path):
 # ---------------------------------------------------------------------------
 # atomic writes
 
+def _save_toy_qtable(path, value):
+    dfa = bundled_dfa("dungeon_quest")
+    key = (ProductState(0, dfa.start), 1)
+    save_qtable(toy_teacher(dfa, {key: value}, 2, visits={key: 1}), path)
+
+
 # each writer writes version i (0 or 1) of its file to a path
 WRITERS = {
     "config": lambda path, i: ExperimentConfig(seeds=(i + 1,)).save(path),
-    "qtable": lambda path, i: save_qtable(QTable(2, {(0, 1): float(i)}),
-                                          path),
+    "qtable": lambda path, i: _save_toy_qtable(path, float(i)),
     "knowledge": lambda path, i: save_knowledge(TeacherKnowledge(
         q_ad={(0, 1): float(i)}, pi={0: np.array([0.5, 0.5])}, tau=2.0,
         n_actions=2, alphabet=("a",), aggregation="visitation_weighted"),
@@ -414,6 +422,20 @@ def test_final_window_mean():
     assert final_window_mean(recs, window=200) == 1.0
     short = _records([3.0, 5.0])
     assert final_window_mean(short) == 4.0
+
+
+def test_means_add_left_to_right():
+    # from Python 3.12 the builtin sum compensates float sums, and these
+    # would mean 1/3; added left to right, as on 3.11, the 1.0 is lost
+    rewards = [1e16, 1.0, -1e16]
+    assert sum_in_order(rewards) == 0.0
+    assert final_window_mean(_records(rewards)) == 0.0
+    config = ExperimentConfig(environments=("dungeon_quest",),
+                              variants=("no_transfer",), seeds=(3, 1, 2))
+    results, _diags = _grid_results(config, {
+        ("dungeon_quest", "no_transfer"): [[-1e16], [1e16], [1.0]]})
+    # the thresholds add the seeds' final means in ascending seed order
+    assert harness._thresholds(config, results) == {"dungeon_quest": 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -719,11 +741,11 @@ def test_guided_cell_matches_a_run_from_the_saved_knowledge(tmp_path,
 
 def test_grid_never_decodes_a_sparse_table(tmp_path, monkeypatch):
     # results stay dense from the kernel to the knowledge file and the run
-    # CSVs; only --qtable-out builds a sparse table
-    def refuse(run, env):
-        raise AssertionError("the grid decoded a sparse table")
+    # CSVs; only --qtable-out writes a sparse table
+    def refuse(result, path):
+        raise AssertionError("the grid wrote a sparse table")
 
-    monkeypatch.setattr(teacher, "decode_qtable", refuse)
+    monkeypatch.setattr(teacher, "save_qtable", refuse)
     config = ExperimentConfig(**{**MINI, "variants": ("cadent", "no_transfer"),
                                  "seeds": (1,), "teacher_episodes": 400})
     summary = run_experiment(config, tmp_path / "out")

@@ -20,8 +20,8 @@ from cadent.tabular import LearningParams, softmax_policy
 from cadent.teacher import build_knowledge, train_teacher
 
 from oracles import (corridor, edge_product, ewma_closed_form, kernel_pull,
-                     q_rows_from_table, sigmoid, strategic_reward,
-                     tactical_gradient, toy_knowledge, toy_product, toy_run)
+                     sigmoid, strategic_reward, tactical_gradient,
+                     toy_knowledge, toy_product, toy_run)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +431,7 @@ def test_train_student_no_transfer_shape(dungeon_target):
     assert res.ep_reward.shape == (20,)
     assert res.ep_steps.shape == (20,)
     assert res.ep_accept.shape == (20,)
-    assert len(res.qtable) > 0
+    assert res.run.counts.any()
     # gate unused for this variant: no volatility moves from its start
     assert np.all(res.run.vol == res.config.trust.v_init)
     assert res.bound == pytest.approx(10.99 / (1 - 0.99), abs=1e-9)
@@ -446,9 +446,8 @@ def test_train_student_cadent_populates_volatility(dungeon_target,
     visited = res.run.counts > 0
     assert np.any(res.run.vol[visited] != res.config.trust.v_init)
     assert np.all(res.run.vol[visited] >= 0.0)
-    # only visited pairs moved, and each has a Q entry too
+    # only visited pairs moved
     assert np.all(res.run.vol[~visited] == res.config.trust.v_init)
-    assert len(res.qtable) == int(visited.sum())
 
 
 def test_train_student_deterministic(dungeon_target, source_knowledge):
@@ -456,7 +455,7 @@ def test_train_student_deterministic(dungeon_target, source_knowledge):
                       episodes=15, seed=9)
     b = train_student(dungeon_target, source_knowledge, StudentConfig(),
                       episodes=15, seed=9)
-    assert a.qtable == b.qtable
+    assert np.array_equal(a.run.q, b.run.q)
     assert np.array_equal(a.ep_reward, b.ep_reward)
     assert np.array_equal(a.ep_accept, b.ep_accept)
     c = train_student(dungeon_target, source_knowledge, StudentConfig(),
@@ -466,7 +465,9 @@ def test_train_student_deterministic(dungeon_target, source_knowledge):
 
 def _crossed_an_edge(result, dfa):
     """True once the run has acted in an automaton state past the start."""
-    return any(key.q != dfa.start for (key, _a), _v in result.qtable.items())
+    run = result.run
+    acted = run.rows[run.counts.any(axis=1)]
+    return bool(np.any(acted % run.n_q != dfa.compiled().start))
 
 
 def test_train_student_variants_differ(dungeon_target, source_knowledge):
@@ -482,15 +483,16 @@ def test_train_student_variants_differ(dungeon_target, source_knowledge):
                             seed=9)
         assert _crossed_an_edge(res, dungeon_target.dfa), (
             f"{variant} crossed no automaton edge in {episodes} episodes")
-        tables[variant] = res.qtable
+        tables[variant] = res.run.q
     base = train_student(dungeon_target, None,
                          resolve_preset("no_transfer"), episodes=episodes,
                          seed=9)
-    tables["no_transfer"] = base.qtable
+    tables["no_transfer"] = base.run.q
     names = list(tables)
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
-            assert tables[names[i]] != tables[names[j]], (
+            same = np.array_equal(tables[names[i]], tables[names[j]])
+            assert not same, (
                 f"{names[i]} and {names[j]} learned identical tables")
 
 
@@ -500,7 +502,7 @@ def test_cadent_q_stays_within_update_bound(dungeon_target,
     # edge-trigger pairs has a fixed point; a raw increment grows it forever
     res = train_student(dungeon_target, source_knowledge, StudentConfig(),
                         episodes=3000, seed=1, stream=0)
-    values = np.array([v for _k, v in res.qtable.items()])
+    values = res.run.q
     assert np.all(np.abs(values) <= res.bound), (
         f"max |Q| {np.abs(values).max():.1f} exceeds the bound "
         f"{res.bound:.1f}")
@@ -526,10 +528,7 @@ def test_no_trust_gate_greedy_policy_accepts(env_cache, grid_knowledge,
                         resolve_preset("no_trust_gate"),
                         episodes=DEFAULT_EPISODES[name], seed=1,
                         stream=_run_stream(name, "no_trust_gate"))
-    tables = compile_env(env)
-    cdfa = env.dfa.compiled()
-    q = q_rows_from_table(tables, cdfa, res.qtable)
-    accepted, steps, _total = greedy_rollout(tables, cdfa, q,
-                                             env.max_steps)
+    accepted, steps, _total = greedy_rollout(
+        compile_env(env), env.dfa.compiled(), res.run.q, env.max_steps)
     assert accepted, (f"greedy policy stopped after {steps} steps without "
                       f"accepting")

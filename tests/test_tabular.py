@@ -1,5 +1,5 @@
-"""Sparse Q-table and softmax, and the kernel's TD arithmetic, Q update
-and exploration on hand-built products."""
+"""The `--qtable-out` file and softmax, and the kernel's TD arithmetic, Q
+update and exploration on hand-built products."""
 
 import math
 import re
@@ -10,87 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cadent import kernels
+from cadent.automaton import ProductState, make_dfa
 from cadent.envs.tables import product_tables
 from cadent.kernels import argmax, greedy_rollout, softmax_prob
 from cadent.rng import RandomState, state_from
-from cadent.tabular import LearningParams, QTable, save_qtable, softmax_policy
+from cadent.tabular import LearningParams, softmax_policy
+from cadent.teacher import _key_to_json, save_qtable
 
 from oracles import (LAST_UPDATE, dict_value_iteration, naive_softmax,
-                     read_qtable, row_of, toy_product, toy_run)
-
-
-def test_default_read_is_zero_and_does_not_insert():
-    qt = QTable(4)
-    assert qt.get("s", 2) == 0.0
-    assert len(qt) == 0
-
-
-def test_set_get_round_trip():
-    qt = QTable(4)
-    qt.set(("s", 1), 3, -2.5)
-    assert qt.get(("s", 1), 3) == -2.5
-    assert len(qt) == 1
-
-
-def test_set_rejects_out_of_range_action():
-    qt = QTable(2)
-    with pytest.raises(ValueError):
-        qt.set("s", 2, 1.0)
-    with pytest.raises(ValueError):
-        qt.set("s", -1, 1.0)
-
-
-@pytest.mark.parametrize("action", [1.9, 1.0, True, False, "1", None])
-def test_set_rejects_non_integer_action(action):
-    # a float key is never read, and True would alias action 1
-    qt = QTable(2)
-    with pytest.raises(ValueError, match=(
-            f"^action {re.escape(repr(action))} is not an integer$")):
-        qt.set("s", action, 2.0)
-    assert len(qt) == 0
-    qt.set("s", np.int64(1), 2.0)
-    assert qt.row("s").tolist() == [0.0, 2.0]
-
-
-def test_set_rejects_non_finite():
-    qt = QTable(2)
-    with pytest.raises(ValueError):
-        qt.set("s", 0, float("nan"))
-    with pytest.raises(ValueError):
-        qt.set("s", 0, float("inf"))
-
-
-def test_n_actions_guard():
-    with pytest.raises(ValueError):
-        QTable(0)
-
-
-def test_row_and_max_value():
-    qt = QTable(3)
-    qt.set("s", 1, 2.0)
-    assert list(qt.row("s")) == [0.0, 2.0, 0.0]
-    assert qt.row("s").max() == 2.0
-    assert qt.row("unseen").max() == 0.0
+                     read_qtable, row_of, toy_product, toy_run, toy_teacher)
 
 
 def test_argmax_tie_breaks_low():
-    qt = QTable(4)
-    assert argmax(qt.row("zero-row")) == 0
-    qt.set("s", 2, 5.0)
-    qt.set("s", 3, 5.0)
-    assert argmax(qt.row("s")) == 2
-
-
-def test_states_insertion_order_and_copy_eq():
-    qt = QTable(2)
-    qt.set("b", 0, 1.0)
-    qt.set("a", 1, 2.0)
-    qt.set("b", 1, 3.0)
-    assert [key for key, _v in qt.items()] == [("b", 0), ("a", 1), ("b", 1)]
-    dup = qt.copy()
-    assert dup == qt
-    dup.set("c", 0, 4.0)
-    assert dup != qt
+    assert argmax(np.zeros(4)) == 0
+    assert argmax(np.array([0.0, 0.0, 5.0, 5.0])) == 2
 
 
 # The kernel's TD error and Q update. Q starts at zero; alpha 1 sets a
@@ -363,15 +296,33 @@ def test_learning_params_json_round_trip():
     assert LearningParams.from_json(p.to_json()) == p
 
 
+_CHAIN = make_dfa(("q0", "acc"), ("a",), "q0", {"acc"},
+                  {("q0", "a"): "acc"})
+
+
+def _save_toy_qtable(path, table):
+    """save_qtable of a run that updated each pair of `table` once."""
+    save_qtable(toy_teacher(_CHAIN, table, 3, visits=dict.fromkeys(table, 1)),
+                path)
+
+
 def test_qtable_save_load_round_trip(tmp_path):
-    qt = QTable(3)
-    qt.set((("r", 2), "q0"), 1, -0.5)
-    qt.set((1, 2, 3), 0, 2.0)
-    qt.set("plain", 2, 0.125)
-    qt.set((None, True, 1.5), 1, 7.0)
+    # env states of nested tuples and JSON scalars come back as they were
+    table = {(ProductState(("r", 2), "q0"), 1): -0.5,
+             (ProductState((1, 2, 3), "acc"), 0): 2.0,
+             (ProductState("plain", "q0"), 2): 0.125,
+             (ProductState((None, True, 1.5), "q0"), 1): 7.0}
     path = tmp_path / "q.json"
-    save_qtable(qt, path)
-    assert read_qtable(path) == qt
+    _save_toy_qtable(path, table)
+    assert read_qtable(path) == table
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_qtable_save_rejects_non_finite_value(tmp_path, value):
+    path = tmp_path / "q.json"
+    with pytest.raises(ValueError):
+        _save_toy_qtable(path, {(ProductState("s", "q0"), 0): value})
+    assert not path.exists()
 
 
 def _truncate(path):
@@ -398,8 +349,10 @@ def test_config_load_names_the_file_of_non_object_json(tmp_path):
 
 
 def test_qtable_save_rejects_unserializable_key(tmp_path):
-    qt = QTable(2)
-    qt.set(("fine",), 0, 1.0)
-    qt._data[(object(), 0)] = 1.0  # bypass set() to plant a bad key
+    with pytest.raises(TypeError, match="is not serializable"):
+        _key_to_json(object())
+    path = tmp_path / "bad.json"
     with pytest.raises(TypeError):
-        save_qtable(qt, tmp_path / "bad.json")
+        _save_toy_qtable(path, {(ProductState(("fine", object()), "q0"), 0):
+                                1.0})
+    assert not path.exists()

@@ -11,14 +11,14 @@ import pytest
 
 from cadent.automaton import ProductState, make_dfa
 from cadent.envs import ENV_NAMES, default_spec, make_env
-from cadent.tabular import QTable
 from cadent.teacher import (AGGREGATION_MODES, TeacherError,
                             build_knowledge, dense_knowledge,
                             distill_automaton_values, distill_teacher_policy,
                             load_knowledge, save_knowledge, train_teacher)
 
-from oracles import (naive_softmax, reference_knowledge,
-                     reference_teacher_policy, sparse_results, toy_teacher)
+from oracles import (naive_softmax, reference_automaton_values,
+                     reference_knowledge, reference_teacher_policy,
+                     sparse_results, toy_teacher)
 
 CHAIN = make_dfa(
     states=("q0", "q1", "acc"),
@@ -27,13 +27,6 @@ CHAIN = make_dfa(
     accepting={"acc"},
     edges={("q0", "a"): "q1", ("q1", "b"): "acc"},
 )
-
-
-def _table(entries, n_actions=2):
-    qt = QTable(n_actions)
-    for (key, a), v in entries.items():
-        qt.set(key, a, v)
-    return qt
 
 
 def _k(env_state, q):
@@ -46,38 +39,51 @@ def _k(env_state, q):
 
 def test_distill_single_trigger():
     key = _k((0, 0), "q0")
-    qt = _table({(key, 1): 3.0})
+    qt = {(key, 1): 3.0}
     log = {((key, 1), ("q0", "q1")), ((_k((1, 1), "q1"), 0), ("q1", "acc"))}
-    out = distill_automaton_values(toy_teacher(CHAIN, qt, log), CHAIN)
+    out = distill_automaton_values(toy_teacher(CHAIN, qt, 2, log), CHAIN)
     assert out[("q0", "q1")] == 3.0
     assert out[("q1", "acc")] == 0.0
 
 
 def test_distill_means_distinct_triggers():
     k1, k2 = _k((0, 0), "q0"), _k((5, 5), "q0")
-    qt = _table({(k1, 0): 2.0, (k2, 1): 4.0})
+    qt = {(k1, 0): 2.0, (k2, 1): 4.0}
     log = {((k1, 0), ("q0", "q1")), ((k2, 1), ("q0", "q1")),
            ((_k((1, 1), "q1"), 0), ("q1", "acc"))}
-    out = distill_automaton_values(toy_teacher(CHAIN, qt, log), CHAIN)
+    out = distill_automaton_values(toy_teacher(CHAIN, qt, 2, log), CHAIN)
     assert out[("q0", "q1")] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_distill_rejects_uncovered_edge():
     key = _k((0, 0), "q0")
-    qt = _table({(key, 1): 3.0})
+    qt = {(key, 1): 3.0}
     log = {((key, 1), ("q0", "q1"))}
     with pytest.raises(TeacherError, match="q1"):
-        distill_automaton_values(toy_teacher(CHAIN, qt, log), CHAIN)
+        distill_automaton_values(toy_teacher(CHAIN, qt, 2, log), CHAIN)
+
+
+def test_distill_means_add_left_to_right():
+    # triggers in sorted state order; from Python 3.12 the builtin sum
+    # would keep the 1.0 and mean 1/3
+    keys = [_k((i, i), "q0") for i in range(3)]
+    qt = {(k, 0): v for k, v in zip(keys, (1e16, 1.0, -1e16))}
+    log = {((k, 0), ("q0", "q1")) for k in keys}
+    log.add(((_k((9, 9), "q1"), 0), ("q1", "acc")))
+    out = distill_automaton_values(toy_teacher(CHAIN, qt, 2, log), CHAIN)
+    assert out[("q0", "q1")] == 0.0
+    assert reference_automaton_values(qt, CHAIN, log)[("q0", "q1")] == 0.0
 
 
 def test_distill_order_invariant():
     keys = [(_k((i, i), "q0"), i % 2) for i in range(6)]
-    qt = _table({ka: float(i) for i, ka in enumerate(keys)})
+    qt = {ka: float(i) for i, ka in enumerate(keys)}
     tail = ((_k((9, 9), "q1"), 0), ("q1", "acc"))
     log_fwd = set([(ka, ("q0", "q1")) for ka in keys] + [tail])
     log_rev = set([(ka, ("q0", "q1")) for ka in reversed(keys)] + [tail])
-    assert (distill_automaton_values(toy_teacher(CHAIN, qt, log_fwd), CHAIN)
-            == distill_automaton_values(toy_teacher(CHAIN, qt, log_rev),
+    assert (distill_automaton_values(toy_teacher(CHAIN, qt, 2, log_fwd),
+                                     CHAIN)
+            == distill_automaton_values(toy_teacher(CHAIN, qt, 2, log_rev),
                                         CHAIN))
 
 
@@ -85,10 +91,10 @@ def test_distill_positive_scaling_equivariance():
     k1, k2 = _k((0, 0), "q0"), _k((1, 1), "q1")
     base = {(k1, 0): 2.5, (k2, 1): -1.5}
     log = {((k1, 0), ("q0", "q1")), ((k2, 1), ("q1", "acc"))}
-    plain = distill_automaton_values(toy_teacher(CHAIN, _table(base), log),
+    plain = distill_automaton_values(toy_teacher(CHAIN, base, 2, log),
                                      CHAIN)
     scaled = distill_automaton_values(toy_teacher(
-        CHAIN, _table({ka: 3.0 * v for ka, v in base.items()}), log), CHAIN)
+        CHAIN, {ka: 3.0 * v for ka, v in base.items()}, 2, log), CHAIN)
     for edge, v in plain.items():
         assert scaled[edge] == pytest.approx(3.0 * v, abs=1e-12)
 
@@ -99,9 +105,9 @@ def test_distill_positive_scaling_equivariance():
 
 def test_policy_single_state_is_softmax_of_row():
     key, tail = _k((0, 0), "q0"), _k((1, 1), "q1")
-    qt = _table({(key, 0): 1.0, (key, 1): 0.0, (tail, 1): 2.0})
+    qt = {(key, 0): 1.0, (key, 1): 0.0, (tail, 1): 2.0}
     vis = {(key, 0): 4, (key, 1): 2, (tail, 1): 1}
-    pi = distill_teacher_policy(toy_teacher(CHAIN, qt, visits=vis), CHAIN,
+    pi = distill_teacher_policy(toy_teacher(CHAIN, qt, 2, visits=vis), CHAIN,
                                 tau=1.0)
     assert np.allclose(pi["q0"], naive_softmax([1.0, 0.0], 1.0), atol=1e-12)
     assert np.allclose(pi["q1"], naive_softmax([0.0, 2.0], 1.0), atol=1e-12)
@@ -109,38 +115,38 @@ def test_policy_single_state_is_softmax_of_row():
 
 def test_policy_visitation_weighting():
     k1, k2, tail = _k((0, 0), "q0"), _k((1, 1), "q0"), _k((2, 2), "q1")
-    qt = _table({(k1, 0): 1.0, (k2, 1): 1.0})
+    qt = {(k1, 0): 1.0, (k2, 1): 1.0}
     vis = {(k1, 0): 3, (k2, 0): 1, (tail, 0): 1}
-    pi = distill_teacher_policy(toy_teacher(CHAIN, qt, visits=vis), CHAIN,
+    pi = distill_teacher_policy(toy_teacher(CHAIN, qt, 2, visits=vis), CHAIN,
                                 tau=1.0)
     # weighted mean row is (0.75, 0.25)
     assert np.allclose(pi["q0"], naive_softmax([0.75, 0.25], 1.0), atol=1e-12)
-    flat = distill_teacher_policy(toy_teacher(CHAIN, qt, visits=vis), CHAIN,
+    flat = distill_teacher_policy(toy_teacher(CHAIN, qt, 2, visits=vis), CHAIN,
                                   tau=1.0, aggregation="unweighted")
     assert np.allclose(flat["q0"], naive_softmax([0.5, 0.5], 1.0), atol=1e-12)
 
 
 def test_policy_rows_only_for_visited_states():
     key = _k((0, 0), "q0")
-    qt = _table({(key, 0): 1.0})
+    qt = {(key, 0): 1.0}
     vis = {(key, 0): 1, (_k((2, 2), "q1"), 1): 2}
-    pi = distill_teacher_policy(toy_teacher(CHAIN, qt, visits=vis), CHAIN,
+    pi = distill_teacher_policy(toy_teacher(CHAIN, qt, 2, visits=vis), CHAIN,
                                 tau=2.0)
     assert set(pi) == {"q0", "q1"}
 
 
 def test_policy_requires_accepting_path_heads():
     key = _k((0, 0), "q0")
-    qt = _table({(key, 0): 1.0})
+    qt = {(key, 0): 1.0}
     with pytest.raises(TeacherError, match="q1"):
-        distill_teacher_policy(toy_teacher(CHAIN, qt, visits={(key, 0): 1}),
-                               CHAIN, tau=1.0)
+        distill_teacher_policy(
+            toy_teacher(CHAIN, qt, 2, visits={(key, 0): 1}), CHAIN, tau=1.0)
 
 
 def test_policy_validation_errors():
     key = _k((0, 0), "q0")
-    qt = _table({(key, 0): 1.0})
-    toy = toy_teacher(CHAIN, qt, visits={(key, 0): 1})
+    qt = {(key, 0): 1.0}
+    toy = toy_teacher(CHAIN, qt, 2, visits={(key, 0): 1})
     with pytest.raises(ValueError):
         distill_teacher_policy(toy, CHAIN, tau=0.0)
     with pytest.raises(ValueError):
@@ -166,13 +172,14 @@ def test_teacher_reaches_acceptance(dungeon_teacher):
     assert res.n_successes > 0
     assert res.ep_reward.shape == (1200,)
     assert res.ep_steps.shape == (1200,)
-    assert len(res.qtable) > 0
+    assert res.run.counts.any()
     assert sparse_results(res.env, res.run).transition_log
 
 
 def test_teacher_is_deterministic(dungeon_source, dungeon_teacher):
     again = train_teacher(dungeon_source, episodes=1200, seed=7)
-    assert again.qtable == dungeon_teacher.qtable
+    assert np.array_equal(again.run.q, dungeon_teacher.run.q)
+    assert np.array_equal(again.run.counts, dungeon_teacher.run.counts)
     assert np.array_equal(again.ep_reward, dungeon_teacher.ep_reward)
     assert again.n_successes == dungeon_teacher.n_successes
 
