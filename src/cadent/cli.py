@@ -17,8 +17,7 @@ from dataclasses import fields
 from .baselines import canonical_variant, preset_names, resolve_preset
 from .envs import (ALIASES, DEFAULT_EPISODES, ENV_NAMES, EnvSpec,
                    canonical_name, make_env)
-from .harness import (ExperimentConfig, records_from_result, run_experiment,
-                      write_run_csv)
+from .harness import ExperimentConfig, run_experiment, write_run_csv
 from .student import (VARIANT_ALIASES, GuidanceParams, StudentConfig,
                       TrustParams, train_student, uses_teacher)
 from .tabular import LearningParams
@@ -105,9 +104,8 @@ def cmd_train_student(args):
     episodes = args.episodes or DEFAULT_EPISODES[env.name]
     result = train_student(env, knowledge, config, episodes=episodes,
                            seed=args.seed)
-    records = records_from_result(env.name, variant, args.seed, result)
     if args.out:
-        write_run_csv(args.out, records)
+        write_run_csv(args.out, variant, env.name, args.seed, result.run)
         print(f"episode log written to {args.out}")
     if args.qtable_out:
         save_qtable(result, args.qtable_out)

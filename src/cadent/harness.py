@@ -3,10 +3,12 @@
 One experiment trains a teacher per environment on its source variant,
 distills knowledge once, then trains every requested student variant across
 seeds on the target variant, spreading the student runs over the usable
-CPUs. Outputs are plain files: per-run episode CSVs, aggregate curves (mean
-and standard error), distilled knowledge, and a summary with the
-sample-efficiency and final-performance tables. Everything written is a pure
-function of the config, so reruns are byte-identical.
+CPUs. A student run comes back as its episode arrays and diagnostics (a
+`CellRun`); its Q stays where it trained. Outputs are plain files: per-run
+episode CSVs, aggregate curves (mean and standard error), distilled
+knowledge, and a summary with the sample-efficiency and final-performance
+tables, all read from those arrays. Everything written is a pure function of
+the config, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,57 +145,29 @@ class ExperimentConfig(Config):
         return hashlib.sha256(blob).hexdigest()
 
 
-@dataclass(frozen=True)
-class EpisodeRecord:
-    variant: str
-    env: str
-    seed: int
-    episode: int
-    reward: float
-    steps: int
-    cumulative_steps: int
-    reached_accept: bool
+class CellRun(NamedTuple):
+    """What a grid cell hands back: its run's episode arrays, as the kernel
+    wrote them, and its update diagnostics. Q stays where the run trained."""
 
-    def csv_row(self):
-        return (f"{self.variant},{self.env},{self.seed},{self.episode},"
-                f"{self.reward!r},{self.steps},{self.cumulative_steps},"
-                f"{int(self.reached_accept)}")
+    ep_reward: np.ndarray
+    ep_steps: np.ndarray
+    ep_accept: np.ndarray
+    novel_transitions: int
+    max_abs_update: float
+    soft_violations: int
+    bound: float
 
 
-def records_from_result(env_name, variant, seed, result):
-    """Flatten one training result into per-episode records."""
-    records = []
-    cumulative = 0
-    for ep in range(len(result.ep_reward)):
-        cumulative += int(result.ep_steps[ep])
-        records.append(EpisodeRecord(
-            variant=variant, env=env_name, seed=seed, episode=ep,
-            reward=float(result.ep_reward[ep]),
-            steps=int(result.ep_steps[ep]),
-            cumulative_steps=cumulative,
-            reached_accept=bool(result.ep_accept[ep])))
-    return records
-
-
-def write_run_csv(path, records):
+def write_run_csv(path, variant, env, seed, run):
+    """One row per episode of `run`, anything with the episode arrays
+    `ep_reward`, `ep_steps` and `ep_accept` (a CellRun or a RunResult)."""
+    rows = zip(run.ep_reward.tolist(), run.ep_steps.tolist(),
+               np.cumsum(run.ep_steps).tolist(), run.ep_accept.tolist())
     lines = [RUN_CSV_HEADER]
-    lines.extend(r.csv_row() for r in records)
+    lines.extend(f"{variant},{env},{seed},{ep},{reward!r},{steps},{cum},"
+                 f"{int(accept)}"
+                 for ep, (reward, steps, cum, accept) in enumerate(rows))
     write_atomic(path, "\n".join(lines) + "\n")
-
-
-def read_run_csv(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != RUN_CSV_HEADER:
-        raise ValueError(f"{path}: missing or wrong header")
-    records = []
-    for line in lines[1:]:
-        v, e, seed, ep, rew, steps, cum, acc = line.split(",")
-        records.append(EpisodeRecord(
-            variant=v, env=e, seed=int(seed), episode=int(ep),
-            reward=float(rew), steps=int(steps), cumulative_steps=int(cum),
-            reached_accept=bool(int(acc))))
-    return records
 
 
 def _curve_rows(xs, table):
@@ -215,17 +190,15 @@ def _mean_stderr(values):
     return mean, err
 
 
-def aggregate_per_episode(runs, metric):
-    """Per-episode mean/stderr across runs of equal length.
-
-    `metric` picks the record field ("reward" or "steps"). Returns a list of
-    (episode, mean, stderr, n) rows.
+def aggregate_per_episode(runs):
+    """Per-episode mean/stderr across runs of equal length, one per-episode
+    array (rewards or steps) per run. Returns a list of (episode, mean,
+    stderr, n) rows.
     """
     lengths = {len(r) for r in runs}
     if len(lengths) != 1:
         raise ValueError(f"runs have unequal lengths {sorted(lengths)}")
-    table = np.array([[getattr(rec, metric) for rec in run] for run in runs],
-                     dtype=np.float64).T
+    table = np.array(runs, dtype=np.float64).T
     return _curve_rows(range(lengths.pop()), table)
 
 
@@ -237,16 +210,15 @@ def aggregate_vs_cumulative_steps(runs, points=CURVE_POINTS):
     completes). The grid spans up to the smallest run total so every grid
     point averages over all runs.
     """
-    total = min(run[-1].cumulative_steps for run in runs)
+    cums = [np.cumsum(run.ep_steps) for run in runs]
+    total = min(int(cum[-1]) for cum in cums)
     grid = sorted({max(1, round(total * (i + 1) / points))
                    for i in range(points)})
     columns = []
-    for run in runs:
-        cum = np.array([rec.cumulative_steps for rec in run])
-        reward = np.array([rec.reward for rec in run], dtype=np.float64)
+    for run, cum in zip(runs, cums):
         # the last episode finished by x, else the first (backfill)
         last = np.searchsorted(cum, grid, side="right") - 1
-        columns.append(reward[np.maximum(last, 0)])
+        columns.append(run.ep_reward[np.maximum(last, 0)])
     return _curve_rows(grid, np.stack(columns, axis=1))
 
 
@@ -257,26 +229,26 @@ def write_curve_csv(path, rows):
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def steps_to_threshold(records, threshold, window):
-    """Cumulative steps when the trailing-window mean reward first clears
-    `threshold`. Only full windows count; None when never reached."""
+def steps_to_threshold(run, threshold, window):
+    """Cumulative steps when the trailing-window mean reward of `run` first
+    clears `threshold`. Only full windows count; None when never reached."""
     if window < 1:
         raise ValueError("window must be positive")
-    if len(records) < window:
-        return None
+    rewards = run.ep_reward.tolist()
     acc = 0.0
-    for i, rec in enumerate(records):
-        acc += rec.reward
+    for i, reward in enumerate(rewards):
+        acc += reward
         if i >= window:
-            acc -= records[i - window].reward
+            acc -= rewards[i - window]
         if i >= window - 1 and acc / window >= threshold:
-            return records[i].cumulative_steps
+            return int(run.ep_steps[:i + 1].sum())
     return None
 
 
-def final_window_mean(records, window=100):
-    tail = records[-window:]
-    return sum_in_order(r.reward for r in tail) / len(tail)
+def final_window_mean(run, window=100):
+    """Mean reward of the last `window` episodes of `run`."""
+    tail = run.ep_reward[-window:].tolist()
+    return sum_in_order(tail) / len(tail)
 
 
 def _pairs(config):
@@ -309,20 +281,16 @@ def _env(name, variant, config):
 def _train_cell(config, env_name, variant, seed, knowledge):
     """One (env, variant, seed) student run, guided by `knowledge` (None for
     a variant without a teacher); used by worker processes too. Returns the
-    run's episode records and its diagnostics."""
+    run's CellRun."""
     env = _env(env_name, "target", config)
     student_cfg = config.base.with_(variant=variant, omega0=config.omega0)
     result = train_student(env, knowledge, student_cfg,
                            episodes=config.episodes_for(env_name),
                            seed=seed, stream=_run_stream(env_name, variant))
-    records = records_from_result(env_name, variant, seed, result)
-    diag = {
-        "novel_transitions": result.run.novel_transitions,
-        "max_abs_update": result.run.max_abs_update,
-        "soft_violations": result.run.n_soft_violations,
-        "bound": result.bound,
-    }
-    return records, diag
+    run = result.run
+    return CellRun(run.ep_reward, run.ep_steps, run.ep_accept,
+                   run.novel_transitions, run.max_abs_update,
+                   run.n_soft_violations, result.bound)
 
 
 class CellError(RuntimeError):
@@ -355,7 +323,8 @@ def run_experiment(config, out_dir, parallel=None, progress=None):
     built before the pool starts, so forked workers share them. Cells that
     need no teacher start at once; this process trains each env's teacher
     meanwhile and, once its knowledge is saved, starts that env's guided
-    cells with the knowledge as an argument. The artifacts are byte-identical whatever `parallel` is.
+    cells with the knowledge as an argument. The artifacts are
+    byte-identical whatever `parallel` is.
     """
     workers = _worker_count(parallel)
     out_dir = os.path.abspath(out_dir)
@@ -372,7 +341,6 @@ def run_experiment(config, out_dir, parallel=None, progress=None):
         product_tables(compile_env(env), env.dfa.compiled())
 
     results = {}
-    diags = {}
     workers = min(workers, len(grid))
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
@@ -408,33 +376,31 @@ def run_experiment(config, out_dir, parallel=None, progress=None):
                 outcomes.update((c, start(c, knowledge)) for c in guided)
             for cell in grid:
                 try:
-                    records, diag = outcomes[cell]()
+                    results[cell] = outcomes[cell]()
                 except Exception as exc:
                     e, v, s = cell
                     raise CellError(f"cell ({e}, {v}, seed {s}) failed: "
                                     f"{type(exc).__name__}: {exc}") from exc
                 say(f"run: {cell}")
-                results[cell] = records
-                diags[cell] = diag
         except BaseException:
             if pool:
                 pool.shutdown(cancel_futures=True)
             raise
     for (e, v, s) in grid:
         path = os.path.join(out_dir, "runs", f"{e}__{v}__seed{s}.csv")
-        write_run_csv(path, results[(e, v, s)])
+        write_run_csv(path, v, e, s, results[(e, v, s)])
 
     # aggregation and summary
     for (e, v) in _pairs(config):
         runs = [results[(e, v, s)] for s in config.seeds]
         base = os.path.join(out_dir, "curves", f"{e}__{v}__")
         write_curve_csv(base + "reward_per_episode.csv",
-                        aggregate_per_episode(runs, "reward"))
+                        aggregate_per_episode([r.ep_reward for r in runs]))
         write_curve_csv(base + "steps_per_episode.csv",
-                        aggregate_per_episode(runs, "steps"))
+                        aggregate_per_episode([r.ep_steps for r in runs]))
         write_curve_csv(base + "reward_vs_cumulative_steps.csv",
                         aggregate_vs_cumulative_steps(runs))
-    summary = build_summary(config, results, diags)
+    summary = build_summary(config, results)
     write_atomic(os.path.join(out_dir, "summary.json"), json_text(summary))
     return summary
 
@@ -455,27 +421,27 @@ def _thresholds(config, results):
     return out
 
 
-def build_summary(config, results, diags):
+def build_summary(config, results):
     """Sample-efficiency and final-performance tables plus provenance, over
-    the config's cells: `results` and `diags` hold one entry per cell."""
+    the config's cells: `results` holds one CellRun per cell."""
     thresholds = _thresholds(config, results)
     seeds = config.seeds
     table = {}
     for (e, v) in _pairs(config):
         runs = [results[(e, v, s)] for s in seeds]
         stt, censored = [], 0
-        for records in runs:
-            val = steps_to_threshold(records, thresholds[e],
+        for run in runs:
+            val = steps_to_threshold(run, thresholds[e],
                                      config.threshold_window)
             if val is None:
                 censored += 1
-                val = records[-1].cumulative_steps
+                val = int(run.ep_steps.sum())
             stt.append(val)
-        finals = [final_window_mean(records) for records in runs]
+        finals = [final_window_mean(run) for run in runs]
         f_mean, f_err = _mean_stderr(finals)
         s_mean, s_err = _mean_stderr([float(x) for x in stt])
-        accepts = [sum(r.reached_accept for r in records[-100:]) /
-                   min(100, len(records)) for records in runs]
+        accepts = [int(run.ep_accept[-100:].sum()) / len(run.ep_accept[-100:])
+                   for run in runs]
         table.setdefault(e, {})[v] = {
             "seeds": list(seeds),
             "steps_to_threshold": stt,
@@ -486,13 +452,10 @@ def build_summary(config, results, diags):
             "final_reward_mean": f_mean,
             "final_reward_stderr": f_err,
             "final_accept_rate_mean": float(np.mean(accepts)),
-            "novel_transitions": [diags[(e, v, s)]["novel_transitions"]
-                                  for s in seeds],
-            "soft_bound_violations": [diags[(e, v, s)]["soft_violations"]
-                                      for s in seeds],
-            "max_abs_update": max(diags[(e, v, s)]["max_abs_update"]
-                                  for s in seeds),
-            "update_bound": max(diags[(e, v, s)]["bound"] for s in seeds),
+            "novel_transitions": [run.novel_transitions for run in runs],
+            "soft_bound_violations": [run.soft_violations for run in runs],
+            "max_abs_update": max(run.max_abs_update for run in runs),
+            "update_bound": max(run.bound for run in runs),
         }
     norm = {}
     for env_name in config.environments:

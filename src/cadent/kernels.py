@@ -81,8 +81,8 @@ def sum_in_order(values):
     return total
 
 
-def softmax_prob(values, a, lo=0, n=None, amax=None):
-    """Probability of offset `a` under the temperature-1 softmax of
+def softmax_prob(values, a, lo=0, n=None, amax=None, tau=1.0):
+    """Probability of offset `a` under the temperature-`tau` softmax of
     values[lo:lo+n] (n defaults to all of `values`).
 
     Max-subtracted, accumulated in action-index order, so every caller gets
@@ -97,7 +97,7 @@ def softmax_prob(values, a, lo=0, n=None, amax=None):
     tot = 0.0
     pa = 0.0
     for b in range(n):
-        eb = math.exp(values[lo + b] - m)
+        eb = math.exp((values[lo + b] - m) / tau)
         tot += eb
         if b == a:
             pa = eb

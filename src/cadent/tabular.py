@@ -8,13 +8,12 @@ kernel's (n_rows, A) array.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .files import Config
-from .kernels import argmax
+from .kernels import softmax_prob
 
 
 @dataclass(frozen=True)
@@ -41,22 +40,11 @@ class LearningParams(Config):
 
 
 def softmax_policy(q_row, tau):
-    """Boltzmann distribution over one value row.
-
-    Max-subtracted for stability; accumulation runs in action-index order so
-    results are reproducible bit for bit. At tau 1 each entry is the
-    kernel's `softmax_prob`, bit for bit, so the distilled policy and the
-    student's pull share one softmax.
+    """Boltzmann distribution over one value row: each entry is the
+    kernel's `softmax_prob` at temperature `tau`, so the distilled policy
+    and the student's pull share one softmax, bit for bit.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    n = len(q_row)
-    m = q_row[argmax(q_row)]
-    out = np.empty(n, dtype=np.float64)
-    total = 0.0
-    for a in range(n):
-        out[a] = math.exp((q_row[a] - m) / tau)
-        total += out[a]
-    for a in range(n):
-        out[a] = out[a] / total
-    return out
+    return np.array([softmax_prob(q_row, a, tau=tau)
+                     for a in range(len(q_row))], dtype=np.float64)

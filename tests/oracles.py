@@ -27,10 +27,14 @@ locals) and before it walked product rows: it looks the automaton up each
 step and indexes the dense layout. It calls the library's formulas, so it
 pins the loop's bookkeeping, not the formulas: the kernel's outputs,
 scattered by `dense_run`, must match it bit for bit.
+
+`read_run_csv` reads a run CSV back with the `csv` module, for the tests
+that check what the harness and the CLI wrote.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from types import SimpleNamespace
@@ -40,6 +44,7 @@ import numpy as np
 from cadent.automaton import (ProductState, accepting_path_edges,
                               is_accepting, step_automaton)
 from cadent.envs.tables import EnvTables, compile_env
+from cadent.harness import RUN_CSV_HEADER
 from cadent.kernels import (argmax, fused_update, run_training,
                             softmax_prob, sum_in_order, tactical_applies,
                             trust_gate, volatility_update)
@@ -648,3 +653,24 @@ def reference_train_run(next_state, reward, event, terminal, dead, delta,
         ep_accept[ep] = acc
         eps = eps * eps_decay
     return novel, max_abs_dq, n_soft
+
+
+def read_run_csv(path):
+    """A run CSV, column by column: the reward, steps and accept columns as
+    the episode arrays `ep_reward`, `ep_steps` and `ep_accept`, the others
+    as lists of their values."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert ",".join(header) == RUN_CSV_HEADER, path
+    col = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    assert set(col["reached_accept"]) <= {"0", "1"}, path
+    return SimpleNamespace(
+        variant=col["variant"], env=col["env"],
+        seed=[int(x) for x in col["seed"]],
+        episode=[int(x) for x in col["episode"]],
+        cumulative_steps=[int(x) for x in col["cumulative_steps"]],
+        ep_reward=np.array([float(x) for x in col["reward"]],
+                           dtype=np.float64),
+        ep_steps=np.array([int(x) for x in col["steps"]], dtype=np.int64),
+        ep_accept=np.array([x == "1" for x in col["reached_accept"]],
+                           dtype=np.bool_))

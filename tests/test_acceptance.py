@@ -26,10 +26,9 @@ from cadent.envs import ENV_NAMES
 from cadent.envs.base import ACCEPT_BONUS, PROGRESS_BONUS, STEP_PENALTY
 from cadent.envs.mountain_car import VALLEY, band_layout
 from cadent.envs.tables import compile_env, product_tables
-from cadent.harness import (RUN_CSV_HEADER, EpisodeRecord, ExperimentConfig,
+from cadent.harness import (RUN_CSV_HEADER, CellRun, ExperimentConfig,
                             aggregate_per_episode, final_window_mean,
-                            read_run_csv, run_experiment, steps_to_threshold,
-                            write_run_csv)
+                            run_experiment, steps_to_threshold, write_run_csv)
 from cadent.kernels import argmax, greedy_rollout
 from cadent.student import (StudentConfig, fused_update, train_student,
                             trust_gate, update_bound, volatility_update)
@@ -40,10 +39,10 @@ from cadent.teacher import (build_knowledge, distill_automaton_values,
 from golden import golden_actions, run_actions
 from oracles import (LAST_UPDATE, dict_value_iteration, edge_product,
                      ewma_closed_form, kernel_pull, naive_softmax, q_row,
-                     reference_q_learning, row_of, sigmoid, sparse_results,
-                     strategic_reward, tactical_gradient, td_error,
-                     toy_knowledge, toy_product, toy_run, toy_teacher,
-                     value_iteration)
+                     read_run_csv, reference_q_learning, row_of, sigmoid,
+                     sparse_results, strategic_reward, tactical_gradient,
+                     td_error, toy_knowledge, toy_product, toy_run,
+                     toy_teacher, value_iteration)
 
 _BUDGETS = {1: 10.0, 2: 30.0, 3: 120.0, 4: 600.0, 5: 1800.0, 6: 1800.0,
             7: 60.0}
@@ -86,12 +85,12 @@ def _chain_path(dfa):
     return tuple(syms), tuple(states)
 
 
-def _rec(episode, reward, steps=10, cum=None, accept=False, seed=1):
-    return EpisodeRecord(variant="v", env="e", seed=seed, episode=episode,
-                         reward=float(reward), steps=steps,
-                         cumulative_steps=(cum if cum is not None
-                                           else (episode + 1) * steps),
-                         reached_accept=accept)
+def _rec(rewards, steps=10):
+    """A run of these episode rewards, `steps` steps each, none accepting."""
+    n = len(rewards)
+    return CellRun(np.array(rewards, dtype=np.float64),
+                   np.full(n, steps, dtype=np.int64),
+                   np.zeros(n, dtype=np.bool_), 0, 0.0, 0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -378,24 +377,23 @@ def test_criterion_1_worked_examples(env_cache, tmp_path):
                                                                    abs=1e-9)
     assert summary["results"]["dungeon_quest"]["cadent"]["seeds"] == [1, 2]
     run_path = out_dir / "runs" / "dungeon_quest__cadent__seed1.csv"
-    records = read_run_csv(str(run_path))
     copy_path = tmp_path / "copy.csv"
-    write_run_csv(str(copy_path), records)
+    write_run_csv(str(copy_path), "cadent", "dungeon_quest", 1,
+                  read_run_csv(str(run_path)))
     assert copy_path.read_bytes() == run_path.read_bytes()
     empty = tmp_path / "empty.csv"
-    write_run_csv(str(empty), [])
+    write_run_csv(str(empty), "cadent", "dungeon_quest", 1, _rec([]))
     assert empty.read_text() == RUN_CSV_HEADER + "\n"
-    twin = [_rec(0, 1.5), _rec(1, 2.5)]
-    rows = aggregate_per_episode([twin, twin], "reward")
+    twin = _rec([1.5, 2.5]).ep_reward
+    rows = aggregate_per_episode([twin, twin])
     assert [r[2] for r in rows] == [0.0, 0.0]
-    rows = aggregate_per_episode([[_rec(0, 1.0)], [_rec(0, 3.0, seed=2)]],
-                                 "reward")
+    rows = aggregate_per_episode([_rec([1.0]).ep_reward,
+                                  _rec([3.0]).ep_reward])
     assert rows[0][1:3] == (2.0, 1.0)
-    ramp = [_rec(i, float(i)) for i in range(10)]
-    assert steps_to_threshold(ramp, 0.0, 1) == ramp[0].cumulative_steps
+    ramp = _rec([float(i) for i in range(10)])
+    assert steps_to_threshold(ramp, 0.0, 1) == ramp.ep_steps[0] == 10
     assert steps_to_threshold(ramp, 99.0, 1) is None
-    flat_then_good = ([_rec(i, 0.0) for i in range(100)]
-                      + [_rec(100 + i, 1.0) for i in range(100)])
+    flat_then_good = _rec([0.0] * 100 + [1.0] * 100)
     assert final_window_mean(flat_then_good) == 1.0
     assert cfg.config_hash() == ExperimentConfig(
         environments=("dungeon_quest",), variants=("cadent", "no_transfer"),
@@ -612,9 +610,9 @@ def test_criterion_5_transfer_benefits(benchmark_grid):
     for seed in (1, 2, 3, 4, 5):
         path = os.path.join(out_dir, "runs",
                             f"dungeon_quest__cadent__seed{seed}.csv")
-        records = read_run_csv(path)
-        first.extend(r.reward for r in records[:100])
-        last.extend(r.reward for r in records[-100:])
+        rewards = read_run_csv(path).ep_reward
+        first.extend(rewards[:100].tolist())
+        last.extend(rewards[-100:].tolist())
     check(np.mean(last) > np.mean(first),
           "dungeon_quest: cadent final-100 mean does not beat first-100")
 

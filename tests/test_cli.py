@@ -6,11 +6,11 @@ import pytest
 
 from cadent.cli import _student_config, build_parser, main
 from cadent.envs import default_spec, make_env
-from cadent.harness import ExperimentConfig, read_run_csv
+from cadent.harness import ExperimentConfig
 from cadent.student import StudentConfig, train_student
 from cadent.teacher import load_knowledge, train_teacher
 
-from oracles import read_qtable, sparse_results
+from oracles import read_qtable, read_run_csv, sparse_results
 
 
 def test_info_prints_registry(capsys):
@@ -209,10 +209,10 @@ def test_train_student_no_transfer(tmp_path, capsys):
                  "--episodes", "30", "--seed", "2", "--out", str(csv),
                  "--qtable-out", str(tmp_path / "student.json")])
     assert code == 0
-    records = read_run_csv(csv)
-    assert len(records) == 30
-    assert records[0].variant == "no_transfer"
-    assert records[0].env == "dungeon_quest"
+    run = read_run_csv(csv)
+    assert run.episode == list(range(30))
+    assert run.variant[0] == "no_transfer"
+    assert run.env[0] == "dungeon_quest"
     payload = json.loads((tmp_path / "student.json").read_text())
     assert payload["n_actions"] == 4
     assert "no_transfer on dungeon_quest/target" in capsys.readouterr().out

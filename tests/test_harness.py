@@ -4,8 +4,8 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,12 +14,11 @@ from cadent import files, harness, student, teacher
 from cadent.automaton import ProductState, save_dfa
 from cadent.cli import main
 from cadent.envs import bundled_dfa
-from cadent.harness import (CURVE_CSV_HEADER, RUN_CSV_HEADER, EpisodeRecord,
+from cadent.harness import (CURVE_CSV_HEADER, RUN_CSV_HEADER, CellRun,
                             ExperimentConfig, _mean_stderr, _run_stream,
                             aggregate_per_episode,
                             aggregate_vs_cumulative_steps, build_summary,
-                            final_window_mean, read_run_csv,
-                            records_from_result, run_experiment,
+                            final_window_mean, run_experiment,
                             steps_to_threshold, write_curve_csv,
                             write_run_csv)
 from cadent.kernels import sum_in_order
@@ -27,7 +26,7 @@ from cadent.student import StudentConfig, TrustParams, uses_teacher
 from cadent.teacher import (TeacherKnowledge, load_knowledge, save_knowledge,
                             save_qtable)
 
-from oracles import toy_teacher
+from oracles import read_run_csv, toy_teacher
 
 
 # ---------------------------------------------------------------------------
@@ -197,21 +196,16 @@ def test_run_stream_is_order_independent():
 
 
 # ---------------------------------------------------------------------------
-# records and CSV round-trips
+# a cell's run and the run CSV
 
 
-def _records(rewards, steps=None, variant="cadent", env="dungeon_quest",
-             seed=1, accepts=None):
+def _records(rewards, steps=None, accepts=None):
+    """A cell's run with these episodes and fixed diagnostics."""
     steps = steps or [10] * len(rewards)
     accepts = accepts or [r > 0 for r in rewards]
-    out, cum = [], 0
-    for ep, (r, s, a) in enumerate(zip(rewards, steps, accepts)):
-        cum += s
-        out.append(EpisodeRecord(variant=variant, env=env, seed=seed,
-                                 episode=ep, reward=float(r), steps=int(s),
-                                 cumulative_steps=cum,
-                                 reached_accept=bool(a)))
-    return out
+    return CellRun(np.array(rewards, dtype=np.float64),
+                   np.array(steps, dtype=np.int64),
+                   np.array(accepts, dtype=np.bool_), 2, 3.5, 0, 1099.0)
 
 
 def test_train_cell_omega0_on_a_pinned_base(monkeypatch):
@@ -242,38 +236,44 @@ def test_train_cell_omega0_on_a_pinned_base(monkeypatch):
     assert seen == [0.8, 0.5, 0.8]
 
 
-def test_records_from_result():
-    res = SimpleNamespace(ep_reward=np.array([0.5, -1.0]),
-                          ep_steps=np.array([7, 9]),
-                          ep_accept=np.array([True, False]))
-    recs = records_from_result("dungeon_quest", "cadent", 3, res)
-    assert [r.cumulative_steps for r in recs] == [7, 16]
-    assert [r.episode for r in recs] == [0, 1]
-    assert recs[0].reward == 0.5 and recs[1].reward == -1.0
-    assert recs[0].reached_accept and not recs[1].reached_accept
+def test_cell_returns_only_episode_arrays_and_scalars():
+    # Q, volatility and counts stay in the worker: what a cell pickles to
+    # the parent is its three episode arrays and four diagnostics
+    config = ExperimentConfig(**MINI)
+    cell = harness._train_cell(config, "dungeon_quest", "no_transfer", 1,
+                               None)
+    arrays = [x for x in cell if isinstance(x, np.ndarray)]
+    assert [(x.ndim, len(x)) for x in arrays] == [(1, 40)] * 3
+    assert all(type(x) in (int, float) for x in cell
+               if not isinstance(x, np.ndarray))
+    assert len(pickle.dumps(cell)) < sum(x.nbytes for x in arrays) + 1000
+
+
+def test_run_csv_rows_come_from_the_episode_arrays(tmp_path):
+    path = tmp_path / "run.csv"
+    write_run_csv(path, "cadent", "dungeon_quest", 3,
+                  _records([0.5, -1.0], steps=[7, 9], accepts=[True, False]))
+    assert path.read_text().splitlines() == [
+        RUN_CSV_HEADER,
+        "cadent,dungeon_quest,3,0,0.5,7,7,1",
+        "cadent,dungeon_quest,3,1,-1.0,9,16,0"]
 
 
 def test_run_csv_round_trip(tmp_path):
-    recs = _records([0.99, -5.0, 10.99], steps=[3, 500, 42])
+    run = _records([0.99, -5.0, 10.99, 0.1 + 0.2], steps=[3, 500, 42, 1])
     path = tmp_path / "run.csv"
-    write_run_csv(path, recs)
-    text = path.read_text()
-    assert text.splitlines()[0] == RUN_CSV_HEADER
-    assert read_run_csv(path) == recs
+    write_run_csv(path, "cadent", "dungeon_quest", 1, run)
+    back = read_run_csv(path)
+    for name in ("ep_reward", "ep_steps", "ep_accept"):
+        assert getattr(back, name).tobytes() == getattr(run, name).tobytes()
+    assert back.cumulative_steps == [3, 503, 545, 546]
+    assert back.episode == [0, 1, 2, 3]
 
 
 def test_run_csv_empty_is_header_only(tmp_path):
     path = tmp_path / "run.csv"
-    write_run_csv(path, [])
+    write_run_csv(path, "cadent", "dungeon_quest", 1, _records([]))
     assert path.read_text() == RUN_CSV_HEADER + "\n"
-    assert read_run_csv(path) == []
-
-
-def test_run_csv_rejects_foreign_file(tmp_path):
-    path = tmp_path / "other.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="header"):
-        read_run_csv(path)
 
 
 def test_curve_csv_format(tmp_path):
@@ -304,7 +304,8 @@ WRITERS = {
         path),
     "dfa": lambda path, i: save_dfa(
         bundled_dfa(("dungeon_quest", "blind_craftsman")[i]), path),
-    "run_csv": lambda path, i: write_run_csv(path, _records([float(i)])),
+    "run_csv": lambda path, i: write_run_csv(path, "cadent", "dungeon_quest",
+                                             1, _records([float(i)])),
     "curve_csv": lambda path, i: write_curve_csv(path, [(1, float(i), 0.0,
                                                          1)]),
 }
@@ -367,22 +368,22 @@ def test_mean_stderr():
 
 
 def test_aggregate_per_episode():
-    runs = [_records([0.0, 1.0], seed=1), _records([2.0, 3.0], seed=2)]
-    rows = aggregate_per_episode(runs, "reward")
+    runs = [_records([0.0, 1.0]), _records([2.0, 3.0])]
+    rows = aggregate_per_episode([r.ep_reward for r in runs])
     assert rows[0][0] == 0 and rows[0][1] == 1.0 and rows[0][3] == 2
     assert rows[1][1] == 2.0
-    steps = aggregate_per_episode(runs, "steps")
+    steps = aggregate_per_episode([r.ep_steps for r in runs])
     assert steps[0][1] == 10.0
 
 
 def test_aggregate_per_episode_rejects_ragged_runs():
     with pytest.raises(ValueError, match="unequal"):
-        aggregate_per_episode([_records([0.0]), _records([0.0, 1.0])], "reward")
+        aggregate_per_episode([np.zeros(1), np.zeros(2)])
 
 
 def test_aggregate_vs_cumulative_steps_step_function():
-    run_a = _records([0.0, 2.0], steps=[10, 10], seed=1)
-    run_b = _records([1.0, 3.0], steps=[5, 20], seed=2)
+    run_a = _records([0.0, 2.0], steps=[10, 10])
+    run_b = _records([1.0, 3.0], steps=[5, 20])
     rows = aggregate_vs_cumulative_steps([run_a, run_b], points=4)
     assert [r[0] for r in rows] == [5, 10, 15, 20]
     assert [r[1] for r in rows] == [0.5, 0.5, 0.5, 1.5]
@@ -432,7 +433,7 @@ def test_means_add_left_to_right():
     assert final_window_mean(_records(rewards)) == 0.0
     config = ExperimentConfig(environments=("dungeon_quest",),
                               variants=("no_transfer",), seeds=(3, 1, 2))
-    results, _diags = _grid_results(config, {
+    results = _grid_results(config, {
         ("dungeon_quest", "no_transfer"): [[-1e16], [1e16], [1.0]]})
     # the thresholds add the seeds' final means in ascending seed order
     assert harness._thresholds(config, results) == {"dungeon_quest": 0.0}
@@ -443,14 +444,9 @@ def test_means_add_left_to_right():
 
 
 def _grid_results(config, curves):
-    results, diags = {}, {}
-    for (e, v), per_seed in curves.items():
-        for seed, rewards in zip(config.seeds, per_seed):
-            key = (e, v, seed)
-            results[key] = _records(rewards, variant=v, env=e, seed=seed)
-            diags[key] = {"novel_transitions": 2, "max_abs_update": 3.5,
-                          "soft_violations": 0, "bound": 1099.0}
-    return results, diags
+    return {(e, v, seed): _records(rewards)
+            for (e, v), per_seed in curves.items()
+            for seed, rewards in zip(config.seeds, per_seed)}
 
 
 def test_build_summary_auto_threshold():
@@ -462,8 +458,8 @@ def test_build_summary_auto_threshold():
                                            [0.0] * 8 + [1.0] * 4],
         ("dungeon_quest", "cadent"): [[1.0] * 12, [1.0] * 12],
     }
-    results, diags = _grid_results(config, curves)
-    summary = build_summary(config, results, diags)
+    results = _grid_results(config, curves)
+    summary = build_summary(config, results)
     # the final window (100 episodes) covers all 12 records, so the
     # no_transfer final mean is 4/12 and the bar sits at 0.8 times that
     assert summary["thresholds"] == {"dungeon_quest": pytest.approx(0.8 / 3)}
@@ -484,8 +480,8 @@ def test_build_summary_censors_failed_runs():
                               threshold={"dungeon_quest": 5.0},
                               threshold_window=2)
     curves = {("dungeon_quest", "no_transfer"): [[0.0] * 6]}
-    results, diags = _grid_results(config, curves)
-    summary = build_summary(config, results, diags)
+    results = _grid_results(config, curves)
+    summary = build_summary(config, results)
     cell = summary["results"]["dungeon_quest"]["no_transfer"]
     assert cell["censored_runs"] == 1
     assert cell["steps_to_threshold"] == [60]  # the run's final total
@@ -495,9 +491,24 @@ def test_build_summary_auto_needs_no_transfer_runs():
     config = ExperimentConfig(environments=("dungeon_quest",),
                               variants=("cadent", "no_transfer"), seeds=(1,))
     curves = {("dungeon_quest", "cadent"): [[1.0] * 6]}
-    results, diags = _grid_results(config, curves)
+    results = _grid_results(config, curves)
     with pytest.raises(ValueError, match="no_transfer"):
-        build_summary(config, results, diags)
+        build_summary(config, results)
+
+
+def test_build_summary_accept_rate_reads_the_last_100_episodes():
+    config = ExperimentConfig(environments=("dungeon_quest",),
+                              variants=("no_transfer",), seeds=(1,))
+
+    def rate(accepts):
+        results = {("dungeon_quest", "no_transfer", 1):
+                   _records([0.0] * len(accepts), accepts=accepts)}
+        cell = build_summary(config, results)["results"]["dungeon_quest"]
+        return cell["no_transfer"]["final_accept_rate_mean"]
+
+    assert rate([True, False, True]) == 2 / 3
+    # the first 50 episodes accept, but only the last 100 count
+    assert rate([True] * 50 + [False] * 75 + [True] * 25) == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +549,9 @@ def test_run_experiment_writes_expected_files(tmp_path):
     assert cell["max_abs_update"] <= cell["update_bound"]
     on_disk = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert on_disk == summary
-    recs = read_run_csv(
+    run = read_run_csv(
         tmp_path / "out" / "runs" / "dungeon_quest__no_transfer__seed1.csv")
-    assert len(recs) == 40
+    assert run.episode == list(range(40))
 
 
 def test_run_experiment_is_reproducible(tmp_path):
@@ -732,9 +743,8 @@ def test_guided_cell_matches_a_run_from_the_saved_knowledge(tmp_path,
     out = tmp_path / "out"
     run_experiment(config, out, parallel=parallel)
     knowledge = load_knowledge(out / "knowledge" / "dungeon_quest.json")
-    records, _diag = harness._train_cell(config, "dungeon_quest", "cadent", 2,
-                                         knowledge)
-    write_run_csv(tmp_path / "again.csv", records)
+    run = harness._train_cell(config, "dungeon_quest", "cadent", 2, knowledge)
+    write_run_csv(tmp_path / "again.csv", "cadent", "dungeon_quest", 2, run)
     assert ((tmp_path / "again.csv").read_bytes()
             == (out / "runs" / "dungeon_quest__cadent__seed2.csv").read_bytes())
 
