@@ -71,17 +71,17 @@ def _env_from_args(args):
 
 def cmd_train_teacher(args):
     env = _env_from_args(args)
-    result = train_teacher(env, params=_params(LearningParams, args),
-                           episodes=args.episodes, seed=args.seed)
-    knowledge = build_knowledge(result, env.dfa, tau=args.tau,
+    run = train_teacher(env, params=_params(LearningParams, args),
+                        episodes=args.episodes, seed=args.seed)
+    knowledge = build_knowledge(run, env, tau=args.tau,
                                 aggregation=args.aggregation)
     save_knowledge(knowledge, args.out)
     if args.qtable_out:
-        save_qtable(result, args.qtable_out)
+        save_qtable(run, env, args.qtable_out)
     print(f"teacher on {env.name}/{env.spec.variant}: "
-          f"{result.n_successes}/{args.episodes} successful episodes, "
-          f"final-{min(100, args.episodes)} mean reward "
-          f"{result.ep_reward[-100:].mean():.3f}")
+          f"{knowledge.provenance['n_successes']}/{args.episodes} successful "
+          f"episodes, final-{min(100, args.episodes)} mean reward "
+          f"{run.ep_reward[-100:].mean():.3f}")
     print(f"knowledge written to {args.out}")
     return 0
 
@@ -102,20 +102,19 @@ def cmd_train_student(args):
               file=sys.stderr)
         return 2
     episodes = args.episodes or DEFAULT_EPISODES[env.name]
-    result = train_student(env, knowledge, config, episodes=episodes,
-                           seed=args.seed)
+    run = train_student(env, knowledge, config, episodes=episodes,
+                        seed=args.seed)
     if args.out:
-        write_run_csv(args.out, variant, env.name, args.seed, result.run)
+        write_run_csv(args.out, variant, env.name, args.seed, run)
         print(f"episode log written to {args.out}")
     if args.qtable_out:
-        save_qtable(result, args.qtable_out)
-    run = result.run
+        save_qtable(run, env, args.qtable_out)
     print(f"{variant} on {env.name}/{env.spec.variant}: "
           f"final-{min(100, episodes)} mean reward "
-          f"{float(result.ep_reward[-100:].mean()):.3f}, "
-          f"accept rate {float(result.ep_accept[-100:].mean()):.2f}")
+          f"{float(run.ep_reward[-100:].mean()):.3f}, "
+          f"accept rate {float(run.ep_accept[-100:].mean()):.2f}")
     print(f"diagnostics: novel_transitions={run.novel_transitions} "
-          f"max|update|={run.max_abs_update:.3f} (bound {result.bound:.3f}) "
+          f"max|update|={run.max_abs_update:.3f} (bound {run.bound:.3f}) "
           f"soft_violations={run.n_soft_violations}")
     return 0
 

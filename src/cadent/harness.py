@@ -284,13 +284,12 @@ def _train_cell(config, env_name, variant, seed, knowledge):
     run's CellRun."""
     env = _env(env_name, "target", config)
     student_cfg = config.base.with_(variant=variant, omega0=config.omega0)
-    result = train_student(env, knowledge, student_cfg,
-                           episodes=config.episodes_for(env_name),
-                           seed=seed, stream=_run_stream(env_name, variant))
-    run = result.run
+    run = train_student(env, knowledge, student_cfg,
+                        episodes=config.episodes_for(env_name),
+                        seed=seed, stream=_run_stream(env_name, variant))
     return CellRun(run.ep_reward, run.ep_steps, run.ep_accept,
                    run.novel_transitions, run.max_abs_update,
-                   run.n_soft_violations, result.bound)
+                   run.n_soft_violations, run.bound)
 
 
 class CellError(RuntimeError):
@@ -364,11 +363,11 @@ def run_experiment(config, out_dir, parallel=None, progress=None):
                     continue
                 say(f"teacher: {env_name}")
                 env = _env(env_name, "source", config)
-                result = train_teacher(env, params=config.base.learn,
-                                       episodes=config.teacher_episodes,
-                                       seed=config.teacher_seed,
-                                       stream=ENV_NAMES.index(env_name))
-                knowledge = build_knowledge(result, env.dfa,
+                run = train_teacher(env, params=config.base.learn,
+                                    episodes=config.teacher_episodes,
+                                    seed=config.teacher_seed,
+                                    stream=ENV_NAMES.index(env_name))
+                knowledge = build_knowledge(run, env,
                                             tau=config.base.learn.tau,
                                             aggregation=config.aggregation)
                 save_knowledge(knowledge, os.path.join(

@@ -274,11 +274,13 @@ def train_run(next_row, reward, stop, dead, q_of, accepting,
 class RunResult:
     """One training job's outputs: the (n_rows, A) tables of Q, volatility
     and visit counts over the product rows, `rows` (each row's old index
-    s*n_q + q, ascending), the episode arrays and the update
-    diagnostics."""
+    s*n_q + q, ascending), the episode arrays, the update diagnostics, and
+    the `seed` and update `bound` the run was given. The teacher's and the
+    student's training both return it."""
 
     def __init__(self, q, vol, counts, ep_reward, ep_steps, ep_accept,
-                 soft_steps, novel, max_abs_update, n_soft, rows, n_q):
+                 soft_steps, novel, max_abs_update, n_soft, rows, n_q, seed,
+                 bound):
         self.q = q
         self.vol = vol
         self.counts = counts
@@ -292,6 +294,8 @@ class RunResult:
                                                     len(soft_steps))]
         self.rows = rows
         self.n_q = n_q
+        self.seed = seed
+        self.bound = bound
 
 
 def run_training(tables, cdfa, dense, learn, *, episodes, max_steps, seed,
@@ -348,7 +352,7 @@ def run_training(tables, cdfa, dense, learn, *, episodes, max_steps, seed,
         bool(use_guidance), int(max_steps), float(bound))
     return RunResult(q, vol, counts, ep_reward, ep_steps, ep_accept,
                      soft_steps, novel, max_abs_update, n_soft, product.rows,
-                     n_q)
+                     n_q, seed, bound)
 
 
 def greedy_rollout(tables, cdfa, q, max_steps):

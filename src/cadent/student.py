@@ -9,7 +9,8 @@ without experience and volatile regions lean on the teacher, settled
 regions on the student's own signal. The update's formulas have one
 implementation, in `kernels`, which runs them; `trust_gate`,
 `volatility_update`, `tactical_applies` and `fused_update` are those
-functions, re-exported here as the public API.
+functions, re-exported here as the public API. `train_student` returns the
+kernel's `RunResult`, which records the run's seed and update bound.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import numpy as np
 
 from .envs.tables import compile_env
 from .files import Config
-from .kernels import (RunResult, fused_update, run_training,
-                      tactical_applies, trust_gate, volatility_update)
+from .kernels import (fused_update, run_training, tactical_applies,
+                      trust_gate, volatility_update)
 from .tabular import LearningParams
-from .teacher import TrainedRun, dense_knowledge
+from .teacher import dense_knowledge
 
 # name -> (gated, strategic, tactical, pinned). gated: the trust gate sets
 # omega from the pair's volatility, otherwise omega is fixed. strategic,
@@ -124,18 +125,6 @@ def update_bound(gamma, r_max, lambda_ad, q_ad_max, lambda_pd):
     return r_max / (1.0 - gamma) + lambda_ad * q_ad_max + 2.0 * lambda_pd
 
 
-@dataclass
-class StudentResult(TrainedRun):
-    """Everything a finished training run exposes."""
-
-    run: RunResult
-    env: object
-    bound: float
-    config: StudentConfig
-    episodes: int
-    seed: int
-
-
 def train_student(env, knowledge, config, episodes, seed, stream=0):
     """Train one student on `env` under the given variant configuration.
 
@@ -145,8 +134,8 @@ def train_student(env, knowledge, config, episodes, seed, stream=0):
     `config.omega0`. `knowledge` may (and must) be None only for the
     no_transfer variant. Compatibility between the knowledge and the
     environment's automaton and action set is checked before any step runs.
-    Update magnitudes are monitored against the analytic bound; non-finite
-    updates raise.
+    Update magnitudes are monitored against the analytic bound, which the
+    returned RunResult records as `bound`; non-finite updates raise.
     """
     if episodes <= 0:
         raise ValueError("episodes must be positive")
@@ -174,11 +163,9 @@ def train_student(env, knowledge, config, episodes, seed, stream=0):
     r_max = float(np.abs(tables.reward).max())
     bound = update_bound(config.learn.gamma, r_max, guide.lambda_ad, q_ad_max,
                          guide.lambda_pd)
-    res = run_training(
+    return run_training(
         tables, cdfa, dense, config.learn, episodes=episodes,
         max_steps=env.max_steps, seed=seed, stream=stream,
         trust=config.trust, guide=guide, use_gate=gated,
         omega_fixed=config.omega0 if pinned is None else pinned,
         use_guidance=guided, bound=bound)
-    return StudentResult(run=res, env=env, bound=bound, config=config,
-                         episodes=episodes, seed=seed)

@@ -1,7 +1,9 @@
 """Teacher training and knowledge distillation.
 
-A teacher is a plain Q-learner on the source task. Its converged table is
-compressed into two artifacts consumed during transfer:
+A teacher is a plain Q-learner on the source task: `train_teacher` returns
+the kernel's `RunResult`. The distillations take that run and its env, read
+the automaton from `env.dfa`, and compress the converged table into two
+artifacts consumed during transfer:
 
 * automaton edge values: for each observed automaton transition (q, q'),
   the mean of the teacher's Q over the distinct state-action pairs that
@@ -24,7 +26,7 @@ import numpy as np
 from .automaton import ProductState, accepting_path_edges
 from .envs.tables import compile_env
 from .files import is_integer, is_number, json_text, read_json, write_atomic
-from .kernels import RunResult, run_training, sum_in_order
+from .kernels import run_training, sum_in_order
 from .tabular import LearningParams, softmax_policy
 
 KNOWLEDGE_FORMAT = "cadent-knowledge"
@@ -48,12 +50,11 @@ def _key_to_json(state):
                     f"and tuples")
 
 
-def save_qtable(result, path):
-    """Write the Q of a teacher or student result as a `--qtable-out` file:
-    one ProductState-keyed entry per updated pair, in np.argwhere order
-    (rows ascend in s*n_q + q, then actions). A non-finite value refuses
-    to write."""
-    run, env = result.run, result.env
+def save_qtable(run, env, path):
+    """Write the Q of a teacher's or student's run on `env` as a
+    `--qtable-out` file: one ProductState-keyed entry per updated pair, in
+    np.argwhere order (rows ascend in s*n_q + q, then actions). A
+    non-finite value refuses to write."""
     tables = compile_env(env)
     row, a = np.nonzero(run.counts)
     s, q = np.divmod(run.rows[row], run.n_q)
@@ -71,30 +72,6 @@ def save_qtable(result, path):
         "entries": entries,
     }
     write_atomic(path, json.dumps(payload, allow_nan=False) + "\n")
-
-
-class TrainedRun:
-    """A training job's kernel output `run` (a RunResult) on env `env`.
-
-    Results stay as the kernel's arrays over product rows, Q included:
-    `run.q[i]` is the row of the pair whose index `s * n_q + q` is
-    `run.rows[i]`.
-    """
-
-    ep_reward = property(lambda self: self.run.ep_reward)
-    ep_steps = property(lambda self: self.run.ep_steps)
-    ep_accept = property(lambda self: self.run.ep_accept)
-
-
-@dataclass
-class TeacherResult(TrainedRun):
-    """Raw outcome of source-task training, before distillation."""
-
-    run: RunResult
-    env: object
-    n_successes: int
-    episodes: int
-    seed: int
 
 
 @dataclass
@@ -120,35 +97,32 @@ def train_teacher(env, params=None, episodes=5000, seed=7, stream=0):
     """Q-learning on `env` until the episode budget is spent.
 
     Raises TeacherError if not a single episode reached acceptance: such a
-    run has nothing worth distilling. Returns a TeacherResult holding the
-    kernel's RunResult, whose row arrays distillation reads as they are.
+    run has nothing worth distilling. Returns the kernel's RunResult, whose
+    row arrays distillation reads as they are.
     """
     params = params or LearningParams()
-    if episodes <= 0:
-        raise ValueError("episodes must be positive")
     res = run_training(
         compile_env(env), env.dfa.compiled(), None, params,
         episodes=episodes, max_steps=env.max_steps, seed=seed, stream=stream)
-    n_successes = int(res.ep_accept.sum())
-    if n_successes == 0:
+    if not res.ep_accept.any():
         raise TeacherError(
             f"teacher never reached acceptance on {env.name} in "
             f"{episodes} episodes; refusing to distill")
-    return TeacherResult(run=res, env=env, n_successes=n_successes,
-                         episodes=episodes, seed=seed)
+    return res
 
 
-def distill_automaton_values(result, dfa):
-    """Mean final Q over the distinct triggers of each automaton edge.
+def distill_automaton_values(run, env):
+    """Mean final Q over the distinct triggers of each automaton edge of
+    `env.dfa`, from a teacher's `run` on `env`.
 
-    A trigger is an updated (state, action) pair whose event moves `dfa`
-    to another state. Each mean is a left-to-right sum over the triggers
-    in sorted state order, then action order. Every edge on some accepting
-    path must have a trigger; a partial teacher is rejected with the
-    uncovered edges listed.
+    A trigger is an updated (state, action) pair whose event moves the
+    automaton to another state. Each mean is a left-to-right sum over the
+    triggers in sorted state order, then action order. Every edge on some
+    accepting path must have a trigger; a partial teacher is rejected with
+    the uncovered edges listed.
     """
-    run = result.run
-    tables = compile_env(result.env)
+    dfa = env.dfa
+    tables = compile_env(env)
     row, a = np.nonzero(run.counts)
     s, q = np.divmod(run.rows[row], run.n_q)
     q2 = dfa.compiled().delta[q, tables.event[s, a]]
@@ -168,9 +142,9 @@ def distill_automaton_values(result, dfa):
             sorted(by_edge.items())}
 
 
-def distill_teacher_policy(result, dfa, tau,
-                           aggregation="visitation_weighted"):
-    """Abstract per-automaton-state policy from the teacher's Q rows.
+def distill_teacher_policy(run, env, tau, aggregation="visitation_weighted"):
+    """Abstract policy per state of `env.dfa` from the Q rows of a
+    teacher's `run` on `env`.
 
     The rows of all environment states visited under automaton state q are
     averaged (weighted by state visitation by default), added one by one in
@@ -182,8 +156,8 @@ def distill_teacher_policy(result, dfa, tau,
         raise ValueError(f"aggregation must be one of {AGGREGATION_MODES}")
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    run = result.run
-    rank = compile_env(result.env).rank
+    dfa = env.dfa
+    rank = compile_env(env).rank
     visits = run.counts.sum(axis=1)
     rows = np.flatnonzero(visits)
     rows = rows[np.argsort(rank[run.rows[rows] // run.n_q], kind="stable")]
@@ -206,22 +180,22 @@ def distill_teacher_policy(result, dfa, tau,
     return pi
 
 
-def build_knowledge(result, dfa, tau, aggregation="visitation_weighted"):
-    """Run both distillations and bundle them with provenance."""
-    q_ad = distill_automaton_values(result, dfa)
-    pi = distill_teacher_policy(result, dfa, tau, aggregation)
-    env = result.env
+def build_knowledge(run, env, tau, aggregation="visitation_weighted"):
+    """Run both distillations of a teacher's `run` on `env` and bundle them
+    with provenance."""
+    q_ad = distill_automaton_values(run, env)
+    pi = distill_teacher_policy(run, env, tau, aggregation)
     provenance = {
         "env": env.name,
         "variant": env.spec.variant,
         "layout_seed": env.spec.layout_seed,
-        "episodes": result.episodes,
-        "seed": result.seed,
-        "n_successes": result.n_successes,
+        "episodes": len(run.ep_reward),
+        "seed": run.seed,
+        "n_successes": int(run.ep_accept.sum()),
     }
     return TeacherKnowledge(
-        q_ad=q_ad, pi=pi, tau=tau, n_actions=result.run.q.shape[1],
-        alphabet=tuple(dfa.alphabet), aggregation=aggregation,
+        q_ad=q_ad, pi=pi, tau=tau, n_actions=run.q.shape[1],
+        alphabet=tuple(env.dfa.alphabet), aggregation=aggregation,
         provenance=provenance)
 
 

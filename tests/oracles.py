@@ -363,18 +363,20 @@ def reference_teacher_policy(qtable, visits, dfa, tau, n_actions,
     return pi
 
 
-def reference_knowledge(result, dfa, tau, aggregation="visitation_weighted"):
-    """(q_ad, pi) of a teacher result through the sparse reference."""
-    ref = sparse_results(result.env, result.run)
-    q_ad = reference_automaton_values(ref.qtable, dfa, ref.transition_log)
-    pi = reference_teacher_policy(ref.qtable, ref.visits, dfa, tau,
-                                  result.run.q.shape[1], aggregation)
+def reference_knowledge(run, env, tau, aggregation="visitation_weighted"):
+    """(q_ad, pi) of a teacher's run on `env` through the sparse
+    reference."""
+    ref = sparse_results(env, run)
+    q_ad = reference_automaton_values(ref.qtable, env.dfa,
+                                      ref.transition_log)
+    pi = reference_teacher_policy(ref.qtable, ref.visits, env.dfa, tau,
+                                  run.q.shape[1], aggregation)
     return q_ad, pi
 
 
 def toy_teacher(dfa, qtable, n_actions, log=(), visits=None):
-    """A teacher result whose run and env tables encode sparse inputs; its
-    run has a row for every (env state, automaton state) pair.
+    """A teacher's (run, env) whose arrays and env tables encode sparse
+    inputs; the run has a row for every (env state, automaton state) pair.
 
     `qtable` ({(ProductState, action): value}) gives Q over `n_actions`
     actions, `visits` ({(ProductState, action): count}) the visit
@@ -419,8 +421,7 @@ def toy_teacher(dfa, qtable, n_actions, log=(), visits=None):
                        terminal=none, dead=none, start=0,
                        n_actions=n_actions)
     run = SimpleNamespace(q=q, counts=n, rows=np.arange(len(q)), n_q=n_q)
-    return SimpleNamespace(run=run,
-                           env=SimpleNamespace(_tables=tables, dfa=dfa))
+    return run, SimpleNamespace(_tables=tables, dfa=dfa)
 
 
 # ---------------------------------------------------------------------------

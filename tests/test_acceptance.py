@@ -226,7 +226,7 @@ def test_criterion_1_worked_examples(env_cache, tmp_path):
     log = {((ProductState("s0", "q0"), 1), ("q0", "q1")),
            ((ProductState("t0", "q1"), 0), ("q1", "acc")),
            ((ProductState("t1", "q1"), 0), ("q1", "acc"))}
-    q_ad = distill_automaton_values(toy_teacher(chain, dt, 2, log), chain)
+    q_ad = distill_automaton_values(*toy_teacher(chain, dt, 2, log))
     assert q_ad[("q0", "q1")] == 3.0
     assert q_ad[("q1", "acc")] == (2.0 + 4.0) / 2.0
 
@@ -252,7 +252,7 @@ def test_criterion_1_worked_examples(env_cache, tmp_path):
                 if q2 != qi:
                     full_log.add(((key, a), (names[qi], names[q2])))
     vi_ad = distill_automaton_values(
-        toy_teacher(source.dfa, full, tables.n_actions, full_log), source.dfa)
+        *toy_teacher(source.dfa, full, tables.n_actions, full_log))
     chain_syms, chain_states = _chain_path(source.dfa)
     chain_edges = list(zip(chain_states, chain_states[1:]))
     chain_vals = [vi_ad[e] for e in chain_edges]
@@ -266,12 +266,12 @@ def test_criterion_1_worked_examples(env_cache, tmp_path):
     # matches the visitation-weighted majority greedy action
     run_a = train_teacher(source, episodes=1200, seed=7)
     run_b = train_teacher(source, episodes=1200, seed=7)
-    assert np.array_equal(run_a.run.q, run_b.run.q)
-    assert np.array_equal(run_a.run.counts, run_b.run.counts)
+    assert np.array_equal(run_a.q, run_b.q)
+    assert np.array_equal(run_a.counts, run_b.counts)
     assert np.array_equal(run_a.ep_reward, run_b.ep_reward)
-    know = build_knowledge(run_a, source.dfa, tau=2.0)
+    know = build_knowledge(run_a, source, tau=2.0)
     state_weight = defaultdict(float)
-    ref = sparse_results(source, run_a.run)
+    ref = sparse_results(source, run_a)
     for (key, _a), n in ref.visits.items():
         state_weight[key] += n
     vote = defaultdict(float)
@@ -496,14 +496,14 @@ def test_criterion_2_property_groups():
             key = (ProductState(f"t{i}", "q1"), int(rng.integers(2)))
             entries.append((key, float(rng.uniform(-5.0, 5.0))))
             log.append((key, ("q1", "acc")))
-        fwd = distill_automaton_values(toy_teacher(
-            chain, dict(entries), 2, set(log)), chain)
-        rev = distill_automaton_values(toy_teacher(
-            chain, dict(reversed(entries)), 2, set(reversed(log))), chain)
+        fwd = distill_automaton_values(*toy_teacher(
+            chain, dict(entries), 2, set(log)))
+        rev = distill_automaton_values(*toy_teacher(
+            chain, dict(reversed(entries)), 2, set(reversed(log))))
         assert fwd == rev
         c = float(rng.uniform(0.1, 10.0))
-        scaled = distill_automaton_values(toy_teacher(
-            chain, {k: c * v for k, v in entries}, 2, set(log)), chain)
+        scaled = distill_automaton_values(*toy_teacher(
+            chain, {k: c * v for k, v in entries}, 2, set(log)))
         for edge, val in fwd.items():
             assert scaled[edge] == pytest.approx(c * val, rel=1e-9, abs=1e-12)
 
@@ -519,11 +519,10 @@ def test_criterion_3_update_bound_instrumentation(env_cache, source_teacher):
     source = env_cache("dungeon_quest", "source")
     target = env_cache("dungeon_quest", "target")
     teacher = source_teacher("dungeon_quest")
-    knowledge = build_knowledge(teacher, source.dfa, tau=2.0)
-    result = train_student(target, knowledge, resolve_preset("cadent"),
-                           episodes=500, seed=1, stream=0)
-    run = result.run
-    assert run.max_abs_update <= result.bound + 1e-12
+    knowledge = build_knowledge(teacher, source, tau=2.0)
+    run = train_student(target, knowledge, resolve_preset("cadent"),
+                        episodes=500, seed=1, stream=0)
+    assert run.max_abs_update <= run.bound + 1e-12
     assert run.n_soft_violations == 0, (
         f"{run.n_soft_violations} soft bound violations at steps "
         f"{run.soft_violation_steps[:20].tolist()}")
@@ -542,7 +541,7 @@ def test_criterion_4_teacher_competence(env_cache, source_teacher):
         teacher = source_teacher(name)
         tables = compile_env(env)
         cdfa = env.dfa.compiled()
-        accepted, steps, _total = greedy_rollout(tables, cdfa, teacher.run.q,
+        accepted, steps, _total = greedy_rollout(tables, cdfa, teacher.q,
                                                  env.max_steps)
         yardstick = len(golden_actions(env))
         print(f"{name}: greedy {steps} steps vs scripted {yardstick} "
@@ -658,7 +657,7 @@ def test_criterion_7_reference_parity(env_cache):
                            episodes=100, seed=5, stream=0)
     ref_q, ref_reward, ref_steps, ref_accept = reference_q_learning(
         env, episodes=100, seed=5, stream=0)
-    assert sparse_results(env, result.run).qtable == ref_q
+    assert sparse_results(env, result).qtable == ref_q
     assert np.array_equal(result.ep_reward, ref_reward)
     assert np.array_equal(result.ep_steps, ref_steps)
     assert np.array_equal(result.ep_accept, ref_accept)

@@ -203,6 +203,19 @@ def test_train_teacher_rejects_student_flags(flag, tmp_path, capsys):
     assert not (tmp_path / "knowledge.json").exists()
 
 
+def test_train_teacher_labels_the_final_window_with_its_size(tmp_path,
+                                                             capsys):
+    # a 20-episode teacher: the window is all of the run, and the success
+    # count printed is the one the knowledge file records
+    know = tmp_path / "knowledge.json"
+    assert main(["train-teacher", "--env", "dungeon", "--episodes", "20",
+                 "--seed", "1", "--out", str(know)]) == 0
+    out = capsys.readouterr().out
+    assert "final-20 mean reward" in out and "final-100" not in out
+    n_successes = load_knowledge(know).provenance["n_successes"]
+    assert f" {n_successes}/20 successful episodes" in out
+
+
 def test_train_student_no_transfer(tmp_path, capsys):
     csv = tmp_path / "run.csv"
     code = main(["train-student", "--env", "dungeon", "--variant", "none",
@@ -253,17 +266,16 @@ def test_qtable_out_matches_sparse_reference(knowledge_file, tmp_path):
     # dense np.argwhere order, for a teacher and for a guided student
     know, teacher_qt = knowledge_file
     source = make_env(default_spec("dungeon_quest", "source"))
-    result = train_teacher(source, episodes=800, seed=7)
-    assert _saved_entries(teacher_qt) == _reference_entries(source,
-                                                            result.run)
+    run = train_teacher(source, episodes=800, seed=7)
+    assert _saved_entries(teacher_qt) == _reference_entries(source, run)
     qt = tmp_path / "student.json"
     assert main(["train-student", "--env", "dungeon", "--episodes", "30",
                  "--seed", "2", "--knowledge", str(know),
                  "--qtable-out", str(qt)]) == 0
     target = make_env(default_spec("dungeon_quest", "target"))
-    result = train_student(target, load_knowledge(know), StudentConfig(),
-                           episodes=30, seed=2)
-    assert _saved_entries(qt) == _reference_entries(target, result.run)
+    run = train_student(target, load_knowledge(know), StudentConfig(),
+                        episodes=30, seed=2)
+    assert _saved_entries(qt) == _reference_entries(target, run)
 
 
 def test_knowledge_misuse_exit_codes(knowledge_file, tmp_path, capsys):

@@ -7,7 +7,8 @@ the update diagnostics, and the sparse tables that
 `oracles.sparse_results` rebuilds from them. The "teacher" cell hashes the
 source-task run whose knowledge the variants use. `QTABLE_OUT_PINNED`
 holds the sha256 of the files `--qtable-out` writes for a short teacher and
-a guided student that uses its knowledge.
+a guided student that uses its knowledge, and `KNOWLEDGE_PINNED` that of
+the teacher's knowledge file, provenance included.
 A refactor of the kernel or of a formula that flips a single bit fails here
 and names the cell it changed. A deliberate change
 of behaviour records the table again: `PYTHONPATH=src python
@@ -102,6 +103,9 @@ QTABLE_OUT_PINNED = {
         'ba7faf13771b42f5bb2bb2dc6dc193eff5be50c5b28f6283d2e2934d26e945ef',
 }
 
+KNOWLEDGE_PINNED = (
+    '62887defbe724cb9445a22eec3450f866eb0dabbcb5146c59f4ffda62fcc7e93')
+
 
 def _digest(parts):
     h = hashlib.sha256()
@@ -142,11 +146,10 @@ def _captured(module):
 def _teacher_cell(name):
     env = make_env(default_spec(name, "source"))
     with _captured(teacher) as seen:
-        result = teacher.train_teacher(env, episodes=TEACHER_EPISODES,
-                                       seed=SEED,
-                                       stream=ENV_NAMES.index(name))
-    knowledge = teacher.build_knowledge(result, env.dfa, tau=2.0)
-    ref = sparse_results(env, result.run)
+        run = teacher.train_teacher(env, episodes=TEACHER_EPISODES,
+                                    seed=SEED, stream=ENV_NAMES.index(name))
+    knowledge = teacher.build_knowledge(run, env, tau=2.0)
+    ref = sparse_results(env, run)
     digest = _digest(_kernel_parts(seen[0], env, 0.0) + (
         sorted(ref.qtable.items()), sorted(ref.visits.items()),
         sorted(ref.transition_log)))
@@ -158,17 +161,16 @@ def _student_cell(name, variant, knowledge):
     config = resolve_preset(variant, (student.StudentConfig(omega0=0.25)
                                       if variant == "fixed_trust" else None))
     with _captured(student) as seen:
-        result = student.train_student(
+        run = student.train_student(
             env, knowledge if variant != "no_transfer" else None, config,
             episodes=STUDENT_EPISODES, seed=SEED,
             stream=_run_stream(name, variant))
-    run = result.run
     ref = sparse_results(env, run, gated=student.VARIANTS[config.variant][0])
     return _digest(_kernel_parts(seen[0], env, config.trust.v_init) + (
         sorted(ref.qtable.items()), sorted(ref.volatility.items()),
         run.novel_transitions, float(run.max_abs_update),
         run.n_soft_violations, run.soft_violation_steps.tolist(),
-        result.bound))
+        run.bound))
 
 
 def _cells():
@@ -188,10 +190,11 @@ def teacher_cells():
     return get
 
 
-def _qtable_out_digests(out_dir):
+def _cli_digests(out_dir):
     """sha256 of the --qtable-out files of a dungeon_quest teacher (300
     episodes, seed 7) and of a cadent student on its knowledge (20
-    episodes, seed 1), both trained through the CLI."""
+    episodes, seed 1), both trained through the CLI, and of the teacher's
+    knowledge file."""
     know = str(out_dir / "knowledge.json")
     runs = {
         "teacher": ["train-teacher", "--env", "dungeon", "--episodes", "300",
@@ -206,7 +209,14 @@ def _qtable_out_digests(out_dir):
         with redirect_stdout(StringIO()):
             assert main(argv + ["--qtable-out", str(path)]) == 0
         digests[role] = hashlib.sha256(path.read_bytes()).hexdigest()
+    digests["knowledge"] = hashlib.sha256(
+        (out_dir / "knowledge.json").read_bytes()).hexdigest()
     return digests
+
+
+@pytest.fixture(scope="module")
+def cli_digests(tmp_path_factory):
+    return _cli_digests(tmp_path_factory.mktemp("cli"))
 
 
 @pytest.mark.parametrize("name,variant", _cells())
@@ -218,8 +228,13 @@ def test_run_outputs_match_pinned_digest(teacher_cells, name, variant):
         f"outputs of ({name}, {variant}) changed")
 
 
-def test_qtable_out_files_match_pinned_digest(tmp_path):
-    assert _qtable_out_digests(tmp_path) == QTABLE_OUT_PINNED
+def test_qtable_out_files_match_pinned_digest(cli_digests):
+    assert {role: cli_digests[role] for role in QTABLE_OUT_PINNED} == (
+        QTABLE_OUT_PINNED)
+
+
+def test_knowledge_file_matches_pinned_digest(cli_digests):
+    assert cli_digests["knowledge"] == KNOWLEDGE_PINNED
 
 
 if __name__ == "__main__":
@@ -232,5 +247,5 @@ if __name__ == "__main__":
             digest = _student_cell(name, variant, teachers[name][1])
         print(f"    ({name!r}, {variant!r}):\n        {digest!r},")
     with tempfile.TemporaryDirectory() as out_dir:
-        for role, digest in _qtable_out_digests(Path(out_dir)).items():
+        for role, digest in _cli_digests(Path(out_dir)).items():
             print(f"    {role!r}:\n        {digest!r},")

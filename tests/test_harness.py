@@ -291,7 +291,7 @@ def test_curve_csv_format(tmp_path):
 def _save_toy_qtable(path, value):
     dfa = bundled_dfa("dungeon_quest")
     key = (ProductState(0, dfa.start), 1)
-    save_qtable(toy_teacher(dfa, {key: value}, 2, visits={key: 1}), path)
+    save_qtable(*toy_teacher(dfa, {key: value}, 2, visits={key: 1}), path)
 
 
 # each writer writes version i (0 or 1) of its file to a path
@@ -752,7 +752,7 @@ def test_guided_cell_matches_a_run_from_the_saved_knowledge(tmp_path,
 def test_grid_never_decodes_a_sparse_table(tmp_path, monkeypatch):
     # results stay dense from the kernel to the knowledge file and the run
     # CSVs; only --qtable-out writes a sparse table
-    def refuse(result, path):
+    def refuse(run, env, path):
         raise AssertionError("the grid wrote a sparse table")
 
     monkeypatch.setattr(teacher, "save_qtable", refuse)

@@ -302,8 +302,8 @@ _CHAIN = make_dfa(("q0", "acc"), ("a",), "q0", {"acc"},
 
 def _save_toy_qtable(path, table):
     """save_qtable of a run that updated each pair of `table` once."""
-    save_qtable(toy_teacher(_CHAIN, table, 3, visits=dict.fromkeys(table, 1)),
-                path)
+    save_qtable(*toy_teacher(_CHAIN, table, 3,
+                             visits=dict.fromkeys(table, 1)), path)
 
 
 def test_qtable_save_load_round_trip(tmp_path):

@@ -1,10 +1,9 @@
 """Teacher training and the two distillation routines."""
 
-import dataclasses
+import copy
 import itertools
 import json
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,7 +40,7 @@ def test_distill_single_trigger():
     key = _k((0, 0), "q0")
     qt = {(key, 1): 3.0}
     log = {((key, 1), ("q0", "q1")), ((_k((1, 1), "q1"), 0), ("q1", "acc"))}
-    out = distill_automaton_values(toy_teacher(CHAIN, qt, 2, log), CHAIN)
+    out = distill_automaton_values(*toy_teacher(CHAIN, qt, 2, log))
     assert out[("q0", "q1")] == 3.0
     assert out[("q1", "acc")] == 0.0
 
@@ -51,7 +50,7 @@ def test_distill_means_distinct_triggers():
     qt = {(k1, 0): 2.0, (k2, 1): 4.0}
     log = {((k1, 0), ("q0", "q1")), ((k2, 1), ("q0", "q1")),
            ((_k((1, 1), "q1"), 0), ("q1", "acc"))}
-    out = distill_automaton_values(toy_teacher(CHAIN, qt, 2, log), CHAIN)
+    out = distill_automaton_values(*toy_teacher(CHAIN, qt, 2, log))
     assert out[("q0", "q1")] == pytest.approx(3.0, abs=1e-12)
 
 
@@ -60,7 +59,7 @@ def test_distill_rejects_uncovered_edge():
     qt = {(key, 1): 3.0}
     log = {((key, 1), ("q0", "q1"))}
     with pytest.raises(TeacherError, match="q1"):
-        distill_automaton_values(toy_teacher(CHAIN, qt, 2, log), CHAIN)
+        distill_automaton_values(*toy_teacher(CHAIN, qt, 2, log))
 
 
 def test_distill_means_add_left_to_right():
@@ -70,7 +69,7 @@ def test_distill_means_add_left_to_right():
     qt = {(k, 0): v for k, v in zip(keys, (1e16, 1.0, -1e16))}
     log = {((k, 0), ("q0", "q1")) for k in keys}
     log.add(((_k((9, 9), "q1"), 0), ("q1", "acc")))
-    out = distill_automaton_values(toy_teacher(CHAIN, qt, 2, log), CHAIN)
+    out = distill_automaton_values(*toy_teacher(CHAIN, qt, 2, log))
     assert out[("q0", "q1")] == 0.0
     assert reference_automaton_values(qt, CHAIN, log)[("q0", "q1")] == 0.0
 
@@ -81,20 +80,17 @@ def test_distill_order_invariant():
     tail = ((_k((9, 9), "q1"), 0), ("q1", "acc"))
     log_fwd = set([(ka, ("q0", "q1")) for ka in keys] + [tail])
     log_rev = set([(ka, ("q0", "q1")) for ka in reversed(keys)] + [tail])
-    assert (distill_automaton_values(toy_teacher(CHAIN, qt, 2, log_fwd),
-                                     CHAIN)
-            == distill_automaton_values(toy_teacher(CHAIN, qt, 2, log_rev),
-                                        CHAIN))
+    assert (distill_automaton_values(*toy_teacher(CHAIN, qt, 2, log_fwd))
+            == distill_automaton_values(*toy_teacher(CHAIN, qt, 2, log_rev)))
 
 
 def test_distill_positive_scaling_equivariance():
     k1, k2 = _k((0, 0), "q0"), _k((1, 1), "q1")
     base = {(k1, 0): 2.5, (k2, 1): -1.5}
     log = {((k1, 0), ("q0", "q1")), ((k2, 1), ("q1", "acc"))}
-    plain = distill_automaton_values(toy_teacher(CHAIN, base, 2, log),
-                                     CHAIN)
-    scaled = distill_automaton_values(toy_teacher(
-        CHAIN, {ka: 3.0 * v for ka, v in base.items()}, 2, log), CHAIN)
+    plain = distill_automaton_values(*toy_teacher(CHAIN, base, 2, log))
+    scaled = distill_automaton_values(*toy_teacher(
+        CHAIN, {ka: 3.0 * v for ka, v in base.items()}, 2, log))
     for edge, v in plain.items():
         assert scaled[edge] == pytest.approx(3.0 * v, abs=1e-12)
 
@@ -107,7 +103,7 @@ def test_policy_single_state_is_softmax_of_row():
     key, tail = _k((0, 0), "q0"), _k((1, 1), "q1")
     qt = {(key, 0): 1.0, (key, 1): 0.0, (tail, 1): 2.0}
     vis = {(key, 0): 4, (key, 1): 2, (tail, 1): 1}
-    pi = distill_teacher_policy(toy_teacher(CHAIN, qt, 2, visits=vis), CHAIN,
+    pi = distill_teacher_policy(*toy_teacher(CHAIN, qt, 2, visits=vis),
                                 tau=1.0)
     assert np.allclose(pi["q0"], naive_softmax([1.0, 0.0], 1.0), atol=1e-12)
     assert np.allclose(pi["q1"], naive_softmax([0.0, 2.0], 1.0), atol=1e-12)
@@ -117,11 +113,11 @@ def test_policy_visitation_weighting():
     k1, k2, tail = _k((0, 0), "q0"), _k((1, 1), "q0"), _k((2, 2), "q1")
     qt = {(k1, 0): 1.0, (k2, 1): 1.0}
     vis = {(k1, 0): 3, (k2, 0): 1, (tail, 0): 1}
-    pi = distill_teacher_policy(toy_teacher(CHAIN, qt, 2, visits=vis), CHAIN,
+    pi = distill_teacher_policy(*toy_teacher(CHAIN, qt, 2, visits=vis),
                                 tau=1.0)
     # weighted mean row is (0.75, 0.25)
     assert np.allclose(pi["q0"], naive_softmax([0.75, 0.25], 1.0), atol=1e-12)
-    flat = distill_teacher_policy(toy_teacher(CHAIN, qt, 2, visits=vis), CHAIN,
+    flat = distill_teacher_policy(*toy_teacher(CHAIN, qt, 2, visits=vis),
                                   tau=1.0, aggregation="unweighted")
     assert np.allclose(flat["q0"], naive_softmax([0.5, 0.5], 1.0), atol=1e-12)
 
@@ -130,7 +126,7 @@ def test_policy_rows_only_for_visited_states():
     key = _k((0, 0), "q0")
     qt = {(key, 0): 1.0}
     vis = {(key, 0): 1, (_k((2, 2), "q1"), 1): 2}
-    pi = distill_teacher_policy(toy_teacher(CHAIN, qt, 2, visits=vis), CHAIN,
+    pi = distill_teacher_policy(*toy_teacher(CHAIN, qt, 2, visits=vis),
                                 tau=2.0)
     assert set(pi) == {"q0", "q1"}
 
@@ -140,7 +136,7 @@ def test_policy_requires_accepting_path_heads():
     qt = {(key, 0): 1.0}
     with pytest.raises(TeacherError, match="q1"):
         distill_teacher_policy(
-            toy_teacher(CHAIN, qt, 2, visits={(key, 0): 1}), CHAIN, tau=1.0)
+            *toy_teacher(CHAIN, qt, 2, visits={(key, 0): 1}), tau=1.0)
 
 
 def test_policy_validation_errors():
@@ -148,9 +144,9 @@ def test_policy_validation_errors():
     qt = {(key, 0): 1.0}
     toy = toy_teacher(CHAIN, qt, 2, visits={(key, 0): 1})
     with pytest.raises(ValueError):
-        distill_teacher_policy(toy, CHAIN, tau=0.0)
+        distill_teacher_policy(*toy, tau=0.0)
     with pytest.raises(ValueError):
-        distill_teacher_policy(toy, CHAIN, tau=1.0, aggregation="mode")
+        distill_teacher_policy(*toy, tau=1.0, aggregation="mode")
 
 
 # ---------------------------------------------------------------------------
@@ -164,24 +160,24 @@ def dungeon_teacher(dungeon_source):
 
 @pytest.fixture(scope="module")
 def dungeon_knowledge(dungeon_teacher, dungeon_source):
-    return build_knowledge(dungeon_teacher, dungeon_source.dfa, tau=2.0)
+    return build_knowledge(dungeon_teacher, dungeon_source, tau=2.0)
 
 
-def test_teacher_reaches_acceptance(dungeon_teacher):
+def test_teacher_reaches_acceptance(dungeon_teacher, dungeon_source):
     res = dungeon_teacher
-    assert res.n_successes > 0
+    assert res.ep_accept.any()
     assert res.ep_reward.shape == (1200,)
     assert res.ep_steps.shape == (1200,)
-    assert res.run.counts.any()
-    assert sparse_results(res.env, res.run).transition_log
+    assert res.counts.any()
+    assert sparse_results(dungeon_source, res).transition_log
 
 
 def test_teacher_is_deterministic(dungeon_source, dungeon_teacher):
     again = train_teacher(dungeon_source, episodes=1200, seed=7)
-    assert np.array_equal(again.run.q, dungeon_teacher.run.q)
-    assert np.array_equal(again.run.counts, dungeon_teacher.run.counts)
+    assert np.array_equal(again.q, dungeon_teacher.q)
+    assert np.array_equal(again.counts, dungeon_teacher.counts)
     assert np.array_equal(again.ep_reward, dungeon_teacher.ep_reward)
-    assert again.n_successes == dungeon_teacher.n_successes
+    assert np.array_equal(again.ep_accept, dungeon_teacher.ep_accept)
 
 
 def test_teacher_validation_errors(dungeon_source):
@@ -375,9 +371,9 @@ def test_dense_knowledge_rejects_unknown_state(dungeon_source):
 
 def test_build_knowledge_matches_manual_distillation(dungeon_teacher,
                                                      dungeon_source):
-    know = build_knowledge(dungeon_teacher, dungeon_source.dfa, tau=2.0)
+    know = build_knowledge(dungeon_teacher, dungeon_source, tau=2.0)
     manual_q, manual_pi = reference_knowledge(dungeon_teacher,
-                                              dungeon_source.dfa, 2.0)
+                                              dungeon_source, 2.0)
     assert know.q_ad == manual_q
     assert set(know.pi) == set(manual_pi)
     for q in manual_pi:
@@ -405,8 +401,8 @@ def _bits(fn):
     return [(q, p.tobytes()) for q, p in out.items()]
 
 
-def _knowledge(result, dfa, aggregation):
-    know = build_knowledge(result, dfa, 2.0, aggregation)
+def _knowledge(run, env, aggregation):
+    know = build_knowledge(run, env, 2.0, aggregation)
     return know.q_ad, know.pi
 
 
@@ -419,21 +415,17 @@ def test_build_knowledge_matches_sparse_reference(name):
     start = dfa.compiled().start
     outcomes = []
     for seed, episodes in itertools.product((3, 7, 11), _BUDGETS[name]):
-        result = train_teacher(env, episodes=episodes, seed=seed)
-        run = result.run
-        counts = run.counts.copy()
-        counts[run.rows % run.n_q == start] = 0
-        erased = dataclasses.replace(result, run=SimpleNamespace(
-            q=run.q, vol=run.vol, counts=counts, rows=run.rows,
-            n_q=run.n_q))
-        for res, agg in itertools.product((result, erased),
-                                          AGGREGATION_MODES):
-            ref = sparse_results(env, res.run)
-            got = _bits(lambda: _knowledge(res, dfa, agg))
+        run = train_teacher(env, episodes=episodes, seed=seed)
+        erased = copy.copy(run)
+        erased.counts = run.counts.copy()
+        erased.counts[run.rows % run.n_q == start] = 0
+        for res, agg in itertools.product((run, erased), AGGREGATION_MODES):
+            ref = sparse_results(env, res)
+            got = _bits(lambda: _knowledge(res, env, agg))
             assert got == _bits(
-                lambda: reference_knowledge(res, dfa, 2.0, agg))
+                lambda: reference_knowledge(res, env, 2.0, agg))
             assert _bits(lambda: distill_teacher_policy(
-                res, dfa, 2.0, agg)) == _bits(
+                res, env, 2.0, agg)) == _bits(
                 lambda: reference_teacher_policy(
                     ref.qtable, ref.visits, dfa, 2.0, env.n_actions, agg))
             outcomes.append(isinstance(got, str))
@@ -441,15 +433,15 @@ def test_build_knowledge_matches_sparse_reference(name):
 
 
 @pytest.mark.parametrize("name", ENV_NAMES)
-def test_policy_of_a_grid_teacher_matches_sparse_reference(name,
+def test_policy_of_a_grid_teacher_matches_sparse_reference(name, env_cache,
                                                            source_teacher):
     # the full-budget teachers a grid distills: long per-state sums, where
     # any change in the order of the additions would show in the bits
-    result = source_teacher(name)
-    env = result.env
-    ref = sparse_results(env, result.run)
+    run = source_teacher(name)
+    env = env_cache(name, "source")
+    ref = sparse_results(env, run)
     for agg in AGGREGATION_MODES:
         assert _bits(lambda: distill_teacher_policy(
-            result, env.dfa, 2.0, agg)) == _bits(
+            run, env, 2.0, agg)) == _bits(
             lambda: reference_teacher_policy(
                 ref.qtable, ref.visits, env.dfa, 2.0, env.n_actions, agg))
