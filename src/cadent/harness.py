@@ -56,6 +56,16 @@ def _config_item(value, where, integer, lowest, what, highest=math.inf):
     return int(value) if integer else float(value)
 
 
+def _names(items, where, canonical):
+    """The items of ExperimentConfig.`where`, canonicalized; a ValueError
+    naming the first that is not a JSON string."""
+    for i, item in enumerate(items):
+        if not isinstance(item, str):
+            raise ValueError(f"ExperimentConfig.{where}[{i}] must be a JSON "
+                             f"string, not {shown(item)}")
+    return tuple(canonical(item) for item in items)
+
+
 def _env_mapping(mapping, where, integer, lowest, what):
     """An ExperimentConfig {env: number} mapping with canonical env names
     and checked items; a ValueError when two keys name one environment."""
@@ -87,10 +97,10 @@ class ExperimentConfig(Config):
     omega0: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "environments",
-                           tuple(canonical_name(e) for e in self.environments))
-        object.__setattr__(self, "variants",
-                           tuple(canonical_variant(v) for v in self.variants))
+        object.__setattr__(self, "environments", _names(
+            self.environments, "environments", canonical_name))
+        object.__setattr__(self, "variants", _names(
+            self.variants, "variants", canonical_variant))
         object.__setattr__(self, "seeds", tuple(
             _config_item(s, f"seeds[{i}]", True, 0,
                          "a non-negative JSON integer")

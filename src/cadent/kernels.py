@@ -1,14 +1,15 @@
 """The training kernel.
 
-The episode loop is plain Python over flat 1-D sequences. `run_training`
-allocates the numpy outputs and hands the loop memoryviews of them and of
-the env, automaton and knowledge tables, with no copy: their items read as
-Python scalars, which CPython indexes far faster than numpy arrays. The
-update's formulas (the trust gate, the volatility trace, the fused update,
-the policy-gradient rule, argmax and the softmax pull) are defined once
-below. The loop calls them, and the public API re-exports the same
-functions (`student`); the TD error, the epsilon-greedy choice, the edge
-value r_AD and the pull g_PD are written only in the loop.
+The episode loop is plain Python over flat 1-D sequences, in one
+function, `run_training`. It allocates the numpy outputs and runs the loop
+over memoryviews of them and of the env, automaton and knowledge tables,
+with no copy: their items read as Python scalars, which CPython indexes far
+faster than numpy arrays. The update's formulas (the trust gate, the
+volatility trace, the fused update, the policy-gradient rule, argmax and
+the softmax pull) are defined once below. The loop calls them, and the
+public API re-exports the same functions (`student`); the TD error, the
+epsilon-greedy choice, the edge value r_AD and the pull g_PD are written
+only in the loop.
 
 The kernel walks product rows, not (env state, automaton state) pairs.
 `envs.tables.product_tables` builds, once per env, the rows reachable from
@@ -30,7 +31,7 @@ rescanned; otherwise a becomes greedy when its new value is above the
 greedy one's, or equal to it with a lower index. The action choice, the
 bootstrap and the softmax pull read the list. The four xorshift128 words
 are held in locals for the whole run, stepped with `rng.xs128_word`, and
-written back on return.
+returned as the run's `rng_words`.
 """
 
 from __future__ import annotations
@@ -147,24 +148,47 @@ def fused_update(omega, delta_student, r_ad, g_pd):
     return delta_student + (1.0 - omega) * (r_ad + g_pd)
 
 
-def train_run(next_row, reward, stop, dead, q_of, accepting,
-              q_ad, q_ad_known, pi_teacher, pi_known, rng_state,
-              q, vol, counts, ep_reward, ep_steps, ep_accept, soft_steps,
-              start, alpha, gamma, eps_start, eps_end, eps_decay,
-              eta, gate_k, theta, lam_ad, lam_pd,
-              use_gate, omega_fixed, use_guidance, max_steps, bound):
-    """Run one full training job; see student.train_student for semantics.
+class RunResult:
+    """One training job's outputs: the (n_rows, A) tables of Q, volatility
+    and visit counts over the product rows, `rows` (each row's old index
+    s*n_q + q, ascending), the episode arrays, the update diagnostics, the
+    `seed` and update `bound` the run was given, and `rng_words`, the four
+    xorshift128 words the generator ended on. The teacher's and the
+    student's training both return it."""
 
-    Every array is flat. The product tables (`envs.tables.product_tables`)
-    are indexed by row p: next_row, reward and the outputs q, vol and
-    counts p*A + a, and stop, dead and q_of p. `stop` marks the rows that
-    end an episode (terminal or dead) and `dead` those that also refuse
-    acceptance. The automaton's `accepting` is indexed q, the knowledge
-    q*n_q + q2 and q*A + a. The outputs arrive allocated (q zero-filled,
-    vol filled with v_init) and are written in place; the episode count is
-    len(ep_reward) and the soft-violation cap len(soft_steps). The four
-    words of `rng_state` are read once, held in locals and written back on
-    return.
+    def __init__(self, q, vol, counts, ep_reward, ep_steps, ep_accept,
+                 soft_steps, novel, max_abs_update, n_soft, rows, n_q, seed,
+                 bound, rng_words):
+        self.q = q
+        self.vol = vol
+        self.counts = counts
+        self.ep_reward = ep_reward
+        self.ep_steps = ep_steps
+        self.ep_accept = ep_accept
+        self.novel_transitions = novel
+        self.max_abs_update = max_abs_update
+        self.n_soft_violations = n_soft
+        self.soft_violation_steps = soft_steps[:n_soft]
+        self.rows = rows
+        self.n_q = n_q
+        self.seed = seed
+        self.bound = bound
+        self.rng_words = rng_words
+
+
+def run_training(tables, cdfa, dense, learn, *, episodes, max_steps, seed,
+                 stream=0, trust=None, guide=None, use_gate=False,
+                 omega_fixed=1.0, use_guidance=False, bound=math.inf):
+    """Run one full training job and return its RunResult; see
+    student.train_student for semantics.
+
+    The loop walks the product rows of `tables` and `cdfa`, built on the
+    first call and reused after. `learn`, `trust` and `guide` are the
+    LearningParams, TrustParams and GuidanceParams sections the run reads;
+    a section left as None reads as zeros. `dense` is the (q_ad,
+    q_ad_known, pi_teacher, pi_known) array bundle, indexed [q, q2] and
+    [q, a]; pass None when use_guidance is False. The generator is the
+    (seed, stream) stream of `rng.state_from`.
 
     Per step: epsilon-greedy action, student TD error, trust gate read from
     the pair's volatility as it stood before this step, teacher terms
@@ -172,22 +196,55 @@ def train_run(next_row, reward, stop, dead, q_of, accepting,
     where `tactical_applies`), fused update, then Q += alpha * update and
     the volatility absorbs |update|. With use_guidance False this reduces
     exactly to Q-learning. Update magnitudes above `bound` are recorded
-    (first len(soft_steps) global step indices); non-finite updates abort.
-    Returns (novel edge crossings, max |update|, soft violations).
+    (the global step indices of the first SOFT_CAP); non-finite updates
+    abort.
     """
-    n_actions = len(next_row) // len(stop)
-    n_q = len(accepting)
+    if episodes <= 0:
+        raise ValueError("episodes must be positive")
+    if max_steps <= 0:
+        raise ValueError("max_steps must be positive")
+    alpha, gamma = learn.alpha, learn.gamma
+    eps, eps_end, eps_decay = (learn.epsilon_start, learn.epsilon_end,
+                               learn.epsilon_decay)
+    eta = gate_k = theta = v_init = lam_ad = lam_pd = 0.0
+    if trust is not None:
+        eta, gate_k, theta, v_init = (trust.eta, trust.k, trust.theta,
+                                      trust.v_init)
+    if guide is not None:
+        lam_ad, lam_pd = guide.lambda_ad, guide.lambda_pd
+    product = product_tables(tables, cdfa)
+    n_q = cdfa.delta.shape[0]
+    n_actions = tables.n_actions
+    if dense is None:
+        dense = (np.zeros(n_q * n_q), np.zeros(n_q * n_q, dtype=np.bool_),
+                 np.zeros(n_q * n_actions), np.zeros(n_q, dtype=np.bool_))
+    # the outputs, and memoryviews of them and of the tables: flat, with no
+    # copy, and their items read as Python scalars. The product tables and
+    # q, vol and counts are indexed p*A + a, or p (`stop` marks the rows
+    # that end an episode, `dead` those that also refuse acceptance);
+    # `accepting` q; the knowledge q*n_q + q2 and q*A + a
+    shape = (len(product.rows), n_actions)
+    outputs = (np.zeros(shape), np.full(shape, v_init),
+               np.zeros(shape, dtype=np.int64), np.zeros(episodes),
+               np.zeros(episodes, dtype=np.int64),
+               np.zeros(episodes, dtype=np.bool_),
+               np.full(SOFT_CAP, -1, dtype=np.int64))
+    (next_row, reward, stop, dead, q_of, accepting, q_ad, q_ad_known,
+     pi_teacher, pi_known, q, vol, counts, ep_reward, ep_steps, ep_accept,
+     soft_steps) = (memoryview(x.reshape(-1)) for x in (
+         product.next, product.reward, product.stop, product.dead,
+         product.q_of, cdfa.accepting, *dense, *outputs))
+    start = product.start
     soft_cap = len(soft_steps)
     last = max_steps - 1
     # greedy[p] == argmax(q, p * n_actions, n_actions) for every row p, as
     # the module docstring says: Q starts at zero, and each write keeps it
     greedy = [0] * len(stop)
-    r0, r1, r2, r3 = rng_state
+    r0, r1, r2, r3 = state_from(seed, stream).tolist()
     n_soft = 0
     novel = 0
     max_abs_dq = 0.0
     first_step = 0  # global index of the episode's first step
-    eps = eps_start
     for ep in range(len(ep_reward)):
         e = eps if eps > eps_end else eps_end
         p = start
@@ -267,92 +324,8 @@ def train_run(next_row, reward, stop, dead, q_of, accepting,
         ep_accept[ep] = accepting[q_of[p]] and not dead[p]
         first_step += t + 1
         eps = eps * eps_decay
-    rng_state[0], rng_state[1], rng_state[2], rng_state[3] = r0, r1, r2, r3
-    return novel, max_abs_dq, n_soft
-
-
-class RunResult:
-    """One training job's outputs: the (n_rows, A) tables of Q, volatility
-    and visit counts over the product rows, `rows` (each row's old index
-    s*n_q + q, ascending), the episode arrays, the update diagnostics, and
-    the `seed` and update `bound` the run was given. The teacher's and the
-    student's training both return it."""
-
-    def __init__(self, q, vol, counts, ep_reward, ep_steps, ep_accept,
-                 soft_steps, novel, max_abs_update, n_soft, rows, n_q, seed,
-                 bound):
-        self.q = q
-        self.vol = vol
-        self.counts = counts
-        self.ep_reward = ep_reward
-        self.ep_steps = ep_steps
-        self.ep_accept = ep_accept
-        self.novel_transitions = int(novel)
-        self.max_abs_update = max_abs_update
-        self.n_soft_violations = int(n_soft)
-        self.soft_violation_steps = soft_steps[:min(int(n_soft),
-                                                    len(soft_steps))]
-        self.rows = rows
-        self.n_q = n_q
-        self.seed = seed
-        self.bound = bound
-
-
-def run_training(tables, cdfa, dense, learn, *, episodes, max_steps, seed,
-                 stream=0, trust=None, guide=None, use_gate=False,
-                 omega_fixed=1.0, use_guidance=False, bound=math.inf):
-    """Allocate the outputs and run the kernel over them.
-
-    The kernel walks the product rows of `tables` and `cdfa`, built on the
-    first call and reused after. `learn`, `trust` and `guide` are the
-    LearningParams, TrustParams and GuidanceParams sections the run reads;
-    a section left as None reads as zeros. `dense` is the (q_ad, q_ad_known,
-    pi_teacher, pi_known) array bundle; pass None when use_guidance is
-    False. The kernel gets memoryviews of the flat buffers, whose items
-    read as Python scalars.
-    """
-    if episodes <= 0:
-        raise ValueError("episodes must be positive")
-    if max_steps <= 0:
-        raise ValueError("max_steps must be positive")
-    eta = gate_k = theta = v_init = lam_ad = lam_pd = 0.0
-    if trust is not None:
-        eta, gate_k, theta, v_init = (trust.eta, trust.k, trust.theta,
-                                      trust.v_init)
-    if guide is not None:
-        lam_ad, lam_pd = guide.lambda_ad, guide.lambda_pd
-    product = product_tables(tables, cdfa)
-    n_q = cdfa.delta.shape[0]
-    n_actions = tables.n_actions
-    if dense is None:
-        q_ad = np.zeros((n_q, n_q), dtype=np.float64)
-        q_ad_known = np.zeros((n_q, n_q), dtype=np.bool_)
-        pi_teacher = np.zeros((n_q, n_actions), dtype=np.float64)
-        pi_known = np.zeros(n_q, dtype=np.bool_)
-    else:
-        q_ad, q_ad_known, pi_teacher, pi_known = dense
-    shape = (len(product.rows), n_actions)
-    q = np.zeros(shape, dtype=np.float64)
-    vol = np.full(shape, v_init, dtype=np.float64)
-    counts = np.zeros(shape, dtype=np.int64)
-    ep_reward = np.zeros(episodes, dtype=np.float64)
-    ep_steps = np.zeros(episodes, dtype=np.int64)
-    ep_accept = np.zeros(episodes, dtype=np.bool_)
-    soft_steps = np.full(SOFT_CAP, -1, dtype=np.int64)
-    arrays = (product.next, product.reward, product.stop, product.dead,
-              product.q_of, cdfa.accepting, q_ad, q_ad_known, pi_teacher,
-              pi_known, state_from(seed, stream),
-              q, vol, counts, ep_reward, ep_steps, ep_accept, soft_steps)
-    novel, max_abs_update, n_soft = train_run(
-        *(memoryview(x.reshape(-1)) for x in arrays), product.start,
-        float(learn.alpha), float(learn.gamma), float(learn.epsilon_start),
-        float(learn.epsilon_end), float(learn.epsilon_decay),
-        float(eta), float(gate_k), float(theta), float(lam_ad),
-        float(lam_pd), bool(use_gate), float(omega_fixed),
-        bool(use_guidance), int(max_steps), float(bound))
-    return RunResult(q, vol, counts, ep_reward, ep_steps, ep_accept,
-                     soft_steps, novel, max_abs_update, n_soft, product.rows,
-                     n_q, seed, bound)
+    return RunResult(*outputs, novel, max_abs_dq, n_soft, product.rows, n_q,
+                     seed, bound, (r0, r1, r2, r3))
 
 
 def greedy_rollout(tables, cdfa, q, max_steps):

@@ -17,20 +17,13 @@ _MASK32 = 0xFFFFFFFF
 _INV_2_32 = 2.0 ** -32
 
 
-def mulmod32(x, c):
-    """(x * c) mod 2**32 without intermediate products overflowing int64."""
-    lo = (x & 0xFFFF) * c
-    hi = (((x >> 16) * c) & 0xFFFF) << 16
-    return (lo + hi) & _MASK32
-
-
 def fmix32(h):
     """murmur3 32-bit finalizer; bijective avalanche over [0, 2**32)."""
-    h = h & _MASK32
+    h = int(h) & _MASK32
     h ^= h >> 16
-    h = mulmod32(h, 0x85EBCA6B)
+    h = (h * 0x85EBCA6B) & _MASK32
     h ^= h >> 13
-    h = mulmod32(h, 0xC2B2AE35)
+    h = (h * 0xC2B2AE35) & _MASK32
     h ^= h >> 16
     return h
 
@@ -79,16 +72,6 @@ def xs128_next(state):
     return state[3]
 
 
-def uniform(state):
-    """Next float in [0, 1) with 32 bits of resolution."""
-    return xs128_next(state) * _INV_2_32
-
-
-def randint(state, n):
-    """Next integer in [0, n). Consumes exactly one word."""
-    return int(uniform(state) * n)
-
-
 class RandomState:
     """Convenience wrapper around a raw state array."""
 
@@ -99,19 +82,14 @@ class RandomState:
         return int(xs128_next(self.state))
 
     def uniform(self):
-        return uniform(self.state)
+        """Next float in [0, 1) with 32 bits of resolution."""
+        return xs128_next(self.state) * _INV_2_32
 
     def randint(self, n):
+        """Next integer in [0, n). Consumes exactly one word."""
         if n <= 0:
             raise ValueError("n must be positive")
-        return randint(self.state, n)
-
-    def shuffle(self, items):
-        """Fisher-Yates, in place."""
-        for i in range(len(items) - 1, 0, -1):
-            j = randint(self.state, i + 1)
-            items[i], items[j] = items[j], items[i]
-        return items
+        return int(self.uniform() * n)
 
     def choice(self, items):
         return items[self.randint(len(items))]

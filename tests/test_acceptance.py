@@ -14,6 +14,7 @@ import math
 import os
 import time
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -638,7 +639,7 @@ def test_criterion_6_reproducible_experiments(tmp_path):
         for base_dir, _dirs, files in os.walk(out):
             for f in files:
                 path = os.path.join(base_dir, f)
-                tree[os.path.relpath(path, out)] = open(path, "rb").read()
+                tree[os.path.relpath(path, out)] = Path(path).read_bytes()
         trees.append(tree)
     assert sorted(trees[0]) == sorted(trees[1])
     for name in trees[0]:

@@ -122,8 +122,13 @@ def test_experiment_config_field_of_wrong_type(tmp_path, capsys, payload,
     ({"episodes": {"dungeon_quest": 0}},
      "ExperimentConfig.episodes[dungeon_quest] must be a positive JSON "
      "integer, not 0"),
+    ({"variants": [1]},
+     "ExperimentConfig.variants[0] must be a JSON string, not 1"),
+    ({"environments": ["dungeon", ["x"]]},
+     'ExperimentConfig.environments[1] must be a JSON string, not ["x"]'),
 ], ids=["seed-array", "seed-float", "seed-bool", "seed-negative",
-        "threshold-array", "episodes-array", "episodes-zero"])
+        "threshold-array", "episodes-array", "episodes-zero",
+        "variant-number", "environment-array"])
 def test_experiment_config_item_of_wrong_type(tmp_path, capsys, payload,
                                               message):
     # rejected when the config is read, before the teacher stage runs
@@ -279,13 +284,20 @@ def test_qtable_out_matches_sparse_reference(knowledge_file, tmp_path):
 
 
 def test_knowledge_misuse_exit_codes(knowledge_file, tmp_path, capsys):
+    # each mismatch is refused before training, so no episode log is written
     know, _qt = knowledge_file
-    assert main(["train-student", "--env", "dungeon", "--episodes", "5",
-                 "--variant", "cadent"]) == 2
-    assert "needs --knowledge" in capsys.readouterr().err
-    assert main(["train-student", "--env", "dungeon", "--episodes", "5",
-                 "--variant", "none", "--knowledge", str(know)]) == 2
-    assert "does not take" in capsys.readouterr().err
+    out = tmp_path / "run.csv"
+    for extra, message in (
+            (["--variant", "cadent"],
+             "error: variant 'cadent' needs --knowledge\n"),
+            (["--variant", "no_transfer", "--knowledge", str(know)],
+             "error: no_transfer does not take --knowledge\n"),
+            (["--variant", "none", "--knowledge", str(know)],
+             "error: no_transfer does not take --knowledge\n")):
+        assert main(["train-student", "--env", "dungeon", "--episodes", "5",
+                     "--out", str(out)] + extra) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "two"])

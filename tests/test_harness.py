@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -525,7 +526,7 @@ def _tree(root):
     for base, _dirs, files in os.walk(root):
         for name in files:
             path = os.path.join(base, name)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            out[os.path.relpath(path, root)] = Path(path).read_bytes()
     return out
 
 

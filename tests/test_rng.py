@@ -1,10 +1,8 @@
 """Generator determinism, range, and stream independence."""
 
-import numpy as np
 import pytest
 
-from cadent.rng import (RandomState, fmix32, mulmod32, randint, state_from,
-                        uniform, xs128_next, xs128_word)
+from cadent.rng import RandomState, fmix32, state_from, xs128_next, xs128_word
 
 
 def test_same_pair_same_stream():
@@ -56,26 +54,21 @@ def test_negative_seed_rejected():
         state_from(0, -2)
 
 
-def test_shuffle_is_permutation():
-    rng = RandomState(9)
-    items = list(range(50))
-    out = rng.shuffle(list(items))
-    assert sorted(out) == items
-    assert out != items  # astronomically unlikely to be identity
-
-
 def test_choice_member():
     rng = RandomState(11)
     items = ["a", "b", "c"]
     assert all(rng.choice(items) in items for _ in range(100))
 
 
-def test_mulmod32_matches_wide_multiply():
-    rng = np.random.default_rng(0)
-    for _ in range(1000):
-        x = int(rng.integers(0, 2**32))
-        c = int(rng.integers(0, 2**32))
-        assert mulmod32(x, c) == (x * c) % 2**32
+def test_state_from_words_pinned():
+    # the words every run, env layout and digest starts from
+    assert [state_from(s, t).tolist() for s, t in
+            ((0, 0), (31, 7), (2**63 - 1, 12345))] == [
+        [2462723854, 2612203797, 2605812845, 2349025055],
+        [691112075, 2612203797, 2245261314, 2931841062],
+        [996586154, 1449802232, 4164370583, 4199907705]]
+    assert [fmix32(x) for x in (0, 1, 2**32 - 1, 0x9E3779B9)] == [
+        0, 1364076727, 2180083513, 2462723854]
 
 
 def test_fmix32_bijective_on_sample():
@@ -108,11 +101,3 @@ def test_zero_state_guard():
     for seed in range(200):
         state = state_from(seed)
         assert any(int(x) != 0 for x in state)
-
-
-def test_module_level_uniform_randint_consistent_with_wrapper():
-    raw = state_from(31, 2)
-    wrapped = RandomState(31, 2)
-    for _ in range(200):
-        assert uniform(raw) == wrapped.uniform()
-        assert randint(raw, 9) == wrapped.randint(9)

@@ -2,18 +2,20 @@
 
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cadent import kernels
 from cadent.automaton import CompiledDfa
 from cadent.envs import ENV_NAMES, EnvSpec, default_spec, make_env
 from cadent.envs.dungeon import DungeonQuest
 from cadent.envs.tables import compile_env, product_tables
 from cadent.kernels import (SOFT_CAP, greedy_rollout, run_training,
-                            softmax_prob, train_run)
+                            softmax_prob)
 from cadent.rng import state_from
 from cadent.student import GuidanceParams, TrustParams
 from cadent.tabular import LearningParams
@@ -305,7 +307,7 @@ def kernel_cases(draw):
 
 
 def _buffers(n_rows, n_a, episodes, seed):
-    """Fresh kernel outputs over n_rows rows, in the kernel's order."""
+    """Fresh reference outputs over n_rows rows, in its argument order."""
     return dict(rng=state_from(seed),
                 q=np.zeros(n_rows * n_a), vol=np.full(n_rows * n_a, 0.25),
                 counts=np.zeros(n_rows * n_a, dtype=np.int64),
@@ -334,39 +336,47 @@ def _run_reference(tables, scalars, n_a, episodes, seed):
         "accepting") + _KNOWLEDGE)
     diagnostics = reference_train_run(
         *(memoryview(x) for x in first + tuple(out.values())), **scalars)
+    # the soft-violation steps it recorded, as RunResult keeps them
+    out["soft_steps"] = out["soft_steps"][:diagnostics[2]]
     return _bits(out, diagnostics)
 
 
 def _run_product_kernel(tables, scalars, n_a, episodes, seed):
-    """train_run over the case's product tables, its Q, volatility and
-    counts scattered to the reference's dense layout."""
+    """run_training over the case's product tables, with a soft-violation
+    cap of 4 and its Q, volatility and counts scattered to the reference's
+    dense layout."""
     n_s, n_q = len(tables["terminal"]), len(tables["accepting"])
+    sc = SimpleNamespace(**scalars)
     env_tables = SimpleNamespace(
         next_state=tables["next_state"].reshape(n_s, n_a),
         reward=tables["reward"].reshape(n_s, n_a),
         event=tables["event"].reshape(n_s, n_a),
-        terminal=tables["terminal"], dead=tables["dead"],
-        start=scalars["start"], n_actions=n_a)
+        terminal=tables["terminal"], dead=tables["dead"], start=sc.start,
+        n_actions=n_a)
     cdfa = SimpleNamespace(delta=tables["delta"].reshape(n_q, -1),
-                           accepting=tables["accepting"],
-                           start=scalars["q_start"])
-    product = product_tables(env_tables, cdfa)
-    out = _buffers(len(product.rows), n_a, episodes, seed)
-    first = (product.next, product.reward, product.stop, product.dead,
-             product.q_of, tables["accepting"]) + tuple(
-                 tables[k] for k in _KNOWLEDGE)
-    kw = {k: v for k, v in scalars.items() if k not in ("start", "q_start")}
-    diagnostics = train_run(
-        *(memoryview(x.reshape(-1)) for x in first + tuple(out.values())),
-        start=product.start, **kw)
-    run = SimpleNamespace(q=out["q"].reshape(-1, n_a),
-                          vol=out["vol"].reshape(-1, n_a),
-                          counts=out["counts"].reshape(-1, n_a),
-                          rows=product.rows, n_q=n_q)
+                           accepting=tables["accepting"], start=sc.q_start)
+    learn = SimpleNamespace(alpha=sc.alpha, gamma=sc.gamma,
+                            epsilon_start=sc.eps_start,
+                            epsilon_end=sc.eps_end,
+                            epsilon_decay=sc.eps_decay)
+    trust = SimpleNamespace(eta=sc.eta, k=sc.gate_k, theta=sc.theta,
+                            v_init=0.25)
+    guide = SimpleNamespace(lambda_ad=sc.lam_ad, lambda_pd=sc.lam_pd)
+    with mock.patch.object(kernels, "SOFT_CAP", 4):
+        run = run_training(
+            env_tables, cdfa, tuple(tables[k] for k in _KNOWLEDGE), learn,
+            episodes=episodes, max_steps=sc.max_steps, seed=seed,
+            trust=trust, guide=guide, use_gate=sc.use_gate,
+            omega_fixed=sc.omega_fixed, use_guidance=sc.use_guidance,
+            bound=sc.bound)
     dense = dense_run(run, n_s, 0.25)
-    out.update(q=dense.q.ravel(), vol=dense.vol.ravel(),
-               counts=dense.counts.ravel())
-    return _bits(out, diagnostics)
+    out = dict(rng=np.array(run.rng_words, dtype=np.int64),
+               q=dense.q.ravel(), vol=dense.vol.ravel(),
+               counts=dense.counts.ravel(), ep_reward=run.ep_reward,
+               ep_steps=run.ep_steps, ep_accept=run.ep_accept,
+               soft_steps=run.soft_violation_steps)
+    return _bits(out, (run.novel_transitions, run.max_abs_update,
+                       run.n_soft_violations))
 
 
 def _loop_case(next_state, reward, seed, **scalars):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cadent import kernels
 from cadent.automaton import ProductState, make_dfa
 from cadent.envs.tables import product_tables
 from cadent.kernels import argmax, greedy_rollout, softmax_prob
@@ -200,18 +199,11 @@ def test_epsilon_greedy_zero_row_tie_break():
     assert res.counts[0].tolist() == [1, 0, 0, 0]
 
 
-def test_epsilon_greedy_zero_epsilon_consumes_no_randomness(monkeypatch):
-    states = []
-
-    def spy(seed, stream=0):
-        states.append(state_from(seed, stream))
-        return states[-1]
-
-    monkeypatch.setattr(kernels, "state_from", spy)
-    toy_run(_FOUR_WAY, episodes=3, seed=8)
-    assert states[0].tolist() == state_from(8).tolist()
-    toy_run(_FOUR_WAY, epsilon=0.5, seed=8)
-    assert states[1].tolist() != state_from(8).tolist()
+def test_epsilon_greedy_zero_epsilon_consumes_no_randomness():
+    res = toy_run(_FOUR_WAY, episodes=3, seed=8)
+    assert list(res.rng_words) == state_from(8).tolist()
+    res = toy_run(_FOUR_WAY, epsilon=0.5, seed=8)
+    assert list(res.rng_words) != state_from(8).tolist()
 
 
 def test_epsilon_greedy_uniform_at_full_exploration():
