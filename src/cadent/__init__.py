@@ -18,25 +18,11 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Dfa", "DfaError", "ENV_NAMES", "EnvSpec",
-    "ExperimentConfig", "GuidanceParams", "LearningParams", "NULL_EVENT",
-    "ProductState", "StudentConfig", "TeacherKnowledge", "TrustParams",
-    "build_knowledge", "bundled_dfa", "canonical_variant",
-    "default_spec", "fused_update", "is_accepting", "load_dfa",
-    "load_knowledge", "make_dfa", "make_env", "preset_names",
-    "resolve_preset", "run_experiment", "save_dfa", "save_knowledge",
-    "save_qtable", "softmax_policy", "step_automaton", "tactical_applies",
-    "train_student", "train_teacher", "trust_gate", "update_bound",
-    "volatility_update",
-]
-
 # public name -> the submodule it is read from
 _SOURCES = {
     name: module for module, names in {
         "automaton": ("Dfa", "DfaError", "ProductState", "NULL_EVENT",
-                      "is_accepting", "load_dfa", "make_dfa", "save_dfa",
-                      "step_automaton"),
+                      "is_accepting", "make_dfa", "step_automaton"),
         "baselines": ("canonical_variant", "preset_names", "resolve_preset"),
         "envs": ("ENV_NAMES", "EnvSpec", "bundled_dfa", "default_spec",
                  "make_env"),
@@ -49,6 +35,8 @@ _SOURCES = {
                     "save_knowledge", "save_qtable", "train_teacher"),
     }.items() for name in names
 }
+
+__all__ = sorted(_SOURCES)
 
 _SUBMODULES = ("automaton", "baselines", "cli", "envs", "files", "harness",
                "kernels", "rng", "student", "tabular", "teacher")

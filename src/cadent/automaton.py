@@ -13,12 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .files import json_text, read_json, write_atomic
-
 NULL_EVENT = None
-
-FILE_FORMAT = "cadent-dfa"
-FILE_VERSION = 1
 
 
 class DfaError(ValueError):
@@ -194,49 +189,3 @@ def accepting_path_edges(dfa):
     co = _reachable(dfa, dfa.accepting, backward=True)
     return {(q, q2) for (q, _sym), q2 in dfa.transitions.items()
             if q2 != q and q in reach and q2 in co}
-
-
-def save_dfa(dfa, path):
-    problems = dfa.validate()
-    if problems:
-        raise DfaError("refusing to save invalid automaton: "
-                       + "; ".join(problems))
-    payload = {
-        "format": FILE_FORMAT,
-        "version": FILE_VERSION,
-        "states": list(dfa.states),
-        "alphabet": list(dfa.alphabet),
-        "start": dfa.start,
-        "accepting": sorted(dfa.accepting),
-        "transitions": [
-            {"from": q, "symbol": sym, "to": q2}
-            for (q, sym), q2 in sorted(dfa.transitions.items())
-            if q2 != q
-        ],
-    }
-    write_atomic(path, json_text(payload))
-
-
-def load_dfa(path):
-    """Load and validate an automaton file; any violation is rejected here."""
-    try:
-        payload = read_json(path)
-    except ValueError as exc:
-        raise DfaError(str(exc)) from exc
-    if not isinstance(payload, dict) or payload.get("format") != FILE_FORMAT:
-        raise DfaError(f"{path}: not a {FILE_FORMAT} file")
-    if payload.get("version") != FILE_VERSION:
-        raise DfaError(f"{path}: unsupported version {payload.get('version')}")
-    try:
-        edges = {}
-        for t in payload["transitions"]:
-            pair = (t["from"], t["symbol"])
-            if pair in edges:
-                raise DfaError(f"repeated transition {pair!r}")
-            edges[pair] = t["to"]
-        return make_dfa(payload["states"], payload["alphabet"],
-                        payload["start"], payload["accepting"], edges)
-    except DfaError as exc:
-        raise DfaError(f"{path}: {exc}") from exc
-    except (KeyError, TypeError) as exc:
-        raise DfaError(f"{path}: malformed automaton payload: {exc}") from exc

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -66,16 +67,16 @@ def _names(items, where, canonical):
     return tuple(canonical(item) for item in items)
 
 
-def _env_mapping(mapping, where, integer, lowest, what):
+def _env_mapping(mapping, where, *check):
     """An ExperimentConfig {env: number} mapping with canonical env names
-    and checked items; a ValueError when two keys name one environment."""
+    and items checked by `_config_item` with the arguments `check`; a
+    ValueError when two keys name one environment."""
     out = {}
     for key, value in mapping.items():
         name = canonical_name(key)
         if name in out:
             raise ValueError(f"ExperimentConfig.{where} names {name} twice")
-        out[name] = _config_item(value, f"{where}[{key}]", integer, lowest,
-                                 what)
+        out[name] = _config_item(value, f"{where}[{key}]", *check)
     return out
 
 
@@ -133,9 +134,10 @@ class ExperimentConfig(Config):
             if not isinstance(self.threshold, dict):
                 raise ValueError("threshold must be 'auto' or an {env: float} "
                                  "mapping")
+            # finite bounds: JSON has no Infinity for config.json to hold
             object.__setattr__(self, "threshold", _env_mapping(
-                self.threshold, "threshold", False, -math.inf,
-                "a JSON number"))
+                self.threshold, "threshold", False, -sys.float_info.max,
+                "a JSON number", sys.float_info.max))
         if self.threshold == "auto" and "no_transfer" not in self.variants:
             raise ValueError("auto thresholds need the no_transfer variant "
                              "in the grid")

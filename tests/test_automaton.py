@@ -1,14 +1,11 @@
-"""Automaton construction, stepping, validation, and serialization."""
-
-import json
-import re
+"""Automaton construction, stepping, validation, compilation, and the
+bundled task automata."""
 
 import pytest
 
 from cadent.automaton import (Dfa, DfaError, NULL_EVENT, ProductState,
-                              accepting_path_edges, is_accepting, load_dfa,
-                              make_dfa, progress_edges, save_dfa,
-                              step_automaton)
+                              accepting_path_edges, is_accepting, make_dfa,
+                              progress_edges, step_automaton)
 from cadent.envs import bundled_dfa
 from cadent.rng import RandomState
 
@@ -207,95 +204,6 @@ def test_closure_property():
     for _ in range(1000):
         q = step_automaton(dfa, q, rng.choice(list(dfa.alphabet)))
         assert q in set(dfa.states)
-
-
-def test_save_load_round_trip(tmp_path, chain):
-    path = tmp_path / "chain.json"
-    save_dfa(chain, path)
-    back = load_dfa(path)
-    assert back.states == chain.states
-    assert back.alphabet == chain.alphabet
-    assert back.start == chain.start
-    assert back.accepting == chain.accepting
-    assert back.transitions == chain.transitions
-
-
-def test_save_refuses_invalid(tmp_path):
-    dfa = Dfa(states=("a",), alphabet=("x",), start="a", accepting=set(),
-              transitions={})
-    with pytest.raises(DfaError):
-        save_dfa(dfa, tmp_path / "bad.json")
-
-
-def test_load_rejects_wrong_format(tmp_path):
-    path = tmp_path / "not_dfa.json"
-    path.write_text(json.dumps({"format": "something-else"}))
-    with pytest.raises(DfaError):
-        load_dfa(path)
-
-
-def test_load_rejects_wrong_version(tmp_path, chain):
-    path = tmp_path / "v.json"
-    save_dfa(chain, path)
-    payload = json.loads(path.read_text())
-    payload["version"] = 99
-    path.write_text(json.dumps(payload))
-    with pytest.raises(DfaError):
-        load_dfa(path)
-
-
-def test_load_rejects_malformed_payload(tmp_path):
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps({"format": "cadent-dfa", "version": 1,
-                                "states": ["a"]}))
-    with pytest.raises(DfaError):
-        load_dfa(path)
-
-
-def test_load_rejects_repeated_transition(tmp_path, chain):
-    # the last of two (from, symbol) transitions once silently won
-    path = tmp_path / "r.json"
-    save_dfa(chain, path)
-    payload = json.loads(path.read_text())
-    payload["transitions"].append({"from": "a", "symbol": "x", "to": "c"})
-    path.write_text(json.dumps(payload))
-    with pytest.raises(DfaError, match=(
-            f"^{re.escape(str(path))}: repeated transition ")):
-        load_dfa(path)
-
-
-@pytest.mark.parametrize("edit,message", [
-    ({"to": "zz"}, "invalid automaton: transition to unknown state 'zz'"),
-    ({"from": "q"}, "edge from unknown pair ('q', 'x')"),
-])
-def test_load_names_the_file_of_an_invalid_automaton(tmp_path, chain, edit,
-                                                     message):
-    path = tmp_path / "i.json"
-    save_dfa(chain, path)
-    payload = json.loads(path.read_text())
-    payload["transitions"][0].update(edit)
-    path.write_text(json.dumps(payload))
-    with pytest.raises(DfaError, match=(
-            f"^{re.escape(str(path))}: {re.escape(message)}$")):
-        load_dfa(path)
-
-
-def test_load_rejects_truncated_file(tmp_path, chain):
-    path = tmp_path / "t.json"
-    save_dfa(chain, path)
-    blob = path.read_text()
-    path.write_text(blob[:len(blob) // 2])
-    with pytest.raises(DfaError, match=(
-            f"^{re.escape(str(path))}: not valid JSON: ")):
-        load_dfa(path)
-
-
-def test_load_rejects_non_object_json(tmp_path):
-    path = tmp_path / "list.json"
-    path.write_text("[]")
-    with pytest.raises(DfaError, match=(
-            f"^{re.escape(str(path))}: not a cadent-dfa file$")):
-        load_dfa(path)
 
 
 def test_make_dfa_rejects_unknown_edge_pair():

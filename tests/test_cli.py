@@ -1,6 +1,7 @@
 """Command line interface."""
 
 import json
+import math
 
 import pytest
 
@@ -116,6 +117,11 @@ def test_experiment_config_field_of_wrong_type(tmp_path, capsys, payload,
     ({"threshold": {"dungeon_quest": [1]}},
      "ExperimentConfig.threshold[dungeon_quest] must be a JSON number, "
      "not [1]"),
+    # written as Infinity; json reads that, and 1e400, as inf, which
+    # config.json could not hold
+    ({"threshold": {"dungeon_quest": math.inf}},
+     "ExperimentConfig.threshold[dungeon_quest] must be a JSON number, "
+     "not Infinity"),
     ({"episodes": {"dungeon_quest": [1]}},
      "ExperimentConfig.episodes[dungeon_quest] must be a positive JSON "
      "integer, not [1]"),
@@ -127,8 +133,8 @@ def test_experiment_config_field_of_wrong_type(tmp_path, capsys, payload,
     ({"environments": ["dungeon", ["x"]]},
      'ExperimentConfig.environments[1] must be a JSON string, not ["x"]'),
 ], ids=["seed-array", "seed-float", "seed-bool", "seed-negative",
-        "threshold-array", "episodes-array", "episodes-zero",
-        "variant-number", "environment-array"])
+        "threshold-array", "threshold-infinite", "episodes-array",
+        "episodes-zero", "variant-number", "environment-array"])
 def test_experiment_config_item_of_wrong_type(tmp_path, capsys, payload,
                                               message):
     # rejected when the config is read, before the teacher stage runs

@@ -134,6 +134,21 @@ def test_parameters_of_the_wrong_type_are_rejected(name, parameters, key):
         make_env(EnvSpec(name, parameters=parameters))
 
 
+@pytest.mark.parametrize("name,parameters,message", [
+    ("dungeon_quest", {"key": [-1, 0]},
+     "dungeon_quest: position (-1, 0) out of bounds for 20x20 grid"),
+    # the start cell
+    ("dungeon_quest", {"key": [19, 0]},
+     "dungeon_quest: duplicate position (19, 0)"),
+    ("dungeon_quest", {"rows": 2}, "grid must be at least 3x3"),
+    ("blind_craftsman", {"rows": 3, "cols": 3, "n_piles": 500},
+     "could not place items on grid; too crowded"),
+])
+def test_impossible_layouts_are_rejected(name, parameters, message):
+    with pytest.raises(EnvError, match=f"^{re.escape(message)}$"):
+        make_env(EnvSpec(name, parameters=parameters))
+
+
 def test_integer_parameters_build_as_before():
     # numpy integers and tuples pass and are stored as plain ints
     env = make_env(EnvSpec("dungeon_quest", parameters={

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cadent import files, harness, student, teacher
-from cadent.automaton import ProductState, save_dfa
+from cadent.automaton import ProductState
 from cadent.cli import main
 from cadent.envs import bundled_dfa
 from cadent.harness import (CURVE_CSV_HEADER, RUN_CSV_HEADER, CellRun,
@@ -85,10 +85,14 @@ def test_config_validation_errors():
                 rf"^ExperimentConfig.{field} must be {re.escape(what)}, "
                 rf"not {json.dumps(value)}$")):
             ExperimentConfig(**{field: value})
-    with pytest.raises(ValueError, match=(
-            r"^ExperimentConfig.threshold\[dungeon\] must be a JSON number, "
-            r"not NaN$")):
-        ExperimentConfig(threshold={"dungeon": math.nan})
+    # config.json and summary.json would hold them, and JSON has no NaN
+    # or Infinity
+    for value, text in ((math.nan, "NaN"), (math.inf, "Infinity"),
+                        (-math.inf, "-Infinity")):
+        with pytest.raises(ValueError, match=(
+                r"^ExperimentConfig.threshold\[dungeon\] must be a JSON "
+                rf"number, not {text}$")):
+            ExperimentConfig(threshold={"dungeon": value})
 
 
 def test_config_rejects_names_repeated_after_canonicalization():
@@ -303,8 +307,6 @@ WRITERS = {
         q_ad={(0, 1): float(i)}, pi={0: np.array([0.5, 0.5])}, tau=2.0,
         n_actions=2, alphabet=("a",), aggregation="visitation_weighted"),
         path),
-    "dfa": lambda path, i: save_dfa(
-        bundled_dfa(("dungeon_quest", "blind_craftsman")[i]), path),
     "run_csv": lambda path, i: write_run_csv(path, "cadent", "dungeon_quest",
                                              1, _records([float(i)])),
     "curve_csv": lambda path, i: write_curve_csv(path, [(1, float(i), 0.0,

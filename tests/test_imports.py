@@ -52,10 +52,12 @@ def _bindings(name, path, tree):
 
 
 def _used_names(tree):
-    """Names the module reads, plus the strings of its `__all__`."""
+    """Names the module reads, plus the strings of an `__all__` written as
+    a list or tuple (one computed from other names reads those names)."""
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Assign)
+                and isinstance(node.value, (ast.List, ast.Tuple))
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
                         for t in node.targets)):
             used.update(elt.value for elt in node.value.elts)

@@ -81,10 +81,6 @@ def test_every_submodule_imports_first():
     assert failed == {}
 
 
-def test_the_lazy_table_names_exactly_the_public_names():
-    assert sorted(cadent._SOURCES) == sorted(cadent.__all__)
-
-
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="'cadent' has no attribute "
                                              "'no_such_name'"):
