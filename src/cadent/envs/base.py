@@ -136,15 +136,19 @@ class Environment:
     def grid_shape(self):
         rows, cols = self.int_param("rows"), self.int_param("cols")
         if rows < 3 or cols < 3:
-            raise EnvError("grid must be at least 3x3")
+            raise EnvError(f"{self.name}: grid must be at least 3x3, "
+                           f"not {rows}x{cols}")
         return rows, cols
 
     def place(self, count, taken):
         """`count` seeded cells on the grid, clear of `taken`; source and
         target layouts draw from different streams."""
         stream = 0 if self.spec.variant == "source" else 1
-        return fractional_cells(self.spec.layout_seed, count, self.rows,
-                                self.cols, taken=taken, stream=stream)
+        try:
+            return fractional_cells(self.spec.layout_seed, count, self.rows,
+                                    self.cols, taken=taken, stream=stream)
+        except EnvError as exc:
+            raise EnvError(f"{self.name}: {exc}") from None
 
     def step(self, state, action):
         state, event = self.transition(state, action)
@@ -210,7 +214,8 @@ def fractional_cells(seed, count, rows, cols, taken, stream=0):
             if (r, c) not in occupied:
                 break
         else:
-            raise EnvError("could not place items on grid; too crowded")
+            raise EnvError(f"could not place {count} items on the "
+                           f"{rows}x{cols} grid; too crowded")
         occupied.add((r, c))
         cells.append((r, c))
     return cells

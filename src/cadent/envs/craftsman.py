@@ -24,7 +24,8 @@ _HOME_ANCHOR = (0.80, 0.20)
 def build_dfa(quota=DEFAULT_QUOTA):
     """Automaton for (wood factory)^quota then home."""
     if quota < 1:
-        raise EnvError("quota must be at least 1")
+        raise EnvError(f"blind_craftsman: quota must be at least 1, "
+                       f"not {quota}")
     states = []
     edges = {}
     for i in range(quota):
@@ -51,8 +52,7 @@ class BlindCraftsman(Environment):
         super().__init__(spec)
         self.rows, self.cols = self.grid_shape()
         self.quota = self.int_param("quota", DEFAULT_QUOTA)
-        if self.quota < 1:
-            raise EnvError("quota must be at least 1")
+        self.dfa = build_dfa(self.quota)
         self.start = self.cell_param("start",
                                      (self.rows // 2, self.cols // 2))
         self.factory = self.cell_param(
@@ -68,10 +68,9 @@ class BlindCraftsman(Environment):
             piles = self.place(n_piles, taken=fixed)
         validate_positions(fixed + piles, self.rows, self.cols, self.name)
         if not piles:
-            raise EnvError("need at least one wood pile")
+            raise EnvError(f"{self.name}: need at least one wood pile")
         self.piles = tuple(piles)
         self._pile_set = frozenset(piles)
-        self.dfa = build_dfa(self.quota)
 
     def reset(self):
         return (self.start[0], self.start[1], 0, 0)

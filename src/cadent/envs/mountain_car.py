@@ -33,7 +33,8 @@ _GRAVITY = {LEFT: 1, VALLEY: 0, GENTLE: -1, STEEP: -2, SUMMIT: 0}
 def band_layout(n_positions):
     """Assign each bucket to a slope band by fixed fractions of the track."""
     if n_positions < 6:
-        raise EnvError("track needs at least 6 position buckets")
+        raise EnvError(f"mountain_car_collection: track needs at least 6 "
+                       f"position buckets, not {n_positions}")
     a = math.ceil(0.10 * n_positions)
     b = math.ceil(0.30 * n_positions)
     c = math.ceil(0.65 * n_positions)
@@ -80,9 +81,12 @@ class MountainCarCollection(Environment):
         self.gravity = tuple(_GRAVITY[b] for b in self.bands)
         parts = tuple(self.list_param("parts", checked_int))
         if len(parts) != 3 or sorted(set(parts)) != list(parts):
-            raise EnvError("parts must be three strictly increasing buckets")
+            raise EnvError(f"{self.name}: parts must be three strictly "
+                           f"increasing buckets, not {list(parts)}")
         if parts[0] <= 0 or parts[-1] >= self.n_positions - 1:
-            raise EnvError("parts must lie strictly between the track ends")
+            raise EnvError(f"{self.name}: parts {list(parts)} must lie "
+                           f"strictly between the track ends 0 and "
+                           f"{self.n_positions - 1}")
         self.parts = parts
         self.valley_floor = self.bands.index(VALLEY)
         self.dfa = build_dfa()

@@ -332,9 +332,10 @@ def greedy_rollout(tables, cdfa, q, max_steps):
     """Follow the greedy policy of `q`, an (n_rows, A) table over the
     product rows of `tables` and `cdfa`, from reset.
 
-    Returns (accepted, steps, total_reward). Ends on acceptance, death, a
+    Returns (accepted, steps, total_reward). Ends on death, acceptance, a
     revisited row (a guaranteed loop under a deterministic policy), or the
-    step budget.
+    step budget. A dead row does not accept, even under an accepting
+    automaton state, as in the training loop's `ep_accept`.
     """
     product = product_tables(tables, cdfa)
     p = product.start
@@ -344,10 +345,10 @@ def greedy_rollout(tables, cdfa, q, max_steps):
         a = argmax(q[p])
         total += float(product.reward[p, a])
         p = int(product.next[p, a])
-        if cdfa.accepting[product.q_of[p]]:
-            return True, t + 1, total
         if product.dead[p]:
             return False, t + 1, total
+        if cdfa.accepting[product.q_of[p]]:
+            return True, t + 1, total
         if p in seen:
             return False, t + 1, total
         seen.add(p)

@@ -24,9 +24,12 @@ are the one-line transcriptions those examples compare with.
 `reference_train_run` is the training loop as it was before its per-step
 bookkeeping was cut (a maintained greedy action per row, RNG words held in
 locals) and before it walked product rows: it looks the automaton up each
-step and indexes the dense layout. It calls the library's formulas, so it
-pins the loop's bookkeeping, not the formulas: the kernel's outputs,
-scattered by `dense_run`, must match it bit for bit.
+step and indexes the dense layout. Its formulas (argmax, the softmax pull,
+the trust gate, the volatility trace, the tactical test and the fused
+update) are its own transcriptions of the library's, the same float
+expressions in the same order, so it pins the formulas as well as the
+loop's bookkeeping: the kernel's outputs, scattered by `dense_run`, must
+match it bit for bit.
 
 `read_run_csv` reads a run CSV back with the `csv` module, for the tests
 that check what the harness and the CLI wrote.
@@ -45,9 +48,7 @@ from cadent.automaton import (ProductState, accepting_path_edges,
                               is_accepting, step_automaton)
 from cadent.envs.tables import EnvTables, compile_env
 from cadent.harness import RUN_CSV_HEADER
-from cadent.kernels import (argmax, fused_update, run_training,
-                            softmax_prob, sum_in_order, tactical_applies,
-                            trust_gate, volatility_update)
+from cadent.kernels import run_training, sum_in_order
 from cadent.rng import RandomState, xs128_next
 from cadent.tabular import softmax_policy
 from cadent.teacher import TeacherError
@@ -429,21 +430,26 @@ def toy_teacher(dfa, qtable, n_actions, log=(), visits=None):
 
 
 def toy_product(next_state, reward, event=None, terminal=(), delta=((0,),),
-                q_start=0, accepting=()):
+                q_start=0, accepting=(), dead=()):
     """Env tables and a compiled automaton holding what `run_training` and
     `greedy_rollout` read. Episodes start in env state 0; env state s and
     action a go to next_state[s][a] with reward[s][a] and event[s][a]
     (default 0, the null event). `terminal` lists the env states that end
-    an episode. The automaton starts in `q_start`, steps q -> delta[q][e]
-    and accepts the states listed in `accepting`."""
+    an episode, `dead` those that end it in failure. The automaton starts
+    in `q_start`, steps q -> delta[q][e] and accepts the states listed in
+    `accepting`."""
     next_state = np.array(next_state, dtype=np.int32)
-    stop = np.zeros(len(next_state), dtype=np.bool_)
-    stop[list(terminal)] = True
+
+    def flags(states):
+        out = np.zeros(len(next_state), dtype=np.bool_)
+        out[list(states)] = True
+        return out
+
     tables = SimpleNamespace(
         next_state=next_state, reward=np.array(reward, dtype=np.float64),
         event=(np.zeros_like(next_state) if event is None
                else np.array(event, dtype=np.int32)),
-        terminal=stop, dead=np.zeros_like(stop), start=0,
+        terminal=flags(terminal), dead=flags(dead), start=0,
         n_actions=next_state.shape[1])
     delta = np.array(delta, dtype=np.int32)
     accept = np.zeros(len(delta), dtype=np.bool_)
@@ -546,6 +552,29 @@ def kernel_pull(pi, lam, others):
 _INV32 = 2.0 ** -32
 
 
+def _row_argmax(q, row, n):
+    """Offset of the largest of q[row:row+n]; ties go to the lowest."""
+    best_a, best_v = 0, q[row]
+    for b in range(1, n):
+        if q[row + b] > best_v:
+            best_a, best_v = b, q[row + b]
+    return best_a
+
+
+def _row_softmax_prob(q, a, row, n):
+    """Temperature-1 softmax probability of offset a over q[row:row+n],
+    shifted by the row's greedy value and summed in action order."""
+    m = q[row + _row_argmax(q, row, n)]
+    tot = 0.0
+    pa = 0.0
+    for b in range(n):
+        eb = math.exp(q[row + b] - m)
+        tot += eb
+        if b == a:
+            pa = eb
+    return pa / tot
+
+
 def reference_train_run(next_state, reward, event, terminal, dead, delta,
                         accepting, q_ad, q_ad_known, pi_teacher, pi_known,
                         rng_state, q, vol, counts, ep_reward, ep_steps,
@@ -569,10 +598,11 @@ def reference_train_run(next_state, reward, event, terminal, dead, delta,
     Per step: epsilon-greedy action, student TD error, trust gate read from
     the pair's volatility as it stood before this step, teacher terms
     (automaton edge value, and the policy gradient on the taken action
-    where `tactical_applies`), fused update, then Q += alpha * update and
-    the volatility absorbs |update|. With use_guidance False this reduces
-    exactly to Q-learning. Update magnitudes above `bound` are recorded
-    (first len(soft_steps) global step indices); non-finite updates abort.
+    when the step moves the env state within an automaton state), fused
+    update, then Q += alpha * update and the volatility absorbs |update|.
+    With use_guidance False this reduces exactly to Q-learning. Update
+    magnitudes above `bound` are recorded (first len(soft_steps) global
+    step indices); non-finite updates abort.
     Returns (novel edge crossings, max |update|, soft violations).
     """
     n_actions = len(next_state) // len(terminal)
@@ -597,7 +627,7 @@ def reference_train_run(next_state, reward, event, terminal, dead, delta,
             if e > 0.0 and xs128_next(rng_state) * _INV32 < e:
                 a = int((xs128_next(rng_state) * _INV32) * n_actions)
             else:
-                a = argmax(q, row, n_actions)
+                a = _row_argmax(q, row, n_actions)
             sa = s * n_actions + a
             s2 = int(next_state[sa])
             r = reward[sa]
@@ -607,12 +637,18 @@ def reference_train_run(next_state, reward, event, terminal, dead, delta,
                 boot = 0.0
             else:
                 row2 = (s2 * n_q + q2) * n_actions
-                boot = gamma * q[row2 + argmax(q, row2, n_actions)]
+                boot = gamma * q[row2 + _row_argmax(q, row2, n_actions)]
             pa = row + a
             d_student = r + boot - q[pa]
             if use_guidance:
                 if use_gate:
-                    om = trust_gate(vol[pa], gate_k, theta)
+                    # the trust gate, evaluated without overflow
+                    x = gate_k * (vol[pa] - theta)
+                    if x > 0.0:
+                        z = math.exp(-x)
+                        om = z / (1.0 + z)
+                    else:
+                        om = 1.0 / (1.0 + math.exp(x))
                 else:
                     om = omega_fixed
                 r_ad = 0.0
@@ -622,16 +658,16 @@ def reference_train_run(next_state, reward, event, terminal, dead, delta,
                     else:
                         novel += 1
                 g = 0.0
-                if pi_known[qq] and tactical_applies(s, qq, s2, q2):
+                if pi_known[qq] and q2 == qq and s2 != s:
                     g = lam_pd * (pi_teacher[qq * n_actions + a]
-                                  - softmax_prob(q, a, row, n_actions))
-                dq = fused_update(om, d_student, r_ad, g)
+                                  - _row_softmax_prob(q, a, row, n_actions))
+                dq = d_student + (1.0 - om) * (r_ad + g)
             else:
                 dq = d_student
             if not math.isfinite(dq):
                 raise ValueError("non-finite update; diverged")
             if use_gate:
-                vol[pa] = volatility_update(vol[pa], dq, eta)
+                vol[pa] = (1.0 - eta) * vol[pa] + eta * abs(dq)
             adq = abs(dq)
             if adq > max_abs_dq:
                 max_abs_dq = adq

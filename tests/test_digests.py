@@ -17,7 +17,7 @@ tests/test_digests.py` prints it.
 
 import hashlib
 import tempfile
-from contextlib import contextmanager, redirect_stdout
+from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
 
@@ -126,31 +126,13 @@ def _kernel_parts(res, env, v_init):
             res.n_soft_violations, res.soft_violation_steps)
 
 
-@contextmanager
-def _captured(module):
-    """Record the run_training results of calls made through `module`."""
-    seen = []
-    original = module.run_training
-
-    def spy(*args, **kwargs):
-        seen.append(original(*args, **kwargs))
-        return seen[-1]
-
-    module.run_training = spy
-    try:
-        yield seen
-    finally:
-        module.run_training = original
-
-
 def _teacher_cell(name):
     env = make_env(default_spec(name, "source"))
-    with _captured(teacher) as seen:
-        run = teacher.train_teacher(env, episodes=TEACHER_EPISODES,
-                                    seed=SEED, stream=ENV_NAMES.index(name))
+    run = teacher.train_teacher(env, episodes=TEACHER_EPISODES, seed=SEED,
+                                stream=ENV_NAMES.index(name))
     knowledge = teacher.build_knowledge(run, env, tau=2.0)
     ref = sparse_results(env, run)
-    digest = _digest(_kernel_parts(seen[0], env, 0.0) + (
+    digest = _digest(_kernel_parts(run, env, 0.0) + (
         sorted(ref.qtable.items()), sorted(ref.visits.items()),
         sorted(ref.transition_log)))
     return digest, knowledge
@@ -160,13 +142,12 @@ def _student_cell(name, variant, knowledge):
     env = make_env(default_spec(name, "target"))
     config = resolve_preset(variant, (student.StudentConfig(omega0=0.25)
                                       if variant == "fixed_trust" else None))
-    with _captured(student) as seen:
-        run = student.train_student(
-            env, knowledge if variant != "no_transfer" else None, config,
-            episodes=STUDENT_EPISODES, seed=SEED,
-            stream=_run_stream(name, variant))
+    run = student.train_student(
+        env, knowledge if variant != "no_transfer" else None, config,
+        episodes=STUDENT_EPISODES, seed=SEED,
+        stream=_run_stream(name, variant))
     ref = sparse_results(env, run, gated=student.VARIANTS[config.variant][0])
-    return _digest(_kernel_parts(seen[0], env, config.trust.v_init) + (
+    return _digest(_kernel_parts(run, env, config.trust.v_init) + (
         sorted(ref.qtable.items()), sorted(ref.volatility.items()),
         run.novel_transitions, float(run.max_abs_update),
         run.n_soft_violations, run.soft_violation_steps.tolist(),

@@ -140,9 +140,24 @@ def test_parameters_of_the_wrong_type_are_rejected(name, parameters, key):
     # the start cell
     ("dungeon_quest", {"key": [19, 0]},
      "dungeon_quest: duplicate position (19, 0)"),
-    ("dungeon_quest", {"rows": 2}, "grid must be at least 3x3"),
+    ("dungeon_quest", {"rows": 2},
+     "dungeon_quest: grid must be at least 3x3, not 2x20"),
     ("blind_craftsman", {"rows": 3, "cols": 3, "n_piles": 500},
-     "could not place items on grid; too crowded"),
+     "blind_craftsman: could not place 500 items on the 3x3 grid; "
+     "too crowded"),
+    ("blind_craftsman", {"quota": 0},
+     "blind_craftsman: quota must be at least 1, not 0"),
+    ("blind_craftsman", {"n_piles": 0},
+     "blind_craftsman: need at least one wood pile"),
+    ("mountain_car_collection", {"n_positions": 5},
+     "mountain_car_collection: track needs at least 6 position buckets, "
+     "not 5"),
+    ("mountain_car_collection", {"parts": [5, 5, 11]},
+     "mountain_car_collection: parts must be three strictly increasing "
+     "buckets, not [5, 5, 11]"),
+    ("mountain_car_collection", {"parts": [0, 8, 11]},
+     "mountain_car_collection: parts [0, 8, 11] must lie strictly between "
+     "the track ends 0 and 14"),
 ])
 def test_impossible_layouts_are_rejected(name, parameters, message):
     with pytest.raises(EnvError, match=f"^{re.escape(message)}$"):

@@ -550,8 +550,16 @@ def test_run_experiment_writes_expected_files(tmp_path):
     assert len(cell["final_reward"]) == 2
     assert cell["soft_bound_violations"] == [0, 0]
     assert cell["max_abs_update"] <= cell["update_bound"]
-    on_disk = json.loads((tmp_path / "out" / "summary.json").read_text())
+    # both JSON files are strict JSON (no NaN or Infinity), and the
+    # summary's hash is that of the config written beside it
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    json.loads(tree["config.json"], parse_constant=refuse)
+    on_disk = json.loads(tree["summary.json"], parse_constant=refuse)
     assert on_disk == summary
+    assert on_disk["config_hash"] == ExperimentConfig.load(
+        tmp_path / "out" / "config.json").config_hash()
     run = read_run_csv(
         tmp_path / "out" / "runs" / "dungeon_quest__no_transfer__seed1.csv")
     assert run.episode == list(range(40))

@@ -22,7 +22,8 @@ from cadent.tabular import LearningParams
 
 from golden import golden_actions, run_actions
 from oracles import (dense_run, product_violations, product_walk,
-                     reference_train_run, value_iteration)
+                     reference_train_run, toy_product, toy_run,
+                     value_iteration)
 
 LEARN = LearningParams(alpha=0.1, gamma=0.99, epsilon_start=1.0,
                        epsilon_end=0.05, epsilon_decay=0.995)
@@ -448,6 +449,18 @@ def test_greedy_rollout_detects_loops(dungeon_source_tables):
     accepted, steps, _ = greedy_rollout(tables, cdfa, q, 10**6)
     assert not accepted
     assert steps <= n_rows
+
+
+def test_a_dead_accepting_row_does_not_accept():
+    # the one action dies in env state 1 on the event that takes the
+    # automaton to its accepting state: training and the rollout both
+    # end the episode there, and neither counts it as accepted
+    product = toy_product([[1], [1]], [[1.0], [0.0]], event=[[1], [0]],
+                          delta=[[0, 1], [1, 1]], accepting=[1], dead=[1])
+    res = toy_run(product, max_steps=5)
+    assert res.ep_steps.tolist() == [1]
+    assert res.ep_accept.tolist() == [False]
+    assert greedy_rollout(*product, res.q, 5) == (False, 1, 1.0)
 
 
 def test_greedy_rollout_respects_budget(dungeon_source,
