@@ -28,8 +28,7 @@ _SOURCES = {
                  "make_env"),
         "harness": ("ExperimentConfig", "run_experiment"),
         "student": ("GuidanceParams", "StudentConfig", "TrustParams",
-                    "fused_update", "tactical_applies", "train_student",
-                    "trust_gate", "update_bound", "volatility_update"),
+                    "train_student", "update_bound"),
         "tabular": ("LearningParams", "softmax_policy"),
         "teacher": ("TeacherKnowledge", "build_knowledge", "load_knowledge",
                     "save_knowledge", "save_qtable", "train_teacher"),

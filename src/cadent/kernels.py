@@ -4,12 +4,12 @@ The episode loop is plain Python over flat 1-D sequences, in one
 function, `run_training`. It allocates the numpy outputs and runs the loop
 over memoryviews of them and of the env, automaton and knowledge tables,
 with no copy: their items read as Python scalars, which CPython indexes far
-faster than numpy arrays. The update's formulas (the trust gate, the
-volatility trace, the fused update, the policy-gradient rule, argmax and
-the softmax pull) are defined once below. The loop calls them, and the
-public API re-exports the same functions (`student`); the TD error, the
-epsilon-greedy choice, the edge value r_AD and the pull g_PD are written
-only in the loop.
+faster than numpy arrays. The update rule is written once, in the loop:
+the epsilon-greedy choice, the TD error, the trust gate, the edge value
+r_AD, the pull g_PD and when it applies, the fused update and the
+volatility trace. `argmax`, `softmax_prob` (the pull) and `sum_in_order`
+are the only helpers: distillation, `greedy_rollout` and the harness
+share them.
 
 The kernel walks product rows, not (env state, automaton state) pairs.
 `envs.tables.product_tables` builds, once per env, the rows reachable from
@@ -54,7 +54,7 @@ BACKEND = "python"
 NUMBA_ENABLED = False
 
 
-# The update's formulas, defined once.
+# Shared with distillation, the greedy rollout and the harness.
 
 
 def argmax(values, lo=0, n=None):
@@ -105,49 +105,6 @@ def softmax_prob(values, a, lo=0, n=None, amax=None, tau=1.0):
     return pa / tot
 
 
-def trust_gate(v, k, theta):
-    """Sigmoid weight on the student's own signal: 1 / (1 + exp(k(v-theta))).
-
-    Low volatility, high self-trust. Evaluated through the exp of a
-    non-positive argument so arbitrarily large |v - theta| cannot overflow;
-    v == theta gives exactly 0.5.
-    """
-    x = k * (v - theta)
-    if x > 0.0:
-        z = math.exp(-x)
-        return z / (1.0 + z)
-    return 1.0 / (1.0 + math.exp(x))
-
-
-def volatility_update(v, delta, eta):
-    """EWMA of |delta|; the volatility trace after an update of size delta."""
-    return (1.0 - eta) * v + eta * abs(delta)
-
-
-def tactical_applies(state, q, state_next, q_next):
-    """Whether the step (state, q) -> (state_next, q_next) earns g_PD.
-
-    The policy gradient pays moves within an automaton state. An edge
-    crossing is judged by the strategic term instead, and a step that leaves
-    the product state unchanged (walking into a wall) is a self-loop: paying
-    it would pay the student for standing still.
-    """
-    return q_next == q and state_next != state
-
-
-def fused_update(omega, delta_student, r_ad, g_pd):
-    """Gate-weighted blend of the student's and the teacher's TD errors.
-
-    The student arm is delta_student; the teacher arm is the same TD error
-    with the teacher terms added to the reward, delta_student + r_ad + g_pd
-    (shaping inside the TD target, as in Ng, Harada & Russell, ICML 1999).
-    omega * student + (1 - omega) * teacher simplifies to the expression
-    below: without teacher terms the update is plain Q-learning, and at a
-    fixed omega every pair's update has a fixed point.
-    """
-    return delta_student + (1.0 - omega) * (r_ad + g_pd)
-
-
 class RunResult:
     """One training job's outputs: the (n_rows, A) tables of Q, volatility
     and visit counts over the product rows, `rows` (each row's old index
@@ -193,11 +150,11 @@ def run_training(tables, cdfa, dense, learn, *, episodes, max_steps, seed,
     Per step: epsilon-greedy action, student TD error, trust gate read from
     the pair's volatility as it stood before this step, teacher terms
     (automaton edge value, and the policy gradient on the taken action
-    where `tactical_applies`), fused update, then Q += alpha * update and
-    the volatility absorbs |update|. With use_guidance False this reduces
-    exactly to Q-learning. Update magnitudes above `bound` are recorded
-    (the global step indices of the first SOFT_CAP); non-finite updates
-    abort.
+    when the step moves within an automaton state), fused update, then
+    Q += alpha * update and the volatility absorbs |update|. With
+    use_guidance False this reduces exactly to Q-learning. Update
+    magnitudes above `bound` are recorded (the global step indices of the
+    first SOFT_CAP); non-finite updates abort.
     """
     if episodes <= 0:
         raise ValueError("episodes must be positive")
@@ -272,7 +229,14 @@ def run_training(tables, cdfa, dense, learn, *, episodes, max_steps, seed,
             d_student = r + boot - old
             if use_guidance:
                 if use_gate:
-                    om = trust_gate(vol[pa], gate_k, theta)
+                    # the gate 1 / (1 + exp(k (v - theta))), through the
+                    # exp of a non-positive argument so it cannot overflow
+                    x = gate_k * (vol[pa] - theta)
+                    if x > 0.0:
+                        z = math.exp(-x)
+                        om = z / (1.0 + z)
+                    else:
+                        om = 1.0 / (1.0 + math.exp(x))
                 else:
                     om = omega_fixed
                 qq = q_of[p]
@@ -284,17 +248,23 @@ def run_training(tables, cdfa, dense, learn, *, episodes, max_steps, seed,
                     else:
                         novel += 1
                 g = 0.0
-                # with q2 == qq, p2 != p is the same test as s2 != s
-                if pi_known[qq] and tactical_applies(p, qq, p2, q2):
+                # g_PD pays moves within an automaton state: an edge
+                # crossing earns r_AD instead; a wall bump (p2 == p) would
+                # pay standing still
+                if pi_known[qq] and q2 == qq and p2 != p:
                     g = lam_pd * (pi_teacher[qq * n_actions + a]
                                   - softmax_prob(q, a, row, n_actions, b))
-                dq = fused_update(om, d_student, r_ad, g)
+                # omega * d_student + (1 - omega) * (d_student + r_AD + g):
+                # the teacher terms shape the reward of the teacher's TD
+                # error (Ng, Harada & Russell, ICML 1999); without them
+                # this is Q-learning
+                dq = d_student + (1.0 - om) * (r_ad + g)
             else:
                 dq = d_student
             if not math.isfinite(dq):
                 raise ValueError("non-finite update; diverged")
             if use_gate:
-                vol[pa] = volatility_update(vol[pa], dq, eta)
+                vol[pa] = (1.0 - eta) * vol[pa] + eta * abs(dq)
             adq = abs(dq)
             if adq > max_abs_dq:
                 max_abs_dq = adq

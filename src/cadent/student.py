@@ -6,10 +6,9 @@ crossed and a policy-matching gradient on the taken action. A per-pair
 volatility trace (EWMA of the applied update's magnitude, starting high)
 drives a sigmoid gate deciding how much weight the teacher gets: pairs
 without experience and volatile regions lean on the teacher, settled
-regions on the student's own signal. The update's formulas have one
-implementation, in `kernels`, which runs them; `trust_gate`,
-`volatility_update`, `tactical_applies` and `fused_update` are those
-functions, re-exported here as the public API. `train_student` returns the
+regions on the student's own signal. The update rule is written once,
+in the training loop `kernels.run_training`; this module keeps the
+variant table, the config and `update_bound`. `train_student` returns the
 kernel's `RunResult`, which records the run's seed and update bound.
 """
 
@@ -22,8 +21,7 @@ import numpy as np
 
 from .envs.tables import compile_env
 from .files import Config
-from .kernels import (fused_update, run_training, tactical_applies,
-                      trust_gate, volatility_update)
+from .kernels import run_training
 from .tabular import LearningParams
 from .teacher import dense_knowledge
 

@@ -17,19 +17,22 @@ arrays the library reads.
 
 `toy_product` and its helpers hand-build tiny products for short
 `run_training` calls, so the worked examples of the update rule (the TD
-error, the Q update, the action choice and the two teacher terms) check
-the kernel itself; `td_error`, `strategic_reward` and `tactical_gradient`
-are the one-line transcriptions those examples compare with.
+error, the Q update, the action choice, the two teacher terms, the trust
+gate, the volatility trace and the fused update) check the kernel itself,
+the one place the rule is written. `td_error`, `strategic_reward`,
+`tactical_gradient`, `trust_gate`, `volatility_update` and `fused_update`
+are the short transcriptions those examples compare with; the last three
+take the same float expressions in the same order as the kernel, so they
+give its bits.
 
 `reference_train_run` is the training loop as it was before its per-step
 bookkeeping was cut (a maintained greedy action per row, RNG words held in
 locals) and before it walked product rows: it looks the automaton up each
 step and indexes the dense layout. Its formulas (argmax, the softmax pull,
-the trust gate, the volatility trace, the tactical test and the fused
-update) are its own transcriptions of the library's, the same float
-expressions in the same order, so it pins the formulas as well as the
-loop's bookkeeping: the kernel's outputs, scattered by `dense_run`, must
-match it bit for bit.
+the tactical test, and the three transcriptions above) are its own, the
+same float expressions in the same order as the kernel's, so it pins the
+formulas as well as the loop's bookkeeping: the kernel's outputs,
+scattered by `dense_run`, must match it bit for bit.
 
 `read_run_csv` reads a run CSV back with the `csv` module, for the tests
 that check what the harness and the CLI wrote.
@@ -87,6 +90,26 @@ def tactical_gradient(pi, q, row, action, lam):
     student's temperature-1 softmax over `row`; 0 where pi has no q."""
     return lam * (pi[q][action] - naive_softmax(row, 1.0)[action]) \
         if q in pi else 0.0
+
+
+def trust_gate(v, k, theta):
+    """omega = 1 / (1 + exp(k (v - theta))), the student's own weight at
+    volatility v, through the exp of a non-positive argument."""
+    x = k * (v - theta)
+    if x > 0.0:
+        z = math.exp(-x)
+        return z / (1.0 + z)
+    return 1.0 / (1.0 + math.exp(x))
+
+
+def volatility_update(v, delta, eta):
+    """The volatility trace after an update of size delta: EWMA of |delta|."""
+    return (1.0 - eta) * v + eta * abs(delta)
+
+
+def fused_update(omega, delta, r_ad, g_pd):
+    """The student's TD error plus the teacher terms at weight 1 - omega."""
+    return delta + (1.0 - omega) * (r_ad + g_pd)
 
 
 def read_qtable(path):
@@ -506,13 +529,13 @@ def row_of(res, s, q=0):
     return p
 
 
-def edge_product(n_q, q, q2):
+def edge_product(n_q, q, q2, reward=0.0):
     """One step from env state 0 to the terminal env state 1 on event 1,
-    which takes automaton state q to q2; the automaton starts in q and
-    every other (state, event) pair stays put."""
+    with `reward`, which takes automaton state q to q2; the automaton
+    starts in q and every other (state, event) pair stays put."""
     delta = [[i, i] for i in range(n_q)]
     delta[q][1] = q2
-    return toy_product([[1], [1]], [[0.0], [0.0]], event=[[1], [0]],
+    return toy_product([[1], [1]], [[reward], [0.0]], event=[[1], [0]],
                        terminal=[1], delta=delta, q_start=q)
 
 
@@ -544,6 +567,41 @@ def kernel_pull(pi, lam, others):
     res = toy_run(product, knowledge, lam_pd=lam, max_steps=n)
     assert res.counts[0].tolist() == [1] * n, res.counts[0]
     return res.q[0, n - 1]
+
+
+def kernel_fused(omega, delta, teacher):
+    """The kernel's fused update at a fixed omega: Q after one step at
+    alpha 1 from the zero table that ends the episode with reward `delta`
+    (so the student's TD error is `delta`) and crosses an edge whose value
+    r_AD is `teacher`, counted in full."""
+    res = toy_run(edge_product(2, 0, 1, reward=delta),
+                  toy_knowledge(2, 1, q_ad={(0, 1): teacher}), lam_ad=1.0,
+                  omega=omega)
+    return res.q[0, 0]
+
+
+def kernel_teacher_weight(v, k, theta):
+    """1 - omega, the teacher's weight under the kernel's trust gate at
+    volatility v: Q after one step at alpha 1, from v_init = v, whose only
+    term is an edge value r_AD = 1 (see `kernel_fused`)."""
+    res = toy_run(edge_product(2, 0, 1),
+                  toy_knowledge(2, 1, q_ad={(0, 1): 1.0}), lam_ad=1.0,
+                  trust=SimpleNamespace(eta=1.0, k=k, theta=theta,
+                                        v_init=v))
+    return res.q[0, 0]
+
+
+def kernel_volatility(v, eta, reward, steps=1, alpha=0.0):
+    """The kernel's volatility trace from v_init = v after `steps` updates
+    of one pair, a wall bump with `reward`, at gamma 0 and without teacher
+    terms: update n is reward - Q, with Q moved by alpha times each update
+    (at alpha 0, every update is `reward`)."""
+    res = toy_run(toy_product([[0]], [[reward]]), alpha=alpha,
+                  max_steps=steps,
+                  trust=SimpleNamespace(eta=eta, k=1.0, theta=0.0,
+                                        v_init=v))
+    assert res.counts[0, 0] == steps
+    return res.vol[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -642,13 +700,7 @@ def reference_train_run(next_state, reward, event, terminal, dead, delta,
             d_student = r + boot - q[pa]
             if use_guidance:
                 if use_gate:
-                    # the trust gate, evaluated without overflow
-                    x = gate_k * (vol[pa] - theta)
-                    if x > 0.0:
-                        z = math.exp(-x)
-                        om = z / (1.0 + z)
-                    else:
-                        om = 1.0 / (1.0 + math.exp(x))
+                    om = trust_gate(vol[pa], gate_k, theta)
                 else:
                     om = omega_fixed
                 r_ad = 0.0
@@ -661,13 +713,13 @@ def reference_train_run(next_state, reward, event, terminal, dead, delta,
                 if pi_known[qq] and q2 == qq and s2 != s:
                     g = lam_pd * (pi_teacher[qq * n_actions + a]
                                   - _row_softmax_prob(q, a, row, n_actions))
-                dq = d_student + (1.0 - om) * (r_ad + g)
+                dq = fused_update(om, d_student, r_ad, g)
             else:
                 dq = d_student
             if not math.isfinite(dq):
                 raise ValueError("non-finite update; diverged")
             if use_gate:
-                vol[pa] = (1.0 - eta) * vol[pa] + eta * abs(dq)
+                vol[pa] = volatility_update(vol[pa], dq, eta)
             adq = abs(dq)
             if adq > max_abs_dq:
                 max_abs_dq = adq

@@ -31,19 +31,20 @@ from cadent.harness import (RUN_CSV_HEADER, CellRun, ExperimentConfig,
                             aggregate_per_episode, final_window_mean,
                             run_experiment, steps_to_threshold, write_run_csv)
 from cadent.kernels import argmax, greedy_rollout
-from cadent.student import (StudentConfig, fused_update, train_student,
-                            trust_gate, update_bound, volatility_update)
+from cadent.student import StudentConfig, train_student, update_bound
 from cadent.tabular import softmax_policy
 from cadent.teacher import (build_knowledge, distill_automaton_values,
                             load_knowledge, save_knowledge, train_teacher)
 
 from golden import golden_actions, run_actions
 from oracles import (LAST_UPDATE, dict_value_iteration, edge_product,
-                     ewma_closed_form, kernel_pull, naive_softmax, q_row,
-                     read_run_csv, reference_q_learning, row_of, sigmoid,
-                     sparse_results, strategic_reward, tactical_gradient,
-                     td_error, toy_knowledge, toy_product, toy_run,
-                     toy_teacher, value_iteration)
+                     ewma_closed_form, kernel_fused, kernel_pull,
+                     kernel_teacher_weight, kernel_volatility, naive_softmax,
+                     q_row, read_run_csv, reference_q_learning, row_of,
+                     sigmoid, sparse_results, strategic_reward,
+                     tactical_gradient, td_error, toy_knowledge, toy_product,
+                     toy_run, toy_teacher, trust_gate, value_iteration,
+                     volatility_update)
 
 _BUDGETS = {1: 10.0, 2: 30.0, 3: 120.0, 4: 600.0, 5: 1800.0, 6: 1800.0,
             7: 60.0}
@@ -305,17 +306,18 @@ def test_criterion_1_worked_examples(env_cache, tmp_path):
     with pytest.raises(ValueError):
         train_teacher(source, episodes=0, seed=7)
 
-    # -- fused-update scalars
-    assert volatility_update(0.0, 2.0, 0.1) == 0.2
-    assert volatility_update(3.0, -7.0, 1.0) == 7.0
-    v = 0.0
-    for _ in range(40):
-        v = volatility_update(v, 3.0, 0.1)
-    assert v == pytest.approx(ewma_closed_form(40, 0.1, 3.0), abs=1e-9)
-    assert trust_gate(0.5, 10.0, 0.5) == 0.5
-    assert trust_gate(0.0, 10.0, 0.5) == pytest.approx(sigmoid(5.0), abs=1e-9)
-    assert trust_gate(1.0, 10.0, 0.5) == pytest.approx(1.0 / (1.0 + math.e ** 5),
-                                                       abs=1e-9)
+    # -- the fused update, read off kernel runs: the volatility of one
+    # pair's updates, and the gate's omega as 1 - Q after one step whose
+    # only term is r_AD = 1 (oracles.kernel_teacher_weight)
+    assert kernel_volatility(0.0, 0.1, 2.0) == 0.2
+    assert kernel_volatility(3.0, 1.0, -7.0) == 7.0
+    assert kernel_volatility(0.0, 0.1, 3.0, steps=40) == pytest.approx(
+        ewma_closed_form(40, 0.1, 3.0), abs=1e-9)
+    assert kernel_teacher_weight(0.5, 10.0, 0.5) == 0.5
+    assert 1.0 - kernel_teacher_weight(0.0, 10.0, 0.5) == pytest.approx(
+        sigmoid(5.0), abs=1e-9)
+    assert 1.0 - kernel_teacher_weight(1.0, 10.0, 0.5) == pytest.approx(
+        1.0 / (1.0 + math.e ** 5), abs=1e-9)
     # the teacher terms as the kernel pays them: one step at alpha 1 and
     # reward 0 with the teacher in full (omega 0) leaves Q = r_AD + g_PD
     q_ad = {(0, 1): 4.0}
@@ -337,12 +339,14 @@ def test_criterion_1_worked_examples(env_cache, tmp_path):
             pytest.approx(want, abs=1e-9))
         res = toy_run(step2, toy_knowledge(2, 2, pi=pi), lam_pd=2.0)
         assert res.q[0, 0] == pytest.approx(want, abs=1e-9)
-    # delta + (1 - omega) * (r_ad + g_pd): the teacher arm is a TD error too
-    assert fused_update(1.0, 2.0, 5.0, 5.0) == 2.0
-    assert fused_update(0.0, 2.0, 1.0, 0.5) == 3.5
-    assert fused_update(0.5, 2.0, 1.0, 0.5) == 2.75
+    # delta + (1 - omega) * (r_ad + g_pd): the teacher arm is a TD error
+    # too. Q after one step at alpha 1 and a fixed omega, with reward delta
+    # and one teacher term r_ad + g_pd (oracles.kernel_fused)
+    assert kernel_fused(1.0, 2.0, 5.0 + 5.0) == 2.0
+    assert kernel_fused(0.0, 2.0, 1.0 + 0.5) == 3.5
+    assert kernel_fused(0.5, 2.0, 1.0 + 0.5) == 2.75
     for omega in (0.0, 0.3, 1.0):
-        assert fused_update(omega, 2.5, 0.0, 0.0) == 2.5
+        assert kernel_fused(omega, 2.5, 0.0) == 2.5
     bound = update_bound(0.9, 10.0, 1.0, 5.0, 0.5)
     assert bound == 10.0 / (1.0 - 0.9) + 1.0 * 5.0 + 2.0 * 0.5
     assert bound == pytest.approx(106.0, abs=1e-9)
@@ -414,19 +418,24 @@ def test_criterion_2_property_groups():
 
     rng = np.random.default_rng(0xACC2)
     # trust gate: range, midpoint, monotone non-increasing in volatility;
-    # strictly interior whenever float64 can still represent the tails
+    # strictly interior whenever float64 can still represent the tails.
+    # The kernel's teacher weight 1 - omega is read off one step whose only
+    # term is r_AD = 1 (oracles.kernel_teacher_weight), bit for bit
     for _ in range(2000):
         v = rng.uniform(0.0, 5.0)
         theta = rng.uniform(0.0, 2.0)
         k = rng.uniform(1e-3, 50.0)
-        omega = trust_gate(v, k, theta)
-        assert 0.0 <= omega <= 1.0
+        weight = kernel_teacher_weight(v, k, theta)
+        assert weight == 1.0 - trust_gate(v, k, theta)
+        assert 0.0 <= weight <= 1.0
         if abs(k * (v - theta)) < 30.0:
-            assert 0.0 < omega < 1.0
-        assert trust_gate(v + rng.uniform(0.0, 3.0), k, theta) <= omega
-        assert trust_gate(theta, k, theta) == 0.5
-    assert trust_gate(1e6, 10.0, 0.5) == 0.0          # saturates, no overflow
-    assert trust_gate(-1e6, 10.0, 0.5) == 1.0
+            assert 0.0 < weight < 1.0
+        assert kernel_teacher_weight(v + rng.uniform(0.0, 3.0), k,
+                                     theta) >= weight
+        assert kernel_teacher_weight(theta, k, theta) == 0.5
+    # saturates, no overflow
+    assert kernel_teacher_weight(1e6, 10.0, 0.5) == 1.0
+    assert kernel_teacher_weight(-1e6, 10.0, 0.5) == 0.0
 
     # softmax: normalization and shift invariance
     for _ in range(1500):
@@ -474,13 +483,21 @@ def test_criterion_2_property_groups():
             assert toy_run(edge_product(4, q, q2), know,
                            lam_ad=lam).q[0, 0] == lam * q_ad[(q, q2)]
 
-    # volatility stays non-negative and finite under arbitrary errors
+    # volatility stays non-negative and finite under errors of either
+    # sign: 20 updates of one pair in a kernel run, reward - Q with Q moved
+    # by alpha each time, so at alpha above 1 their signs alternate
+    # (oracles.kernel_volatility); it equals the trace taken update by update
     for _ in range(1000):
-        v = rng.uniform(0.0, 10.0)
+        v0 = v = rng.uniform(0.0, 10.0)
         eta = rng.uniform(1e-6, 1.0)
+        reward = rng.uniform(-100.0, 100.0)
+        alpha = rng.uniform(0.0, 2.0)
+        q = 0.0
         for _ in range(20):
-            v = volatility_update(v, rng.uniform(-100.0, 100.0), eta)
-            assert v >= 0.0 and math.isfinite(v)
+            v = volatility_update(v, reward - q, eta)
+            q = q + alpha * (reward - q)
+        vol = kernel_volatility(v0, eta, reward, steps=20, alpha=alpha)
+        assert vol >= 0.0 and math.isfinite(vol) and vol == v
 
     # distillation: insertion-order invariance and positive-scaling
     # equivariance

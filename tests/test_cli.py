@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import sys
 
 import pytest
 
@@ -24,6 +26,30 @@ def test_info_prints_registry(capsys):
     assert payload["default_episodes"]["dungeon_quest"] == 1500
     assert payload["env_aliases"]["dungeon"] == "dungeon_quest"
     assert payload["variant_aliases"]["none"] == "no_transfer"
+
+
+def test_closed_stdout_ends_quietly(tmp_path, monkeypatch, capsys):
+    # a reader that stops early (`cadent info | head -1`) closes the pipe
+    # under the command: it exits 1 with nothing on stderr, and its stdout
+    # descriptor now leads to devnull, so the flush at exit cannot fail
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["info"]) == 1
+    assert capsys.readouterr().err == ""
+    os.write(fd, b"after")
+    os.close(fd)
+    assert (tmp_path / "stdout").read_bytes() == b""
 
 
 def test_layout_prints_grid(capsys):

@@ -81,6 +81,19 @@ def test_every_submodule_imports_first():
     assert failed == {}
 
 
+def test_the_public_names_are_these():
+    # a new public name is a deliberate change to this list
+    assert cadent.__all__ == [
+        "Dfa", "DfaError", "ENV_NAMES", "EnvSpec", "ExperimentConfig",
+        "GuidanceParams", "LearningParams", "NULL_EVENT", "ProductState",
+        "StudentConfig", "TeacherKnowledge", "TrustParams",
+        "build_knowledge", "bundled_dfa", "canonical_variant",
+        "default_spec", "is_accepting", "load_knowledge", "make_dfa",
+        "make_env", "preset_names", "resolve_preset", "run_experiment",
+        "save_knowledge", "save_qtable", "softmax_policy", "step_automaton",
+        "train_student", "train_teacher", "update_bound"]
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="'cadent' has no attribute "
                                              "'no_such_name'"):

@@ -14,46 +14,48 @@ from cadent.envs.tables import compile_env
 from cadent.harness import _run_stream
 from cadent.kernels import greedy_rollout, run_training
 from cadent.student import (GuidanceParams, StudentConfig, TrustParams,
-                            fused_update, tactical_applies, train_student,
-                            trust_gate, update_bound, volatility_update)
+                            train_student, update_bound)
 from cadent.tabular import LearningParams, softmax_policy
 from cadent.teacher import build_knowledge, train_teacher
 
-from oracles import (corridor, edge_product, ewma_closed_form, kernel_pull,
-                     sigmoid, strategic_reward, tactical_gradient,
-                     toy_knowledge, toy_product, toy_run)
+from oracles import (corridor, edge_product, ewma_closed_form, fused_update,
+                     kernel_fused, kernel_pull, kernel_teacher_weight,
+                     kernel_volatility, sigmoid, strategic_reward,
+                     tactical_gradient, toy_knowledge, toy_product, toy_run,
+                     trust_gate, volatility_update)
 
 
 # ---------------------------------------------------------------------------
-# scalar pieces
+# the update rule, one kernel step or one pair at a time
 
 
 def test_volatility_update_examples():
-    assert volatility_update(0.0, 2.0, 0.1) == pytest.approx(0.2, abs=1e-12)
-    assert volatility_update(1.0, -3.0, 1.0) == 3.0
-    assert volatility_update(1.0, 0.0, 0.1) == pytest.approx(0.9, abs=1e-12)
+    assert kernel_volatility(0.0, 0.1, 2.0) == pytest.approx(0.2, abs=1e-12)
+    assert kernel_volatility(1.0, 1.0, -3.0) == 3.0
+    assert kernel_volatility(1.0, 0.1, 0.0) == pytest.approx(0.9, abs=1e-12)
 
 
 def test_volatility_update_matches_closed_form():
-    v = 0.7
     for n in range(1, 40):
-        v = volatility_update(v, 1.3, 0.25)
-        assert v == pytest.approx(ewma_closed_form(n, 0.25, 1.3, v0=0.7),
-                                  abs=1e-12)
+        assert kernel_volatility(0.7, 0.25, 1.3, steps=n) == pytest.approx(
+            ewma_closed_form(n, 0.25, 1.3, v0=0.7), abs=1e-12)
+
+
+# the gate's omega is 1 - kernel_teacher_weight
 
 
 def test_trust_gate_midpoint_and_examples():
-    assert trust_gate(0.5, 10.0, 0.5) == 0.5
-    assert trust_gate(1.0, 10.0, 0.5) == pytest.approx(sigmoid(-5.0),
-                                                       abs=1e-12)
-    assert trust_gate(0.0, 10.0, 0.5) == pytest.approx(sigmoid(5.0),
-                                                       abs=1e-12)
+    assert kernel_teacher_weight(0.5, 10.0, 0.5) == 0.5
+    assert 1.0 - kernel_teacher_weight(1.0, 10.0, 0.5) == pytest.approx(
+        sigmoid(-5.0), abs=1e-12)
+    assert 1.0 - kernel_teacher_weight(0.0, 10.0, 0.5) == pytest.approx(
+        sigmoid(5.0), abs=1e-12)
 
 
 def test_trust_gate_extremes_stay_finite():
-    assert trust_gate(1e6, 10.0, 0.5) == 0.0
-    assert trust_gate(-1e6, 10.0, 0.5) == 1.0
-    assert trust_gate(0.0, 1e6, 0.5) == 1.0
+    assert kernel_teacher_weight(1e6, 10.0, 0.5) == 1.0
+    assert kernel_teacher_weight(-1e6, 10.0, 0.5) == 0.0
+    assert kernel_teacher_weight(0.0, 1e6, 0.5) == 0.0
 
 
 @settings(max_examples=300, deadline=None)
@@ -61,7 +63,8 @@ def test_trust_gate_extremes_stay_finite():
        st.floats(0.01, 50.0), st.floats(0.0, 2.0))
 def test_trust_gate_monotone_decreasing(v1, v2, k, theta):
     lo, hi = min(v1, v2), max(v1, v2)
-    assert trust_gate(lo, k, theta) >= trust_gate(hi, k, theta)
+    assert kernel_teacher_weight(lo, k, theta) <= kernel_teacher_weight(
+        hi, k, theta)
 
 
 def _edge_value(q_ad, q, q2, lam):
@@ -167,11 +170,12 @@ def test_tactical_gradient_bounded(row, lam, action):
 
 
 def test_fused_update_examples():
-    # omega * delta + (1 - omega) * (delta + r_ad + g_pd)
-    assert fused_update(1.0, 2.0, 5.0, 5.0) == 2.0            # 2 + 0 * 10
-    assert fused_update(0.0, 2.0, 1.0, 0.5) == 3.5            # 2 + 1 * 1.5
-    assert fused_update(0.5, 2.0, 1.0, 0.5) == 2.75           # 2 + 0.5 * 1.5
-    assert fused_update(0.75, -1.0, 2.0, -0.5) == -0.625      # -1 + 0.25 * 1.5
+    # omega * delta + (1 - omega) * (delta + r_ad + g_pd); a kernel step
+    # pays r_AD or g_PD, never both, so the sum r_ad + g_pd is one edge
+    assert kernel_fused(1.0, 2.0, 5.0 + 5.0) == 2.0           # 2 + 0 * 10
+    assert kernel_fused(0.0, 2.0, 1.0 + 0.5) == 3.5           # 2 + 1 * 1.5
+    assert kernel_fused(0.5, 2.0, 1.0 + 0.5) == 2.75          # 2 + 0.5 * 1.5
+    assert kernel_fused(0.75, -1.0, 2.0 - 0.5) == -0.625      # -1 + 0.25 * 1.5
 
 
 @settings(max_examples=500, deadline=None)
@@ -179,7 +183,7 @@ def test_fused_update_examples():
        st.floats(-2, 2))
 def test_fused_update_convex_bound(omega, delta, r_ad, g_pd):
     # the teacher arm adds at most its own magnitude (triangle inequality)
-    fused = fused_update(omega, delta, r_ad, g_pd)
+    fused = kernel_fused(omega, delta, r_ad + g_pd)
     assert abs(fused) <= abs(delta) + abs(r_ad + g_pd) + 1e-12
 
 
@@ -187,7 +191,7 @@ def test_fused_update_convex_bound(omega, delta, r_ad, g_pd):
 @given(st.floats(0.0, 1.0), st.floats(-10, 10))
 def test_fused_update_without_guidance_is_scaled_delta(omega, delta):
     # with no teacher terms both arms are the student's TD error
-    assert fused_update(omega, delta, 0.0, 0.0) == delta
+    assert kernel_fused(omega, delta, 0.0) == delta
 
 
 def test_update_bound_example():
@@ -356,22 +360,18 @@ def test_student_config_from_json_names_a_section_not_an_object(section):
         StudentConfig.from_json(payload)
 
 
-def test_tactical_applies():
-    assert tactical_applies(3, "q0", 4, "q0")          # a move within q0
-    assert not tactical_applies(3, "q0", 3, "q0")      # a wall bump
-    assert not tactical_applies(3, "q0", 4, "q1")      # an edge crossing
-    assert not tactical_applies(3, "q0", 3, "q1")
-
-
 # ---------------------------------------------------------------------------
 # the kernel's guided step against the scalar references
 
 
 @pytest.mark.parametrize("case,s_next,event", [
-    ("move", 1, 0), ("wall bump", 0, 0), ("edge crossing", 1, 1)])
+    ("move", 1, 0), ("wall bump", 0, 0), ("edge crossing", 1, 1),
+    ("wall bump across an edge", 0, 1)])
 def test_kernel_guided_step_matches_reference(case, s_next, event):
     # one greedy step from env state 0 under q0; the zero table picks
-    # action 0, whose outcome each case sets
+    # action 0, whose outcome each case sets. Only a move within q0 earns
+    # g_PD: a wall bump would pay standing still, and an edge crossing
+    # earns r_AD instead
     product = toy_product([[s_next, 0], [1, 1]], [[0.3, 0.0], [0.0, 0.0]],
                           event=[[event, 0], [0, 0]], delta=[[0, 1], [1, 1]])
     trust = TrustParams(eta=0.25, k=10.0, theta=0.5, v_init=1.0)
@@ -383,13 +383,12 @@ def test_kernel_guided_step_matches_reference(case, s_next, event):
     omega = trust_gate(trust.v_init, trust.k, trust.theta)
     r_ad = strategic_reward({("q0", "q1"): 4.0}, "q0", q_next, 1.0)
     g_pd = 0.0
-    if tactical_applies(0, "q0", s_next, q_next):
+    if case == "move":
         g_pd = tactical_gradient({"q0": [0.8, 0.2]}, "q0", np.zeros(2), 0,
                                  0.5)
         assert g_pd == 0.5 * (0.8 - 0.5)
     dq = fused_update(omega, 0.3, r_ad, g_pd)   # the step ends the episode
-    assert (r_ad != 0.0) == (case == "edge crossing")
-    assert (g_pd != 0.0) == (case == "move")
+    assert (r_ad != 0.0) == (event == 1)
     assert res.q[0, 0] == 0.5 * dq
     assert res.vol[0, 0] == volatility_update(trust.v_init, dq, trust.eta)
 
