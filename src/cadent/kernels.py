@@ -1,15 +1,26 @@
 """The training kernel.
 
-The episode loop is plain Python over flat 1-D sequences, in one
-function, `run_training`. It allocates the numpy outputs and runs the loop
-over memoryviews of them and of the env, automaton and knowledge tables,
-with no copy: their items read as Python scalars, which CPython indexes far
-faster than numpy arrays. The update rule is written once, in the loop:
-the epsilon-greedy choice, the TD error, the trust gate, the edge value
-r_AD, the pull g_PD and when it applies, the fused update and the
-volatility trace. `argmax`, `softmax_prob` (the pull) and `sum_in_order`
-are the only helpers: distillation, `greedy_rollout` and the harness
-share them.
+The episode loop is one C function, `train` in `_kernel.c`, behind one
+Python function, `run_training`. `run_training` checks its inputs,
+allocates the numpy outputs and hands the loop flat pointers to them and
+to the env, automaton and knowledge tables, with no copy; the loop fills
+them and returns. The update rule is written once, in that loop: the
+epsilon-greedy choice, the TD error, the trust gate, the edge value r_AD,
+the pull g_PD and when it applies, the fused update and the volatility
+trace. `argmax`, `softmax_prob` (the pull, which the loop computes the
+same way at temperature 1) and `sum_in_order` are the only Python
+helpers: distillation, `greedy_rollout` and the harness share them.
+
+The first import compiles `_kernel.c` with the C compiler Python was built
+with (`sysconfig`'s CC) and keeps the shared library in
+`$XDG_CACHE_HOME/cadent` (default `~/.cache/cadent`), or, where that
+cannot be written, in `cadent-<uid>` under the temporary directory. The
+file name holds a checksum of the source, the flags, the compiler and the
+machine, so a changed source builds anew and later imports only load it.
+Without a compiler the import fails. The flags keep the compiler from
+fusing a multiply and an add, which would round once where the loop's
+statements round twice, so the same inputs give the same bits on every
+build. A run holds the thread until it returns: Ctrl-C lands after that.
 
 The kernel walks product rows, not (env state, automaton state) pairs.
 `envs.tables.product_tables` builds, once per env, the rows reachable from
@@ -23,49 +34,150 @@ a learned Q takes: distillation, the greedy rollout and `--qtable-out`
 read them through `rows`.
 
 A step's cost does not grow with the row width. The loop keeps each
-product row's greedy action in a list: `greedy[p] == argmax(q, p * A, A)`
-at all times, ties going to the lowest action as `argmax` breaks them. Q
-starts at zero, so every entry starts at 0. A step writes one entry,
-q[p * A + a]. If a is the greedy action and its value fell, the row is
-rescanned; otherwise a becomes greedy when its new value is above the
-greedy one's, or equal to it with a lower index. The action choice, the
-bootstrap and the softmax pull read the list. The four xorshift128 words
-are held in locals for the whole run, stepped with `rng.xs128_word`, and
-returned as the run's `rng_words`.
+product row's greedy action in an int32 array: `greedy[p] ==
+argmax(q[p])` at all times, ties going to the lowest action as `argmax`
+breaks them. Q starts at zero, so every entry starts at 0. A step writes
+one entry, q[p * A + a]. If a is the greedy action and its value fell,
+the row is rescanned; otherwise a becomes greedy when its new value is
+above the greedy one's, or equal to it with a lower index. The action
+choice, the bootstrap and the softmax pull read the array. The four
+xorshift128 words (`rng.xs128_word`) start from `rng.state_from(seed,
+stream)` and are returned as the run's `rng_words`.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import platform
+import stat
+import sysconfig
+import tempfile
+import zlib
 
 import numpy as np
 
 from .envs.tables import product_tables
-from .rng import state_from, xs128_word
-
-_INV32 = 2.0 ** -32
+from .rng import state_from
 
 # a run records the global step indices of its first SOFT_CAP updates above
 # the bound, and counts the rest
 SOFT_CAP = 1024
 
 # read by perfbench/run.py (machine_info and backend_parity)
-BACKEND = "python"
+BACKEND = "c"
 NUMBA_ENABLED = False
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "_kernel.c")
+# -ffp-contract=off: no fused multiply-add, whatever the CPU
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_LDLIBS = ("-lm",)
+
+
+def _cache_dir():
+    """The directory the library is kept in: $XDG_CACHE_HOME/cadent (or
+    ~/.cache/cadent) when it can be written, else cadent-<uid> under the
+    temporary directory, which must be a directory of this user's that no
+    one else may write."""
+    base = (os.environ.get("XDG_CACHE_HOME")
+            or os.path.join(os.path.expanduser("~"), ".cache"))
+    path = os.path.join(base, "cadent")
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError:
+        pass
+    else:
+        if os.access(path, os.W_OK | os.X_OK):
+            return path
+    uid = os.getuid()
+    path = os.path.join(tempfile.gettempdir(), f"cadent-{uid}")
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        st = os.lstat(path)
+    except OSError as exc:
+        raise ImportError(f"no directory to keep the training loop's "
+                          f"library in: {exc}") from exc
+    if (not stat.S_ISDIR(st.st_mode) or st.st_uid != uid
+            or st.st_mode & 0o022):
+        raise ImportError(
+            f"refusing {path} as the training loop's library cache: it is "
+            f"not a directory of uid {uid} that only its owner may write")
+    return path
+
+
+def _build(cc, path):
+    """Compile _kernel.c into `path`, through a temporary file that
+    `os.replace` moves into place, so no process loads half a library."""
+    import shlex
+    import subprocess
+    tmp = f"{path}.{os.getpid()}.tmp"
+    cmd = [*shlex.split(cc), *_CFLAGS, _SOURCE, "-o", tmp, *_LDLIBS]
+    try:
+        try:
+            done = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as exc:
+            raise ImportError(
+                f"cadent.kernels compiles its training loop with the C "
+                f"compiler {cc!r}, which could not be run ({exc}); install "
+                f"a C compiler (gcc, e.g. `apt-get install gcc`)") from None
+        if done.returncode != 0:
+            raise ImportError(f"{' '.join(cmd)} failed:\n{done.stderr}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load():
+    """The loop's library, built on the first import that finds none for
+    this source, these flags, this compiler and this machine."""
+    with open(_SOURCE, "rb") as fh:
+        source = fh.read()
+    cc = sysconfig.get_config_var("CC") or "cc"
+    key = zlib.crc32("\0".join((*_CFLAGS, *_LDLIBS, cc, platform.machine()))
+                     .encode(), zlib.crc32(source))
+    path = os.path.join(_cache_dir(), f"_kernel-{key:08x}.so")
+    if not os.path.exists(path):
+        _build(cc, path)
+    return ctypes.CDLL(path)
+
+
+_train = _load().train
+_train.restype = ctypes.c_int
+# as _kernel.c declares them: the 17 table and output buffers, soft_cap,
+# greedy, rng, tallies and max_abs, 5 sizes, 12 rates and weights, 2 flags
+_train.argtypes = (
+    [ctypes.c_void_p] * 17 + [ctypes.c_int64] + [ctypes.c_void_p] * 4
+    + [ctypes.c_int64] * 5 + [ctypes.c_double] * 12 + [ctypes.c_int] * 2)
+
+_BOOL, _I32, _I64, _F64 = (np.dtype(t) for t in (np.bool_, np.int32,
+                                                 np.int64, np.float64))
+
+
+def _address(array, dtype, size):
+    """The address of `array`'s data, which the loop reads as `size` items
+    of `dtype`; anything else raises rather than be read as another
+    type."""
+    if (array.dtype != dtype or not array.flags.c_contiguous
+            or array.size != size):
+        raise TypeError(
+            f"the training loop reads a C-contiguous {dtype} buffer of "
+            f"{size} items; got {array.dtype}, shape {array.shape}"
+            f"{'' if array.flags.c_contiguous else ', not C-contiguous'}")
+    return array.ctypes.data
 
 
 # Shared with distillation, the greedy rollout and the harness.
 
 
-def argmax(values, lo=0, n=None):
-    """Offset from `lo` of the largest of values[lo:lo+n] (n defaults to
-    all of `values`); ties go to the lowest offset."""
-    if n is None:
-        n = len(values)
+def argmax(values):
+    """Index of the largest of `values`; ties go to the lowest index."""
     a = 0
-    best = values[lo]
-    for b in range(1, n):
-        v = values[lo + b]
+    best = values[0]
+    for b in range(1, len(values)):
+        v = values[b]
         if v > best:
             best = v
             a = b
@@ -82,23 +194,18 @@ def sum_in_order(values):
     return total
 
 
-def softmax_prob(values, a, lo=0, n=None, amax=None, tau=1.0):
-    """Probability of offset `a` under the temperature-`tau` softmax of
-    values[lo:lo+n] (n defaults to all of `values`).
+def softmax_prob(values, a, tau=1.0):
+    """Probability of index `a` under the temperature-`tau` softmax of
+    `values`.
 
-    Max-subtracted, accumulated in action-index order, so every caller gets
-    the same bits. `amax` is the slice's argmax offset when the caller
-    already knows it; by default it is computed here.
+    Max-subtracted and accumulated in index order, as the training loop's
+    pull computes it at temperature 1, so every caller gets the same bits.
     """
-    if n is None:
-        n = len(values)
-    if amax is None:
-        amax = argmax(values, lo, n)
-    m = values[lo + amax]
+    m = values[argmax(values)]
     tot = 0.0
     pa = 0.0
-    for b in range(n):
-        eb = math.exp((values[lo + b] - m) / tau)
+    for b in range(len(values)):
+        eb = math.exp((values[b] - m) / tau)
         tot += eb
         if b == a:
             pa = eb
@@ -175,127 +282,38 @@ def run_training(tables, cdfa, dense, learn, *, episodes, max_steps, seed,
     if dense is None:
         dense = (np.zeros(n_q * n_q), np.zeros(n_q * n_q, dtype=np.bool_),
                  np.zeros(n_q * n_actions), np.zeros(n_q, dtype=np.bool_))
-    # the outputs, and memoryviews of them and of the tables: flat, with no
-    # copy, and their items read as Python scalars. The product tables and
-    # q, vol and counts are indexed p*A + a, or p (`stop` marks the rows
-    # that end an episode, `dead` those that also refuse acceptance);
-    # `accepting` q; the knowledge q*n_q + q2 and q*A + a
-    shape = (len(product.rows), n_actions)
+    n_rows = len(product.rows)
+    shape = (n_rows, n_actions)
     outputs = (np.zeros(shape), np.full(shape, v_init),
                np.zeros(shape, dtype=np.int64), np.zeros(episodes),
                np.zeros(episodes, dtype=np.int64),
                np.zeros(episodes, dtype=np.bool_),
                np.full(SOFT_CAP, -1, dtype=np.int64))
-    (next_row, reward, stop, dead, q_of, accepting, q_ad, q_ad_known,
-     pi_teacher, pi_known, q, vol, counts, ep_reward, ep_steps, ep_accept,
-     soft_steps) = (memoryview(x.reshape(-1)) for x in (
-         product.next, product.reward, product.stop, product.dead,
-         product.q_of, cdfa.accepting, *dense, *outputs))
-    start = product.start
-    soft_cap = len(soft_steps)
-    last = max_steps - 1
-    # greedy[p] == argmax(q, p * n_actions, n_actions) for every row p, as
-    # the module docstring says: Q starts at zero, and each write keeps it
-    greedy = [0] * len(stop)
-    r0, r1, r2, r3 = state_from(seed, stream).tolist()
-    n_soft = 0
-    novel = 0
-    max_abs_dq = 0.0
-    first_step = 0  # global index of the episode's first step
-    for ep in range(len(ep_reward)):
-        e = eps if eps > eps_end else eps_end
-        p = start
-        total = 0.0
-        for t in range(max_steps):
-            row = p * n_actions
-            # action choice: the greedy action b, unless one draw says explore
-            # and one more picks the action
-            b = greedy[p]
-            a = b
-            if e > 0.0:
-                r0, r1, r2, r3 = r1, r2, r3, xs128_word(r0, r3)
-                if r3 * _INV32 < e:
-                    r0, r1, r2, r3 = r1, r2, r3, xs128_word(r0, r3)
-                    a = int((r3 * _INV32) * n_actions)
-            pa = row + a
-            p2 = next_row[pa]
-            r = reward[pa]
-            done = stop[p2] or t == last
-            if done:
-                boot = 0.0
-            else:
-                boot = gamma * q[p2 * n_actions + greedy[p2]]
-            old = q[pa]
-            d_student = r + boot - old
-            if use_guidance:
-                if use_gate:
-                    # the gate 1 / (1 + exp(k (v - theta))), through the
-                    # exp of a non-positive argument so it cannot overflow
-                    x = gate_k * (vol[pa] - theta)
-                    if x > 0.0:
-                        z = math.exp(-x)
-                        om = z / (1.0 + z)
-                    else:
-                        om = 1.0 / (1.0 + math.exp(x))
-                else:
-                    om = omega_fixed
-                qq = q_of[p]
-                q2 = q_of[p2]
-                r_ad = 0.0
-                if q2 != qq:
-                    if q_ad_known[qq * n_q + q2]:
-                        r_ad = lam_ad * q_ad[qq * n_q + q2]
-                    else:
-                        novel += 1
-                g = 0.0
-                # g_PD pays moves within an automaton state: an edge
-                # crossing earns r_AD instead; a wall bump (p2 == p) would
-                # pay standing still
-                if pi_known[qq] and q2 == qq and p2 != p:
-                    g = lam_pd * (pi_teacher[qq * n_actions + a]
-                                  - softmax_prob(q, a, row, n_actions, b))
-                # omega * d_student + (1 - omega) * (d_student + r_AD + g):
-                # the teacher terms shape the reward of the teacher's TD
-                # error (Ng, Harada & Russell, ICML 1999); without them
-                # this is Q-learning
-                dq = d_student + (1.0 - om) * (r_ad + g)
-            else:
-                dq = d_student
-            if not math.isfinite(dq):
-                raise ValueError("non-finite update; diverged")
-            if use_gate:
-                vol[pa] = (1.0 - eta) * vol[pa] + eta * abs(dq)
-            adq = abs(dq)
-            if adq > max_abs_dq:
-                max_abs_dq = adq
-            if adq > bound:
-                if n_soft < soft_cap:
-                    soft_steps[n_soft] = first_step + t
-                n_soft += 1
-            new = old + alpha * dq
-            q[pa] = new
-            # keep greedy[p] current: only q[pa] moved, so the row needs a
-            # rescan only when its greedy entry fell; ties go to the lower a
-            if a == b:
-                if new < old:
-                    greedy[p] = argmax(q, row, n_actions)
-            elif a < b:
-                if new >= q[row + b]:
-                    greedy[p] = a
-            elif new > q[row + b]:
-                greedy[p] = a
-            counts[pa] += 1
-            total += r
-            p = p2
-            if done:  # always by the last step, t == max_steps - 1
-                break
-        ep_reward[ep] = total
-        ep_steps[ep] = t + 1
-        ep_accept[ep] = accepting[q_of[p]] and not dead[p]
-        first_step += t + 1
-        eps = eps * eps_decay
-    return RunResult(*outputs, novel, max_abs_dq, n_soft, product.rows, n_q,
-                     seed, bound, (r0, r1, r2, r3))
+    rng = state_from(seed, stream).astype(np.uint32)
+    tallies = np.zeros(2, dtype=np.int64)  # novel, n_soft
+    max_abs = np.zeros(1)
+    greedy = np.zeros(n_rows, dtype=np.int32)
+    size = n_rows * n_actions
+    buffers = (
+        (product.next, _I32, size), (product.reward, _F64, size),
+        (product.stop, _BOOL, n_rows), (product.dead, _BOOL, n_rows),
+        (product.q_of, _I64, n_rows), (cdfa.accepting, _BOOL, n_q),
+        (dense[0], _F64, n_q * n_q), (dense[1], _BOOL, n_q * n_q),
+        (dense[2], _F64, n_q * n_actions), (dense[3], _BOOL, n_q),
+        *zip(outputs, (_F64, _F64, _I64, _F64, _I64, _BOOL, _I64),
+             (size, size, size, episodes, episodes, episodes, SOFT_CAP)))
+    status = _train(
+        *(_address(array, dtype, n) for array, dtype, n in buffers),
+        SOFT_CAP, greedy.ctypes.data, rng.ctypes.data, tallies.ctypes.data,
+        max_abs.ctypes.data,
+        n_q, n_actions, product.start, episodes, max_steps, alpha, gamma,
+        eps, eps_end, eps_decay, eta, gate_k, theta, lam_ad, lam_pd,
+        omega_fixed, bound, use_gate, use_guidance)
+    if status:
+        raise ValueError("non-finite update; diverged")
+    novel, n_soft = tallies.tolist()
+    return RunResult(*outputs, novel, max_abs.item(), n_soft, product.rows,
+                     n_q, seed, bound, tuple(rng.tolist()))
 
 
 def greedy_rollout(tables, cdfa, q, max_steps):

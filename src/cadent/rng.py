@@ -5,8 +5,9 @@ are kept in an int64 array and every operation masks back to 32 bits, so the
 arithmetic is exact and the same on every platform. Streams are derived
 from a (seed, stream) pair with a murmur-style finalizer, which keeps runs
 independent without any global state. The step itself is `xs128_word`, a
-pure function of two words; `xs128_next` applies it to a state array, and
-the training kernel applies it to four words it holds in locals.
+pure function of two words; `xs128_next` applies it to a state array. The
+training loop (`_kernel.c`) takes the same step on four 32-bit words it
+holds in locals, starting from `state_from`.
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ that check what the harness and the CLI wrote.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from types import SimpleNamespace
@@ -387,14 +388,13 @@ def reference_teacher_policy(qtable, visits, dfa, tau, n_actions,
     return pi
 
 
-def reference_knowledge(run, env, tau, aggregation="visitation_weighted"):
-    """(q_ad, pi) of a teacher's run on `env` through the sparse
-    reference."""
-    ref = sparse_results(env, run)
-    q_ad = reference_automaton_values(ref.qtable, env.dfa,
-                                      ref.transition_log)
-    pi = reference_teacher_policy(ref.qtable, ref.visits, env.dfa, tau,
-                                  run.q.shape[1], aggregation)
+def reference_knowledge(ref, dfa, n_actions, tau,
+                        aggregation="visitation_weighted"):
+    """(q_ad, pi) through the sparse reference, from `ref`, a teacher's
+    run on an env with automaton `dfa` as `sparse_results` views it."""
+    q_ad = reference_automaton_values(ref.qtable, dfa, ref.transition_log)
+    pi = reference_teacher_policy(ref.qtable, ref.visits, dfa, tau,
+                                  n_actions, aggregation)
     return q_ad, pi
 
 
@@ -548,25 +548,49 @@ def corridor(length, n_actions):
         np.zeros((length + 1, n_actions)), terminal=[length])
 
 
-def kernel_pull(pi, lam, others):
-    """The pull g_PD the kernel pays for the last action of the row
-    others + [0.0] under the teacher policy `pi` (None: no policy).
+@functools.cache
+def _visits_a_last(n, a):
+    """(seed, episodes): a run at epsilon 1 over n actions whose last
+    episode is its first that takes action a, after every other action.
+    An exploring step draws two words, the explore test and the action,
+    as RandomState's next_u32 and randint."""
+    seed = 0
+    while True:
+        seed += 1
+        draws = RandomState(seed)
+        taken = []
+        while not taken or taken[-1] != a:
+            draws.next_u32()
+            taken.append(draws.randint(n))
+        if len(set(taken)) == n:
+            return seed, len(taken)
 
-    Env state 0 has len(others) + 1 actions: action b bumps into the wall
-    with reward others[b], the last moves on to a terminal state. Greedy
-    from the zero table at alpha 1 and gamma 0, an episode tries the
-    actions in order: each bump sets its Q to its reward, which must be
-    negative so that the next untried action is greedy, and earns no
-    teacher term. The last step's Q is then the pull alone, the teacher
-    counting in full.
+
+def kernel_pull(pi, lam, row, a):
+    """The pull g_PD the kernel pays for action a of the Q row `row`, whose
+    entry a must be 0.0, under the teacher policy `pi` (None: no policy).
+
+    Every action of env state 0 ends the episode in the terminal env state
+    1. Action a stays in the automaton state with reward 0; action b != a
+    crosses an edge the knowledge has no value for, so it earns no teacher
+    term, with reward row[b]. At alpha 1, gamma 0 and epsilon 1 each
+    episode is one random step, and a step of b sets its Q to row[b],
+    repeat or not. The run takes a for the first time in its last episode,
+    after every other action (`_visits_a_last`), so that step reads the row
+    `row`, and Q of a is then the pull alone, the teacher counting in full.
     """
-    n = len(others) + 1
-    product = toy_product([[0] * (n - 1) + [1], [1] * n],
-                          [list(others) + [0.0], [0.0] * n], terminal=[1])
-    knowledge = toy_knowledge(1, n, pi={} if pi is None else {0: pi})
-    res = toy_run(product, knowledge, lam_pd=lam, max_steps=n)
-    assert res.counts[0].tolist() == [1] * n, res.counts[0]
-    return res.q[0, n - 1]
+    n = len(row)
+    assert row[a] == 0.0, row
+    seed, episodes = _visits_a_last(n, a)
+    product = toy_product(
+        [[1] * n, [1] * n], [list(row), [0.0] * n],
+        event=[[0 if b == a else 1 for b in range(n)], [0] * n],
+        terminal=[1], delta=[[0, 1], [1, 1]])
+    knowledge = toy_knowledge(2, n, pi={} if pi is None else {0: pi})
+    res = toy_run(product, knowledge, lam_pd=lam, epsilon=1.0,
+                  episodes=episodes, seed=seed)
+    assert res.counts[0, a] == 1 and res.counts[0].min() >= 1, res.counts
+    return res.q[0, a]
 
 
 def kernel_fused(omega, delta, teacher):

@@ -448,9 +448,9 @@ def test_criterion_2_property_groups():
         shifted = softmax_policy(row + rng.uniform(-100.0, 100.0), tau)
         assert np.all(np.abs(shifted - probs) < 1e-9)
 
-    # tactical guidance never exceeds its weight. The kernel pays the pull
-    # on the last action of a row whose other entries its bumps set below
-    # zero (oracles.kernel_pull): here the drawn row less 10
+    # tactical guidance never exceeds its weight. The kernel's pull
+    # (oracles.kernel_pull) is read on the last action of the drawn row
+    # less 10, with that entry 0
     for _ in range(1500):
         n = int(rng.integers(2, 7))
         pi = {0: rng.dirichlet(np.ones(n))}
@@ -460,11 +460,11 @@ def test_criterion_2_property_groups():
         assert abs(g) <= lam + 1e-12
         assert tactical_gradient(pi, 1, np.zeros(n), 0, lam) == 0.0
         others = list(row[:-1] - 10.0)
-        g = kernel_pull(pi[0], lam, others)
+        g = kernel_pull(pi[0], lam, others + [0.0], n - 1)
         assert abs(g) <= lam + 1e-12
         assert g == pytest.approx(tactical_gradient(
             pi, 0, others + [0.0], n - 1, lam), abs=1e-12)
-        assert kernel_pull(None, lam, others) == 0.0
+        assert kernel_pull(None, lam, others + [0.0], n - 1) == 0.0
 
     # strategic reward gates exactly to zero without automaton progress;
     # the kernel's one step from q to q2 leaves Q = r_AD (edge_product)

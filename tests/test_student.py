@@ -160,10 +160,9 @@ def test_tactical_gradient_bounded(row, lam, action):
     probs[0] = 1.0
     g = tactical_gradient({"q0": probs}, "q0", np.array(row), action, lam)
     assert abs(g) <= lam + 1e-12
-    # the kernel's pull on the last action, after bumps that set the other
-    # entries below zero (see oracles.kernel_pull)
+    # the kernel's pull on the last action, the row's largest entry (0)
     others = [v - 21.0 for v in row[:-1]]
-    g = kernel_pull(probs, lam, others)
+    g = kernel_pull(probs, lam, others + [0.0], len(row) - 1)
     assert abs(g) <= lam + 1e-12
     assert g == pytest.approx(tactical_gradient(
         {"q0": probs}, "q0", others + [0.0], len(row) - 1, lam), abs=1e-12)

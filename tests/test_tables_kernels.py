@@ -14,8 +14,7 @@ from cadent.automaton import CompiledDfa
 from cadent.envs import ENV_NAMES, EnvSpec, default_spec, make_env
 from cadent.envs.dungeon import DungeonQuest
 from cadent.envs.tables import compile_env, product_tables
-from cadent.kernels import (SOFT_CAP, greedy_rollout, run_training,
-                            softmax_prob)
+from cadent.kernels import SOFT_CAP, greedy_rollout, run_training
 from cadent.rng import state_from
 from cadent.student import GuidanceParams, TrustParams
 from cadent.tabular import LearningParams
@@ -413,15 +412,6 @@ def test_train_run_matches_reference_kernel(case):
     got = _run_product_kernel(tables, scalars, n_a, episodes, seed)
     want = _run_reference(tables, scalars, n_a, episodes, seed)
     assert got == want
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(VALUES, min_size=1, max_size=6), st.data())
-def test_softmax_prob_with_known_argmax(row, data):
-    a = data.draw(st.integers(0, len(row) - 1))
-    amax = max(range(len(row)), key=lambda b: (row[b], -b))
-    assert (np.float64(softmax_prob(row, a, 0, len(row), amax)).tobytes()
-            == np.float64(softmax_prob(row, a)).tobytes())
 
 
 # ---------------------------------------------------------------------------

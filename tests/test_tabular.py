@@ -3,6 +3,7 @@ update and exploration on hand-built products."""
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,13 +12,14 @@ from hypothesis import strategies as st
 
 from cadent.automaton import ProductState, make_dfa
 from cadent.envs.tables import product_tables
-from cadent.kernels import argmax, greedy_rollout, softmax_prob
+from cadent.kernels import argmax, greedy_rollout, run_training
 from cadent.rng import RandomState, state_from
 from cadent.tabular import LearningParams, softmax_policy
 from cadent.teacher import _key_to_json, save_qtable
 
-from oracles import (LAST_UPDATE, dict_value_iteration, naive_softmax,
-                     read_qtable, row_of, toy_product, toy_run, toy_teacher)
+from oracles import (LAST_UPDATE, dict_value_iteration, kernel_pull,
+                     naive_softmax, read_qtable, row_of, toy_product, toy_run,
+                     toy_teacher)
 
 
 def test_argmax_tie_breaks_low():
@@ -151,16 +153,31 @@ def test_softmax_shift_invariance():
 
 def test_softmax_policy_at_unit_temperature_is_the_kernel_softmax():
     # one softmax: the distilled policy (tau 1) and the kernel's pull on
-    # the student's row agree bit for bit, ties and all
+    # the student's row agree bit for bit, ties and all, at the row's
+    # greedy action and off it. Against a teacher probability of 0 at
+    # weight 1 the pull is minus the student's softmax probability
+    # (oracles.kernel_pull, which reads it where the row is 0)
+    def kernel_prob(row, a):
+        return np.float64(-kernel_pull(np.zeros(len(row)), 1.0, row, a))
+
+    # tied rows, at the greedy action (ties go low) and off it
+    for row, a in (([2.0, 0.0, 2.0], 1), ([0.0, 0.0, -1.0], 1),
+                   ([0.0, 0.0], 0), ([-1.5, 0.0, 3.0, 3.0], 1)):
+        row = np.array(row)
+        assert softmax_policy(row, 1.0)[a] == kernel_prob(row, a)
     rng = np.random.default_rng(0x50F7)
-    for i in range(20000):
+    off_greedy = ties = 0
+    for i in range(4000):
         n = int(rng.integers(1, 9))
         row = (rng.uniform(-50.0, 50.0, n) if i % 2
                else rng.integers(-3, 4, n).astype(np.float64))
-        probs = softmax_policy(row, 1.0)
-        for a in range(n):
-            got = np.float64(softmax_prob(row.tolist(), a)).tobytes()
-            assert probs[a].tobytes() == got, (row, a)
+        a = int(rng.integers(n))
+        row[a] = 0.0
+        got = kernel_prob(row, a).tobytes()
+        assert softmax_policy(row, 1.0)[a].tobytes() == got, (row, a)
+        off_greedy += a != argmax(row)
+        ties += int(np.sum(row == row.max())) > 1
+    assert off_greedy > 2000 and ties > 400, (off_greedy, ties)
 
 
 def test_softmax_rejects_bad_tau():
@@ -204,6 +221,22 @@ def test_epsilon_greedy_zero_epsilon_consumes_no_randomness():
     assert list(res.rng_words) == state_from(8).tolist()
     res = toy_run(_FOUR_WAY, epsilon=0.5, seed=8)
     assert list(res.rng_words) != state_from(8).tolist()
+
+
+def test_explored_action_that_ties_the_greedy_one_does_not_take_over():
+    # the first episode explores (epsilon 1, then decayed to 0): its step
+    # leaves Q at 0, a tie with the greedy action 0, which the greedy
+    # second episode must still take, ties going to the lower action
+    learn = SimpleNamespace(alpha=1.0, gamma=0.0, epsilon_start=1.0,
+                            epsilon_end=0.0, epsilon_decay=0.0)
+    zero = toy_product([[1] * 4, [1] * 4], np.zeros((2, 4)), terminal=[1])
+    explored = set()
+    for seed in range(1, 11):
+        res = run_training(*zero, None, learn, episodes=2, max_steps=1,
+                           seed=seed)
+        assert res.counts[0, 0] >= 1, (seed, res.counts[0])
+        explored |= set(np.flatnonzero(res.counts[0][1:]) + 1)
+    assert explored == {1, 2, 3}
 
 
 def test_epsilon_greedy_uniform_at_full_exploration():
