@@ -9,9 +9,8 @@ per state-action pair by a trust gate driven by the student's local TD-error
 volatility: noisy estimates defer to the teacher, settled ones do not.
 
 The public names load on first use (PEP 562): `cadent.train_student` imports
-`cadent.student` and what it imports, not the experiment harness and its
-process pool, which load when `run_experiment` or `ExperimentConfig` is
-first read.
+`cadent.student` and what it imports, not the experiment harness, which
+loads when `run_experiment` or `ExperimentConfig` is first read.
 """
 
 import importlib

@@ -132,17 +132,6 @@ def _parse_episodes(text):
     return out
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, "
-                                         f"not {text}")
-    return value
-
-
 def cmd_experiment(args):
     if args.write_default_config:
         ExperimentConfig().save(args.write_default_config)
@@ -170,7 +159,7 @@ def cmd_experiment(args):
     if overrides:
         config = config.with_(**overrides)
     out_dir = args.out or os.environ.get("CADENT_OUT", "results")
-    summary = run_experiment(config, out_dir, parallel=args.parallel,
+    summary = run_experiment(config, out_dir,
                              progress=(print if args.verbose else None))
     print(f"experiment written to {out_dir}")
     for env_name, variants in sorted(summary["results"].items()):
@@ -250,10 +239,6 @@ def build_parser():
     p.add_argument("--seeds", help="comma-separated seed list")
     p.add_argument("--episodes",
                    help="per-env episode overrides, e.g. dungeon=500")
-    p.add_argument("--parallel", type=_positive_int,
-                   help="processes running the student cells (default: "
-                        "every CPU this process may use; 1 runs them all "
-                        "in this process)")
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--write-default-config",
                    help="write the default config JSON and exit")

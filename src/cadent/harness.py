@@ -2,9 +2,9 @@
 
 One experiment trains a teacher per environment on its source variant,
 distills knowledge once, then trains every requested student variant across
-seeds on the target variant, spreading the student runs over the usable
-CPUs. A student run comes back as its episode arrays and diagnostics (a
-`CellRun`); its Q stays where it trained. Outputs are plain files: per-run
+seeds on the target variant, one cell after another in this process. A
+student run comes back as its episode arrays and diagnostics (a `CellRun`);
+its Q tables are dropped as the cell returns. Outputs are plain files: per-run
 episode CSVs, aggregate curves (mean and standard error), distilled
 knowledge, and a summary with the sample-efficiency and final-performance
 tables, all read from those arrays. Everything written is a pure function of
@@ -13,14 +13,11 @@ the config, so reruns are byte-identical.
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import hashlib
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -30,7 +27,6 @@ from .automaton import progress_edges
 from .baselines import canonical_variant, preset_names
 from .envs import (ACCEPT_BONUS, DEFAULT_EPISODES, ENV_NAMES, PROGRESS_BONUS,
                    STEP_PENALTY, EnvSpec, canonical_name, make_env)
-from .envs.tables import compile_env, product_tables
 from .files import (Config, is_integer, is_number, json_text, shown,
                     write_atomic)
 from .kernels import sum_in_order
@@ -159,7 +155,8 @@ class ExperimentConfig(Config):
 
 class CellRun(NamedTuple):
     """What a grid cell hands back: its run's episode arrays, as the kernel
-    wrote them, and its update diagnostics. Q stays where the run trained."""
+    wrote them, and its update diagnostics. The run's Q, volatility and
+    visit counts are not kept, so a grid holds one cell's tables at a time."""
 
     ep_reward: np.ndarray
     ep_steps: np.ndarray
@@ -276,8 +273,8 @@ def _run_stream(env_name, variant):
     return ENV_NAMES.index(env_name) * 16 + preset_names().index(variant)
 
 
-# one Environment per EnvSpec per process, keyed by the spec's sorted JSON;
-# compile_env memoizes each env's tables, so a spec compiles once
+# one Environment per EnvSpec, keyed by the spec's sorted JSON; compile_env
+# memoizes each env's tables, so a spec compiles once per process
 _ENVS = {}
 
 
@@ -292,8 +289,8 @@ def _env(name, variant, config):
 
 def _train_cell(config, env_name, variant, seed, knowledge):
     """One (env, variant, seed) student run, guided by `knowledge` (None for
-    a variant without a teacher); used by worker processes too. Returns the
-    run's CellRun."""
+    a variant without a teacher), on the target env that `_env` caches.
+    Returns the run's CellRun."""
     env = _env(env_name, "target", config)
     student_cfg = config.base.with_(variant=variant, omega0=config.omega0)
     run = train_student(env, knowledge, student_cfg,
@@ -308,36 +305,18 @@ class CellError(RuntimeError):
     """A grid cell's run failed; the message names its (env, variant, seed)."""
 
 
-def _worker_count(parallel):
-    """Processes to run a grid's cells: `parallel`, or for None the CPUs
-    this process may run on."""
-    if parallel is None:
-        try:
-            return len(os.sched_getaffinity(0))
-        except AttributeError:          # no sched_getaffinity (macOS)
-            return os.cpu_count() or 1
-    if not is_integer(parallel) or parallel < 1:
-        raise ValueError(f"parallel must be None or a positive integer, "
-                         f"not {parallel!r}")
-    return int(parallel)
-
-
-def run_experiment(config, out_dir, parallel=None, progress=None):
+def run_experiment(config, out_dir, progress=None):
     """Execute the config's grid and write all artifacts under `out_dir`.
     Returns the summary dict. A cell's run CSV and curves do not depend on
     the other cells, so a grid of a subset of `environments`, `variants` or
     `seeds` writes them byte-identical to the larger grid's.
 
-    `parallel` processes run the student cells, never more than there are
-    cells. None, the default, means every CPU this process may run on; at 1
-    the cells run in this process, with no pool. The target env tables are
-    built before the pool starts, so forked workers share them. Cells that
-    need no teacher start at once; this process trains each env's teacher
-    meanwhile and, once its knowledge is saved, starts that env's guided
-    cells with the knowledge as an argument. The artifacts are
-    byte-identical whatever `parallel` is.
+    This process first trains the teacher of each environment that has a
+    guided cell and saves its distilled knowledge, then runs every cell in
+    grid order. Run CSVs, curves and the summary are written once the last
+    cell has returned, each file atomically, so an interrupted grid leaves
+    no run CSV behind.
     """
-    workers = _worker_count(parallel)
     out_dir = os.path.abspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     for sub in ("knowledge", "runs", "curves"):
@@ -345,58 +324,30 @@ def run_experiment(config, out_dir, parallel=None, progress=None):
     config.save(os.path.join(out_dir, "config.json"))
     grid = _sorted_grid(config)
     say = progress or (lambda msg: None)
-    env_names = sorted(config.environments)
-    # built before the pool starts, so that forked workers share them
-    for env_name in env_names:
-        env = _env(env_name, "target", config)
-        product_tables(compile_env(env), env.dfa.compiled())
+    knowledge = {}
+    for env_name in sorted({e for e, v, _s in grid if uses_teacher(v)}):
+        say(f"teacher: {env_name}")
+        env = _env(env_name, "source", config)
+        run = train_teacher(env, params=config.base.learn,
+                            episodes=config.teacher_episodes,
+                            seed=config.teacher_seed,
+                            stream=ENV_NAMES.index(env_name))
+        knowledge[env_name] = build_knowledge(run, env,
+                                              tau=config.base.learn.tau,
+                                              aggregation=config.aggregation)
+        save_knowledge(knowledge[env_name], os.path.join(
+            out_dir, "knowledge", f"{env_name}.json"))
 
     results = {}
-    workers = min(workers, len(grid))
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
-
-        def start(cell, knowledge=None):
-            """A call giving the cell's result: the worker's, or a run in
-            this process when there is no pool. A worker gets the config
-            and the knowledge pickled with its task."""
-            task = (_train_cell, config, *cell, knowledge)
-            return (pool.submit(*task).result if pool
-                    else functools.partial(*task))
-
+    for cell in grid:
+        e, v, s = cell
+        guide = knowledge[e] if uses_teacher(v) else None
         try:
-            outcomes = {c: start(c) for c in grid if not uses_teacher(c[1])}
-            # a teacher and its distilled knowledge per environment, then
-            # that environment's guided cells
-            for env_name in env_names:
-                guided = [c for c in grid
-                          if c[0] == env_name and uses_teacher(c[1])]
-                if not guided:
-                    continue
-                say(f"teacher: {env_name}")
-                env = _env(env_name, "source", config)
-                run = train_teacher(env, params=config.base.learn,
-                                    episodes=config.teacher_episodes,
-                                    seed=config.teacher_seed,
-                                    stream=ENV_NAMES.index(env_name))
-                knowledge = build_knowledge(run, env,
-                                            tau=config.base.learn.tau,
-                                            aggregation=config.aggregation)
-                save_knowledge(knowledge, os.path.join(
-                    out_dir, "knowledge", f"{env_name}.json"))
-                outcomes.update((c, start(c, knowledge)) for c in guided)
-            for cell in grid:
-                try:
-                    results[cell] = outcomes[cell]()
-                except Exception as exc:
-                    e, v, s = cell
-                    raise CellError(f"cell ({e}, {v}, seed {s}) failed: "
-                                    f"{type(exc).__name__}: {exc}") from exc
-                say(f"run: {cell}")
-        except BaseException:
-            if pool:
-                pool.shutdown(cancel_futures=True)
-            raise
+            results[cell] = _train_cell(config, e, v, s, guide)
+        except Exception as exc:
+            raise CellError(f"cell ({e}, {v}, seed {s}) failed: "
+                            f"{type(exc).__name__}: {exc}") from exc
+        say(f"run: {cell}")
     for (e, v, s) in grid:
         path = os.path.join(out_dir, "runs", f"{e}__{v}__seed{s}.csv")
         write_run_csv(path, v, e, s, results[(e, v, s)])

@@ -332,17 +332,6 @@ def test_knowledge_misuse_exit_codes(knowledge_file, tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "two"])
-def test_experiment_rejects_bad_parallel(tmp_path, capsys, value):
-    with pytest.raises(SystemExit) as exc:
-        main(["experiment", "--out", str(tmp_path / "out"),
-              "--parallel", value])
-    assert exc.value.code == 2
-    assert f"argument --parallel: must be a positive integer, not {value}" \
-        in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
 def test_experiment_cli_small_grid(tmp_path, capsys):
     code = main(["experiment", "--out", str(tmp_path / "out"),
                  "--envs", "dungeon", "--variants", "no_transfer",

@@ -255,6 +255,30 @@ def test_layout_is_deterministic_per_spec(env_cache):
         assert first.layout_text() == second.layout_text()
 
 
+LAYOUT_SEEDS = (1, 2, 3, 4, 5, 6, 12)
+
+
+def _table_bytes(name, variant, layout_seed):
+    tables = compile_env(make_env(EnvSpec(name=name, variant=variant,
+                                          layout_seed=layout_seed)))
+    return (repr(tables.states).encode(),
+            *(array.tobytes() for array in (
+                tables.next_state, tables.reward, tables.event,
+                tables.terminal, tables.dead)))
+
+
+@pytest.mark.parametrize("variant", ["source", "target"])
+def test_mountain_car_tables_do_not_depend_on_layout_seed(variant):
+    # the track and the part buckets come from `defaults` alone, while a
+    # grid world places its items from layout_seed
+    car = {_table_bytes("mountain_car_collection", variant, seed)
+           for seed in LAYOUT_SEEDS}
+    dungeon = {_table_bytes("dungeon_quest", variant, seed)
+               for seed in LAYOUT_SEEDS}
+    assert len(car) == 1
+    assert len(dungeon) == len(LAYOUT_SEEDS)
+
+
 def test_clamp_and_anchor_helpers():
     assert clamp_cell((-3, 99), 10, 10) == (0, 9)
     assert anchor_cell((0.0, 0.999), 10, 10) == (0, 9)

@@ -2,9 +2,7 @@
 
 import json
 import math
-import multiprocessing
 import os
-import pickle
 import re
 from pathlib import Path
 
@@ -242,8 +240,8 @@ def test_train_cell_omega0_on_a_pinned_base(monkeypatch):
 
 
 def test_cell_returns_only_episode_arrays_and_scalars():
-    # Q, volatility and counts stay in the worker: what a cell pickles to
-    # the parent is its three episode arrays and four diagnostics
+    # Q, volatility and counts are dropped as the cell returns: it keeps
+    # its three episode arrays and four diagnostics
     config = ExperimentConfig(**MINI)
     cell = harness._train_cell(config, "dungeon_quest", "no_transfer", 1,
                                None)
@@ -251,7 +249,6 @@ def test_cell_returns_only_episode_arrays_and_scalars():
     assert [(x.ndim, len(x)) for x in arrays] == [(1, 40)] * 3
     assert all(type(x) in (int, float) for x in cell
                if not isinstance(x, np.ndarray))
-    assert len(pickle.dumps(cell)) < sum(x.nbytes for x in arrays) + 1000
 
 
 def test_run_csv_rows_come_from_the_episode_arrays(tmp_path):
@@ -572,8 +569,8 @@ def test_run_experiment_is_reproducible(tmp_path):
     assert _tree(tmp_path / "a") == _tree(tmp_path / "b")
 
 
-# two envs whose cadent cells wait for their teachers while the
-# no_transfer cells run, and a grid that trains no teacher
+# two envs, each with a teacher for its cadent cells, and a grid that
+# trains no teacher
 OVERLAP = dict(environments=("dungeon_quest", "blind_craftsman"),
                variants=("cadent", "no_transfer"), seeds=(1, 2),
                episodes={"dungeon_quest": 30, "blind_craftsman": 30},
@@ -583,11 +580,11 @@ OVERLAP = dict(environments=("dungeon_quest", "blind_craftsman"),
 def test_run_experiment_env_subset_matches_full_grid(tmp_path):
     # a cell's bytes depend on the config, not on the other cells of its grid
     full = ExperimentConfig(**OVERLAP)
-    run_experiment(full, tmp_path / "full", parallel=1)
+    run_experiment(full, tmp_path / "full")
     run_experiment(full.with_(environments=("dungeon_quest",)),
-                   tmp_path / "part", parallel=1)
+                   tmp_path / "part")
     run_experiment(full.with_(variants=("no_transfer",), seeds=(2,)),
-                   tmp_path / "cell", parallel=1)
+                   tmp_path / "cell")
     whole = _tree(tmp_path / "full")
     part = _tree(tmp_path / "part")
     cell = _tree(tmp_path / "cell")
@@ -601,83 +598,20 @@ def test_run_experiment_env_subset_matches_full_grid(tmp_path):
         assert cell[name] == whole[name]
 
 
-def test_run_experiment_parallel_matches_serial(tmp_path):
+def test_cli_experiment_matches_run_experiment(tmp_path):
     for name, grid in (("overlap", OVERLAP), ("mini", MINI)):
         config = ExperimentConfig(**grid)
-        run_experiment(config, tmp_path / name / "serial", parallel=1)
-        serial = _tree(tmp_path / name / "serial")
-        for parallel in (None, 2):
-            out = tmp_path / name / f"pool{parallel}"
-            run_experiment(config, out, parallel=parallel)
-            assert multiprocessing.active_children() == []
-            assert _tree(out) == serial, (name, parallel)
-        # cadent experiment without --parallel takes run_experiment's default
+        run_experiment(config, tmp_path / name / "api")
         config.save(tmp_path / name / "config.json")
         out = tmp_path / name / "cli"
         assert main(["experiment", "--config", str(tmp_path / name /
                                                    "config.json"),
                      "--out", str(out)]) == 0
-        assert multiprocessing.active_children() == []
-        assert _tree(out) == serial, (name, "cli")
+        assert _tree(out) == _tree(tmp_path / name / "api"), name
 
 
-@pytest.mark.parametrize("parallel", [0, -3, True, 1.5, "2"])
-def test_run_experiment_rejects_bad_parallel(tmp_path, parallel):
-    with pytest.raises(ValueError, match="parallel must be None or a "
-                                         "positive integer"):
-        run_experiment(ExperimentConfig(**MINI), tmp_path / "out",
-                       parallel=parallel)
-    assert not (tmp_path / "out").exists()
-
-
-def test_one_usable_cpu_runs_the_grid_without_a_pool(tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a one-CPU grid started a process pool")
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                        raising=False)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
-    config = ExperimentConfig(**MINI)
-    run_experiment(config, tmp_path / "out")
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    run_experiment(config, tmp_path / "no_affinity")
-    assert _tree(tmp_path / "out") == _tree(tmp_path / "no_affinity")
-
-
-def test_pool_is_capped_and_starts_after_the_target_tables(tmp_path,
-                                                          monkeypatch):
-    # the default worker count is capped at the cells; forked workers
-    # inherit each target env with its tables and product rows
-    made = []
-
-    class Recording(harness.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            made.append((max_workers, [
-                env._tables is not None and env._tables.product is not None
-                for env in harness._ENVS.values()
-                if env.spec.variant == "target"]))
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
-                        raising=False)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
-    monkeypatch.setattr(harness, "_ENVS", {})
-    run_experiment(ExperimentConfig(**MINI), tmp_path / "out")
-    assert made == [(2, [True])]
-    assert multiprocessing.active_children() == []
-
-
-FORKED = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="workers see the patched train_student only when forked")
-
-
-@pytest.mark.parametrize("parallel", [1, pytest.param(2, marks=FORKED),
-                                      pytest.param(None, marks=FORKED)])
-def test_run_experiment_names_a_failing_cell(tmp_path, monkeypatch,
-                                             parallel):
-    # a no_transfer cell starts before the teacher, a cadent cell after it
+def test_run_experiment_names_a_failing_cell(tmp_path, monkeypatch):
+    # a failing cell is named, whether it runs with knowledge or without
     real = harness.train_student
     config = ExperimentConfig(**{**MINI, "variants": ("cadent", "no_transfer"),
                                  "teacher_episodes": 300})
@@ -691,8 +625,37 @@ def test_run_experiment_names_a_failing_cell(tmp_path, monkeypatch,
         with pytest.raises(harness.CellError, match=(
                 rf"^cell \(dungeon_quest, {variant}, seed 2\) failed: "
                 r"RuntimeError: boom$")):
-            run_experiment(config, tmp_path / variant, parallel=parallel)
-        assert multiprocessing.active_children() == []
+            run_experiment(config, tmp_path / variant)
+
+
+def test_interrupted_grid_leaves_no_run_csv_and_reruns_clean(tmp_path,
+                                                             monkeypatch):
+    # Ctrl-C takes effect once the running cell returns: it reaches the
+    # caller as itself, not as a CellError, and leaves no partial file
+    real = harness.train_student
+    calls = []
+
+    def interrupt_third(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    config = ExperimentConfig(**{**MINI, "variants": ("cadent", "no_transfer"),
+                                 "teacher_episodes": 300})
+    out = tmp_path / "out"
+    monkeypatch.setattr(harness, "train_student", interrupt_third)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(config, out)
+    assert calls == [1, 2, 1]          # cadent 1, cadent 2, no_transfer 1
+    # the teacher's knowledge is saved before the cells run; no run CSV,
+    # curve, summary or temporary file is
+    assert sorted(_tree(out)) == ["config.json",
+                                  "knowledge/dungeon_quest.json"]
+    monkeypatch.setattr(harness, "train_student", real)
+    run_experiment(config, out)
+    run_experiment(config, tmp_path / "fresh")
+    assert _tree(out) == _tree(tmp_path / "fresh")
 
 
 def test_run_experiment_builds_each_env_once(tmp_path, monkeypatch):
@@ -707,13 +670,13 @@ def test_run_experiment_builds_each_env_once(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_ENVS", {})
     config = ExperimentConfig(**{**MINI, "variants": ("cadent", "no_transfer"),
                                  "teacher_episodes": 400})
-    # the cache is per process: in this process, every cell looks it up here
-    run_experiment(config, tmp_path / "a", parallel=1)
-    run_experiment(config, tmp_path / "b", parallel=1)
+    # every cell of both grids looks its env up in the cache
+    run_experiment(config, tmp_path / "a")
+    run_experiment(config, tmp_path / "b")
     assert sorted(made) == [("dungeon_quest", "source"),
                             ("dungeon_quest", "target")]
     monkeypatch.setattr(harness, "_ENVS", {})
-    run_experiment(config, tmp_path / "fresh", parallel=1)
+    run_experiment(config, tmp_path / "fresh")
     assert len(made) == 4
     assert _tree(tmp_path / "a") == _tree(tmp_path / "b")
     assert _tree(tmp_path / "a") == _tree(tmp_path / "fresh")
@@ -722,37 +685,31 @@ def test_run_experiment_builds_each_env_once(tmp_path, monkeypatch):
 def test_consecutive_grids_in_one_process_match_a_fresh_directory(tmp_path):
     # the second grid's teacher rewrites the knowledge file at the same
     # path; its cells must train from the new knowledge, and its tree must
-    # equal that of the same grid written to a directory of its own. The
-    # first grid runs in this process, whose state forked workers inherit.
+    # equal that of the same grid written to a directory of its own
     base = {**MINI, "variants": ("cadent", "no_transfer"),
             "teacher_episodes": 400}
 
     def results(tree):
         return json.loads(tree["summary.json"])["results"]
 
-    for parallel in (1, None):
-        shared = tmp_path / f"shared{parallel}"
-        alone = tmp_path / f"alone{parallel}"
-        run_experiment(ExperimentConfig(**base, teacher_seed=7), shared,
-                       parallel=1)
-        first = _tree(shared)
-        second = ExperimentConfig(**base, teacher_seed=8)
-        run_experiment(second, shared, parallel=parallel)
-        run_experiment(second, alone, parallel=parallel)
-        assert _tree(shared) == _tree(alone), parallel
-        # the cadent cells' max |update| depends on the knowledge they get
-        assert results(first) != results(_tree(alone)), parallel
+    shared, alone = tmp_path / "shared", tmp_path / "alone"
+    run_experiment(ExperimentConfig(**base, teacher_seed=7), shared)
+    first = _tree(shared)
+    second = ExperimentConfig(**base, teacher_seed=8)
+    run_experiment(second, shared)
+    run_experiment(second, alone)
+    assert _tree(shared) == _tree(alone)
+    # the cadent cells' max |update| depends on the knowledge they get
+    assert results(first) != results(_tree(alone))
 
 
-@pytest.mark.parametrize("parallel", [1, 2])
-def test_guided_cell_matches_a_run_from_the_saved_knowledge(tmp_path,
-                                                            parallel):
+def test_guided_cell_matches_a_run_from_the_saved_knowledge(tmp_path):
     # a guided cell trains from the knowledge its teacher built in memory;
     # the file the grid saved holds the same knowledge, bit for bit
     config = ExperimentConfig(**{**MINI, "variants": ("cadent", "no_transfer"),
                                  "teacher_episodes": 400})
     out = tmp_path / "out"
-    run_experiment(config, out, parallel=parallel)
+    run_experiment(config, out)
     knowledge = load_knowledge(out / "knowledge" / "dungeon_quest.json")
     run = harness._train_cell(config, "dungeon_quest", "cadent", 2, knowledge)
     write_run_csv(tmp_path / "again.csv", "cadent", "dungeon_quest", 2, run)
