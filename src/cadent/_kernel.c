@@ -107,10 +107,11 @@ int train(const int32_t *next_row, const double *reward,
                 double g = 0.0;
                 /* g_PD pays moves within an automaton state: an edge
                    crossing earns r_AD instead; a wall bump (p2 == p) would
-                   pay standing still. The pull is the temperature-1
-                   softmax of the row at a, max-subtracted and summed in
-                   action order, as kernels.softmax_prob computes it */
-                if (pi_known[qq] && q2 == qq && p2 != p) {
+                   pay standing still; a weight lambda_pd of 0 pays
+                   nothing. The pull is the temperature-1 softmax of the
+                   row at a, max-subtracted and summed in action order, as
+                   tabular.softmax_policy computes it */
+                if (lam_pd != 0.0 && pi_known[qq] && q2 == qq && p2 != p) {
                     double m = q[row + b];
                     double tot = 0.0, pa_exp = 0.0;
                     for (int64_t c = 0; c < n_actions; c++) {

@@ -32,7 +32,7 @@ def _add_env_args(p, variant_default):
     p.add_argument("--env-variant", default=variant_default,
                    choices=("source", "target"),
                    help="which side of the transfer pair")
-    p.add_argument("--layout-seed", type=int, default=12)
+    p.add_argument("--layout-seed", type=int, default=EnvSpec.layout_seed)
     p.add_argument("--max-steps", type=int, default=0,
                    help="per-episode step budget (0 = environment default)")
 
@@ -44,17 +44,22 @@ _HYPER_SECTIONS = {"learn": LearningParams, "trust": TrustParams,
                    "guide": GuidanceParams}
 
 
-def _add_hyper_args(p, *sections):
+def _add_hyper_args(p, *sections, omit=()):
     g = p.add_argument_group("hyperparameters")
     for params in sections:
         for f in fields(params):
+            if f.name in omit:
+                continue
             flag = "gate-k" if f.name == "k" else f.name.replace("_", "-")
             g.add_argument("--" + flag, dest=f.name, type=float,
                            default=f.default)
 
 
 def _params(params, args):
-    return params(**{f.name: getattr(args, f.name) for f in fields(params)})
+    """`params` from the flags `args` has; an omitted flag's field keeps
+    its default."""
+    return params(**{f.name: getattr(args, f.name) for f in fields(params)
+                     if hasattr(args, f.name)})
 
 
 def _student_config(args):
@@ -205,9 +210,11 @@ def build_parser():
                        help="train on a source task and distill knowledge")
     _add_env_args(p, "source")
     _add_hyper_args(p, LearningParams)   # a teacher has no gate or guidance
-    p.add_argument("--episodes", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--aggregation", default="visitation_weighted",
+    # the experiment grid's teacher, by default
+    p.add_argument("--episodes", type=int,
+                   default=ExperimentConfig.teacher_episodes)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.teacher_seed)
+    p.add_argument("--aggregation", default=ExperimentConfig.aggregation,
                    choices=AGGREGATION_MODES)
     p.add_argument("--out", required=True, help="knowledge file to write")
     p.add_argument("--qtable-out", help="also save the raw teacher table")
@@ -216,7 +223,8 @@ def build_parser():
     p = sub.add_parser("train-student",
                        help="train one student variant on a target task")
     _add_env_args(p, "target")
-    _add_hyper_args(p, *_HYPER_SECTIONS.values())
+    # tau is distillation's temperature, which no student run reads
+    _add_hyper_args(p, *_HYPER_SECTIONS.values(), omit=("tau",))
     p.add_argument("--variant", default="cadent",
                    help=f"one of {', '.join(preset_names())} "
                         f"(aliases: {', '.join(sorted(VARIANT_ALIASES))})")

@@ -48,7 +48,7 @@ def make_env(spec):
     return cls(spec)
 
 
-def default_spec(name, variant="target", layout_seed=12):
+def default_spec(name, variant="target", layout_seed=EnvSpec.layout_seed):
     return EnvSpec(name=canonical_name(name), variant=variant,
                    layout_seed=layout_seed)
 

@@ -82,7 +82,7 @@ class ExperimentConfig(Config):
     variants: tuple = ("cadent", "ad", "pd", "no_transfer", "no_trust_gate")
     seeds: tuple = DEFAULT_SEEDS
     episodes: dict = field(default_factory=dict)   # env -> override
-    layout_seed: int = 12
+    layout_seed: int = EnvSpec.layout_seed
     teacher_episodes: int = 5000
     teacher_seed: int = 7
     base: StudentConfig = field(default_factory=StudentConfig)
@@ -273,17 +273,18 @@ def _run_stream(env_name, variant):
     return ENV_NAMES.index(env_name) * 16 + preset_names().index(variant)
 
 
-# one Environment per EnvSpec, keyed by the spec's sorted JSON; compile_env
-# memoizes each env's tables, so a spec compiles once per process
+# one Environment per (name, variant, layout_seed), the only fields of its
+# EnvSpec that a grid sets; compile_env memoizes each env's tables, so a
+# spec compiles once per process
 _ENVS = {}
 
 
 def _env(name, variant, config):
     """This process's environment for (name, variant) at the config's layout."""
-    spec = EnvSpec(name=name, variant=variant, layout_seed=config.layout_seed)
-    key = json.dumps(spec.to_json(), sort_keys=True)
+    key = (name, variant, config.layout_seed)
     if key not in _ENVS:
-        _ENVS[key] = make_env(spec)
+        _ENVS[key] = make_env(EnvSpec(name=name, variant=variant,
+                                      layout_seed=config.layout_seed))
     return _ENVS[key]
 
 

@@ -7,9 +7,8 @@ to the env, automaton and knowledge tables, with no copy; the loop fills
 them and returns. The update rule is written once, in that loop: the
 epsilon-greedy choice, the TD error, the trust gate, the edge value r_AD,
 the pull g_PD and when it applies, the fused update and the volatility
-trace. `argmax`, `softmax_prob` (the pull, which the loop computes the
-same way at temperature 1) and `sum_in_order` are the only Python
-helpers: distillation, `greedy_rollout` and the harness share them.
+trace. `sum_in_order` is the one Python helper: distillation and the
+harness share it.
 
 The first import compiles `_kernel.c` with the C compiler Python was built
 with (`sysconfig`'s CC) and keeps the shared library in
@@ -35,14 +34,15 @@ read them through `rows`.
 
 A step's cost does not grow with the row width. The loop keeps each
 product row's greedy action in an int32 array: `greedy[p] ==
-argmax(q[p])` at all times, ties going to the lowest action as `argmax`
-breaks them. Q starts at zero, so every entry starts at 0. A step writes
-one entry, q[p * A + a]. If a is the greedy action and its value fell,
-the row is rescanned; otherwise a becomes greedy when its new value is
-above the greedy one's, or equal to it with a lower index. The action
-choice, the bootstrap and the softmax pull read the array. The four
-xorshift128 words (`rng.xs128_word`) start from `rng.state_from(seed,
-stream)` and are returned as the run's `rng_words`.
+np.argmax(q[p])` at all times, ties going to the lowest action as
+`np.argmax` breaks them. Q starts at zero, so every entry starts at 0. A
+step writes one entry, q[p * A + a]. If a is the greedy action and its
+value fell, the row is rescanned; otherwise a becomes greedy when its new
+value is above the greedy one's, or equal to it with a lower index. The
+action choice, the bootstrap and the softmax pull read the array. The four
+xorshift128 words (stepped as `rng.xs128_next` steps them) start from
+`rng.state_from(seed, stream)` and are returned as the run's
+`rng_words`.
 """
 
 from __future__ import annotations
@@ -169,21 +169,6 @@ def _address(array, dtype, size):
     return array.ctypes.data
 
 
-# Shared with distillation, the greedy rollout and the harness.
-
-
-def argmax(values):
-    """Index of the largest of `values`; ties go to the lowest index."""
-    a = 0
-    best = values[0]
-    for b in range(1, len(values)):
-        v = values[b]
-        if v > best:
-            best = v
-            a = b
-    return a
-
-
 def sum_in_order(values):
     """The floats of `values` added strictly left to right. From Python
     3.12 the builtin `sum` compensates float sums, whose bits then differ
@@ -192,24 +177,6 @@ def sum_in_order(values):
     for v in values:
         total += v
     return total
-
-
-def softmax_prob(values, a, tau=1.0):
-    """Probability of index `a` under the temperature-`tau` softmax of
-    `values`.
-
-    Max-subtracted and accumulated in index order, as the training loop's
-    pull computes it at temperature 1, so every caller gets the same bits.
-    """
-    m = values[argmax(values)]
-    tot = 0.0
-    pa = 0.0
-    for b in range(len(values)):
-        eb = math.exp((values[b] - m) / tau)
-        tot += eb
-        if b == a:
-            pa = eb
-    return pa / tot
 
 
 class RunResult:
@@ -330,7 +297,7 @@ def greedy_rollout(tables, cdfa, q, max_steps):
     seen = {p}
     total = 0.0
     for t in range(max_steps):
-        a = argmax(q[p])
+        a = int(np.argmax(q[p]))  # the first maximum: the loop's tie rule
         total += float(product.reward[p, a])
         p = int(product.next[p, a])
         if product.dead[p]:

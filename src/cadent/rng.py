@@ -4,10 +4,9 @@ The generator is xorshift128 (Marsaglia 2003) over four 32-bit words. Words
 are kept in an int64 array and every operation masks back to 32 bits, so the
 arithmetic is exact and the same on every platform. Streams are derived
 from a (seed, stream) pair with a murmur-style finalizer, which keeps runs
-independent without any global state. The step itself is `xs128_word`, a
-pure function of two words; `xs128_next` applies it to a state array. The
-training loop (`_kernel.c`) takes the same step on four 32-bit words it
-holds in locals, starting from `state_from`.
+independent without any global state. `xs128_next` steps a state array.
+The training loop (`_kernel.c`) takes the same step on four 32-bit words
+it holds in locals, starting from `state_from`.
 """
 
 from __future__ import annotations
@@ -51,21 +50,15 @@ def state_from(seed, stream=0):
     return state
 
 
-def xs128_word(x, w):
-    """The word after (x, ., ., w), in [0, 2**32).
-
-    x is the oldest of the four state words and w the newest; the step
-    shifts the state one word along and appends the result, so a caller
-    holding the words (r0, r1, r2, r3) advances with
-    `r0, r1, r2, r3 = r1, r2, r3, xs128_word(r0, r3)`.
-    """
-    t = (x ^ (x << 11)) & _MASK32
-    return ((w ^ (w >> 19)) ^ (t ^ (t >> 8))) & _MASK32
-
-
 def xs128_next(state):
-    """Advance the state in place and return the next word in [0, 2**32)."""
-    w = xs128_word(state[0], state[3])
+    """Advance the state in place and return the next word in [0, 2**32).
+
+    The step shifts the four words one along, dropping the oldest,
+    state[0], and appends a word made from it and the newest, state[3].
+    """
+    x, w = state[0], state[3]
+    t = (x ^ (x << 11)) & _MASK32
+    w = ((w ^ (w >> 19)) ^ (t ^ (t >> 8))) & _MASK32
     state[0] = state[1]
     state[1] = state[2]
     state[2] = state[3]

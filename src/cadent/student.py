@@ -150,10 +150,6 @@ def train_student(env, knowledge, config, episodes, seed, stream=0):
     q_ad_max = 0.0
     if knowledge is not None:
         dense = dense_knowledge(knowledge, env.dfa, tables.n_actions)
-        if not tactical:
-            # no state knows pi, so the kernel skips the pull it would scale
-            # by lambda_pd = 0; q_ad stays known for the novel-edge count
-            dense = dense[:3] + (np.zeros_like(dense[3]),)
         q_ad_max = knowledge.q_ad_max()
     guide = config.guide.with_(
         lambda_ad=config.guide.lambda_ad if strategic else 0.0,

@@ -8,12 +8,13 @@ kernel's (n_rows, A) array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .files import Config
-from .kernels import softmax_prob
+from .kernels import sum_in_order
 
 
 @dataclass(frozen=True)
@@ -40,11 +41,15 @@ class LearningParams(Config):
 
 
 def softmax_policy(q_row, tau):
-    """Boltzmann distribution over one value row: each entry is the
-    kernel's `softmax_prob` at temperature `tau`, so the distilled policy
-    and the student's pull share one softmax, bit for bit.
+    """Boltzmann distribution over one value row at temperature `tau`:
+    the exps of (q - max) / tau in action order, their sum taken left to
+    right, then one division per action. The training loop's pull computes
+    the same softmax at temperature 1, so the distilled policy and the
+    student's pull agree bit for bit.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    return np.array([softmax_prob(q_row, a, tau=tau)
-                     for a in range(len(q_row))], dtype=np.float64)
+    m = max(q_row)
+    exps = [math.exp((v - m) / tau) for v in q_row]
+    total = sum_in_order(exps)
+    return np.array([e / total for e in exps], dtype=np.float64)

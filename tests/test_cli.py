@@ -240,6 +240,30 @@ def test_train_teacher_rejects_student_flags(flag, tmp_path, capsys):
     assert not (tmp_path / "knowledge.json").exists()
 
 
+def test_train_teacher_defaults_are_the_grid_teachers(tmp_path):
+    # without --episodes, --seed, --aggregation and --layout-seed the
+    # teacher has the experiment grid teacher's budget, seed, aggregation
+    # and layout
+    out = tmp_path / "knowledge.json"
+    assert main(["train-teacher", "--env", "dungeon", "--out",
+                 str(out)]) == 0
+    knowledge = load_knowledge(out)
+    grid = ExperimentConfig()
+    assert knowledge.aggregation == grid.aggregation
+    assert knowledge.provenance["episodes"] == grid.teacher_episodes
+    assert knowledge.provenance["seed"] == grid.teacher_seed
+    assert knowledge.provenance["layout_seed"] == grid.layout_seed
+
+
+def test_train_student_has_no_tau(capsys):
+    # tau is distillation's temperature: no student run reads it
+    with pytest.raises(SystemExit) as exc:
+        main(["train-student", "--env", "dungeon", "--variant", "none",
+              "--episodes", "5", "--tau", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tau 0" in capsys.readouterr().err
+
+
 def test_train_teacher_labels_the_final_window_with_its_size(tmp_path,
                                                              capsys):
     # a 20-episode teacher: the window is all of the run, and the success

@@ -1,12 +1,12 @@
 """Pinned bytes of the configs every result is filed under.
 
-A grid's `config.json`, the `config_hash` in its `summary.json` and the
-env-cache key (`EnvSpec.to_json()` as sorted JSON) must not move when the
+A grid's `config.json`, the `config_hash` in its `summary.json` and an
+env spec's JSON (`EnvSpec.to_json()`, sorted) must not move when the
 config classes change shape, or old results stop matching new runs. The
 train-student hyperparameter flags are pinned too: their names, order and
-defaults are the CLI's copy of the parameter classes. A deliberate change
-records the table again: `PYTHONPATH=src python tests/test_config_bytes.py`
-prints it.
+defaults are the CLI's copy of the parameter classes, less `tau`, which
+only distillation reads. A deliberate change records the table again:
+`PYTHONPATH=src python tests/test_config_bytes.py` prints it.
 """
 
 import hashlib
@@ -35,8 +35,8 @@ SPEC_KEY = (
 
 HYPER_FLAGS = [
     ("--alpha", 0.1), ("--gamma", 0.99), ("--epsilon-start", 1.0),
-    ("--epsilon-end", 0.05), ("--epsilon-decay", 0.995), ("--tau", 2.0),
-    ("--eta", 0.2), ("--gate-k", 10.0), ("--theta", 0.5), ("--v-init", 1.0),
+    ("--epsilon-end", 0.05), ("--epsilon-decay", 0.995), ("--eta", 0.2),
+    ("--gate-k", 10.0), ("--theta", 0.5), ("--v-init", 1.0),
     ("--lambda-ad", 1.0), ("--lambda-pd", 0.5),
 ]
 

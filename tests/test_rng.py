@@ -2,7 +2,7 @@
 
 import pytest
 
-from cadent.rng import RandomState, fmix32, state_from, xs128_next, xs128_word
+from cadent.rng import RandomState, fmix32, state_from, xs128_next
 
 
 def test_same_pair_same_stream():
@@ -86,12 +86,15 @@ def test_words_stay_32_bit():
 
 
 def test_next_matches_word_held_in_locals():
-    # the kernel holds the four words in locals and steps them with
-    # xs128_word; the state array must see the same words
+    # the training loop holds the four words in locals and takes the
+    # xorshift128 step on them, as here; the state array must see the same
+    # words
     state = state_from(31, 7)
     r0, r1, r2, r3 = (int(x) for x in state)
     for _ in range(10_000):
-        r0, r1, r2, r3 = r1, r2, r3, xs128_word(r0, r3)
+        t = (r0 ^ (r0 << 11)) & 0xFFFFFFFF
+        w = (r3 ^ (r3 >> 19) ^ t ^ (t >> 8)) & 0xFFFFFFFF
+        r0, r1, r2, r3 = r1, r2, r3, w
         assert xs128_next(state) == r3
     assert [int(x) for x in state] == [r0, r1, r2, r3]
 

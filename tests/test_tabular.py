@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cadent.automaton import ProductState, make_dfa
 from cadent.envs.tables import product_tables
-from cadent.kernels import argmax, greedy_rollout, run_training
+from cadent.kernels import greedy_rollout, run_training
 from cadent.rng import RandomState, state_from
 from cadent.tabular import LearningParams, softmax_policy
 from cadent.teacher import _key_to_json, save_qtable
@@ -20,11 +20,6 @@ from cadent.teacher import _key_to_json, save_qtable
 from oracles import (LAST_UPDATE, dict_value_iteration, kernel_pull,
                      naive_softmax, read_qtable, row_of, toy_product, toy_run,
                      toy_teacher)
-
-
-def test_argmax_tie_breaks_low():
-    assert argmax(np.zeros(4)) == 0
-    assert argmax(np.array([0.0, 0.0, 5.0, 5.0])) == 2
 
 
 # The kernel's TD error and Q update. Q starts at zero; alpha 1 sets a
@@ -175,7 +170,7 @@ def test_softmax_policy_at_unit_temperature_is_the_kernel_softmax():
         row[a] = 0.0
         got = kernel_prob(row, a).tobytes()
         assert softmax_policy(row, 1.0)[a].tobytes() == got, (row, a)
-        off_greedy += a != argmax(row)
+        off_greedy += a != int(np.argmax(row))
         ties += int(np.sum(row == row.max())) > 1
     assert off_greedy > 2000 and ties > 400, (off_greedy, ties)
 
@@ -262,6 +257,27 @@ def _rollout(product, values, max_steps=10):
     for (s, a), v in values.items():
         q[int(np.searchsorted(rows, s * n_q)), a] = v
     return greedy_rollout(tables, cdfa, q, max_steps)
+
+
+def test_rollout_breaks_a_tie_towards_the_lower_action_as_the_loop_does():
+    # from env state 0, actions 1 and 2 both earn 5.0 and end the episode:
+    # action 1 on the event into the accepting automaton state, action 2
+    # into env state 2, which the rollout finds looping
+    product = toy_product([[0, 1, 2], [1, 1, 1], [2, 2, 2]],
+                          [[0.0, 5.0, 5.0], [0.0] * 3, [0.0] * 3],
+                          event=[[0, 1, 0], [0] * 3, [0] * 3],
+                          terminal=[1, 2], delta=[[0, 1], [1, 1]],
+                          accepting=[1])
+    # one-step episodes, exploring at first: once epsilon has decayed, the
+    # loop's greedy choice at the row [0, 5, 5] is action 1, every time
+    learn = SimpleNamespace(alpha=1.0, gamma=0.0, epsilon_start=1.0,
+                            epsilon_end=0.0, epsilon_decay=0.8)
+    short, res = (run_training(*product, None, learn, episodes=n,
+                               max_steps=1, seed=3) for n in (200, 400))
+    assert res.q[0].tolist() == [0.0, 5.0, 5.0]
+    assert (res.counts[0] - short.counts[0]).tolist() == [0, 200, 0]
+    assert greedy_rollout(*product, res.q, 10) == (True, 1, 5.0)
+    assert _rollout(product, {(0, 2): 5.0}) == (False, 2, 5.0)
 
 
 def test_greedy_policy_empty():
