@@ -10,7 +10,9 @@ volatility: noisy estimates defer to the teacher, settled ones do not.
 
 The public names load on first use (PEP 562): `cadent.train_student` imports
 `cadent.student` and what it imports, not the experiment harness, which
-loads when `run_experiment` or `ExperimentConfig` is first read.
+loads when `run_experiment` or `ExperimentConfig` is first read. The
+parameter sections (`LearningParams`, `TrustParams`, `GuidanceParams`) and
+`softmax_policy` come from `cadent.kernels`, the training loop's module.
 """
 
 import importlib
@@ -26,9 +28,9 @@ _SOURCES = {
         "envs": ("ENV_NAMES", "EnvSpec", "bundled_dfa", "default_spec",
                  "make_env"),
         "harness": ("ExperimentConfig", "run_experiment"),
-        "student": ("GuidanceParams", "StudentConfig", "TrustParams",
-                    "train_student", "update_bound"),
-        "tabular": ("LearningParams", "softmax_policy"),
+        "kernels": ("GuidanceParams", "LearningParams", "TrustParams",
+                    "softmax_policy"),
+        "student": ("StudentConfig", "train_student", "update_bound"),
         "teacher": ("TeacherKnowledge", "build_knowledge", "load_knowledge",
                     "save_knowledge", "save_qtable", "train_teacher"),
     }.items() for name in names
@@ -37,7 +39,7 @@ _SOURCES = {
 __all__ = sorted(_SOURCES)
 
 _SUBMODULES = ("automaton", "baselines", "cli", "envs", "files", "harness",
-               "kernels", "rng", "student", "tabular", "teacher")
+               "kernels", "rng", "student", "teacher")
 
 
 def __getattr__(name):

@@ -110,7 +110,7 @@ int train(const int32_t *next_row, const double *reward,
                    pay standing still; a weight lambda_pd of 0 pays
                    nothing. The pull is the temperature-1 softmax of the
                    row at a, max-subtracted and summed in action order, as
-                   tabular.softmax_policy computes it */
+                   kernels.softmax_policy computes it */
                 if (lam_pd != 0.0 && pi_known[qq] && q2 == qq && p2 != p) {
                     double m = q[row + b];
                     double tot = 0.0, pa_exp = 0.0;

@@ -91,7 +91,7 @@ class ExperimentConfig(Config):
     # otherwise a {env: float} mapping
     threshold: object = "auto"
     threshold_window: int = 20
-    omega0: float = 0.5
+    omega0: float = StudentConfig.omega0
 
     def __post_init__(self):
         object.__setattr__(self, "environments", _names(

@@ -7,8 +7,11 @@ to the env, automaton and knowledge tables, with no copy; the loop fills
 them and returns. The update rule is written once, in that loop: the
 epsilon-greedy choice, the TD error, the trust gate, the edge value r_AD,
 the pull g_PD and when it applies, the fused update and the volatility
-trace. `sum_in_order` is the one Python helper: distillation and the
-harness share it.
+trace. This module is the loop's whole Python-side contract, which
+`_kernel.c` mirrors: the sections the loop reads (`LearningParams`,
+`TrustParams`, `GuidanceParams`), the `RunResult` it fills, and
+`softmax_policy`, the Python twin of the loop's pull, which distillation
+applies. Distillation and the harness share `sum_in_order`.
 
 The first import compiles `_kernel.c` with the C compiler Python was built
 with (`sysconfig`'s CC) and keeps the shared library in
@@ -55,10 +58,12 @@ import stat
 import sysconfig
 import tempfile
 import zlib
+from dataclasses import dataclass
 
 import numpy as np
 
 from .envs.tables import product_tables
+from .files import Config
 from .rng import state_from
 
 # a run records the global step indices of its first SOFT_CAP updates above
@@ -179,32 +184,102 @@ def sum_in_order(values):
     return total
 
 
+@dataclass(frozen=True)
+class LearningParams(Config):
+    alpha: float = 0.1
+    gamma: float = 0.99
+    epsilon_start: float = 1.0
+    epsilon_end: float = 0.05
+    epsilon_decay: float = 0.995
+    tau: float = 2.0   # distillation's temperature; the loop does not read it
+
+    def __post_init__(self):
+        if not (0.0 < self.alpha <= 1.0):
+            raise ValueError("alpha must be in (0, 1]")
+        if not (0.0 <= self.gamma < 1.0):
+            raise ValueError("gamma must be in [0, 1)")
+        if not (0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0):
+            raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
+        if not (0.0 < self.epsilon_decay <= 1.0):
+            raise ValueError("epsilon_decay must be in (0, 1]")
+        if self.tau <= 0.0:
+            raise ValueError("tau must be positive")
+        self.check_finite()
+
+
+@dataclass(frozen=True)
+class TrustParams(Config):
+    # volatility EWMA rate, 2 * LearningParams.alpha. A pair's updates
+    # shrink by (1 - alpha) per visit; a trace with eta > alpha follows them
+    # (V -> eta (1 - alpha) / (eta - alpha) * |update|), one with
+    # eta <= alpha is ruled by its start value and its oldest updates.
+    eta: float = 0.2
+    k: float = 10.0       # gate steepness
+    theta: float = 0.5    # gate midpoint
+    v_init: float = 1.0   # 2 * theta: an unvisited pair follows the teacher
+
+    def __post_init__(self):
+        if not (0.0 < self.eta <= 1.0):
+            raise ValueError("eta must be in (0, 1]")
+        if self.k <= 0.0:
+            raise ValueError("k must be positive")
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
+        if self.v_init < 0.0:
+            raise ValueError("v_init must be non-negative")
+        self.check_finite()
+
+
+@dataclass(frozen=True)
+class GuidanceParams(Config):
+    lambda_ad: float = 1.0
+    lambda_pd: float = 0.5
+
+    def __post_init__(self):
+        if self.lambda_ad < 0.0 or self.lambda_pd < 0.0:
+            raise ValueError("guidance weights must be non-negative")
+        self.check_finite()
+
+
+def softmax_policy(q_row, tau):
+    """Boltzmann distribution over one value row at temperature `tau`:
+    the exps of (q - max) / tau in action order, their sum taken left to
+    right, then one division per action. The training loop's pull computes
+    the same softmax at temperature 1, so the distilled policy and the
+    student's pull agree bit for bit.
+    """
+    if tau <= 0.0:
+        raise ValueError("tau must be positive")
+    m = max(q_row)
+    exps = [math.exp((v - m) / tau) for v in q_row]
+    total = sum_in_order(exps)
+    return np.array([e / total for e in exps], dtype=np.float64)
+
+
+@dataclass(eq=False)
 class RunResult:
     """One training job's outputs: the (n_rows, A) tables of Q, volatility
-    and visit counts over the product rows, `rows` (each row's old index
-    s*n_q + q, ascending), the episode arrays, the update diagnostics, the
+    and visit counts over the product rows, the episode arrays, the update
+    diagnostics, `rows` (each row's old index s*n_q + q, ascending), the
     `seed` and update `bound` the run was given, and `rng_words`, the four
     xorshift128 words the generator ended on. The teacher's and the
     student's training both return it."""
 
-    def __init__(self, q, vol, counts, ep_reward, ep_steps, ep_accept,
-                 soft_steps, novel, max_abs_update, n_soft, rows, n_q, seed,
-                 bound, rng_words):
-        self.q = q
-        self.vol = vol
-        self.counts = counts
-        self.ep_reward = ep_reward
-        self.ep_steps = ep_steps
-        self.ep_accept = ep_accept
-        self.novel_transitions = novel
-        self.max_abs_update = max_abs_update
-        self.n_soft_violations = n_soft
-        self.soft_violation_steps = soft_steps[:n_soft]
-        self.rows = rows
-        self.n_q = n_q
-        self.seed = seed
-        self.bound = bound
-        self.rng_words = rng_words
+    q: np.ndarray
+    vol: np.ndarray
+    counts: np.ndarray
+    ep_reward: np.ndarray
+    ep_steps: np.ndarray
+    ep_accept: np.ndarray
+    novel_transitions: int
+    max_abs_update: float
+    n_soft_violations: int
+    soft_violation_steps: np.ndarray
+    rows: np.ndarray
+    n_q: int
+    seed: int
+    bound: float
+    rng_words: tuple
 
 
 def run_training(tables, cdfa, dense, learn, *, episodes, max_steps, seed,
@@ -278,9 +353,14 @@ def run_training(tables, cdfa, dense, learn, *, episodes, max_steps, seed,
         omega_fixed, bound, use_gate, use_guidance)
     if status:
         raise ValueError("non-finite update; diverged")
+    q, vol, counts, ep_reward, ep_steps, ep_accept, soft_steps = outputs
     novel, n_soft = tallies.tolist()
-    return RunResult(*outputs, novel, max_abs.item(), n_soft, product.rows,
-                     n_q, seed, bound, tuple(rng.tolist()))
+    return RunResult(
+        q=q, vol=vol, counts=counts, ep_reward=ep_reward, ep_steps=ep_steps,
+        ep_accept=ep_accept, novel_transitions=novel,
+        max_abs_update=max_abs.item(), n_soft_violations=n_soft,
+        soft_violation_steps=soft_steps[:n_soft], rows=product.rows, n_q=n_q,
+        seed=seed, bound=bound, rng_words=tuple(rng.tolist()))
 
 
 def greedy_rollout(tables, cdfa, q, max_steps):

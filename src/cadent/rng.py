@@ -72,9 +72,6 @@ class RandomState:
     def __init__(self, seed, stream=0):
         self.state = state_from(seed, stream)
 
-    def next_u32(self):
-        return int(xs128_next(self.state))
-
     def uniform(self):
         """Next float in [0, 1) with 32 bits of resolution."""
         return xs128_next(self.state) * _INV_2_32
@@ -84,6 +81,3 @@ class RandomState:
         if n <= 0:
             raise ValueError("n must be positive")
         return int(self.uniform() * n)
-
-    def choice(self, items):
-        return items[self.randint(len(items))]

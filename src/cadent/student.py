@@ -7,22 +7,22 @@ volatility trace (EWMA of the applied update's magnitude, starting high)
 drives a sigmoid gate deciding how much weight the teacher gets: pairs
 without experience and volatile regions lean on the teacher, settled
 regions on the student's own signal. The update rule is written once,
-in the training loop `kernels.run_training`; this module keeps the
-variant table, the config and `update_bound`. `train_student` returns the
-kernel's `RunResult`, which records the run's seed and update bound.
+in the training loop `kernels.run_training`, beside the parameter sections
+it reads (`LearningParams`, `TrustParams`, `GuidanceParams`); this module
+keeps the variant table, `StudentConfig`, which bundles the sections, and
+`update_bound`. `train_student` returns the kernel's `RunResult`, which
+records the run's seed and update bound.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .envs.tables import compile_env
 from .files import Config
-from .kernels import run_training
-from .tabular import LearningParams
+from .kernels import GuidanceParams, LearningParams, TrustParams, run_training
 from .teacher import dense_knowledge
 
 # name -> (gated, strategic, tactical, pinned). gated: the trust gate sets
@@ -52,40 +52,6 @@ def uses_teacher(variant):
     """Whether `variant` learns from teacher knowledge."""
     _gated, strategic, tactical, _omega0 = VARIANTS[variant]
     return strategic or tactical
-
-
-@dataclass(frozen=True)
-class TrustParams(Config):
-    # volatility EWMA rate, 2 * LearningParams.alpha. A pair's updates
-    # shrink by (1 - alpha) per visit; a trace with eta > alpha follows them
-    # (V -> eta (1 - alpha) / (eta - alpha) * |update|), one with
-    # eta <= alpha is ruled by its start value and its oldest updates.
-    eta: float = 0.2
-    k: float = 10.0       # gate steepness
-    theta: float = 0.5    # gate midpoint
-    v_init: float = 1.0   # 2 * theta: an unvisited pair follows the teacher
-
-    def __post_init__(self):
-        if not (0.0 < self.eta <= 1.0):
-            raise ValueError("eta must be in (0, 1]")
-        if self.k <= 0.0:
-            raise ValueError("k must be positive")
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
-        if self.v_init < 0.0:
-            raise ValueError("v_init must be non-negative")
-        self.check_finite()
-
-
-@dataclass(frozen=True)
-class GuidanceParams(Config):
-    lambda_ad: float = 1.0
-    lambda_pd: float = 0.5
-
-    def __post_init__(self):
-        if self.lambda_ad < 0.0 or self.lambda_pd < 0.0:
-            raise ValueError("guidance weights must be non-negative")
-        self.check_finite()
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ import numpy as np
 from .automaton import ProductState, accepting_path_edges
 from .envs.tables import compile_env
 from .files import is_integer, is_number, json_text, read_json, write_atomic
-from .kernels import run_training, sum_in_order
-from .tabular import LearningParams, softmax_policy
+from .kernels import (LearningParams, run_training, softmax_policy,
+                      sum_in_order)
 
 KNOWLEDGE_FORMAT = "cadent-knowledge"
 KNOWLEDGE_VERSION = 1

@@ -52,9 +52,8 @@ from cadent.automaton import (ProductState, accepting_path_edges,
                               is_accepting, step_automaton)
 from cadent.envs.tables import EnvTables, compile_env
 from cadent.harness import RUN_CSV_HEADER
-from cadent.kernels import run_training, sum_in_order
+from cadent.kernels import run_training, softmax_policy, sum_in_order
 from cadent.rng import RandomState, xs128_next
-from cadent.tabular import softmax_policy
 from cadent.teacher import TeacherError
 
 
@@ -553,14 +552,14 @@ def _visits_a_last(n, a):
     """(seed, episodes): a run at epsilon 1 over n actions whose last
     episode is its first that takes action a, after every other action.
     An exploring step draws two words, the explore test and the action,
-    as RandomState's next_u32 and randint."""
+    as RandomState's uniform and randint."""
     seed = 0
     while True:
         seed += 1
         draws = RandomState(seed)
         taken = []
         while not taken or taken[-1] != a:
-            draws.next_u32()
+            draws.uniform()
             taken.append(draws.randint(n))
         if len(set(taken)) == n:
             return seed, len(taken)

@@ -30,9 +30,8 @@ from cadent.envs.tables import compile_env, product_tables
 from cadent.harness import (RUN_CSV_HEADER, CellRun, ExperimentConfig,
                             aggregate_per_episode, final_window_mean,
                             run_experiment, steps_to_threshold, write_run_csv)
-from cadent.kernels import greedy_rollout
+from cadent.kernels import greedy_rollout, softmax_policy
 from cadent.student import StudentConfig, train_student, update_bound
-from cadent.tabular import softmax_policy
 from cadent.teacher import (build_knowledge, distill_automaton_values,
                             load_knowledge, save_knowledge, train_teacher)
 

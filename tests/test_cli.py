@@ -8,8 +8,8 @@ import sys
 import pytest
 
 from cadent.cli import _student_config, build_parser, main
-from cadent.envs import default_spec, make_env
-from cadent.harness import ExperimentConfig
+from cadent.envs import ENV_NAMES, default_spec, make_env
+from cadent.harness import ExperimentConfig, _run_stream, run_experiment
 from cadent.student import StudentConfig, train_student
 from cadent.teacher import load_knowledge, train_teacher
 
@@ -255,6 +255,25 @@ def test_train_teacher_defaults_are_the_grid_teachers(tmp_path):
     assert knowledge.provenance["layout_seed"] == grid.layout_seed
 
 
+def test_cli_steps_write_the_grids_files(tmp_path):
+    # train-teacher, then train-student on its knowledge, both with their
+    # defaults, write the files a grid writes for the same cell: each
+    # draws from the grid's random stream
+    grid = tmp_path / "grid"
+    run_experiment(ExperimentConfig(
+        environments=("dungeon_quest",), variants=("cadent",), seeds=(1,),
+        threshold={"dungeon_quest": 1.0}), grid)
+    know, csv = tmp_path / "knowledge.json", tmp_path / "run.csv"
+    assert main(["train-teacher", "--env", "dungeon", "--out",
+                 str(know)]) == 0
+    assert main(["train-student", "--env", "dungeon", "--knowledge",
+                 str(know), "--out", str(csv)]) == 0
+    assert know.read_bytes() == (
+        grid / "knowledge" / "dungeon_quest.json").read_bytes()
+    assert csv.read_bytes() == (
+        grid / "runs" / "dungeon_quest__cadent__seed1.csv").read_bytes()
+
+
 def test_train_student_has_no_tau(capsys):
     # tau is distillation's temperature: no student run reads it
     with pytest.raises(SystemExit) as exc:
@@ -327,7 +346,8 @@ def test_qtable_out_matches_sparse_reference(knowledge_file, tmp_path):
     # dense np.argwhere order, for a teacher and for a guided student
     know, teacher_qt = knowledge_file
     source = make_env(default_spec("dungeon_quest", "source"))
-    run = train_teacher(source, episodes=800, seed=7)
+    run = train_teacher(source, episodes=800, seed=7,
+                        stream=ENV_NAMES.index("dungeon_quest"))
     assert _saved_entries(teacher_qt) == _reference_entries(source, run)
     qt = tmp_path / "student.json"
     assert main(["train-student", "--env", "dungeon", "--episodes", "30",
@@ -335,7 +355,8 @@ def test_qtable_out_matches_sparse_reference(knowledge_file, tmp_path):
                  "--qtable-out", str(qt)]) == 0
     target = make_env(default_spec("dungeon_quest", "target"))
     run = train_student(target, load_knowledge(know), StudentConfig(),
-                        episodes=30, seed=2)
+                        episodes=30, seed=2,
+                        stream=_run_stream("dungeon_quest", "cadent"))
     assert _saved_entries(qt) == _reference_entries(target, run)
 
 

@@ -15,8 +15,8 @@ import json
 from cadent.cli import build_parser
 from cadent.envs import EnvSpec
 from cadent.harness import ExperimentConfig
+from cadent.kernels import LearningParams
 from cadent.student import GuidanceParams, StudentConfig, TrustParams
-from cadent.tabular import LearningParams
 
 # sha256 of the text ExperimentConfig.save writes, and config_hash()
 PINNED = {

@@ -98,13 +98,13 @@ PINNED = {
 
 QTABLE_OUT_PINNED = {
     'teacher':
-        '6ce5dc438b61a4d56f7c9167499d34a54c9b04bfaa011d37d034fc02c0a09f02',
+        '7060562478914d2964df653c5c878cffa7ea9f3e07a43f2c6c7c0f9cb6f17ad9',
     'student':
-        'ba7faf13771b42f5bb2bb2dc6dc193eff5be50c5b28f6283d2e2934d26e945ef',
+        '29489f42527d8899c9bfec4bb66e7a57ffebd83cc34fb819eaa8c549d3e0add4',
 }
 
 KNOWLEDGE_PINNED = (
-    '62887defbe724cb9445a22eec3450f866eb0dabbcb5146c59f4ffda62fcc7e93')
+    'f02e671228f427b44c5e46d1d544b34e58a621c60e16ba97523e915881ea9a7e')
 
 
 def _digest(parts):

@@ -12,10 +12,10 @@ from cadent.baselines import preset_names, resolve_preset
 from cadent.envs import DEFAULT_EPISODES
 from cadent.envs.tables import compile_env
 from cadent.harness import _run_stream
-from cadent.kernels import greedy_rollout, run_training
+from cadent.kernels import (LearningParams, greedy_rollout, run_training,
+                            softmax_policy)
 from cadent.student import (GuidanceParams, StudentConfig, TrustParams,
                             train_student, update_bound)
-from cadent.tabular import LearningParams, softmax_policy
 from cadent.teacher import build_knowledge, train_teacher
 
 from oracles import (corridor, edge_product, ewma_closed_form, fused_update,

@@ -14,10 +14,9 @@ from cadent.automaton import CompiledDfa
 from cadent.envs import ENV_NAMES, EnvSpec, default_spec, make_env
 from cadent.envs.dungeon import DungeonQuest
 from cadent.envs.tables import compile_env, product_tables
-from cadent.kernels import SOFT_CAP, greedy_rollout, run_training
+from cadent.kernels import (SOFT_CAP, GuidanceParams, LearningParams,
+                            TrustParams, greedy_rollout, run_training)
 from cadent.rng import state_from
-from cadent.student import GuidanceParams, TrustParams
-from cadent.tabular import LearningParams
 
 from golden import golden_actions, run_actions
 from oracles import (dense_run, product_violations, product_walk,

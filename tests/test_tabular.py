@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from cadent.automaton import ProductState, make_dfa
 from cadent.envs.tables import product_tables
-from cadent.kernels import greedy_rollout, run_training
+from cadent.kernels import (LearningParams, greedy_rollout, run_training,
+                            softmax_policy)
 from cadent.rng import RandomState, state_from
-from cadent.tabular import LearningParams, softmax_policy
 from cadent.teacher import _key_to_json, save_qtable
 
 from oracles import (LAST_UPDATE, dict_value_iteration, kernel_pull,
