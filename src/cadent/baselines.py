@@ -1,9 +1,9 @@
 """Named training variants: the full method, its ablations, and controls.
 
 `student.VARIANTS` defines each variant as one row: whether the trust gate
-is on, which of the guidance weights the run keeps, and the fixed gate
-weight it pins. `train_student` applies that row, so a preset only names
-the variant: every other hyperparameter of the base config stays as it is.
+is on, and which of the guidance weights the run keeps. `train_student`
+applies that row, so a preset only names the variant: every other
+hyperparameter of the base config, `omega0` included, stays as it is.
 """
 
 from __future__ import annotations

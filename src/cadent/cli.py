@@ -17,8 +17,8 @@ from dataclasses import fields
 from .baselines import canonical_variant, preset_names, resolve_preset
 from .envs import (ALIASES, DEFAULT_EPISODES, ENV_NAMES, EnvSpec,
                    canonical_name, make_env)
-from .harness import (ExperimentConfig, _run_stream, run_experiment,
-                      write_run_csv)
+from .harness import (ExperimentConfig, cell_stream, run_experiment,
+                      teacher_stream, write_run_csv)
 from .kernels import GuidanceParams, LearningParams, TrustParams
 from .student import (VARIANT_ALIASES, StudentConfig, train_student,
                       uses_teacher)
@@ -80,7 +80,7 @@ def cmd_train_teacher(args):
     # the grid's stream, so a run with the defaults writes the grid's file
     run = train_teacher(env, params=_params(LearningParams, args),
                         episodes=args.episodes, seed=args.seed,
-                        stream=ENV_NAMES.index(env.name))
+                        stream=teacher_stream(env.name))
     knowledge = build_knowledge(run, env, tau=args.tau,
                                 aggregation=args.aggregation)
     save_knowledge(knowledge, args.out)
@@ -111,7 +111,7 @@ def cmd_train_student(args):
         return 2
     episodes = args.episodes or DEFAULT_EPISODES[env.name]
     run = train_student(env, knowledge, config, episodes=episodes,
-                        seed=args.seed, stream=_run_stream(env.name, variant))
+                        seed=args.seed, stream=cell_stream(env.name, variant))
     if args.out:
         write_run_csv(args.out, variant, env.name, args.seed, run)
         print(f"episode log written to {args.out}")
@@ -233,7 +233,7 @@ def build_parser():
                         f"(aliases: {', '.join(sorted(VARIANT_ALIASES))})")
     p.add_argument("--knowledge", help="distilled knowledge file")
     p.add_argument("--omega0", type=float, default=StudentConfig.omega0,
-                   help="fixed gate weight for the fixed_trust variant")
+                   help="fixed gate weight of the no_trust_gate variant")
     p.add_argument("--episodes", type=int, default=0,
                    help="0 = per-environment default")
     p.add_argument("--seed", type=int, default=1)

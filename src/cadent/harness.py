@@ -30,7 +30,7 @@ from .envs import (ACCEPT_BONUS, DEFAULT_EPISODES, ENV_NAMES, PROGRESS_BONUS,
 from .files import (Config, is_integer, is_number, json_text, shown,
                     write_atomic)
 from .kernels import sum_in_order
-from .student import StudentConfig, train_student, uses_teacher
+from .student import VARIANTS, StudentConfig, train_student, uses_teacher
 from .teacher import (AGGREGATION_MODES, build_knowledge, save_knowledge,
                       train_teacher)
 
@@ -79,7 +79,7 @@ def _env_mapping(mapping, where, *check):
 @dataclass(frozen=True)
 class ExperimentConfig(Config):
     environments: tuple = ENV_NAMES
-    variants: tuple = ("cadent", "ad", "pd", "no_transfer", "no_trust_gate")
+    variants: tuple = tuple(VARIANTS)
     seeds: tuple = DEFAULT_SEEDS
     episodes: dict = field(default_factory=dict)   # env -> override
     layout_seed: int = EnvSpec.layout_seed
@@ -268,8 +268,13 @@ def _sorted_grid(config):
     return [(e, v, s) for (e, v) in _pairs(config) for s in config.seeds]
 
 
-def _run_stream(env_name, variant):
-    """Stable stream id per (env, variant), independent of config order."""
+def teacher_stream(env_name):
+    """The random stream of an env's teacher, independent of config order."""
+    return ENV_NAMES.index(env_name)
+
+
+def cell_stream(env_name, variant):
+    """The random stream of an (env, variant) cell, shared by its seeds."""
     return ENV_NAMES.index(env_name) * 16 + preset_names().index(variant)
 
 
@@ -296,7 +301,7 @@ def _train_cell(config, env_name, variant, seed, knowledge):
     student_cfg = config.base.with_(variant=variant, omega0=config.omega0)
     run = train_student(env, knowledge, student_cfg,
                         episodes=config.episodes_for(env_name),
-                        seed=seed, stream=_run_stream(env_name, variant))
+                        seed=seed, stream=cell_stream(env_name, variant))
     return CellRun(run.ep_reward, run.ep_steps, run.ep_accept,
                    run.novel_transitions, run.max_abs_update,
                    run.n_soft_violations, run.bound)
@@ -332,7 +337,7 @@ def run_experiment(config, out_dir, progress=None):
         run = train_teacher(env, params=config.base.learn,
                             episodes=config.teacher_episodes,
                             seed=config.teacher_seed,
-                            stream=ENV_NAMES.index(env_name))
+                            stream=teacher_stream(env_name))
         knowledge[env_name] = build_knowledge(run, env,
                                               tau=config.base.learn.tau,
                                               aggregation=config.aggregation)

@@ -15,9 +15,10 @@ applies. Distillation and the harness share `sum_in_order`.
 
 The first import compiles `_kernel.c` with the C compiler Python was built
 with (`sysconfig`'s CC) and keeps the shared library in
-`$XDG_CACHE_HOME/cadent` (default `~/.cache/cadent`), or, where that
-cannot be written, in `cadent-<uid>` under the temporary directory. The
-file name holds a checksum of the source, the flags, the compiler and the
+`$XDG_CACHE_HOME/cadent` (default `~/.cache/cadent`), or, where that is
+not a directory of this user's that no one else may write, in
+`cadent-<uid>` under the temporary directory, which must be one. The file
+name holds a checksum of the source, the flags, the compiler and the
 machine, so a changed source builds anew and later imports only load it.
 Without a compiler the import fails. The flags keep the compiler from
 fusing a multiply and an add, which would round once where the loop's
@@ -82,34 +83,29 @@ _LDLIBS = ("-lm",)
 
 
 def _cache_dir():
-    """The directory the library is kept in: $XDG_CACHE_HOME/cadent (or
-    ~/.cache/cadent) when it can be written, else cadent-<uid> under the
-    temporary directory, which must be a directory of this user's that no
-    one else may write."""
+    """The directory the library is kept in: the first of
+    $XDG_CACHE_HOME/cadent (or ~/.cache/cadent) and cadent-<uid> under the
+    temporary directory, each made with mode 0700 if missing, that is a
+    directory of this user's that no one else may write, so no other user
+    can plant the library the import loads."""
+    uid = os.getuid()
     base = (os.environ.get("XDG_CACHE_HOME")
             or os.path.join(os.path.expanduser("~"), ".cache"))
-    path = os.path.join(base, "cadent")
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError:
-        pass
-    else:
-        if os.access(path, os.W_OK | os.X_OK):
+    for path in (os.path.join(base, "cadent"),
+                 os.path.join(tempfile.gettempdir(), f"cadent-{uid}")):
+        try:
+            os.makedirs(path, mode=0o700, exist_ok=True)
+            st = os.lstat(path)
+        except OSError as exc:
+            why = str(exc)
+            continue
+        if (stat.S_ISDIR(st.st_mode) and st.st_uid == uid
+                and not st.st_mode & 0o022
+                and os.access(path, os.W_OK | os.X_OK)):
             return path
-    uid = os.getuid()
-    path = os.path.join(tempfile.gettempdir(), f"cadent-{uid}")
-    try:
-        os.makedirs(path, mode=0o700, exist_ok=True)
-        st = os.lstat(path)
-    except OSError as exc:
-        raise ImportError(f"no directory to keep the training loop's "
-                          f"library in: {exc}") from exc
-    if (not stat.S_ISDIR(st.st_mode) or st.st_uid != uid
-            or st.st_mode & 0o022):
-        raise ImportError(
-            f"refusing {path} as the training loop's library cache: it is "
-            f"not a directory of uid {uid} that only its owner may write")
-    return path
+        why = f"not a directory of uid {uid} that only its owner may write"
+    raise ImportError(f"refusing {path} as the training loop's library "
+                      f"cache: {why}")
 
 
 def _build(cc, path):

@@ -25,20 +25,18 @@ from .files import Config
 from .kernels import GuidanceParams, LearningParams, TrustParams, run_training
 from .teacher import dense_knowledge
 
-# name -> (gated, strategic, tactical, pinned). gated: the trust gate sets
-# omega from the pair's volatility, otherwise omega is fixed. strategic,
-# tactical: the variant keeps lambda_ad, lambda_pd (without it the weight is
-# 0). pinned: the fixed omega the variant pins, or None to read it from
-# StudentConfig.omega0. `train_student` applies the row, so a config keeps
-# every weight whatever its variant. The order is part of the results: the
-# harness derives each variant's random stream from it.
+# name -> (gated, strategic, tactical). gated: the trust gate sets omega
+# from the pair's volatility, otherwise omega is StudentConfig.omega0.
+# strategic, tactical: the variant keeps lambda_ad, lambda_pd (without it the
+# weight is 0). `train_student` applies the row, so a config keeps every
+# weight whatever its variant. The order is part of the results: the harness
+# derives each variant's random stream from it.
 VARIANTS = {
-    "cadent": (True, True, True, None),
-    "ad": (True, True, False, None),
-    "pd": (True, False, True, None),
-    "no_transfer": (False, False, False, None),
-    "no_trust_gate": (False, True, True, 0.5),
-    "fixed_trust": (False, True, True, None),
+    "cadent": (True, True, True),
+    "ad": (True, True, False),
+    "pd": (True, False, True),
+    "no_transfer": (False, False, False),
+    "no_trust_gate": (False, True, True),
 }
 
 VARIANT_ALIASES = {
@@ -50,7 +48,7 @@ VARIANT_ALIASES = {
 
 def uses_teacher(variant):
     """Whether `variant` learns from teacher knowledge."""
-    _gated, strategic, tactical, _omega0 = VARIANTS[variant]
+    _gated, strategic, tactical = VARIANTS[variant]
     return strategic or tactical
 
 
@@ -62,7 +60,7 @@ class StudentConfig(Config):
     trust: TrustParams = field(default_factory=TrustParams)
     guide: GuidanceParams = field(default_factory=GuidanceParams)
     variant: str = "cadent"
-    omega0: float = 0.5   # fixed gate value for the fixed_trust family
+    omega0: float = 0.5   # the fixed omega of a variant without the gate
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -94,7 +92,7 @@ def train_student(env, knowledge, config, episodes, seed, stream=0):
 
     The config's row of VARIANTS decides the run: whether the gate is on,
     which of lambda_ad and lambda_pd it keeps (a dropped weight is 0.0, in
-    the kernel and in the bound) and its fixed omega, the pin or else
+    the kernel and in the bound); without the gate, omega is
     `config.omega0`. `knowledge` may (and must) be None only for the
     no_transfer variant. Compatibility between the knowledge and the
     environment's automaton and action set is checked before any step runs.
@@ -103,7 +101,7 @@ def train_student(env, knowledge, config, episodes, seed, stream=0):
     """
     if episodes <= 0:
         raise ValueError("episodes must be positive")
-    gated, strategic, tactical, pinned = VARIANTS[config.variant]
+    gated, strategic, tactical = VARIANTS[config.variant]
     guided = strategic or tactical
     if guided and knowledge is None:
         raise ValueError(f"variant {config.variant!r} requires teacher "
@@ -127,5 +125,4 @@ def train_student(env, knowledge, config, episodes, seed, stream=0):
         tables, cdfa, dense, config.learn, episodes=episodes,
         max_steps=env.max_steps, seed=seed, stream=stream,
         trust=config.trust, guide=guide, use_gate=gated,
-        omega_fixed=config.omega0 if pinned is None else pinned,
-        use_guidance=guided, bound=bound)
+        omega_fixed=config.omega0, use_guidance=guided, bound=bound)

@@ -7,6 +7,7 @@ import pytest
 
 from cadent.envs import ENV_NAMES, default_spec, make_env
 from cadent.envs.tables import compile_env
+from cadent.harness import teacher_stream
 from cadent.teacher import train_teacher
 
 
@@ -34,7 +35,7 @@ def source_teacher(env_cache):
         if name not in cache:
             cache[name] = train_teacher(env_cache(name, "source"),
                                         episodes=5000, seed=7,
-                                        stream=ENV_NAMES.index(name))
+                                        stream=teacher_stream(name))
         return cache[name]
 
     return get

@@ -9,7 +9,7 @@ from cadent.student import (GuidanceParams, LearningParams, StudentConfig,
 
 def test_preset_names_complete():
     assert preset_names() == ("cadent", "ad", "pd", "no_transfer",
-                              "no_trust_gate", "fixed_trust")
+                              "no_trust_gate")
 
 
 @pytest.mark.parametrize("raw,expected", [
@@ -19,7 +19,6 @@ def test_preset_names_complete():
     ("ad_only", "ad"),
     ("pd_only", "pd"),
     ("AD-Only", "ad"),
-    ("fixed-trust", "fixed_trust"),
     ("no-trust-gate", "no_trust_gate"),
 ])
 def test_canonical_variant_aliases(raw, expected):
@@ -56,11 +55,6 @@ def test_resolve_is_idempotent():
         once = resolve_preset(name)
         again = resolve_preset(name, base=once)
         assert again == once
-
-
-def test_fixed_trust_inherits_base_omega():
-    base = StudentConfig(omega0=0.8)
-    assert resolve_preset("fixed_trust", base).omega0 == 0.8
 
 
 def test_presets_serialize_round_trip():

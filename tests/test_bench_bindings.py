@@ -16,8 +16,7 @@ from pathlib import Path
 import pytest
 
 from cadent import harness
-from cadent.envs import ENV_NAMES
-from cadent.harness import ExperimentConfig, run_experiment
+from cadent.harness import ExperimentConfig, run_experiment, teacher_stream
 from cadent.teacher import train_teacher
 
 from oracles import read_run_csv
@@ -58,7 +57,7 @@ def test_traced_grid_records_every_kernel_call(tmp_path):
                           params=config.base.learn,
                           episodes=config.teacher_episodes,
                           seed=config.teacher_seed,
-                          stream=ENV_NAMES.index(e)).ep_steps.sum())
+                          stream=teacher_stream(e)).ep_steps.sum())
         for e in config.environments)
     assert len(runs) == 8
     assert metrics["kernels.run_training.calls"] == len(runs) + 2

@@ -8,8 +8,9 @@ import sys
 import pytest
 
 from cadent.cli import _student_config, build_parser, main
-from cadent.envs import ENV_NAMES, default_spec, make_env
-from cadent.harness import ExperimentConfig, _run_stream, run_experiment
+from cadent.envs import default_spec, make_env
+from cadent.harness import (ExperimentConfig, cell_stream, run_experiment,
+                            teacher_stream)
 from cadent.student import StudentConfig, train_student
 from cadent.teacher import load_knowledge, train_teacher
 
@@ -347,7 +348,7 @@ def test_qtable_out_matches_sparse_reference(knowledge_file, tmp_path):
     know, teacher_qt = knowledge_file
     source = make_env(default_spec("dungeon_quest", "source"))
     run = train_teacher(source, episodes=800, seed=7,
-                        stream=ENV_NAMES.index("dungeon_quest"))
+                        stream=teacher_stream("dungeon_quest"))
     assert _saved_entries(teacher_qt) == _reference_entries(source, run)
     qt = tmp_path / "student.json"
     assert main(["train-student", "--env", "dungeon", "--episodes", "30",
@@ -356,7 +357,7 @@ def test_qtable_out_matches_sparse_reference(knowledge_file, tmp_path):
     target = make_env(default_spec("dungeon_quest", "target"))
     run = train_student(target, load_knowledge(know), StudentConfig(),
                         episodes=30, seed=2,
-                        stream=_run_stream("dungeon_quest", "cadent"))
+                        stream=cell_stream("dungeon_quest", "cadent"))
     assert _saved_entries(qt) == _reference_entries(target, run)
 
 

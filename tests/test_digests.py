@@ -29,7 +29,7 @@ from cadent.baselines import preset_names, resolve_preset
 from cadent.cli import main
 from cadent.envs import ENV_NAMES, default_spec, make_env
 from cadent.envs.tables import compile_env
-from cadent.harness import _run_stream
+from cadent.harness import cell_stream, teacher_stream
 
 from oracles import dense_run, sparse_results
 
@@ -50,8 +50,6 @@ PINNED = {
         '8b0178852bc8777da12ca22a5571b80e6e09cef6f889f1a5dbafd07176bcbf01',
     ('blind_craftsman', 'no_trust_gate'):
         '7434662b46cbc95dd8c39d5508fe8be5c9956a4d4847e4d679ac76324b497c1c',
-    ('blind_craftsman', 'fixed_trust'):
-        '1fbf4617207323049cb328abb7a6b5a9a4a6b002d0c7c26f539480f5bc0d6074',
     ('dungeon_quest', 'teacher'):
         '3aab78f96307c6a201ab6e79103d8b5b7c54e5ebd900774d0ea23ec7f3e4be1d',
     ('dungeon_quest', 'cadent'):
@@ -64,8 +62,6 @@ PINNED = {
         '387ef448397a6fa14952f7452e5062137b19031d087c804af2ddd3d3d108e013',
     ('dungeon_quest', 'no_trust_gate'):
         '3350da2d18b4732259d4a16ea94c995c1f4a708b6c10ca380d16b41326a01aa3',
-    ('dungeon_quest', 'fixed_trust'):
-        '429cd94beff4c4b4be1f2c72bb045b08f284d0d59904ba9c2e185167a900299e',
     ('mountain_car_collection', 'teacher'):
         '2d326bb046f7a124546aefabf632c6e72e987e13051841e36d55ecd3a6adc8ca',
     ('mountain_car_collection', 'cadent'):
@@ -78,8 +74,6 @@ PINNED = {
         '06adb0e00c6525230a130bc43c38c16edd1db93933e45f6f53c2b7e792bd16f2',
     ('mountain_car_collection', 'no_trust_gate'):
         '3dc0cee9415e4c665bebc49275a6f190d8b4d6ecd86c9486a2508776e8472777',
-    ('mountain_car_collection', 'fixed_trust'):
-        '3f69394038455fa309b2229ff77614b13c3163b8bb8faf21688bba8a5e493563',
     ('warehouse_robotics', 'teacher'):
         'c96499d14595d2ccf6307895828399be2970c8c42bf53d9fe4849f4dd98de1f7',
     ('warehouse_robotics', 'cadent'):
@@ -92,8 +86,6 @@ PINNED = {
         '8c3a8997467dd261652974dab9f9f9fd389f86ed22066f9e09a9d22f65126b4f',
     ('warehouse_robotics', 'no_trust_gate'):
         '8e35592513bde2d418354ec1bfc18fc8d0fe3591f266613553083e22e56119dd',
-    ('warehouse_robotics', 'fixed_trust'):
-        'd1367e94c3f35fcdcbc383b0c5b3de944e74f3d87af7eb9b790457d160420fe1',
 }
 
 QTABLE_OUT_PINNED = {
@@ -129,7 +121,7 @@ def _kernel_parts(res, env, v_init):
 def _teacher_cell(name):
     env = make_env(default_spec(name, "source"))
     run = teacher.train_teacher(env, episodes=TEACHER_EPISODES, seed=SEED,
-                                stream=ENV_NAMES.index(name))
+                                stream=teacher_stream(name))
     knowledge = teacher.build_knowledge(run, env, tau=2.0)
     ref = sparse_results(env, run)
     digest = _digest(_kernel_parts(run, env, 0.0) + (
@@ -140,12 +132,11 @@ def _teacher_cell(name):
 
 def _student_cell(name, variant, knowledge):
     env = make_env(default_spec(name, "target"))
-    config = resolve_preset(variant, (student.StudentConfig(omega0=0.25)
-                                      if variant == "fixed_trust" else None))
+    config = resolve_preset(variant)
     run = student.train_student(
         env, knowledge if variant != "no_transfer" else None, config,
         episodes=STUDENT_EPISODES, seed=SEED,
-        stream=_run_stream(name, variant))
+        stream=cell_stream(name, variant))
     ref = sparse_results(env, run, gated=student.VARIANTS[config.variant][0])
     return _digest(_kernel_parts(run, env, config.trust.v_init) + (
         sorted(ref.qtable.items()), sorted(ref.volatility.items()),

@@ -14,10 +14,10 @@ from cadent.automaton import ProductState
 from cadent.cli import main
 from cadent.envs import bundled_dfa
 from cadent.harness import (CURVE_CSV_HEADER, RUN_CSV_HEADER, CellRun,
-                            ExperimentConfig, _mean_stderr, _run_stream,
+                            ExperimentConfig, _mean_stderr,
                             aggregate_per_episode,
                             aggregate_vs_cumulative_steps, build_summary,
-                            final_window_mean, run_experiment,
+                            cell_stream, final_window_mean, run_experiment,
                             steps_to_threshold, write_curve_csv,
                             write_run_csv)
 from cadent.kernels import sum_in_order
@@ -189,13 +189,13 @@ def test_config_hash_tracks_content():
 
 
 def test_run_stream_is_order_independent():
-    assert _run_stream("blind_craftsman", "cadent") == 0
-    assert _run_stream("dungeon_quest", "cadent") == 16
-    assert _run_stream("blind_craftsman", "no_transfer") == 3
-    assert _run_stream("warehouse_robotics", "fixed_trust") == 53
+    assert cell_stream("blind_craftsman", "cadent") == 0
+    assert cell_stream("dungeon_quest", "cadent") == 16
+    assert cell_stream("blind_craftsman", "no_transfer") == 3
+    assert cell_stream("warehouse_robotics", "no_trust_gate") == 52
     pairs = [(e, v) for e in ("blind_craftsman", "dungeon_quest")
              for v in ("cadent", "no_transfer")]
-    assert len({_run_stream(e, v) for e, v in pairs}) == len(pairs)
+    assert len({cell_stream(e, v) for e, v in pairs}) == len(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +212,8 @@ def _records(rewards, steps=None, accepts=None):
 
 
 def test_train_cell_omega0_on_a_pinned_base(monkeypatch):
-    # a base read from JSON may name a variant that pins omega0; each cell
-    # still runs the kernel at the experiment's omega0 unless its own
-    # variant pins it
+    # a base read from JSON may name any variant and omega0; each cell
+    # still runs the kernel at the experiment's omega0
     seen = []
 
     class Stop(Exception):
@@ -225,7 +224,7 @@ def test_train_cell_omega0_on_a_pinned_base(monkeypatch):
         raise Stop
 
     config = ExperimentConfig(
-        variants=("no_transfer", "no_trust_gate", "fixed_trust"), omega0=0.8,
+        variants=("no_transfer", "no_trust_gate"), omega0=0.8,
         base=StudentConfig(variant="no_trust_gate"))
     env = harness._env("dungeon_quest", "target", config)
     knowledge = TeacherKnowledge(
@@ -236,7 +235,7 @@ def test_train_cell_omega0_on_a_pinned_base(monkeypatch):
         with pytest.raises(Stop):
             harness._train_cell(config, "dungeon_quest", variant, 1,
                                 knowledge if uses_teacher(variant) else None)
-    assert seen == [0.8, 0.5, 0.8]
+    assert seen == [0.8, 0.8]
 
 
 def test_cell_returns_only_episode_arrays_and_scalars():

@@ -7,7 +7,9 @@ fresh interpreter with its own cache, so nothing here touches the cache
 the rest of the suite uses.
 """
 
+import ctypes
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 import cadent
+from cadent import kernels
 from cadent.kernels import run_training
 
 from oracles import toy_knowledge, toy_product, toy_run
@@ -48,6 +51,7 @@ def test_first_import_builds_one_library_and_the_next_reuses_it(tmp_path):
     assert cold.returncode == 0, cold.stderr
     (name,) = _libraries(tmp_path / "cadent")
     assert name.startswith("_kernel-") and name.endswith(".so")
+    assert stat.S_IMODE((tmp_path / "cadent").stat().st_mode) == 0o700
     lib = tmp_path / "cadent" / name
     before = lib.stat()
     warm = _import_kernels(tmp_path)
@@ -108,6 +112,32 @@ def test_a_temporary_directory_others_may_write_is_refused(tmp_path):
     assert out.returncode != 0
     assert "refusing" in out.stderr, out.stderr
     assert _libraries(private) == []
+
+
+def test_a_cache_others_may_write_is_passed_over(tmp_path):
+    # another user could plant the library the import loads in it
+    shared = tmp_path / "cache" / "cadent"
+    shared.mkdir(parents=True)
+    shared.chmod(0o777)
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    out = _import_kernels(tmp_path / "cache", TMPDIR=str(tmp))
+    assert out.returncode == 0, out.stderr
+    assert _libraries(shared) == []
+    assert len(_libraries(tmp / f"cadent-{os.getuid()}")) == 1
+
+
+def test_argtypes_match_the_c_signature():
+    # the call is positional: a parameter added on one side only would
+    # shift every later argument
+    source = Path(kernels._SOURCE).read_text()
+    params = re.search(r"\bint train\(([^)]*)\)", source).group(1)
+    scalars = {"int": ctypes.c_int, "int64_t": ctypes.c_int64,
+               "double": ctypes.c_double}
+    declared = [ctypes.c_void_p if "*" in param
+                else scalars[param.split()[-2]]
+                for param in params.split(",")]
+    assert list(kernels._train.argtypes) == declared
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from cadent import student
 from cadent.baselines import preset_names, resolve_preset
 from cadent.envs import DEFAULT_EPISODES
 from cadent.envs.tables import compile_env
-from cadent.harness import _run_stream
+from cadent.harness import cell_stream
 from cadent.kernels import (LearningParams, greedy_rollout, run_training,
                             softmax_policy)
 from cadent.student import (GuidanceParams, StudentConfig, TrustParams,
@@ -289,7 +289,7 @@ def test_student_config_variant_rules():
     with pytest.raises(ValueError):
         StudentConfig(variant="cadent", omega0=1.5)
     with pytest.raises(ValueError):
-        StudentConfig(variant="fixed_trust", omega0=-0.1)
+        StudentConfig(variant="no_trust_gate", omega0=-0.1)
     # every variant takes any weights and omega0: train_student applies
     # the variant's row (test_preset_kernel_arguments)
     for name in preset_names():
@@ -302,14 +302,13 @@ def test_preset_kernel_arguments(monkeypatch, dungeon_target,
                                  source_knowledge):
     # the variant rules: (use_gate, use_guidance, omega_fixed, lam_ad,
     # lam_pd) the kernel gets from one base config; a variant drops the
-    # weights it does not use, and no_trust_gate pins omega to 0.5
+    # weights it does not use, and every variant passes the base's omega0
     expected = {
         "cadent": (True, True, 0.8, 2.0, 0.25),
         "ad": (True, True, 0.8, 2.0, 0.0),
         "pd": (True, True, 0.8, 0.0, 0.25),
         "no_transfer": (False, False, 0.8, 0.0, 0.0),
-        "no_trust_gate": (False, True, 0.5, 2.0, 0.25),
-        "fixed_trust": (False, True, 0.8, 2.0, 0.25),
+        "no_trust_gate": (False, True, 0.8, 2.0, 0.25),
     }
     assert tuple(expected) == preset_names()
     seen = {}
@@ -524,7 +523,7 @@ def test_no_trust_gate_greedy_policy_accepts(env_cache, grid_knowledge,
     res = train_student(env, grid_knowledge(name),
                         resolve_preset("no_trust_gate"),
                         episodes=DEFAULT_EPISODES[name], seed=1,
-                        stream=_run_stream(name, "no_trust_gate"))
+                        stream=cell_stream(name, "no_trust_gate"))
     accepted, steps, _total = greedy_rollout(
         compile_env(env), env.dfa.compiled(), res.q, env.max_steps)
     assert accepted, (f"greedy policy stopped after {steps} steps without "
