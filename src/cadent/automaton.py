@@ -128,10 +128,7 @@ def make_dfa(states, alphabet, start, accepting, edges):
     for q in states:
         for sym in alphabet:
             transitions[(q, sym)] = q
-    for (q, sym), q2 in edges.items():
-        if (q, sym) not in transitions:
-            raise DfaError(f"edge from unknown pair ({q!r}, {sym!r})")
-        transitions[(q, sym)] = q2
+    transitions.update(edges)
     dfa = Dfa(tuple(states), tuple(alphabet), start, frozenset(accepting),
               transitions)
     dfa.compiled()

@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .baselines import canonical_variant, preset_names, resolve_preset
+from .baselines import preset_names
 from .envs import (ALIASES, DEFAULT_EPISODES, ENV_NAMES, EnvSpec,
                    canonical_name, make_env)
 from .harness import (ExperimentConfig, cell_stream, run_experiment,
@@ -64,7 +64,7 @@ def _params(params, args):
 
 
 def _student_config(args):
-    return StudentConfig(omega0=args.omega0, **{
+    return StudentConfig(variant=args.variant, omega0=args.omega0, **{
         section: _params(params, args)
         for section, params in _HYPER_SECTIONS.items()})
 
@@ -96,8 +96,8 @@ def cmd_train_teacher(args):
 
 def cmd_train_student(args):
     env = _env_from_args(args)
-    variant = canonical_variant(args.variant)
-    config = resolve_preset(variant, _student_config(args))
+    config = _student_config(args)
+    variant = config.variant
     knowledge = None
     if uses_teacher(variant):
         if not args.knowledge:

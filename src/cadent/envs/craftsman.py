@@ -60,7 +60,6 @@ class BlindCraftsman(Environment):
         self.home = self.cell_param(
             "home", anchor_cell(_HOME_ANCHOR, self.rows, self.cols))
         fixed = [self.start, self.factory, self.home]
-        validate_positions(fixed, self.rows, self.cols, self.name)
         n_piles = self.int_param("n_piles")
         if "piles" in spec.parameters:
             piles = self.list_param("piles", checked_cell)

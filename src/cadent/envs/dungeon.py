@@ -43,7 +43,6 @@ class DungeonQuest(Environment):
         super().__init__(spec)
         self.rows, self.cols = self.grid_shape()
         self.start = self.cell_param("start", (self.rows - 1, 0))
-        validate_positions([self.start], self.rows, self.cols, self.name)
         auto = self.place(4, taken=[self.start])
         self.key = self.cell_param("key", auto[0])
         self.chest = self.cell_param("chest", auto[1])

@@ -54,7 +54,6 @@ class WarehouseRobotics(Environment):
         super().__init__(spec)
         self.rows, self.cols = self.grid_shape()
         self.start = self.cell_param("start", (0, 0))
-        validate_positions([self.start], self.rows, self.cols, self.name)
         auto = self.place(5, taken=[self.start])
         self.scanner_station = self.cell_param("scanner_station", auto[0])
         self.shelf = self.cell_param("shelf", auto[1])

@@ -24,13 +24,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .automaton import progress_edges
-from .baselines import canonical_variant, preset_names
 from .envs import (ACCEPT_BONUS, DEFAULT_EPISODES, ENV_NAMES, PROGRESS_BONUS,
                    STEP_PENALTY, EnvSpec, canonical_name, make_env)
 from .files import (Config, is_integer, is_number, json_text, shown,
                     write_atomic)
 from .kernels import sum_in_order
-from .student import VARIANTS, StudentConfig, train_student, uses_teacher
+from .student import (VARIANTS, StudentConfig, canonical_variant,
+                      train_student, uses_teacher)
 from .teacher import (AGGREGATION_MODES, build_knowledge, save_knowledge,
                       train_teacher)
 
@@ -275,7 +275,7 @@ def teacher_stream(env_name):
 
 def cell_stream(env_name, variant):
     """The random stream of an (env, variant) cell, shared by its seeds."""
-    return ENV_NAMES.index(env_name) * 16 + preset_names().index(variant)
+    return ENV_NAMES.index(env_name) * 16 + tuple(VARIANTS).index(variant)
 
 
 # one Environment per (name, variant, layout_seed), the only fields of its

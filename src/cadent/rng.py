@@ -32,11 +32,13 @@ def state_from(seed, stream=0):
     """Build an xorshift128 state array from a seed and a stream index.
 
     Distinct (seed, stream) pairs give independent trajectories; the same
-    pair always yields the same state. Negative inputs are rejected so that
-    serialized configs round-trip without sign surprises.
+    pair always yields the same state. Only the low 64 bits of the seed and
+    32 of the stream reach the state, so a value outside that range (which
+    would alias another) is rejected, and so is a negative one.
     """
-    if seed < 0 or stream < 0:
-        raise ValueError("seed and stream must be non-negative")
+    for name, value, bits in (("seed", seed, 64), ("stream", stream, 32)):
+        if not 0 <= value < 1 << bits:
+            raise ValueError(f"{name} must be in [0, 2**{bits}), not {value}")
     s_lo = seed & _MASK32
     s_hi = (seed >> 32) & _MASK32
     t = stream & _MASK32

@@ -9,7 +9,8 @@ without experience and volatile regions lean on the teacher, settled
 regions on the student's own signal. The update rule is written once,
 in the training loop `kernels.run_training`, beside the parameter sections
 it reads (`LearningParams`, `TrustParams`, `GuidanceParams`); this module
-keeps the variant table, `StudentConfig`, which bundles the sections, and
+keeps the variant table and its aliases, `canonical_variant`, which resolves
+a variant name, `StudentConfig`, which bundles the sections, and
 `update_bound`. `train_student` returns the kernel's `RunResult`, which
 records the run's seed and update bound.
 """
@@ -46,6 +47,20 @@ VARIANT_ALIASES = {
 }
 
 
+def canonical_variant(name):
+    """The variant `name` names: case, surrounding space, hyphens for
+    underscores and the aliases are accepted; a ValueError otherwise."""
+    if not isinstance(name, str):
+        raise ValueError(f"variant must be a string, not {name!r}")
+    name = name.strip().lower().replace("-", "_")
+    name = VARIANT_ALIASES.get(name, name)
+    if name not in VARIANTS:
+        raise ValueError(f"unknown variant {name!r}; known: "
+                         f"{sorted(VARIANTS)} (aliases: "
+                         f"{sorted(VARIANT_ALIASES)})")
+    return name
+
+
 def uses_teacher(variant):
     """Whether `variant` learns from teacher knowledge."""
     _gated, strategic, tactical = VARIANTS[variant]
@@ -63,8 +78,7 @@ class StudentConfig(Config):
     omega0: float = 0.5   # the fixed omega of a variant without the gate
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {tuple(VARIANTS)}")
+        object.__setattr__(self, "variant", canonical_variant(self.variant))
         if not (0.0 <= self.omega0 <= 1.0):
             raise ValueError("omega0 must be in [0, 1]")
         self.check_finite()
@@ -99,8 +113,6 @@ def train_student(env, knowledge, config, episodes, seed, stream=0):
     Update magnitudes are monitored against the analytic bound, which the
     returned RunResult records as `bound`; non-finite updates raise.
     """
-    if episodes <= 0:
-        raise ValueError("episodes must be positive")
     gated, strategic, tactical = VARIANTS[config.variant]
     guided = strategic or tactical
     if guided and knowledge is None:

@@ -154,8 +154,6 @@ def distill_teacher_policy(run, env, tau, aggregation="visitation_weighted"):
     """
     if aggregation not in AGGREGATION_MODES:
         raise ValueError(f"aggregation must be one of {AGGREGATION_MODES}")
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
     dfa = env.dfa
     rank = compile_env(env).rank
     visits = run.counts.sum(axis=1)

@@ -214,6 +214,16 @@ def test_make_dfa_rejects_unknown_edge_pair():
                  edges={("a", "nope"): "a"})
 
 
+@pytest.mark.parametrize("edge,named", [
+    (("b", "x"), "transition from unknown state 'b'"),
+    (("a", "y"), "transition on unknown symbol 'y'"),
+], ids=["state", "symbol"])
+def test_make_dfa_names_an_edge_from_an_unknown_state_or_symbol(edge, named):
+    with pytest.raises(DfaError, match=named):
+        make_dfa(states=("a",), alphabet=("x",), start="a", accepting=set(),
+                 edges={edge: "a"})
+
+
 def test_product_state_fields():
     ps = ProductState(env=(1, 2, 0), q="q0")
     assert ps.env == (1, 2, 0)

@@ -18,8 +18,8 @@ from cadent.harness import (CURVE_CSV_HEADER, RUN_CSV_HEADER, CellRun,
                             aggregate_per_episode,
                             aggregate_vs_cumulative_steps, build_summary,
                             cell_stream, final_window_mean, run_experiment,
-                            steps_to_threshold, write_curve_csv,
-                            write_run_csv)
+                            steps_to_threshold, teacher_stream,
+                            write_curve_csv, write_run_csv)
 from cadent.kernels import sum_in_order
 from cadent.student import StudentConfig, TrustParams, uses_teacher
 from cadent.teacher import (TeacherKnowledge, load_knowledge, save_knowledge,
@@ -196,6 +196,18 @@ def test_run_stream_is_order_independent():
     pairs = [(e, v) for e in ("blind_craftsman", "dungeon_quest")
              for v in ("cadent", "no_transfer")]
     assert len({cell_stream(e, v) for e, v in pairs}) == len(pairs)
+
+
+def test_default_grid_draws_each_run_from_its_own_words():
+    # every teacher and cell of the default grid starts from a distinct
+    # (seed, stream) pair; teacher streams 0-3 are also cell streams (of
+    # blind_craftsman), so a student seed equal to teacher_seed would not
+    config = ExperimentConfig()
+    pairs = [(config.teacher_seed, teacher_stream(e))
+             for e in config.environments]
+    pairs += [(s, cell_stream(e, v)) for e in config.environments
+              for v in config.variants for s in config.seeds]
+    assert len(set(pairs)) == len(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +637,16 @@ def test_run_experiment_names_a_failing_cell(tmp_path, monkeypatch):
                 rf"^cell \(dungeon_quest, {variant}, seed 2\) failed: "
                 r"RuntimeError: boom$")):
             run_experiment(config, tmp_path / variant)
+
+
+def test_run_experiment_names_a_seed_that_would_alias_another(tmp_path):
+    # 2**64 + 1 passes the distinct-seeds check but has the low 64 bits of
+    # seed 1, the only bits its random words are made from
+    config = ExperimentConfig(**{**MINI, "seeds": (1, 2**64 + 1)})
+    with pytest.raises(harness.CellError, match=(
+            rf"^cell \(dungeon_quest, no_transfer, seed {2**64 + 1}\) "
+            r"failed: ValueError: seed must be in")):
+        run_experiment(config, tmp_path / "out")
 
 
 def test_interrupted_grid_leaves_no_run_csv_and_reruns_clean(tmp_path,

@@ -54,6 +54,16 @@ def test_negative_seed_rejected():
         state_from(0, -2)
 
 
+def test_seed_and_stream_beyond_their_bits_rejected():
+    # only the low 64 bits of a seed and 32 of a stream reach the state,
+    # so a larger value would alias a smaller one
+    state_from(2**64 - 1, 2**32 - 1)
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        state_from(2**64 + 1)
+    with pytest.raises(ValueError, match=r"stream must be in \[0, 2\*\*32\)"):
+        state_from(1, 2**32)
+
+
 def test_state_from_words_pinned():
     # the words every run, env layout and digest starts from
     assert [state_from(s, t).tolist() for s, t in

@@ -11,7 +11,8 @@ from cadent import student
 from cadent.baselines import preset_names, resolve_preset
 from cadent.envs import DEFAULT_EPISODES
 from cadent.envs.tables import compile_env
-from cadent.harness import cell_stream
+from cadent.files import read_json
+from cadent.harness import ExperimentConfig, cell_stream
 from cadent.kernels import (LearningParams, greedy_rollout, run_training,
                             softmax_policy)
 from cadent.student import (GuidanceParams, StudentConfig, TrustParams,
@@ -298,6 +299,19 @@ def test_student_config_variant_rules():
                       guide=GuidanceParams(lambda_ad=2.0, lambda_pd=0.0))
 
 
+def test_student_config_resolves_variant_aliases(tmp_path):
+    # aliases, case and hyphens resolve wherever a variant is named
+    assert StudentConfig(variant="AD-Only").variant == "ad"
+    assert StudentConfig.from_json({"variant": "none"}).variant == \
+        "no_transfer"
+    config = ExperimentConfig.from_json({"base": {"variant": "no-trust-gate"}})
+    config.save(tmp_path / "config.json")
+    assert read_json(tmp_path / "config.json")["base"]["variant"] == \
+        "no_trust_gate"
+    with pytest.raises(ValueError, match="variant must be a string, not 3"):
+        StudentConfig(variant=3)
+
+
 def test_preset_kernel_arguments(monkeypatch, dungeon_target,
                                  source_knowledge):
     # the variant rules: (use_gate, use_guidance, omega_fixed, lam_ad,
@@ -434,6 +448,13 @@ def test_train_student_no_transfer_shape(dungeon_target):
     assert res.bound == pytest.approx(10.99 / (1 - 0.99), abs=1e-9)
     assert res.n_soft_violations == 0
     assert res.max_abs_update <= res.bound
+
+
+def test_train_student_on_an_alias_runs_its_variant(dungeon_target):
+    runs = [train_student(dungeon_target, None, StudentConfig(variant=name),
+                          episodes=5, seed=3)
+            for name in ("none", "no_transfer")]
+    assert runs[0].ep_reward.tobytes() == runs[1].ep_reward.tobytes()
 
 
 def test_train_student_cadent_populates_volatility(dungeon_target,
